@@ -9,6 +9,7 @@ from .carmichael import (
     VerdictKind,
     allzero_probability,
     certify,
+    certify_reps,
     count_carmichaels_quantum,
     count_fermat_failures,
     flag_probability,

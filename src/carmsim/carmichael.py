@@ -8,6 +8,16 @@ identity, and the counters read all-zeros with certainty; non-Carmichael k
 leak all-zeros with probability exactly alpha^(2R), alpha the Dirichlet
 kernel at the peak position f = P arcsin(sqrt(t/k)) / pi.
 
+Routes.  Certification and both counting pipelines run on the two-plane
+register (counting.count_distribution), fed the marked count from the
+factorization or the enumeration; no O(k) base mask is built, so k is
+bounded only by factorization (2^50) and the cap by the counters alone.
+The dense route over all k base values (fermat_failure_mask with
+qsim.controlled_grover_powers) remains as the test oracle and behind
+allzero_probability_flag_conditioned, which alone is limited by the mask's
+k < 2^31 guard.  A command's reps share one law: certify_reps factorizes
+and builds it once and draws rep i from np.random.default_rng([seed, i]).
+
 Flag convention.  The coprimality flag is post-selected on the *prepared*
 uniform superposition, where its acceptance probability is exactly phi(k)/k
 and independent of the counter spectrum; the counter statistics are then
@@ -42,9 +52,6 @@ import numpy as np
 
 from . import counting, numtheory, qsim
 from .errors import CapacityError, DomainError
-
-#: clip threshold: measured outcomes never come from floating-point dust
-_SAMPLING_CLIP = 1e-13
 
 
 class VerdictKind(Enum):
@@ -136,21 +143,33 @@ def _require_composite(k: int) -> numtheory.Factorization:
     return f
 
 
-def ancilla_distribution(k: int, p: int, r: int, cap: int = qsim.AMPLITUDE_CAP) -> np.ndarray:
+def _phi_and_t(f: numtheory.Factorization) -> tuple[int, int]:
+    """phi(k) and the Fermat-failure count t(k) = phi(k) - F(k); 0 for primes."""
+    phi = numtheory.euler_phi(f)
+    return phi, 0 if f.is_prime else phi - numtheory.fermat_nonwitness_count(f)
+
+
+def ancilla_distribution(
+    k: int,
+    p: int,
+    r: int,
+    cap: int = qsim.AMPLITUDE_CAP,
+    factorization: numtheory.Factorization | None = None,
+) -> np.ndarray:
     """Exact joint law of the R counter registers, shape (P,)*R.
 
-    Dense route: controlled powers on the (P,)*R + (k,) layout, Fourier
-    transform on each counter, marginal over the base register.
+    Two-plane route with t(k) from the factorization of k (pass it when
+    already at hand): controlled powers on the (P,)*R + (2,) layout, Fourier
+    transform on each counter, marginal over the base plane.
     """
     if p < 4:
         raise DomainError(f"counter size must be >= 4, got {p}")
     if r < 1:
         raise DomainError(f"need >= 1 counter registers, got {r}")
-    mask = fermat_failure_mask(k)
-    state = qsim.controlled_grover_powers((p,) * r, k, lambda v: mask[v], cap=cap)
-    for axis in range(r):
-        state = qsim.qft(state, axis)
-    return qsim.exact_distribution(state, list(range(r)))
+    if factorization is None:
+        factorization = numtheory.factorize(k)
+    _, t = _phi_and_t(factorization)
+    return counting.count_distribution(k, t, p, r, cap=cap)
 
 
 def allzero_probability(k: int, p: int, r: int, cap: int = qsim.AMPLITUDE_CAP) -> float:
@@ -159,8 +178,8 @@ def allzero_probability(k: int, p: int, r: int, cap: int = qsim.AMPLITUDE_CAP) -
     Equals alpha_k^(2R) with alpha_k = s(f_k), and exactly 1 iff k is
     Carmichael.
     """
-    _require_composite(k)
-    dist = ancilla_distribution(k, p, r, cap=cap)
+    f = _require_composite(k)
+    dist = ancilla_distribution(k, p, r, cap=cap, factorization=f)
     return float(dist[(0,) * r])
 
 
@@ -237,52 +256,65 @@ def certify(
     """Certify whether composite k is Carmichael; any nonzero counter disproves it.
 
     Both modes draw the reported counter reading from the exact joint law
-    with the given seed.  Exact mode resolves the flag analytically
-    (flag_retries = 0) and attaches the exact all-zeros probability; sample
-    mode simulates the geometric flag retries and reports the gap-based
-    worst-case error bound, which does not presume knowledge of t(k).
+    with np.random.default_rng(seed).  Exact mode resolves the flag
+    analytically (flag_retries = 0) and attaches the exact all-zeros
+    probability; sample mode simulates the geometric flag retries and
+    reports the gap-based worst-case error bound, which does not presume
+    knowledge of t(k).
     """
+    return _certify_runs(k, p, r, mode, [seed], cap)[0]
+
+
+def certify_reps(
+    k: int,
+    p: int = 16,
+    r: int = 2,
+    mode: str = "exact",
+    seed: int = 0,
+    reps: int = 100,
+    cap: int = qsim.AMPLITUDE_CAP,
+) -> list[Verdict]:
+    """reps certifications of k sharing one factorization and one law.
+
+    Repetition i is certify(k, p, r, mode, seed=[seed, i]).
+    """
+    if reps < 1:
+        raise DomainError(f"reps must be >= 1, got {reps}")
+    return _certify_runs(k, p, r, mode, [[seed, i] for i in range(reps)], cap)
+
+
+def _certify_runs(k: int, p: int, r: int, mode: str, seeds: list, cap: int) -> list[Verdict]:
+    """One verdict per seed, each drawn from np.random.default_rng(seed)."""
     if mode not in ("exact", "sample"):
         raise DomainError(f"mode must be 'exact' or 'sample', got {mode}")
     factorization = _require_composite(k)
-    phi = numtheory.euler_phi(factorization)
-    f_count = numtheory.fermat_nonwitness_count(factorization)
-    t = phi - f_count
+    phi, t = _phi_and_t(factorization)
     accept = phi / k
-
-    dist = ancilla_distribution(k, p, r, cap=cap)
+    dist = ancilla_distribution(k, p, r, cap=cap, factorization=factorization)
     allzero = float(dist[(0,) * r])
-    weights = dist.reshape(-1).copy()
-    weights[weights < _SAMPLING_CLIP] = 0.0
-    weights /= weights.sum()
-
-    rng = np.random.default_rng(seed)
-    if mode == "sample":
-        rounds = draw_flag_rounds(accept, rng)
+    if mode == "exact":
+        carmichael_bound = 0.0 if t == 0 else allzero
     else:
-        rounds = 0
-    outcome_flat = int(rng.choice(weights.size, p=weights))
-    ancillas = tuple(int(v) for v in np.unravel_index(outcome_flat, dist.shape))
+        carmichael_bound = gap_error_bound(k, phi, p, r)
 
-    if any(ancillas):
-        kind = VerdictKind.NOT_CARMICHAEL
-        error_bound = 0.0
-    else:
-        kind = VerdictKind.PROBABLY_CARMICHAEL
-        if mode == "exact":
-            error_bound = 0.0 if t == 0 else allzero
-        else:
-            error_bound = gap_error_bound(k, phi, p, r)
-
-    return Verdict(
-        kind=kind,
-        error_bound=error_bound,
-        observed_ancillas=ancillas,
-        flag_retries=rounds,
-        grover_applications=r * (p - 1) * max(rounds, 1),
-        flag_probability=accept,
-        exact_allzero=allzero if mode == "exact" else None,
-    )
+    verdicts = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        rounds = draw_flag_rounds(accept, rng) if mode == "sample" else 0
+        ancillas = tuple(int(v) for v in qsim.sample_outcomes(dist, rng, 1)[0])
+        nonzero = any(ancillas)
+        verdicts.append(
+            Verdict(
+                kind=VerdictKind.NOT_CARMICHAEL if nonzero else VerdictKind.PROBABLY_CARMICHAEL,
+                error_bound=0.0 if nonzero else carmichael_bound,
+                observed_ancillas=ancillas,
+                flag_retries=rounds,
+                grover_applications=r * (p - 1) * max(rounds, 1),
+                flag_probability=accept,
+                exact_allzero=allzero if mode == "exact" else None,
+            )
+        )
+    return verdicts
 
 
 def count_fermat_failures(
@@ -293,9 +325,8 @@ def count_fermat_failures(
     Estimates carry the peak-outcome error bound evaluated at the ground
     truth t(k) = phi(k) - F(k).
     """
-    _require_composite(k)
-    mask = fermat_failure_mask(k)
-    return counting.run_count(k, lambda v: mask[v], p, seed=seed, reps=reps, cap=cap)
+    _, t = _phi_and_t(_require_composite(k))
+    return counting.run_count(k, t, p, seed=seed, reps=reps, cap=cap)
 
 
 @dataclass(frozen=True)
@@ -453,10 +484,7 @@ def count_carmichaels_quantum(
     """
     carmichaels = numtheory.enumerate_carmichaels(n)
     t_n = len(carmichaels)
-    mask = np.zeros(n, dtype=bool)
-    if carmichaels:
-        mask[np.asarray(carmichaels) - 1] = True  # register value v holds k = v + 1
-    estimates = counting.run_count(n, lambda v: mask[v], q, seed=seed, reps=reps, cap=cap)
+    estimates = counting.run_count(n, t_n, q, seed=seed, reps=reps, cap=cap)
     return CarmichaelCountResult(
         n=n,
         q=q,

@@ -93,10 +93,9 @@ def _cmd_facts(cfg: RunConfig) -> str:
 
 
 def _cmd_certify(cfg: RunConfig) -> str:
-    verdicts = [
-        carmichael.certify(cfg.target, cfg.p, cfg.r, mode=cfg.mode, seed=[cfg.seed, i])
-        for i in range(cfg.reps)
-    ]
+    verdicts = carmichael.certify_reps(
+        cfg.target, cfg.p, cfg.r, mode=cfg.mode, seed=cfg.seed, reps=cfg.reps
+    )
     n_carm = sum(1 for v in verdicts if v.kind is carmichael.VerdictKind.PROBABLY_CARMICHAEL)
     majority = (
         carmichael.VerdictKind.PROBABLY_CARMICHAEL

@@ -1,4 +1,4 @@
-"""Counting marked states by phase estimation: closed form and dense route.
+"""Counting marked states by phase estimation: simulation and closed form.
 
 The procedure on a dimension-D register with t marked values and a size-P
 counter register is
@@ -19,6 +19,12 @@ t~ = D sin^2(pi f~ / P), with the guarantee |t~ - t| <= pi (D/Q)(pi/Q +
 2 sqrt(t/D)) whenever l lands on one of the four integers bracketing the
 peaks.  The closed form retains the branch phases, so the reconstructed
 amplitudes (not only the probabilities) match the dense simulation.
+
+The production route, `count_distribution`, simulates the counters on the
+two-plane register (qsim.two_plane_grover_powers) and needs only the marked
+count t, never a mask over the D base values.  `count_distribution_dense`
+simulates all D amplitudes from a marked predicate; it and the closed form
+are the test oracles for the production route.
 """
 
 from __future__ import annotations
@@ -199,6 +205,22 @@ def estimate_from_outcome(l: int, dimension: int, p: int, t_ref: float | None = 
     )
 
 
+def count_distribution(
+    dimension: int, marked: int, p: int, registers: int = 1, cap: int = qsim.AMPLITUDE_CAP
+) -> np.ndarray:
+    """Outcome law over `registers` counters of size P, shape (P,)*R.
+
+    Production route: controlled powers on the two-plane (P,)*R + (2,)
+    layout, a Fourier transform on each counter, the exact marginal.
+    """
+    if registers < 1:
+        raise DomainError(f"need >= 1 counter registers, got {registers}")
+    state = qsim.two_plane_grover_powers((p,) * registers, dimension, marked, cap=cap)
+    for axis in range(registers):
+        state = qsim.qft(state, axis)
+    return qsim.exact_distribution(state, list(range(registers)))
+
+
 def count_distribution_dense(
     dimension: int,
     marked_predicate: Callable[[int], object],
@@ -208,7 +230,8 @@ def count_distribution_dense(
     """Outcome law via full statevector simulation; returns (table, t).
 
     Builds the controlled-power state on a (P, D) layout, Fourier-transforms
-    the counter, and reads the exact marginal.  Needs P*D amplitudes.
+    the counter, and reads the exact marginal.  Needs P*D amplitudes; test
+    oracle for count_distribution.
     """
     state = qsim.controlled_grover_powers((p,), dimension, marked_predicate, cap=cap)
     state = qsim.qft(state, 0)
@@ -219,7 +242,7 @@ def count_distribution_dense(
 
 def run_count(
     dimension: int,
-    marked_predicate: Callable[[int], object],
+    marked: int,
     p: int,
     seed: int,
     reps: int,
@@ -227,21 +250,18 @@ def run_count(
 ) -> list[CountEstimate]:
     """reps seeded measurements of the counter with decoded estimates.
 
-    Sampling uses the exact dense distribution; repetition i draws from
-    np.random.default_rng([seed, i]) so runs are reproducible and
-    independent reps can be regenerated in isolation.
+    Sampling uses the exact law of count_distribution over the t = marked
+    values; repetition i draws from np.random.default_rng([seed, i]) so runs
+    are reproducible and independent reps can be regenerated in isolation.
     """
     if reps < 1:
         raise DomainError(f"reps must be >= 1, got {reps}")
-    table, t = count_distribution_dense(dimension, marked_predicate, p, cap=cap)
-    weights = table.copy()
-    weights[weights < 1e-13] = 0.0
-    weights /= weights.sum()
+    table = count_distribution(dimension, marked, p, cap=cap)
     estimates = []
     for i in range(reps):
         rng = np.random.default_rng([seed, i])
-        l = int(rng.choice(p, p=weights))
-        estimates.append(estimate_from_outcome(l, dimension, p, t_ref=t))
+        l = int(qsim.sample_outcomes(table, rng, 1)[0, 0])
+        estimates.append(estimate_from_outcome(l, dimension, p, t_ref=marked))
     return estimates
 
 

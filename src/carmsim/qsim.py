@@ -10,6 +10,14 @@ is the dense size-P unitary F|a> = sum_b exp(+2 pi i a b / P) |b> / sqrt(P).
 All operations are pure (a new state is returned) and re-verify the norm
 to 1e-10 afterwards; nothing renormalizes silently except postselect,
 whose contract is conditioning.
+
+Counter-controlled search powers come in two routes.  The production route,
+`two_plane_grover_powers`, keeps the base register in the plane spanned by
+its uniform-marked and uniform-unmarked states, which the search iterate
+never leaves from the uniform start: the layout is (P_1, ..., P_R, 2) and
+only the marked count t enters, so the base dimension D may be as large as
+an integer allows.  `controlled_grover_powers` builds all D base amplitudes
+from a marked predicate; it is the dense test oracle for the reduced route.
 """
 
 from __future__ import annotations
@@ -26,6 +34,9 @@ from .errors import CapacityError, DomainError, NormalizationError, ZeroProbabil
 AMPLITUDE_CAP = 1 << 26
 
 NORM_TOL = 1e-10
+
+#: probabilities below this are floating-point dust and never sampled
+SAMPLE_CLIP = 1e-13
 
 
 @dataclass(frozen=True)
@@ -133,19 +144,40 @@ def qft(state: StateVector, register: int, inverse: bool = False) -> StateVector
     return _finish(state.layout, out)
 
 
-def _grover_power_table(
-    base_dim: int, mask: np.ndarray, max_power: int
-) -> np.ndarray:
-    """G^s |uniform> for s = 0..max_power as a (max_power+1, D) array."""
-    table = np.empty((max_power + 1, base_dim), dtype=complex)
-    v = np.full(base_dim, 1.0 / math.sqrt(base_dim), dtype=complex)
-    table[0] = v
+def _grover_power_table(start: np.ndarray, mask: np.ndarray, max_power: int) -> np.ndarray:
+    """G^s |start> for s = 0..max_power as a (max_power+1, len(start)) array.
+
+    G flips the sign of the masked entries, then reflects about the real
+    unit vector |start>: w -> 2 <start|w> start - w.  Both gates are real,
+    so the table is computed in real arithmetic.
+    """
+    table = np.empty((max_power + 1, start.size))
+    flip = np.where(mask, -1.0, 1.0)
+    table[0] = start
     for s in range(1, max_power + 1):
-        w = v.copy()
-        w[mask] *= -1.0
-        v = 2.0 * w.mean() - w
-        table[s] = v
+        w = table[s - 1] * flip
+        np.subtract(2.0 * np.dot(start, w) * start, w, out=table[s])
     return table
+
+
+def _controlled_powers(
+    ancilla_dims: Sequence[int], start: np.ndarray, mask: np.ndarray, cap: int
+) -> StateVector:
+    """sum_m |m_1..m_R> G^(m_1+..+m_R)|start> / P^(R/2) on ancilla_dims + (len(start),).
+
+    G^s|start> is computed once per total power s (the distinct sums are
+    few) and branches are assembled by multiplicity, so the cost is
+    O(R P n + P^R n) for an n-entry base instead of O(P^R * P * n).
+    """
+    ancilla_dims = tuple(int(d) for d in ancilla_dims)
+    if not ancilla_dims or any(d < 2 for d in ancilla_dims):
+        raise DomainError(f"ancilla register sizes must be >= 2, got {ancilla_dims}")
+    layout = RegisterLayout(ancilla_dims + (start.size,), cap=cap)
+    max_power = sum(d - 1 for d in ancilla_dims)
+    table = _grover_power_table(start, mask, max_power).astype(complex)
+    power_grid = np.indices(ancilla_dims).sum(axis=0)
+    out = table[power_grid] / math.sqrt(math.prod(ancilla_dims))
+    return _finish(layout, out)
 
 
 def controlled_grover_powers(
@@ -156,22 +188,35 @@ def controlled_grover_powers(
 ) -> StateVector:
     """Superposed iteration counts: sum_m |m_1..m_R> G^(m_1+..+m_R)|u> / P^(R/2).
 
-    G^s|u> is computed once per total power s (the distinct sums are few)
-    and branches are assembled by multiplicity, so the cost is
-    O(R P D + P^R D) instead of O(P^R * P * D).
+    Dense route: every one of the base_dim amplitudes is simulated, with
+    the exact inversion-about-average as the diffusion.  Test oracle for
+    two_plane_grover_powers.
     """
-    ancilla_dims = tuple(int(d) for d in ancilla_dims)
-    if not ancilla_dims or any(d < 2 for d in ancilla_dims):
-        raise DomainError(f"ancilla register sizes must be >= 2, got {ancilla_dims}")
     if base_dim < 1:
         raise DomainError(f"base dimension must be >= 1, got {base_dim}")
-    layout = RegisterLayout(ancilla_dims + (base_dim,), cap=cap)
-    mask = _predicate_mask(marked_predicate, base_dim)
-    max_power = sum(d - 1 for d in ancilla_dims)
-    table = _grover_power_table(base_dim, mask, max_power)
-    power_grid = np.indices(ancilla_dims).sum(axis=0)
-    out = table[power_grid] / math.sqrt(math.prod(ancilla_dims))
-    return _finish(layout, out)
+    uniform = np.full(base_dim, 1.0 / math.sqrt(base_dim))
+    return _controlled_powers(ancilla_dims, uniform, _predicate_mask(marked_predicate, base_dim), cap)
+
+
+def two_plane_grover_powers(
+    ancilla_dims: Sequence[int], dimension: int, marked: int, cap: int = AMPLITUDE_CAP
+) -> StateVector:
+    """controlled_grover_powers on the invariant plane of the base register.
+
+    The base axis has two entries: the coefficients c_M, c_U of the
+    uniform-marked and uniform-unmarked states, so a marked base value holds
+    c_M / sqrt(t) and an unmarked one c_U / sqrt(D - t).  The gates are the
+    same, applied one at a time: the phase flip is diag(-1, 1) and the
+    diffusion is the reflection about u = (sqrt(t/D), sqrt((D-t)/D)), the
+    uniform state.  Only the layout ancilla_dims + (2,) counts against the
+    cap.
+    """
+    if dimension < 1:
+        raise DomainError(f"base dimension must be >= 1, got {dimension}")
+    if not 0 <= marked <= dimension:
+        raise DomainError(f"marked count {marked} outside [0, {dimension}]")
+    uniform = np.array([math.sqrt(marked / dimension), math.sqrt((dimension - marked) / dimension)])
+    return _controlled_powers(ancilla_dims, uniform, np.array([True, False]), cap)
 
 
 def postselect(state: StateVector, register: int, value: int) -> tuple[StateVector, float]:
@@ -212,6 +257,20 @@ def exact_distribution(state: StateVector, registers: Sequence[int]) -> np.ndarr
     return marg
 
 
+def sample_outcomes(table: np.ndarray, rng: np.random.Generator, n_samples: int) -> np.ndarray:
+    """n_samples i.i.d. draws from a probability table; shape (n, table.ndim).
+
+    Entries below SAMPLE_CLIP are zeroed and the rest renormalized first:
+    measured outcomes never come from floating-point dust.  The draws are
+    one rng.choice call, so n = 1 consumes the stream as a scalar draw does.
+    """
+    flat = np.asarray(table, dtype=float).reshape(-1).copy()
+    flat[flat < SAMPLE_CLIP] = 0.0
+    flat /= flat.sum()
+    draws = rng.choice(flat.size, size=n_samples, p=flat)
+    return np.stack(np.unravel_index(draws, np.shape(table)), axis=1).astype(np.int64)
+
+
 def sample(
     state: StateVector,
     registers: Sequence[int],
@@ -226,13 +285,7 @@ def sample(
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples}")
     table = exact_distribution(state, registers)
-    flat = table.reshape(-1).copy()
-    flat[flat < 1e-13] = 0.0  # measured outcomes never come from fp dust
-    flat /= flat.sum()
-    rng = np.random.default_rng(seed)
-    draws = rng.choice(flat.size, size=n_samples, p=flat)
-    stacked = np.stack(np.unravel_index(draws, table.shape), axis=1)
-    return stacked.astype(np.int64)
+    return sample_outcomes(table, np.random.default_rng(seed), n_samples)
 
 
 def distribution_to_json(layout_dims: Sequence[int], table: np.ndarray) -> dict:

@@ -132,6 +132,17 @@ def test_certify_determinism_and_validation():
         cm.certify(15, 16, 2, mode="other")
 
 
+def test_certify_reps_share_one_law_and_keep_streams():
+    for k in (15, 91, 561):
+        for mode in ("exact", "sample"):
+            batch = cm.certify_reps(k, 8, 2, mode=mode, seed=4, reps=6)
+            single = [cm.certify(k, 8, 2, mode=mode, seed=[4, i]) for i in range(6)]
+            assert batch == single
+    for reps in (0, -3):
+        with pytest.raises(DomainError, match="reps must be >= 1"):
+            cm.certify_reps(561, 16, 2, reps=reps)
+
+
 def test_verdict_validation():
     with pytest.raises(DomainError):
         cm.Verdict(

@@ -42,6 +42,30 @@ def test_certify_prime_exits_2(capsys):
     assert "prime" in err
 
 
+def test_certify_reps_below_one_exits_2(capsys):
+    for reps in ("0", "-3"):
+        code, out, err = run_cli(["certify", "561", "--reps", reps], capsys)
+        assert code == 2
+        assert out == ""
+        assert "reps must be >= 1" in err
+
+
+def test_two_plane_reach_beyond_dense_limits(capsys):
+    # 151 * 751 * 28351 lies above the base mask's k < 2^31 guard
+    code, out, _ = run_cli(["certify", "3215031751", "--reps", "3"], capsys)
+    assert code == 0
+    assert "majority: ProbablyCarmichael (3/3 ProbablyCarmichael)" in out
+    assert out.count("exact_allzero=1.0") == 3
+    # 1024 * 10^5 dense amplitudes would exceed the 2^26 cap
+    code, out, _ = run_cli(["count-carmichael", "100000", "--Q", "1024", "--reps", "3"], capsys)
+    assert code == 0
+    assert "t_N: 16" in out.splitlines()
+    # the cap still binds the counters: 4096^3 * 2 amplitudes
+    code, out, err = run_cli(["certify", "15", "--P", "4096", "--R", "3"], capsys)
+    assert code == 3
+    assert out == "" and "capacity" in err.lower()
+
+
 def test_capacity_exits_3(capsys):
     code, _, err = run_cli(["enumerate", "100000000"], capsys)
     assert code == 3

@@ -124,6 +124,48 @@ def test_closed_form_state_matches_dense_amplitudes():
         assert np.abs(state.grid() - predicted).max() < 1e-10
 
 
+def _expand_plane(plane: np.ndarray, dimension: int, marked: int) -> np.ndarray:
+    """Two-plane grid (..., 2) back to (..., D) with base values v < marked marked."""
+    is_marked = np.arange(dimension) < marked
+    scale = np.where(
+        is_marked, 1 / math.sqrt(max(marked, 1)), 1 / math.sqrt(max(dimension - marked, 1))
+    )
+    return plane[..., np.where(is_marked, 0, 1)] * scale
+
+
+@given(
+    st.integers(1, 200),
+    st.data(),
+    st.sampled_from([(p, r) for p in (4, 8, 16) for r in (1, 2, 3) if p**r <= 512]),
+)
+def test_two_plane_matches_dense_and_closed_form(dimension, data, p_r):
+    p, r = p_r
+    marked = data.draw(st.integers(0, dimension))
+    plane = qsim.two_plane_grover_powers((p,) * r, dimension, marked)
+    dense = qsim.controlled_grover_powers((p,) * r, dimension, lambda v: v < marked)
+    assert plane.layout.dims == (p,) * r + (2,)
+    assert np.abs(_expand_plane(plane.grid(), dimension, marked) - dense.grid()).max() < 1e-10
+    for axis in range(r):
+        plane = qsim.qft(plane, axis)
+        dense = qsim.qft(dense, axis)
+    assert np.abs(_expand_plane(plane.grid(), dimension, marked) - dense.grid()).max() < 1e-10
+    law = counting.count_distribution(dimension, marked, p, r)
+    assert np.abs(law - counting.exact_count_joint(dimension, marked, p, r)).max() < 1e-10
+
+
+def test_two_plane_validation():
+    with pytest.raises(DomainError):
+        qsim.two_plane_grover_powers((4,), 10, 11)
+    with pytest.raises(DomainError):
+        qsim.two_plane_grover_powers((4,), 0, 0)
+    with pytest.raises(DomainError):
+        counting.count_distribution(10, 3, 4, registers=0)
+    with pytest.raises(CapacityError):
+        qsim.two_plane_grover_powers((4096,) * 3, 15, 4)
+    # the base dimension never counts against the cap
+    assert qsim.two_plane_grover_powers((256,), 10**15, 7).amplitudes.size == 512
+
+
 # ---------------------------------------------------------------- error bound
 
 def test_error_bound_formula():
@@ -176,28 +218,28 @@ def test_estimate_without_reference_uses_decoded_t():
 # ---------------------------------------------------------------- run_count
 
 def test_run_count_empty_marked():
-    estimates = counting.run_count(50, lambda v: False, 16, seed=3, reps=20)
+    estimates = counting.run_count(50, 0, 16, seed=3, reps=20)
     assert all(e.t_tilde == 0.0 and e.measured_l == 0 for e in estimates)
     assert all(not e.in_ansatz for e in estimates)
 
 
 def test_run_count_seed_determinism():
-    a = counting.run_count(60, lambda v: v < 9, 16, seed=11, reps=25)
-    b = counting.run_count(60, lambda v: v < 9, 16, seed=11, reps=25)
+    a = counting.run_count(60, 9, 16, seed=11, reps=25)
+    b = counting.run_count(60, 9, 16, seed=11, reps=25)
     assert [e.measured_l for e in a] == [e.measured_l for e in b]
-    c = counting.run_count(60, lambda v: v < 9, 16, seed=12, reps=25)
+    c = counting.run_count(60, 9, 16, seed=12, reps=25)
     assert [e.measured_l for e in a] != [e.measured_l for e in c]
 
 
 def test_run_count_capacity():
     with pytest.raises(CapacityError):
-        counting.run_count(10**6, lambda v: False, 256, seed=0, reps=1)
+        counting.count_distribution_dense(10**6, lambda v: False, 256)
     with pytest.raises(DomainError):
-        counting.run_count(50, lambda v: False, 16, seed=0, reps=0)
+        counting.run_count(50, 0, 16, seed=0, reps=0)
 
 
 def test_run_count_estimates_concentrate():
-    estimates = counting.run_count(100, lambda v: v < 25, 16, seed=2, reps=200)
+    estimates = counting.run_count(100, 25, 16, seed=2, reps=200)
     bound = counting.estimate_error_bound(100, 16, 25)
     hits = sum(1 for e in estimates if abs(e.t_tilde - 25) <= bound)
     assert hits / len(estimates) >= 8 / math.pi**2
