@@ -20,10 +20,9 @@ from .carmichael import (
 from .counting import (
     CountEstimate,
     PeakProbability,
-    SpectralAmplitude,
     dirichlet_kernel,
     estimate_error_bound,
-    exact_count_distribution,
+    exact_count_joint,
     peak_success_probability,
     run_count,
 )

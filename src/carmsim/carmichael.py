@@ -203,8 +203,7 @@ def allzero_probability_flag_conditioned(
     non-coprime amplitudes before the flag is read.
     """
     _require_composite(k)
-    mask = fermat_failure_mask(k)
-    state = qsim.controlled_grover_powers((p,) * r, k, lambda v: mask[v], cap=cap)
+    state = qsim.controlled_grover_powers((p,) * r, fermat_failure_mask(k), cap=cap)
     coprime = (np.gcd(np.arange(k, dtype=np.int64), k) == 1).astype(np.int64)
     grid = state.grid()
     flagged = np.zeros(grid.shape + (2,), dtype=complex)
@@ -565,8 +564,9 @@ def psw_report(
     t_tilde is the median of the per-rep estimates (simple majority-style
     aggregation; heavier boosting belongs to callers).
     """
-    if delta <= 0:
-        raise DomainError(f"delta must be > 0, got {delta}")
+    for name, value in (("epsilon", epsilon), ("delta", delta)):
+        if not (math.isfinite(value) and value > 0):
+            raise DomainError(f"{name} must be finite and > 0, got {value}")
     q_used = q if q is not None else choose_q(n, epsilon, delta, margin=margin)
     result = count_carmichaels_quantum(n, q_used, seed=seed, reps=reps, cap=cap)
     t_est = float(np.median([e.t_tilde for e in result.estimates]))

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -21,36 +20,20 @@ from . import carmichael, counting, numtheory
 from .errors import CapacityError, DomainError
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved options for one invocation."""
-
-    command: str
-    target: int
-    p: int = 16
-    r: int = 2
-    q: int = 128
-    epsilon: float = 0.5
-    delta: float = 0.05
-    mode: str = "exact"
-    seed: int = 42
-    reps: int = 100
-    output: str = "text"
-    out_path: str | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "target": self.target,
-            "P": self.p,
-            "R": self.r,
-            "Q": self.q,
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "mode": self.mode,
-            "seed": self.seed,
-            "reps": self.reps,
-        }
+def _config(cfg: argparse.Namespace) -> dict:
+    """The resolved options as printed in the JSON "config" block."""
+    return {
+        "command": cfg.command,
+        "target": cfg.target,
+        "P": cfg.p,
+        "R": cfg.r,
+        "Q": cfg.q,
+        "epsilon": cfg.epsilon,
+        "delta": cfg.delta,
+        "mode": cfg.mode,
+        "seed": cfg.seed,
+        "reps": cfg.reps,
+    }
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -71,10 +54,10 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_facts(cfg: RunConfig) -> str:
+def _cmd_facts(cfg: argparse.Namespace) -> str:
     facts = numtheory.number_facts(cfg.target)
     if cfg.output == "json":
-        return _json_text({"config": cfg.to_json_dict(), "facts": facts.to_json_dict()})
+        return _json_text({"config": _config(cfg), "facts": facts.to_json_dict()})
     if cfg.output == "csv":
         d = facts.to_json_dict()
         d["factorization"] = ";".join(f"{p}^{e}" for p, e in facts.factorization.factors)
@@ -92,7 +75,7 @@ def _cmd_facts(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_certify(cfg: RunConfig) -> str:
+def _cmd_certify(cfg: argparse.Namespace) -> str:
     verdicts = carmichael.certify_reps(
         cfg.target, cfg.p, cfg.r, mode=cfg.mode, seed=cfg.seed, reps=cfg.reps
     )
@@ -105,7 +88,7 @@ def _cmd_certify(cfg: RunConfig) -> str:
     if cfg.output == "json":
         return _json_text(
             {
-                "config": cfg.to_json_dict(),
+                "config": _config(cfg),
                 "verdicts": [v.to_json_dict() for v in verdicts],
                 "majority": majority.value,
             }
@@ -139,14 +122,14 @@ def _estimate_rows(estimates: list[counting.CountEstimate]) -> tuple[list[str], 
     return header, rows
 
 
-def _cmd_count_bases(cfg: RunConfig) -> str:
+def _cmd_count_bases(cfg: argparse.Namespace) -> str:
     estimates = carmichael.count_fermat_failures(cfg.target, cfg.p, seed=cfg.seed, reps=cfg.reps)
     facts = numtheory.number_facts(cfg.target)
     median = float(np.median([e.t_tilde for e in estimates]))
     if cfg.output == "json":
         return _json_text(
             {
-                "config": cfg.to_json_dict(),
+                "config": _config(cfg),
                 "t_true": facts.t_k,
                 "t_tilde_median": median,
                 "estimates": [e.to_json_dict() for e in estimates],
@@ -165,7 +148,7 @@ def _cmd_count_bases(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_count_carmichael(cfg: RunConfig) -> str:
+def _cmd_count_carmichael(cfg: argparse.Namespace) -> str:
     result = carmichael.count_carmichaels_quantum(cfg.target, cfg.q, seed=cfg.seed, reps=cfg.reps)
     median = float(np.median([e.t_tilde for e in result.estimates]))
     summary = {
@@ -179,7 +162,7 @@ def _cmd_count_carmichael(cfg: RunConfig) -> str:
     if cfg.output == "json":
         return _json_text(
             {
-                "config": cfg.to_json_dict(),
+                "config": _config(cfg),
                 **summary,
                 "estimates": [e.to_json_dict() for e in result.estimates],
             }
@@ -195,13 +178,12 @@ def _cmd_count_carmichael(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_psw(cfg: RunConfig) -> str:
-    q = cfg.q if cfg.q > 0 else None
+def _cmd_psw(cfg: argparse.Namespace) -> str:
     report = carmichael.psw_report(
-        cfg.target, cfg.epsilon, cfg.delta, q=q, seed=cfg.seed, reps=cfg.reps
+        cfg.target, cfg.epsilon, cfg.delta, q=cfg.q or None, seed=cfg.seed, reps=cfg.reps
     )
     if cfg.output == "json":
-        return _json_text({"config": cfg.to_json_dict(), "report": report.to_json_dict()})
+        return _json_text({"config": _config(cfg), "report": report.to_json_dict()})
     if cfg.output == "csv":
         return _csv_text(report.CSV_HEADER, [report.to_csv_row()])
     lines = [f"psw N={cfg.target} epsilon={cfg.epsilon} delta={cfg.delta}"]
@@ -210,12 +192,12 @@ def _cmd_psw(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_bounds(cfg: RunConfig) -> str:
+def _cmd_bounds(cfg: argparse.Namespace) -> str:
     bounds = carmichael.perturbation_bounds(cfg.target, cfg.p)
     payload = bounds.to_json_dict()
     payload["phi_norm_pi2_over_6"] = float(np.pi**2 / 6.0)
     if cfg.output == "json":
-        return _json_text({"config": cfg.to_json_dict(), "bounds": payload})
+        return _json_text({"config": _config(cfg), "bounds": payload})
     if cfg.output == "csv":
         keys = list(payload.keys())
         return _csv_text(keys, [[payload[key] for key in keys]])
@@ -228,11 +210,11 @@ def _cmd_bounds(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_enumerate(cfg: RunConfig) -> str:
+def _cmd_enumerate(cfg: argparse.Namespace) -> str:
     values = numtheory.enumerate_carmichaels(cfg.target)
     if cfg.output == "json":
         return _json_text(
-            {"config": cfg.to_json_dict(), "count": len(values), "carmichaels": values}
+            {"config": _config(cfg), "count": len(values), "carmichaels": values}
         )
     if cfg.output == "csv":
         return _csv_text(["carmichael"], [[v] for v in values])
@@ -257,75 +239,60 @@ def build_parser() -> argparse.ArgumentParser:
         prog="carmsim",
         description="Carmichael certification and counting pipelines (exact simulation)",
     )
+    # every option's default, for all commands; a subcommand sets its own
+    # only where it differs (bounds --P 64, psw --Q 0 for the policy Q)
+    parser.set_defaults(
+        p=16, r=2, q=128, epsilon=0.5, delta=0.05, mode="exact",
+        seed=42, reps=100, output="text", out_path=None,
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name: str, help_text: str, metavar: str) -> argparse.ArgumentParser:
+        sp = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        sp.add_argument("target", metavar=metavar, type=int)
+        return sp
+
     def common(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument("--seed", type=int, default=42)
-        sp.add_argument("--reps", type=int, default=100)
-        sp.add_argument("--output", choices=("text", "json", "csv"), default="text")
-        sp.add_argument("--out", dest="out_path", default=None, help="write output to a file")
+        sp.add_argument("--seed", type=int)
+        sp.add_argument("--reps", type=int)
+        sp.add_argument("--output", choices=("text", "json", "csv"))
+        sp.add_argument("--out", dest="out_path", help="write output to a file")
 
-    sp = sub.add_parser("facts", help="classical record for k")
-    sp.add_argument("k", type=int)
+    sp = command("facts", "classical record for k", "k")
     common(sp)
 
-    sp = sub.add_parser("certify", help="certify whether composite k is Carmichael")
-    sp.add_argument("k", type=int)
-    sp.add_argument("--P", dest="p", type=int, default=16)
-    sp.add_argument("--R", dest="r", type=int, default=2)
-    sp.add_argument("--mode", choices=("exact", "sample"), default="exact")
+    sp = command("certify", "certify whether composite k is Carmichael", "k")
+    sp.add_argument("--P", dest="p", type=int)
+    sp.add_argument("--R", dest="r", type=int)
+    sp.add_argument("--mode", choices=("exact", "sample"))
     common(sp)
 
-    sp = sub.add_parser("count-bases", help="estimate t(k) by counting Fermat failures")
-    sp.add_argument("k", type=int)
-    sp.add_argument("--P", dest="p", type=int, default=16)
+    sp = command("count-bases", "estimate t(k) by counting Fermat failures", "k")
+    sp.add_argument("--P", dest="p", type=int)
     common(sp)
 
-    sp = sub.add_parser("count-carmichael", help="count Carmichael numbers below N")
-    sp.add_argument("n", type=int)
-    sp.add_argument("--Q", dest="q", type=int, default=128)
+    sp = command("count-carmichael", "count Carmichael numbers below N", "n")
+    sp.add_argument("--Q", dest="q", type=int)
     common(sp)
 
-    sp = sub.add_parser("psw", help="counting accuracy vs conjectured density envelopes")
-    sp.add_argument("n", type=int)
-    sp.add_argument("--epsilon", type=float, default=0.5)
-    sp.add_argument("--delta", type=float, default=0.05)
+    sp = command("psw", "counting accuracy vs conjectured density envelopes", "n")
+    sp.add_argument("--epsilon", type=float)
+    sp.add_argument("--delta", type=float)
     sp.add_argument("--Q", dest="q", type=int, default=0, help="override the policy choice")
     common(sp)
 
-    sp = sub.add_parser("bounds", help="perturbation budget and leakage factors below N")
-    sp.add_argument("n", type=int)
+    sp = command("bounds", "perturbation budget and leakage factors below N", "n")
     sp.add_argument("--P", dest="p", type=int, default=64)
     common(sp)
 
-    sp = sub.add_parser("enumerate", help="list Carmichael numbers below N")
-    sp.add_argument("n", type=int)
+    sp = command("enumerate", "list Carmichael numbers below N", "n")
     common(sp)
 
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        target=getattr(args, "k", None) if hasattr(args, "k") else args.n,
-        p=getattr(args, "p", 16),
-        r=getattr(args, "r", 2),
-        q=getattr(args, "q", 128),
-        epsilon=getattr(args, "epsilon", 0.5),
-        delta=getattr(args, "delta", 0.05),
-        mode=getattr(args, "mode", "exact"),
-        seed=args.seed,
-        reps=args.reps,
-        output=args.output,
-        out_path=args.out_path,
-    )
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = config_from_args(args)
+    cfg = build_parser().parse_args(argv)
     try:
         text = _HANDLERS[cfg.command](cfg)
     except DomainError as exc:
@@ -334,7 +301,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3
-    _emit(text, cfg.out_path)
+    try:
+        _emit(text, cfg.out_path)
+    except OSError as exc:
+        target = cfg.out_path or "stdout"
+        print(f"error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     return 0
 
 

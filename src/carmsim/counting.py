@@ -23,15 +23,15 @@ amplitudes (not only the probabilities) match the dense simulation.
 The production route, `count_distribution`, simulates the counters on the
 two-plane register (qsim.two_plane_grover_powers) and needs only the marked
 count t, never a mask over the D base values.  `count_distribution_dense`
-simulates all D amplitudes from a marked predicate; it and the closed form
-are the test oracles for the production route.
+simulates all D amplitudes from a boolean mask over the base values; it and
+the closed form, whose amplitude version `closed_form_state` takes the same
+mask, are the test oracles for the production route.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -68,40 +68,11 @@ def dirichlet_kernel(x, p: int):
     return out
 
 
-class SpectralAmplitude(NamedTuple):
-    """The pair of kernel values feeding outcome l of the counting law."""
-
-    l: int
-    s_plus: float
-    s_minus: float
-
-
-def spectral_amplitudes(l: int, f: float, p: int) -> SpectralAmplitude:
-    """Kernel values s(l + f) and s(l - f) for a single outcome index."""
-    if not 0 <= l < p:
-        raise DomainError(f"outcome {l} outside [0, {p})")
-    return SpectralAmplitude(l, dirichlet_kernel(l + f, p), dirichlet_kernel(l - f, p))
-
-
 def peak_position(dimension: int, marked: int, p: int) -> float:
     """f = P arcsin(sqrt(t/D)) / pi, the continuous peak location."""
     if dimension < 1 or not 0 <= marked <= dimension:
         raise DomainError(f"bad (D, t) = ({dimension}, {marked})")
     return p * math.asin(math.sqrt(marked / dimension)) / math.pi
-
-
-def exact_count_distribution(dimension: int, marked: int, p: int) -> np.ndarray:
-    """Closed-form outcome law P(l) = (s(l+f)^2 + s(l-f)^2) / 2 over l in [0, P)."""
-    if p < 2:
-        raise DomainError(f"counter size must be >= 2, got {p}")
-    f = peak_position(dimension, marked, p)
-    l = np.arange(p)
-    s_plus = dirichlet_kernel(l + f, p)
-    s_minus = dirichlet_kernel(l - f, p)
-    dist = 0.5 * (s_plus**2 + s_minus**2)
-    if abs(float(dist.sum()) - 1.0) > 1e-10:
-        raise NormalizationError(f"closed-form law sums to {dist.sum()}")
-    return dist
 
 
 def exact_count_joint(dimension: int, marked: int, p: int, registers: int) -> np.ndarray:
@@ -119,7 +90,10 @@ def exact_count_joint(dimension: int, marked: int, p: int, registers: int) -> np
     for _ in range(registers - 1):
         plus = np.multiply.outer(plus, sp2)
         minus = np.multiply.outer(minus, sm2)
-    return 0.5 * (plus + minus)
+    joint = 0.5 * (plus + minus)
+    if abs(float(joint.sum()) - 1.0) > 1e-10:
+        raise NormalizationError(f"closed-form law sums to {joint.sum()}")
+    return joint
 
 
 def closed_form_state(marked_mask: np.ndarray, p: int) -> np.ndarray:
@@ -222,22 +196,16 @@ def count_distribution(
 
 
 def count_distribution_dense(
-    dimension: int,
-    marked_predicate: Callable[[int], object],
-    p: int,
-    cap: int = qsim.AMPLITUDE_CAP,
-) -> tuple[np.ndarray, int]:
-    """Outcome law via full statevector simulation; returns (table, t).
+    marked_mask: np.ndarray, p: int, cap: int = qsim.AMPLITUDE_CAP
+) -> np.ndarray:
+    """Outcome law via full statevector simulation over D = marked_mask.size.
 
     Builds the controlled-power state on a (P, D) layout, Fourier-transforms
     the counter, and reads the exact marginal.  Needs P*D amplitudes; test
     oracle for count_distribution.
     """
-    state = qsim.controlled_grover_powers((p,), dimension, marked_predicate, cap=cap)
-    state = qsim.qft(state, 0)
-    table = qsim.exact_distribution(state, [0])
-    t = sum(1 for v in range(dimension) if marked_predicate(v))
-    return table, t
+    state = qsim.controlled_grover_powers((p,), marked_mask, cap=cap)
+    return qsim.exact_distribution(qsim.qft(state, 0), [0])
 
 
 def run_count(
@@ -281,7 +249,7 @@ def peak_success_probability(dimension: int, marked: int, q: int) -> PeakProbabi
     the probability is still returned, flagged via in_ansatz (t = 0 for
     instance concentrates everything on l = 0).
     """
-    dist = exact_count_distribution(dimension, marked, q)
+    dist = exact_count_joint(dimension, marked, q, 1)
     f = peak_position(dimension, marked, q)
     peaks = sorted(
         {math.floor(f) % q, math.ceil(f) % q, (q - math.floor(f)) % q, (q - math.ceil(f)) % q}

@@ -17,14 +17,15 @@ its uniform-marked and uniform-unmarked states, which the search iterate
 never leaves from the uniform start: the layout is (P_1, ..., P_R, 2) and
 only the marked count t enters, so the base dimension D may be as large as
 an integer allows.  `controlled_grover_powers` builds all D base amplitudes
-from a marked predicate; it is the dense test oracle for the reduced route.
+from a boolean mask over the base values; it is the dense test oracle for
+the reduced route.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -93,14 +94,13 @@ def uniform_state(layout: RegisterLayout) -> StateVector:
     return _finish(layout, np.full(d, 1.0 / math.sqrt(d), dtype=complex))
 
 
-def _predicate_mask(predicate: Callable[[int], object], size: int) -> np.ndarray:
-    return np.fromiter((bool(predicate(v)) for v in range(size)), dtype=bool, count=size)
-
-
-def phase_flip(state: StateVector, register: int, predicate: Callable[[int], object]) -> StateVector:
-    """Negate amplitudes of basis states whose register value satisfies predicate."""
+def phase_flip(state: StateVector, register: int, marked_mask: np.ndarray) -> StateVector:
+    """Negate amplitudes whose register value is marked in the (dims[register],) mask."""
     state.layout.check_register(register)
-    mask = _predicate_mask(predicate, state.layout.dims[register])
+    size = state.layout.dims[register]
+    mask = np.asarray(marked_mask, dtype=bool)
+    if mask.shape != (size,):
+        raise DomainError(f"marked mask shape {mask.shape} does not match register size {size}")
     out = state.grid().copy()
     moved = np.moveaxis(out, register, 0)
     moved[mask] *= -1.0
@@ -121,15 +121,13 @@ def diffusion(state: StateVector, register: int) -> StateVector:
     return _finish(state.layout, out)
 
 
-def grover_iterate(
-    state: StateVector, register: int, marked_predicate: Callable[[int], object]
-) -> StateVector:
+def grover_iterate(state: StateVector, register: int, marked_mask: np.ndarray) -> StateVector:
     """One search iteration: phase-flip the marked values, then diffuse.
 
     On the plane spanned by the marked and unmarked uniform components this
     acts as a rotation by 2*theta with sin(theta) = sqrt(t/D).
     """
-    return diffusion(phase_flip(state, register, marked_predicate), register)
+    return diffusion(phase_flip(state, register, marked_mask), register)
 
 
 def qft(state: StateVector, register: int, inverse: bool = False) -> StateVector:
@@ -181,21 +179,19 @@ def _controlled_powers(
 
 
 def controlled_grover_powers(
-    ancilla_dims: Sequence[int],
-    base_dim: int,
-    marked_predicate: Callable[[int], object],
-    cap: int = AMPLITUDE_CAP,
+    ancilla_dims: Sequence[int], marked_mask: np.ndarray, cap: int = AMPLITUDE_CAP
 ) -> StateVector:
     """Superposed iteration counts: sum_m |m_1..m_R> G^(m_1+..+m_R)|u> / P^(R/2).
 
-    Dense route: every one of the base_dim amplitudes is simulated, with
-    the exact inversion-about-average as the diffusion.  Test oracle for
-    two_plane_grover_powers.
+    Dense route: every one of the D = marked_mask.size base amplitudes is
+    simulated, with the exact inversion-about-average as the diffusion.
+    Test oracle for two_plane_grover_powers.
     """
-    if base_dim < 1:
-        raise DomainError(f"base dimension must be >= 1, got {base_dim}")
-    uniform = np.full(base_dim, 1.0 / math.sqrt(base_dim))
-    return _controlled_powers(ancilla_dims, uniform, _predicate_mask(marked_predicate, base_dim), cap)
+    mask = np.asarray(marked_mask, dtype=bool)
+    if mask.ndim != 1 or mask.size < 1:
+        raise DomainError(f"marked mask must be 1-d and non-empty, got shape {mask.shape}")
+    uniform = np.full(mask.size, 1.0 / math.sqrt(mask.size))
+    return _controlled_powers(ancilla_dims, uniform, mask, cap)
 
 
 def two_plane_grover_powers(
@@ -271,39 +267,6 @@ def sample_outcomes(table: np.ndarray, rng: np.random.Generator, n_samples: int)
     return np.stack(np.unravel_index(draws, np.shape(table)), axis=1).astype(np.int64)
 
 
-def sample(
-    state: StateVector,
-    registers: Sequence[int],
-    seed,
-    n_samples: int,
-) -> np.ndarray:
-    """n_samples i.i.d. draws from the exact marginal; shape (n, len(registers)).
-
-    The generator is np.random.default_rng(seed): identical seed, identical
-    sequence.
-    """
-    if n_samples < 1:
-        raise DomainError(f"n_samples must be >= 1, got {n_samples}")
-    table = exact_distribution(state, registers)
-    return sample_outcomes(table, np.random.default_rng(seed), n_samples)
-
-
-def distribution_to_json(layout_dims: Sequence[int], table: np.ndarray) -> dict:
-    """Dump format: {"layout": [...], "probs": [{"index": [...], "p": x}...]}.
-
-    Entries with probability <= 1e-12 are dropped.
-    """
-    dims = [int(d) for d in layout_dims]
-    table = np.asarray(table)
-    if table.shape != tuple(dims):
-        raise DomainError(f"table shape {table.shape} does not match layout {dims}")
-    probs = []
-    for flat_idx in np.flatnonzero(table.reshape(-1) > 1e-12):
-        idx = np.unravel_index(int(flat_idx), table.shape)
-        probs.append({"index": [int(i) for i in idx], "p": float(table[idx])})
-    return {"layout": dims, "probs": probs}
-
-
 @dataclass(frozen=True)
 class GroverAngles:
     """Analytic bundle for the marked/unmarked rotation plane."""
@@ -323,10 +286,6 @@ class GroverAngles:
         if abs(math.sin(theta) ** 2 * dimension - marked) > 1e-12 * dimension:
             raise NormalizationError("sin^2(theta) * D drifted from the marked count")
         return angles
-
-    def peak_position(self, p: int) -> float:
-        """Continuous Fourier-peak location P*theta/pi in [0, P/2]."""
-        return p * self.theta / math.pi
 
 
 def two_plane_amplitudes(angles: GroverAngles, iterations: int) -> tuple[float, float]:

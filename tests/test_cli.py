@@ -1,6 +1,22 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from carmsim import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_process(args):
+    """Run a Python module or script in a fresh interpreter over src/."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+    )
 
 
 def run_cli(args, capsys):
@@ -146,3 +162,69 @@ def test_different_seed_changes_sampled_output(tmp_path):
     assert cli.main(base + ["--seed", "1", "--out", str(one)]) == 0
     assert cli.main(base + ["--seed", "2", "--out", str(two)]) == 0
     assert one.read_bytes() != two.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["psw", "10000", "--epsilon", "nan"],
+        ["psw", "10000", "--delta", "nan"],
+        ["psw", "10000", "--epsilon", "inf"],
+        ["psw", "10000", "--Q", "64", "--epsilon", "nan", "--output", "json"],
+        ["psw", "10000", "--Q", "-5", "--reps", "5"],
+    ],
+)
+def test_psw_bad_options_exit_2(args):
+    proc = run_process(["-m", "carmsim.cli", *args])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr and proc.stderr.startswith("error: ")
+
+
+def test_unwritable_out_path_exits_2(tmp_path):
+    target = tmp_path / "missing" / "x"
+    proc = run_process(["-m", "carmsim.cli", "facts", "561", "--out", str(target)])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: cannot write {target}")
+
+
+def test_subcommand_defaults(capsys):
+    for args, expected in [
+        (["facts", "561"], {"P": 16, "R": 2, "Q": 128, "epsilon": 0.5, "delta": 0.05}),
+        (["bounds", "500"], {"P": 64, "Q": 128}),
+        (["psw", "10000", "--reps", "2"], {"P": 16, "Q": 0, "mode": "exact"}),
+        (["count-carmichael", "600", "--reps", "2"], {"Q": 128, "seed": 42}),
+    ]:
+        code, out, _ = run_cli(args + ["--output", "json"], capsys)
+        assert code == 0
+        config = json.loads(out)["config"]
+        assert list(config) == [
+            "command", "target", "P", "R", "Q", "epsilon", "delta", "mode", "seed", "reps"
+        ]
+        assert {key: config[key] for key in expected} == expected
+
+
+@pytest.mark.parametrize(
+    "script,args,header",
+    [
+        ("certify_error_sweep.py", ["--kmax", "20"], "k,t,P,R,allzero,alpha_pow,gap_bound"),
+        (
+            "counting_success_experiment.py",
+            ["--N", "600", "--Q", "32", "--reps", "5"],
+            "N,Q,t_N,success_fraction,error_bound,peak_probability,in_ansatz",
+        ),
+        (
+            "psw_table.py",
+            ["--N", "1000", "--reps", "5"],
+            "N,t_N,t_tilde,dt_exp,dt_th,psw_lower,psw_upper,Q,epsilon,delta,meets_target",
+        ),
+    ],
+)
+def test_scripts_smoke(script, args, header):
+    proc = run_process([str(ROOT / "scripts" / script), *args])
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == header
+    assert len(lines) >= 2

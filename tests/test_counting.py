@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from carmsim import counting, qsim
-from carmsim.errors import CapacityError, DomainError
+from carmsim.errors import CapacityError, DomainError, NormalizationError
 
 
 # ---------------------------------------------------------------- kernel
@@ -13,7 +13,7 @@ from carmsim.errors import CapacityError, DomainError
 def test_kernel_removable_limits():
     # l = f (integer): the j = 0 limit is exactly 1
     assert counting.dirichlet_kernel(0.0, 8) == 1.0
-    assert counting.spectral_amplitudes(3, 3.0, 8).s_minus == 1.0
+    assert counting.dirichlet_kernel(3 - 3.0, 8) == 1.0
     # mirror peak l + f = P: limit is (-1)^(P-1)
     assert counting.dirichlet_kernel(8.0, 8) == -1.0
     assert counting.dirichlet_kernel(9.0, 9) == 1.0
@@ -34,8 +34,6 @@ def test_kernel_direct_formula_example():
     # (l=0, f=1.5, P=8, sign -) computed straight from the definition
     expected = math.sin(math.pi * -1.5) / (8 * math.sin(math.pi * -1.5 / 8))
     assert counting.dirichlet_kernel(-1.5, 8) == pytest.approx(expected, rel=1e-14)
-    pair = counting.spectral_amplitudes(0, 1.5, 8)
-    assert pair.s_minus == pytest.approx(expected, rel=1e-14)
 
 
 def test_kernel_array_and_validation():
@@ -44,8 +42,6 @@ def test_kernel_array_and_validation():
     assert values[0] == 1.0 and values[2] == -1.0
     with pytest.raises(DomainError):
         counting.dirichlet_kernel(1.0, 1)
-    with pytest.raises(DomainError):
-        counting.spectral_amplitudes(8, 1.0, 8)
 
 
 @given(st.integers(2, 64), st.floats(-64.0, 64.0, allow_nan=False))
@@ -67,14 +63,14 @@ def test_kernel_matches_raw_formula_away_from_singularities(p, f, l):
 # ---------------------------------------------------------------- closed-form law
 
 def test_distribution_no_marks():
-    dist = counting.exact_count_distribution(20, 0, 8)
+    dist = counting.exact_count_joint(20, 0, 8, 1)
     assert dist[0] == pytest.approx(1.0, abs=1e-14)
     assert np.allclose(dist[1:], 0.0, atol=1e-14)
 
 
 def test_distribution_integer_peak_example():
     # D=4, t=1: theta = pi/6, P=12 puts f = 2 exactly
-    dist = counting.exact_count_distribution(4, 1, 12)
+    dist = counting.exact_count_joint(4, 1, 12, 1)
     assert dist[2] == pytest.approx(0.5, abs=1e-12)
     assert dist[10] == pytest.approx(0.5, abs=1e-12)
     others = np.delete(dist, [2, 10])
@@ -82,33 +78,40 @@ def test_distribution_integer_peak_example():
 
 
 def test_distribution_all_marked():
-    dist = counting.exact_count_distribution(9, 9, 8)
+    dist = counting.exact_count_joint(9, 9, 8, 1)
     assert dist[4] == pytest.approx(1.0, abs=1e-12)
 
 
 @given(st.integers(1, 300), st.data(), st.sampled_from([4, 8, 16, 32]))
 def test_distribution_symmetry_and_norm(dimension, data, p):
     marked = data.draw(st.integers(0, dimension))
-    dist = counting.exact_count_distribution(dimension, marked, p)
+    dist = counting.exact_count_joint(dimension, marked, p, 1)
     assert dist.sum() == pytest.approx(1.0, abs=1e-12)
     for l in range(1, p):
         assert dist[l] == pytest.approx(dist[p - l], abs=1e-12)
+
+
+def test_closed_form_law_checks_its_mass(monkeypatch):
+    kernel = counting.dirichlet_kernel
+    monkeypatch.setattr(counting, "dirichlet_kernel", lambda x, p: 1.01 * kernel(x, p))
+    for registers in (1, 2, 3):
+        with pytest.raises(NormalizationError):
+            counting.exact_count_joint(15, 4, 8, registers)
 
 
 @pytest.mark.parametrize("dimension,marked,p", [
     (15, 4, 8), (15, 4, 16), (60, 17, 32), (200, 100, 4), (7, 7, 8), (33, 0, 16),
 ])
 def test_distribution_matches_dense(dimension, marked, p):
-    closed = counting.exact_count_distribution(dimension, marked, p)
-    dense, t = counting.count_distribution_dense(dimension, lambda v: v < marked, p)
-    assert t == marked
+    closed = counting.exact_count_joint(dimension, marked, p, 1)
+    dense = counting.count_distribution_dense(np.arange(dimension) < marked, p)
     assert np.abs(closed - dense).max() < 1e-10
 
 
 def test_joint_matches_dense_r2():
     dimension, marked, p = 15, 4, 8
     closed = counting.exact_count_joint(dimension, marked, p, 2)
-    state = qsim.controlled_grover_powers((p, p), dimension, lambda v: v < marked)
+    state = qsim.controlled_grover_powers((p, p), np.arange(dimension) < marked)
     state = qsim.qft(qsim.qft(state, 0), 1)
     dense = qsim.exact_distribution(state, [0, 1])
     assert np.abs(closed - dense).max() < 1e-10
@@ -118,7 +121,7 @@ def test_closed_form_state_matches_dense_amplitudes():
     rng = np.random.default_rng(5)
     for dimension, p in ((15, 8), (40, 16), (9, 4)):
         mask = rng.random(dimension) < 0.3
-        state = qsim.controlled_grover_powers((p,), dimension, lambda v: mask[v])
+        state = qsim.controlled_grover_powers((p,), mask)
         state = qsim.qft(state, 0)
         predicted = counting.closed_form_state(mask, p)
         assert np.abs(state.grid() - predicted).max() < 1e-10
@@ -142,7 +145,7 @@ def test_two_plane_matches_dense_and_closed_form(dimension, data, p_r):
     p, r = p_r
     marked = data.draw(st.integers(0, dimension))
     plane = qsim.two_plane_grover_powers((p,) * r, dimension, marked)
-    dense = qsim.controlled_grover_powers((p,) * r, dimension, lambda v: v < marked)
+    dense = qsim.controlled_grover_powers((p,) * r, np.arange(dimension) < marked)
     assert plane.layout.dims == (p,) * r + (2,)
     assert np.abs(_expand_plane(plane.grid(), dimension, marked) - dense.grid()).max() < 1e-10
     for axis in range(r):
@@ -233,7 +236,7 @@ def test_run_count_seed_determinism():
 
 def test_run_count_capacity():
     with pytest.raises(CapacityError):
-        counting.count_distribution_dense(10**6, lambda v: False, 256)
+        counting.count_distribution_dense(np.zeros(10**6, bool), 256)
     with pytest.raises(DomainError):
         counting.run_count(50, 0, 16, seed=0, reps=0)
 

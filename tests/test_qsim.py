@@ -47,18 +47,28 @@ def test_uniform_examples():
 
 def test_phase_flip_examples():
     state = qsim.uniform_state(qsim.RegisterLayout((4,)))
-    unchanged = qsim.phase_flip(state, 0, lambda v: False)
+    unchanged = qsim.phase_flip(state, 0, np.zeros(4, bool))
     assert np.allclose(unchanged.amplitudes, state.amplitudes)
-    global_flip = qsim.phase_flip(state, 0, lambda v: True)
+    global_flip = qsim.phase_flip(state, 0, np.ones(4, bool))
     assert np.allclose(global_flip.amplitudes, -state.amplitudes)
-    one = qsim.phase_flip(state, 0, lambda v: v == 3)
+    one = qsim.phase_flip(state, 0, np.arange(4) == 3)
     assert np.allclose(one.amplitudes, [0.5, 0.5, 0.5, -0.5])
 
 
 def test_phase_flip_register_range():
     state = qsim.uniform_state(qsim.RegisterLayout((4,)))
     with pytest.raises(DomainError):
-        qsim.phase_flip(state, 1, lambda v: True)
+        qsim.phase_flip(state, 1, np.ones(4, bool))
+
+
+def test_phase_flip_mask_shape():
+    state = qsim.uniform_state(qsim.RegisterLayout((3, 4)))
+    assert qsim.phase_flip(state, 1, np.arange(4) == 0).layout.dims == (3, 4)
+    for bad in (np.ones(3, bool), np.ones(5, bool), np.ones((1, 4), bool), np.ones((), bool)):
+        with pytest.raises(DomainError):
+            qsim.phase_flip(state, 1, bad)
+        with pytest.raises(DomainError):
+            qsim.grover_iterate(state, 1, bad)
 
 
 # ---------------------------------------------------------------- diffusion
@@ -90,14 +100,14 @@ def test_diffusion_acts_blockwise():
 
 def test_grover_identity_when_no_marks():
     state = qsim.uniform_state(qsim.RegisterLayout((15,)))
-    out = qsim.grover_iterate(state, 0, lambda v: False)
+    out = qsim.grover_iterate(state, 0, np.zeros(15, bool))
     assert np.allclose(out.amplitudes, state.amplitudes, atol=1e-14)
 
 
 def test_grover_exact_search_d4():
     # D=4, t=1: theta = pi/6, one iteration reaches sin(3 theta) = 1
     state = qsim.uniform_state(qsim.RegisterLayout((4,)))
-    out = qsim.grover_iterate(state, 0, lambda v: v == 1)
+    out = qsim.grover_iterate(state, 0, np.arange(4) == 1)
     assert abs(out.amplitudes[1]) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -105,8 +115,9 @@ def test_grover_exact_search_d4():
 def test_grover_matches_two_plane(dimension, marked):
     angles = qsim.GroverAngles.from_counts(dimension, marked)
     state = qsim.uniform_state(qsim.RegisterLayout((dimension,)))
+    mask = np.arange(dimension) < marked
     for m in range(1, 17):
-        state = qsim.grover_iterate(state, 0, lambda v: v < marked)
+        state = qsim.grover_iterate(state, 0, mask)
         marked_amp, unmarked_amp = qsim.two_plane_amplitudes(angles, m)
         assert np.allclose(state.amplitudes[:marked], marked_amp, atol=1e-10)
         assert np.allclose(state.amplitudes[marked:], unmarked_amp, atol=1e-10)
@@ -117,9 +128,10 @@ def test_grover_optimal_iterations(dimension, marked):
     angles = qsim.GroverAngles.from_counts(dimension, marked)
     best = math.floor(math.pi / (4 * angles.theta))
     state = qsim.uniform_state(qsim.RegisterLayout((dimension,)))
+    mask = np.arange(dimension) < marked
     masses = [float(marked / dimension)]
     for _ in range(best):
-        state = qsim.grover_iterate(state, 0, lambda v: v < marked)
+        state = qsim.grover_iterate(state, 0, mask)
         masses.append(float(np.sum(np.abs(state.amplitudes[:marked]) ** 2)))
     assert masses[-1] == pytest.approx(max(masses), abs=1e-12)
 
@@ -161,7 +173,7 @@ def test_qft_squared_reverses_indices(seed, p):
 # ---------------------------------------------------------------- controlled powers
 
 def test_controlled_powers_no_marks_factorizes():
-    state = qsim.controlled_grover_powers((4, 4), 15, lambda v: False)
+    state = qsim.controlled_grover_powers((4, 4), np.zeros(15, bool))
     grid = state.grid()
     base = np.full(15, 1 / math.sqrt(15))
     for m1 in range(4):
@@ -170,8 +182,8 @@ def test_controlled_powers_no_marks_factorizes():
 
 
 def test_controlled_powers_single_register_structure():
-    marked = lambda v: v < 4
-    state = qsim.controlled_grover_powers((8,), 15, marked)
+    marked = np.arange(15) < 4
+    state = qsim.controlled_grover_powers((8,), marked)
     grid = state.grid()
     cursor = qsim.uniform_state(qsim.RegisterLayout((15,)))
     for m in range(8):
@@ -182,7 +194,7 @@ def test_controlled_powers_single_register_structure():
 def test_controlled_powers_matches_two_plane_reconstruction():
     dimension, marked_count, p, r = 15, 4, 8, 2
     angles = qsim.GroverAngles.from_counts(dimension, marked_count)
-    state = qsim.controlled_grover_powers((p,) * r, dimension, lambda v: v < marked_count)
+    state = qsim.controlled_grover_powers((p,) * r, np.arange(dimension) < marked_count)
     grid = state.grid()
     scale = 1 / math.sqrt(p**r)
     for m1 in range(p):
@@ -195,9 +207,15 @@ def test_controlled_powers_matches_two_plane_reconstruction():
 
 def test_controlled_powers_validation():
     with pytest.raises(DomainError):
-        qsim.controlled_grover_powers((1,), 4, lambda v: False)
+        qsim.controlled_grover_powers((1,), np.zeros(4, bool))
     with pytest.raises(CapacityError):
-        qsim.controlled_grover_powers((1024,), 10**6, lambda v: False)
+        qsim.controlled_grover_powers((1024,), np.zeros(10**6, bool))
+
+
+def test_controlled_powers_mask_shape():
+    for bad in (np.zeros(0, bool), np.zeros((), bool), np.zeros((3, 5), bool)):
+        with pytest.raises(DomainError):
+            qsim.controlled_grover_powers((4,), bad)
 
 
 # ---------------------------------------------------------------- postselect
@@ -210,7 +228,7 @@ def test_postselect_examples():
     k = 561
     uniform = qsim.uniform_state(qsim.RegisterLayout((k,)))
     coprime = np.gcd(np.arange(k), k) == 1
-    flag = qsim.phase_flip(uniform, 0, lambda v: False)  # no-op; keep uniform
+    flag = qsim.phase_flip(uniform, 0, np.zeros(k, bool))  # no-op; keep uniform
     mass = float(np.sum(np.abs(flag.amplitudes[coprime]) ** 2))
     assert mass == pytest.approx(320 / 561, abs=1e-12)
 
@@ -272,17 +290,18 @@ def test_sample_deterministic_distribution():
     sure = np.zeros(6, complex)
     sure[4] = 1.0
     state = qsim.StateVector(qsim.RegisterLayout((6,)), sure)
-    draws = qsim.sample(state, [0], seed=5, n_samples=50)
+    draws = qsim.sample_outcomes(qsim.exact_distribution(state, [0]), np.random.default_rng(5), 50)
     assert draws.shape == (50, 1)
     assert (draws == 4).all()
 
 
 def test_sample_seed_reproducibility():
     state = random_state((8, 3), 13)
-    a = qsim.sample(state, [0, 1], seed=99, n_samples=200)
-    b = qsim.sample(state, [0, 1], seed=99, n_samples=200)
+    table = qsim.exact_distribution(state, [0, 1])
+    a = qsim.sample_outcomes(table, np.random.default_rng(99), 200)
+    b = qsim.sample_outcomes(table, np.random.default_rng(99), 200)
     assert (a == b).all()
-    c = qsim.sample(state, [0, 1], seed=100, n_samples=200)
+    c = qsim.sample_outcomes(table, np.random.default_rng(100), 200)
     assert (a != c).any()
 
 
@@ -290,23 +309,10 @@ def test_sample_frequencies_match_distribution():
     state = random_state((10,), 3)
     table = qsim.exact_distribution(state, [0])
     n = 10**5
-    draws = qsim.sample(state, [0], seed=17, n_samples=n)[:, 0]
+    draws = qsim.sample_outcomes(table, np.random.default_rng(17), n)[:, 0]
     counts = np.bincount(draws, minlength=10) / n
     sigma = np.sqrt(table * (1 - table) / n)
     assert (np.abs(counts - table) <= 5 * sigma + 1e-12).all()
-
-
-# ---------------------------------------------------------------- serialization
-
-def test_distribution_json_drops_dust():
-    table = np.array([[0.5, 1e-13], [0.5 - 1e-13, 0.0]])
-    payload = qsim.distribution_to_json([2, 2], table)
-    assert payload["layout"] == [2, 2]
-    indexes = [tuple(rec["index"]) for rec in payload["probs"]]
-    assert (0, 0) in indexes and (1, 0) in indexes
-    assert (0, 1) not in indexes and (1, 1) not in indexes
-    with pytest.raises(DomainError):
-        qsim.distribution_to_json([3], table)
 
 
 # ---------------------------------------------------------------- angles
@@ -324,7 +330,6 @@ def test_grover_angles_consistency(dimension, data):
     angles = qsim.GroverAngles.from_counts(dimension, marked)
     assert 0.0 <= angles.theta <= math.pi / 2
     assert math.sin(angles.theta) ** 2 * dimension == pytest.approx(marked, abs=1e-12 * dimension)
-    assert angles.peak_position(16) == pytest.approx(16 * angles.theta / math.pi)
 
 
 # ---------------------------------------------------------------- norm policing
@@ -332,6 +337,6 @@ def test_grover_angles_consistency(dimension, data):
 def test_operations_reject_denormalized_states():
     bad = qsim.StateVector(qsim.RegisterLayout((4,)), np.full(4, 0.4, complex))
     with pytest.raises(NormalizationError):
-        qsim.phase_flip(bad, 0, lambda v: v == 0)
+        qsim.phase_flip(bad, 0, np.arange(4) == 0)
     with pytest.raises(NormalizationError):
         qsim.qft(bad, 0)
