@@ -7,11 +7,12 @@ At these N the asymptotics have not set in; the table is for inspection.
 """
 
 import argparse
+import sys
 
-from carmsim import carmichael
+from carmsim import carmichael, cli
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--N", dest="n_values", type=int, nargs="+",
                         default=[10**3, 3 * 10**3, 10**4, 3 * 10**4])
@@ -21,14 +22,15 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=42)
     args = parser.parse_args()
 
-    print(",".join(carmichael.PswReport.CSV_HEADER) + ",meets_target")
+    rows = []
     for n in args.n_values:
         report = carmichael.psw_report(
             n, args.epsilon, args.delta, seed=args.seed, reps=args.reps
         )
-        row = ",".join(str(v) for v in report.to_csv_row())
-        print(f"{row},{report.meets_target}")
+        rows.append([*report.to_csv_row(), report.meets_target])
+    header = [*carmichael.PswReport.CSV_HEADER, "meets_target"]
+    return cli.write(cli.render("csv", cli.Record(table=lambda: (header, rows))))
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

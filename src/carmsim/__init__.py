@@ -36,12 +36,10 @@ from .numtheory import (
     factorize,
     fermat_nonwitness_count,
     is_carmichael,
-    mr_witness_count,
     number_facts,
     psw_bounds,
     psw_scale,
-    rabin_witness,
 )
-from .qsim import GroverAngles, RegisterLayout, StateVector, uniform_state
+from .qsim import RegisterLayout, StateVector
 
 __version__ = "0.1.0"

@@ -44,6 +44,7 @@ are never simulated; only these scalar norms enter.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -110,18 +111,6 @@ def flag_probability(k: int) -> Fraction:
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
     return Fraction(numtheory.euler_phi(numtheory.factorize(k)), k)
-
-
-def recommended_p(k: int) -> int:
-    """Smallest counter size putting the guaranteed-gap peak past 1.
-
-    P >= ceil(pi / theta_gap) with theta_gap = arcsin sqrt(phi/(2k)) makes
-    f >= 1 for every non-Carmichael k, so all-zeros leakage decays as P^-2.
-    Overridable guidance, not a hard precondition.
-    """
-    phi = numtheory.euler_phi(numtheory.factorize(k))
-    theta_gap = math.asin(math.sqrt(phi / (2.0 * k)))
-    return max(4, math.ceil(math.pi / theta_gap))
 
 
 def fermat_failure_mask(k: int) -> np.ndarray:
@@ -546,7 +535,10 @@ def choose_q(n: float, epsilon: float, delta: float, margin: float = 0.1) -> int
     if margin < 0:
         raise DomainError(f"margin must be >= 0, got {margin}")
     beta = 1.0 + epsilon / 2.0 + delta + margin
-    return max(4, math.ceil(numtheory.psw_scale(n) ** beta))
+    scale = numtheory.psw_scale(n)
+    if beta * math.log(scale) >= math.log(sys.float_info.max):
+        raise CapacityError(f"policy Q = l(N)^{beta} exceeds the float range")
+    return max(4, math.ceil(scale**beta))
 
 
 def psw_report(

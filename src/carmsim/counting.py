@@ -17,15 +17,14 @@ the normalized Dirichlet kernel; at integer f the two peaks carry exactly
 1/2 each.  Decoding folds the mirror peak, f~ = min(l, P - l), and returns
 t~ = D sin^2(pi f~ / P), with the guarantee |t~ - t| <= pi (D/Q)(pi/Q +
 2 sqrt(t/D)) whenever l lands on one of the four integers bracketing the
-peaks.  The closed form retains the branch phases, so the reconstructed
-amplitudes (not only the probabilities) match the dense simulation.
+peaks.
 
 The production route, `count_distribution`, simulates the counters on the
 two-plane register (qsim.two_plane_grover_powers) and needs only the marked
 count t, never a mask over the D base values.  `count_distribution_dense`
 simulates all D amplitudes from a boolean mask over the base values; it and
-the closed form, whose amplitude version `closed_form_state` takes the same
-mask, are the test oracles for the production route.
+the closed-form law are the test oracles for the production route (the
+closed form's amplitude version lives in tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -94,33 +93,6 @@ def exact_count_joint(dimension: int, marked: int, p: int, registers: int) -> np
     if abs(float(joint.sum()) - 1.0) > 1e-10:
         raise NormalizationError(f"closed-form law sums to {joint.sum()}")
     return joint
-
-
-def closed_form_state(marked_mask: np.ndarray, p: int) -> np.ndarray:
-    """Post-transform amplitudes (P, D) predicted without simulation.
-
-    grid[l, a] = e^{i pi l (1 - 1/P)} / 2 * (
-        (-i e^{i pi f} s(l+f) + i e^{-i pi f} s(l-f)) / sqrt(t)      marked a
-        (   e^{i pi f} s(l+f) +   e^{-i pi f} s(l-f)) / sqrt(D-t)   unmarked a)
-
-    The per-outcome phase and the branch phases e^{+-i pi f} are retained so
-    this matches the dense simulator amplitude-for-amplitude.
-    """
-    mask = np.asarray(marked_mask, dtype=bool)
-    d = mask.size
-    t = int(mask.sum())
-    f = peak_position(d, t, p)
-    l = np.arange(p)
-    s_plus = dirichlet_kernel(l + f, p)
-    s_minus = dirichlet_kernel(l - f, p)
-    phase = np.exp(1j * np.pi * l * (1.0 - 1.0 / p))
-    e_plus = np.exp(1j * np.pi * f)
-    e_minus = np.exp(-1j * np.pi * f)
-    c_marked = phase * 0.5 * (-1j * e_plus * s_plus + 1j * e_minus * s_minus)
-    c_unmarked = phase * 0.5 * (e_plus * s_plus + e_minus * s_minus)
-    marked_col = c_marked / math.sqrt(t) if t > 0 else np.zeros(p, dtype=complex)
-    unmarked_col = c_unmarked / math.sqrt(d - t) if t < d else np.zeros(p, dtype=complex)
-    return np.where(mask[None, :], marked_col[:, None], unmarked_col[:, None])
 
 
 def estimate_error_bound(dimension: int, q: int, t: float) -> float:
@@ -222,6 +194,8 @@ def run_count(
     values; repetition i draws from np.random.default_rng([seed, i]) so runs
     are reproducible and independent reps can be regenerated in isolation.
     """
+    if p < 4:
+        raise DomainError(f"counter size must be >= 4, got {p}")
     if reps < 1:
         raise DomainError(f"reps must be >= 1, got {reps}")
     table = count_distribution(dimension, marked, p, cap=cap)

@@ -19,8 +19,9 @@ Quantities attached to an integer k >= 2, used throughout the package:
                 3(k-1)/4 of the bases are witnesses.
 
 Everything is deterministic and exact: primality uses a fixed Miller-Rabin
-base set valid far beyond the 2**50 factorization bound, and no
-probable-prime shortcut enters the census routines.
+base set valid far beyond the 2**50 factorization bound.  F(k) and the
+strong-liar count (Monier's formula) are closed forms over the
+factorization; the per-base censuses that check them are in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -37,9 +38,6 @@ from .errors import CapacityError, DomainError
 #: Miller-Rabin certificate range is far larger; the bound keeps rho cheap).
 FACTOR_BOUND = 1 << 50
 
-#: brute-force census routines (per-base loops over [1, k)) refuse above this
-CENSUS_BOUND = 10**6
-
 #: Carmichael enumeration sieve refuses above this
 ENUMERATION_BOUND = 10**7
 
@@ -47,33 +45,6 @@ ENUMERATION_BOUND = 10**7
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _TRIAL_LIMIT = 10_000
-
-
-def mod_pow(a: int, e: int, m: int) -> int:
-    """a**e mod m by square-and-multiply; exact for arbitrary precision."""
-    if m < 2:
-        raise DomainError(f"modulus must be >= 2, got {m}")
-    if a < 0 or e < 0:
-        raise DomainError("base and exponent must be non-negative")
-    result = 1
-    base = a % m
-    while e:
-        if e & 1:
-            result = result * base % m
-        base = base * base % m
-        e >>= 1
-    return result
-
-
-def gcd(a: int, b: int) -> int:
-    """Euclid's algorithm; gcd(0, b) = b, gcd(0, 0) is a domain error."""
-    if a < 0 or b < 0:
-        raise DomainError("gcd arguments must be non-negative")
-    if a == 0 and b == 0:
-        raise DomainError("gcd(0, 0) is undefined")
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def is_prime(n: int) -> bool:
@@ -213,24 +184,6 @@ def fermat_nonwitness_count(f: Factorization) -> int:
     return count
 
 
-def fermat_flag(k: int, a: int) -> int:
-    """1 iff a^(k-1) = 1 (mod k), else 0."""
-    if k < 2:
-        raise DomainError(f"k must be >= 2, got {k}")
-    if not 0 <= a < k:
-        raise DomainError(f"base {a} outside [0, {k})")
-    return 1 if mod_pow(a, k - 1, k) == 1 else 0
-
-
-def coprime_flag(k: int, a: int) -> int:
-    """1 iff gcd(a, k) = 1; a = 0 gives gcd = k, hence 0."""
-    if k < 2:
-        raise DomainError(f"k must be >= 2, got {k}")
-    if not 0 <= a < k:
-        raise DomainError(f"base {a} outside [0, {k})")
-    return 1 if math.gcd(a, k) == 1 else 0
-
-
 def is_carmichael(k: int) -> bool:
     """Korselt test: composite, squarefree, >= 3 primes, p-1 | k-1 for all p."""
     if k < 2:
@@ -239,34 +192,6 @@ def is_carmichael(k: int) -> bool:
     if f.is_prime or not f.is_squarefree or len(f.factors) < 3:
         return False
     return all((k - 1) % (p - 1) == 0 for p, _ in f.factors)
-
-
-def rabin_witness(k: int, a: int) -> bool:
-    """True iff a witnesses the compositeness of odd k.
-
-    a is a witness when a^(k-1) != 1 (mod k), or when some element of the
-    square-root chain exposes a nontrivial factor:
-    1 < gcd(a^((k-1)/2^i) - 1, k) < k for some i in [1, m], k-1 = 2^m n.
-    Equivalent to the strong (Miller-Rabin) conditions; for odd composite k
-    at least 3(k-1)/4 of the bases 1 <= a < k are witnesses.
-    """
-    if k < 3 or k % 2 == 0:
-        raise DomainError(f"rabin_witness requires odd k >= 3, got {k}")
-    if not 1 <= a < k:
-        raise DomainError(f"base {a} outside [1, {k})")
-    if mod_pow(a, k - 1, k) != 1:
-        return True
-    m = 0
-    n = k - 1
-    while n % 2 == 0:
-        n //= 2
-        m += 1
-    for i in range(1, m + 1):
-        x = mod_pow(a, (k - 1) >> i, k)
-        g = math.gcd((x - 1) % k, k)
-        if 1 < g < k:
-            return True
-    return False
 
 
 def strong_liar_count(f: Factorization) -> int:
@@ -310,30 +235,6 @@ def _vec_mod_pow(bases: np.ndarray, e: int, m: int) -> np.ndarray:
         b = b * b % m
         e >>= 1
     return result
-
-
-def mr_witness_count(k: int, bound: int = CENSUS_BOUND) -> int:
-    """Brute-force census of strong witnesses over 1 <= a < k (odd k).
-
-    Primes return 0 (degenerate use); even k is a domain error since the
-    square-root chain presumes an even k-1.
-    """
-    if k < 3 or k % 2 == 0:
-        raise DomainError(f"mr_witness_count requires odd k >= 3, got {k}")
-    if k > bound:
-        raise CapacityError(f"census bound is {bound}, got {k}")
-    n = k - 1
-    s = 0
-    while n % 2 == 0:
-        n //= 2
-        s += 1
-    a = np.arange(1, k, dtype=np.int64)
-    x = _vec_mod_pow(a, n, k)
-    liar = (x == 1) | (x == k - 1)
-    for _ in range(s - 1):
-        x = x * x % k
-        liar |= x == k - 1
-    return int(k - 1 - liar.sum())
 
 
 class Classification(Enum):

@@ -18,7 +18,8 @@ never leaves from the uniform start: the layout is (P_1, ..., P_R, 2) and
 only the marked count t enters, so the base dimension D may be as large as
 an integer allows.  `controlled_grover_powers` builds all D base amplitudes
 from a boolean mask over the base values; it is the dense test oracle for
-the reduced route.
+the reduced route.  The single gates that both routes are checked against
+(uniform preparation, phase flip, diffusion) live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -86,48 +87,6 @@ def _finish(layout: RegisterLayout, amplitudes: np.ndarray) -> StateVector:
     if abs(norm_sq - 1.0) > NORM_TOL:
         raise NormalizationError(f"norm^2 drifted to {norm_sq}")
     return StateVector(layout, flat)
-
-
-def uniform_state(layout: RegisterLayout) -> StateVector:
-    """All amplitudes 1/sqrt(D)."""
-    d = layout.dimension
-    return _finish(layout, np.full(d, 1.0 / math.sqrt(d), dtype=complex))
-
-
-def phase_flip(state: StateVector, register: int, marked_mask: np.ndarray) -> StateVector:
-    """Negate amplitudes whose register value is marked in the (dims[register],) mask."""
-    state.layout.check_register(register)
-    size = state.layout.dims[register]
-    mask = np.asarray(marked_mask, dtype=bool)
-    if mask.shape != (size,):
-        raise DomainError(f"marked mask shape {mask.shape} does not match register size {size}")
-    out = state.grid().copy()
-    moved = np.moveaxis(out, register, 0)
-    moved[mask] *= -1.0
-    return _finish(state.layout, out)
-
-
-def diffusion(state: StateVector, register: int) -> StateVector:
-    """Reflection about the uniform state on one register: a -> 2*mean - a.
-
-    For each fixed setting of the other registers the chosen register's
-    amplitudes are replaced by twice their mean minus themselves.  This is
-    the exact inversion-about-average in the register's own dimension.
-    """
-    state.layout.check_register(register)
-    out = state.grid().copy()
-    moved = np.moveaxis(out, register, 0)
-    moved[...] = 2.0 * moved.mean(axis=0, keepdims=True) - moved
-    return _finish(state.layout, out)
-
-
-def grover_iterate(state: StateVector, register: int, marked_mask: np.ndarray) -> StateVector:
-    """One search iteration: phase-flip the marked values, then diffuse.
-
-    On the plane spanned by the marked and unmarked uniform components this
-    acts as a rotation by 2*theta with sin(theta) = sqrt(t/D).
-    """
-    return diffusion(phase_flip(state, register, marked_mask), register)
 
 
 def qft(state: StateVector, register: int, inverse: bool = False) -> StateVector:
@@ -265,38 +224,3 @@ def sample_outcomes(table: np.ndarray, rng: np.random.Generator, n_samples: int)
     flat /= flat.sum()
     draws = rng.choice(flat.size, size=n_samples, p=flat)
     return np.stack(np.unravel_index(draws, np.shape(table)), axis=1).astype(np.int64)
-
-
-@dataclass(frozen=True)
-class GroverAngles:
-    """Analytic bundle for the marked/unmarked rotation plane."""
-
-    dimension: int
-    marked: int
-    theta: float
-
-    @classmethod
-    def from_counts(cls, dimension: int, marked: int) -> "GroverAngles":
-        if dimension < 1:
-            raise DomainError(f"dimension must be >= 1, got {dimension}")
-        if not 0 <= marked <= dimension:
-            raise DomainError(f"marked count {marked} outside [0, {dimension}]")
-        theta = math.asin(math.sqrt(marked / dimension))
-        angles = cls(dimension, marked, theta)
-        if abs(math.sin(theta) ** 2 * dimension - marked) > 1e-12 * dimension:
-            raise NormalizationError("sin^2(theta) * D drifted from the marked count")
-        return angles
-
-
-def two_plane_amplitudes(angles: GroverAngles, iterations: int) -> tuple[float, float]:
-    """Per-state amplitudes after m iterations from uniform.
-
-    Every marked state holds sin((2m+1) theta)/sqrt(t), every unmarked state
-    cos((2m+1) theta)/sqrt(D-t); degenerate t in {0, D} zero out the absent
-    component.
-    """
-    phase = (2 * iterations + 1) * angles.theta
-    t, d = angles.marked, angles.dimension
-    marked_amp = math.sin(phase) / math.sqrt(t) if t > 0 else 0.0
-    unmarked_amp = math.cos(phase) / math.sqrt(d - t) if t < d else 0.0
-    return marked_amp, unmarked_amp

@@ -1,15 +1,24 @@
-"""Independent brute-force oracles used to pin expected values.
+"""Independent reference routes that the tests compare the library against.
 
-Everything here recomputes quantities from their definitions (per-base
-censuses, definitional Carmichael test), deliberately avoiding the closed
-formulas and sieves used by the library.
+The number-theory oracles recompute quantities from their definitions
+(per-base censuses, definitional Carmichael test), deliberately avoiding the
+closed formulas and sieves used by the library.  The simulation references
+are the single search gates on a full statevector (uniform preparation,
+phase flip, diffusion, one Grover iteration), the analytic per-state
+amplitudes on the rotation plane, and the amplitude version of the
+closed-form counting law.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
+
+from carmsim.counting import dirichlet_kernel, peak_position
+from carmsim.errors import DomainError, NormalizationError
+from carmsim.qsim import RegisterLayout, StateVector, _finish
 
 
 def vec_pow_mod(bases: np.ndarray, e: int, m: int) -> np.ndarray:
@@ -79,3 +88,107 @@ def strong_witness_scalar(k: int, a: int) -> bool:
         if x == k - 1:
             return False
     return True
+
+
+def uniform_state(layout: RegisterLayout) -> StateVector:
+    """All amplitudes 1/sqrt(D)."""
+    d = layout.dimension
+    return _finish(layout, np.full(d, 1.0 / math.sqrt(d), dtype=complex))
+
+
+def phase_flip(state: StateVector, register: int, marked_mask: np.ndarray) -> StateVector:
+    """Negate amplitudes whose register value is marked in the (dims[register],) mask."""
+    state.layout.check_register(register)
+    size = state.layout.dims[register]
+    mask = np.asarray(marked_mask, dtype=bool)
+    if mask.shape != (size,):
+        raise DomainError(f"marked mask shape {mask.shape} does not match register size {size}")
+    out = state.grid().copy()
+    moved = np.moveaxis(out, register, 0)
+    moved[mask] *= -1.0
+    return _finish(state.layout, out)
+
+
+def diffusion(state: StateVector, register: int) -> StateVector:
+    """Reflection about the uniform state on one register: a -> 2*mean - a.
+
+    For each fixed setting of the other registers the chosen register's
+    amplitudes are replaced by twice their mean minus themselves.  This is
+    the exact inversion-about-average in the register's own dimension.
+    """
+    state.layout.check_register(register)
+    out = state.grid().copy()
+    moved = np.moveaxis(out, register, 0)
+    moved[...] = 2.0 * moved.mean(axis=0, keepdims=True) - moved
+    return _finish(state.layout, out)
+
+
+def grover_iterate(state: StateVector, register: int, marked_mask: np.ndarray) -> StateVector:
+    """One search iteration: phase-flip the marked values, then diffuse.
+
+    On the plane spanned by the marked and unmarked uniform components this
+    acts as a rotation by 2*theta with sin(theta) = sqrt(t/D).
+    """
+    return diffusion(phase_flip(state, register, marked_mask), register)
+
+
+@dataclass(frozen=True)
+class GroverAngles:
+    """Analytic bundle for the marked/unmarked rotation plane."""
+
+    dimension: int
+    marked: int
+    theta: float
+
+    @classmethod
+    def from_counts(cls, dimension: int, marked: int) -> "GroverAngles":
+        if dimension < 1:
+            raise DomainError(f"dimension must be >= 1, got {dimension}")
+        if not 0 <= marked <= dimension:
+            raise DomainError(f"marked count {marked} outside [0, {dimension}]")
+        theta = math.asin(math.sqrt(marked / dimension))
+        angles = cls(dimension, marked, theta)
+        if abs(math.sin(theta) ** 2 * dimension - marked) > 1e-12 * dimension:
+            raise NormalizationError("sin^2(theta) * D drifted from the marked count")
+        return angles
+
+
+def two_plane_amplitudes(angles: GroverAngles, iterations: int) -> tuple[float, float]:
+    """Per-state amplitudes after m iterations from uniform.
+
+    Every marked state holds sin((2m+1) theta)/sqrt(t), every unmarked state
+    cos((2m+1) theta)/sqrt(D-t); degenerate t in {0, D} zero out the absent
+    component.
+    """
+    phase = (2 * iterations + 1) * angles.theta
+    t, d = angles.marked, angles.dimension
+    marked_amp = math.sin(phase) / math.sqrt(t) if t > 0 else 0.0
+    unmarked_amp = math.cos(phase) / math.sqrt(d - t) if t < d else 0.0
+    return marked_amp, unmarked_amp
+
+
+def closed_form_state(marked_mask: np.ndarray, p: int) -> np.ndarray:
+    """Post-transform amplitudes (P, D) predicted without simulation.
+
+    grid[l, a] = e^{i pi l (1 - 1/P)} / 2 * (
+        (-i e^{i pi f} s(l+f) + i e^{-i pi f} s(l-f)) / sqrt(t)      marked a
+        (   e^{i pi f} s(l+f) +   e^{-i pi f} s(l-f)) / sqrt(D-t)   unmarked a)
+
+    The per-outcome phase and the branch phases e^{+-i pi f} are retained so
+    this matches the dense simulator amplitude-for-amplitude.
+    """
+    mask = np.asarray(marked_mask, dtype=bool)
+    d = mask.size
+    t = int(mask.sum())
+    f = peak_position(d, t, p)
+    l = np.arange(p)
+    s_plus = dirichlet_kernel(l + f, p)
+    s_minus = dirichlet_kernel(l - f, p)
+    phase = np.exp(1j * np.pi * l * (1.0 - 1.0 / p))
+    e_plus = np.exp(1j * np.pi * f)
+    e_minus = np.exp(-1j * np.pi * f)
+    c_marked = phase * 0.5 * (-1j * e_plus * s_plus + 1j * e_minus * s_minus)
+    c_unmarked = phase * 0.5 * (e_plus * s_plus + e_minus * s_minus)
+    marked_col = c_marked / math.sqrt(t) if t > 0 else np.zeros(p, dtype=complex)
+    unmarked_col = c_unmarked / math.sqrt(d - t) if t < d else np.zeros(p, dtype=complex)
+    return np.where(mask[None, :], marked_col[:, None], unmarked_col[:, None])

@@ -6,7 +6,9 @@ import pytest
 
 from carmsim import carmichael as cm
 from carmsim import counting, numtheory, qsim
-from carmsim.errors import DomainError
+from carmsim.errors import CapacityError, DomainError
+
+import oracles
 
 
 def leakage_alpha(k: int, p: int) -> float:
@@ -25,7 +27,7 @@ def test_flag_probability_examples():
 
 def test_flag_probability_matches_simulator():
     for k in (15, 105, 561, 1105):
-        state = qsim.uniform_state(qsim.RegisterLayout((k,)))
+        state = oracles.uniform_state(qsim.RegisterLayout((k,)))
         _, prob = qsim.postselect(_flagged(state, k), 1, 1)
         assert prob == pytest.approx(float(cm.flag_probability(k)), abs=1e-10)
 
@@ -165,13 +167,6 @@ def test_gap_error_bound_envelope():
             assert counting.dirichlet_kernel(f, 16) ** 2 <= bound + 1e-12
 
 
-def test_recommended_p():
-    p = cm.recommended_p(15)
-    theta_gap = math.asin(math.sqrt(8 / 30))
-    assert p == max(4, math.ceil(math.pi / theta_gap))
-    assert cm.recommended_p(561) >= 4
-
-
 # ---------------------------------------------------------------- base counting
 
 def test_count_fermat_failures_carmichael():
@@ -269,6 +264,10 @@ def test_choose_q_policy():
     epsilon, delta = 0.5, 0.05
     q = cm.choose_q(10**4, epsilon, delta)
     assert q >= numtheory.psw_scale(10**4) ** (1 + epsilon / 2 + delta)
+    # a policy Q past the float range is a capacity error, not an overflow
+    for eps, dlt in ((1e308, delta), (epsilon, 1e308), (1.7e308, 1.7e308)):
+        with pytest.raises(CapacityError):
+            cm.choose_q(100, eps, dlt)
 
 
 def test_psw_report_fields():

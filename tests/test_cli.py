@@ -11,12 +11,21 @@ from carmsim import cli
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_process(args):
-    """Run a Python module or script in a fresh interpreter over src/."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+def run_process(args, stdout=subprocess.PIPE):
+    """Run a Python module or script in a fresh interpreter over src/.
+
+    stdout is block-buffered, as in a plain shell, even where the caller's
+    environment sets PYTHONUNBUFFERED.
+    """
+    env = {key: val for key, val in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(ROOT / "src")
     return subprocess.run(
-        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, *args], cwd=ROOT, env=env, stdout=stdout, stderr=subprocess.PIPE,
+        text=True, timeout=120,
     )
+
+
+CONFIG_KEYS = ["command", "target", "P", "R", "Q", "epsilon", "delta", "mode", "seed", "reps"]
 
 
 def run_cli(args, capsys):
@@ -200,31 +209,90 @@ def test_subcommand_defaults(capsys):
         code, out, _ = run_cli(args + ["--output", "json"], capsys)
         assert code == 0
         config = json.loads(out)["config"]
-        assert list(config) == [
-            "command", "target", "P", "R", "Q", "epsilon", "delta", "mode", "seed", "reps"
-        ]
+        assert list(config) == CONFIG_KEYS
         assert {key: config[key] for key in expected} == expected
 
 
-@pytest.mark.parametrize(
-    "script,args,header",
-    [
-        ("certify_error_sweep.py", ["--kmax", "20"], "k,t,P,R,allzero,alpha_pow,gap_bound"),
-        (
-            "counting_success_experiment.py",
-            ["--N", "600", "--Q", "32", "--reps", "5"],
-            "N,Q,t_N,success_fraction,error_bound,peak_probability,in_ansatz",
-        ),
-        (
-            "psw_table.py",
-            ["--N", "1000", "--reps", "5"],
-            "N,t_N,t_tilde,dt_exp,dt_th,psw_lower,psw_upper,Q,epsilon,delta,meets_target",
-        ),
-    ],
-)
+COMMANDS = [
+    ["facts", "561"],
+    ["certify", "15", "--mode", "sample", "--reps", "5"],
+    ["count-bases", "15", "--P", "16", "--reps", "5"],
+    ["count-carmichael", "600", "--Q", "64", "--reps", "5"],
+    ["psw", "1000", "--reps", "3"],
+    ["bounds", "2000"],
+    ["enumerate", "10000"],
+]
+
+
+@pytest.mark.parametrize("output", ["text", "json", "csv"])
+@pytest.mark.parametrize("args", COMMANDS, ids=[args[0] for args in COMMANDS])
+def test_every_command_renders_every_form(args, output, capsys):
+    code, out, err = run_cli(args + ["--output", output], capsys)
+    assert code == 0 and err == ""
+    if output == "json":
+        payload = json.loads(out)
+        assert list(payload)[0] == "config" and list(payload["config"]) == CONFIG_KEYS
+    elif output == "csv":
+        header, *rows = [line.split(",") for line in out.splitlines()]
+        assert rows and all(len(row) == len(header) for row in rows)
+    assert out.endswith("\n") and len(out) > 1
+
+
+BAD_INPUTS = {
+    "certify-seed": (["certify", "15", "--seed", "-1"], 2, "error: seed must be >= 0"),
+    "count-bases-seed": (["count-bases", "15", "--seed", "-1"], 2, "error: seed must be >= 0"),
+    "count-carmichael-seed": (["count-carmichael", "600", "--seed", "-1"], 2, "error: seed must be >= 0"),
+    "psw-seed": (["psw", "1000", "--seed", "-1"], 2, "error: seed must be >= 0"),
+    "psw-epsilon": (["psw", "100", "--epsilon", "1e308"], 3, "capacity error: "),
+    "psw-delta": (["psw", "100", "--delta", "1e308"], 3, "capacity error: "),
+    "count-bases-P2": (["count-bases", "15", "--P", "2"], 2, "error: counter size must be >= 4"),
+    "count-bases-P1": (["count-bases", "15", "--P", "1"], 2, "error: counter size must be >= 4"),
+    "count-carmichael-Q3": (["count-carmichael", "600", "--Q", "3"], 2, "error: counter size must be >= 4"),
+}
+
+
+@pytest.mark.parametrize("args,code,prefix", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_seed_and_counter_size_exit_cleanly(args, code, prefix, capsys):
+    got, out, err = run_cli(args + ["--reps", "2"], capsys)
+    assert (got, out) == (code, "")
+    assert err.startswith(prefix) and "Traceback" not in err
+
+
+SCRIPTS = [
+    ("certify_error_sweep.py", ["--kmax", "20"], "k,t,P,R,allzero,alpha_pow,gap_bound"),
+    (
+        "counting_success_experiment.py",
+        ["--N", "600", "--Q", "32", "--reps", "5"],
+        "N,Q,t_N,success_fraction,error_bound,peak_probability,in_ansatz",
+    ),
+    (
+        "psw_table.py",
+        ["--N", "1000", "--reps", "5"],
+        "N,t_N,t_tilde,dt_exp,dt_th,psw_lower,psw_upper,Q,epsilon,delta,meets_target",
+    ),
+]
+
+
+@pytest.mark.parametrize("script,args,header", SCRIPTS)
 def test_scripts_smoke(script, args, header):
     proc = run_process([str(ROOT / "scripts" / script), *args])
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == header
     assert len(lines) >= 2
+
+
+CLOSED_STDOUT = {script: [str(ROOT / "scripts" / script), *args] for script, args, _ in SCRIPTS}
+CLOSED_STDOUT["cli"] = ["-m", "carmsim.cli", "facts", "561"]
+
+
+@pytest.mark.parametrize("args", CLOSED_STDOUT.values(), ids=CLOSED_STDOUT.keys())
+def test_closed_stdout_exits_2(args):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails with a broken pipe
+    try:
+        proc = run_process(args, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write stdout") and "Traceback" not in proc.stderr

@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 from carmsim import counting, qsim
 from carmsim.errors import CapacityError, DomainError, NormalizationError
 
+import oracles
+
 
 # ---------------------------------------------------------------- kernel
 
@@ -123,7 +125,7 @@ def test_closed_form_state_matches_dense_amplitudes():
         mask = rng.random(dimension) < 0.3
         state = qsim.controlled_grover_powers((p,), mask)
         state = qsim.qft(state, 0)
-        predicted = counting.closed_form_state(mask, p)
+        predicted = oracles.closed_form_state(mask, p)
         assert np.abs(state.grid() - predicted).max() < 1e-10
 
 
@@ -239,6 +241,8 @@ def test_run_count_capacity():
         counting.count_distribution_dense(np.zeros(10**6, bool), 256)
     with pytest.raises(DomainError):
         counting.run_count(50, 0, 16, seed=0, reps=0)
+    with pytest.raises(DomainError):
+        counting.run_count(50, 0, 2, seed=0, reps=1)  # certification's P >= 4 rule
 
 
 def test_run_count_estimates_concentrate():
