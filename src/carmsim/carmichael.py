@@ -357,12 +357,17 @@ class PerturbationBounds:
         }
 
 
+#: perturbation_bounds refuses n above this
+SWEEP_BOUND = 10**7
+
+
 def perturbation_bounds(n: int, p: int) -> PerturbationBounds:
     """Leakage factors and correction budget for every k = 1..n.
 
-    The witness count feeding beta uses the exact strong-liar formula (for
-    even composites the square-root chain is empty and the witnesses are
-    the Fermat failures over all bases); the census route is equivalent and
+    The witness count feeding beta uses the exact strong-liar formula,
+    evaluated for every k at once by numtheory.liar_sieve (for even
+    composites the square-root chain is empty and the witnesses are the
+    Fermat failures over all bases); the census route is equivalent and
     cross-validated in the test suite.  A composite whose witness ratio is
     at least 3/4 has pi/3 <= pi g / P <= pi/2, so its beta stays under
     2/(sqrt(3) P).  Only k = 4 (ratio 1/2) and k = 6, 9 (ratio 2/3) fall
@@ -376,25 +381,16 @@ def perturbation_bounds(n: int, p: int) -> PerturbationBounds:
         raise DomainError(f"n must be >= 2, got {n}")
     if p < 4:
         raise DomainError(f"counter size must be >= 4, got {p}")
-    if n > numtheory.ENUMERATION_BOUND:
-        raise CapacityError(f"bound sweep capped at {numtheory.ENUMERATION_BOUND}")
-    spf = numtheory.spf_sieve(n)
-    phi = numtheory.totient_sieve(n)
-    prime = numtheory.prime_sieve(n)
-
-    ks = np.arange(n + 1, dtype=np.float64)
-    witness = np.zeros(n + 1, dtype=np.int64)
-    t_gap = np.zeros(n + 1, dtype=np.int64)
-    carmichael = np.zeros(n + 1, dtype=bool)
-    for k in range(2, n + 1):
-        if prime[k]:
-            continue
-        factors = numtheory.factors_from_spf(k, spf)
-        factorization = numtheory.Factorization(k, factors)
-        f_count = numtheory.fermat_nonwitness_count(factorization)
-        witness[k] = (k - 1) - numtheory.strong_liar_count(factorization)
-        t_gap[k] = int(phi[k]) - f_count
-        carmichael[k] = t_gap[k] == 0
+    if n > SWEEP_BOUND:
+        raise CapacityError(f"bound sweep capped at {SWEEP_BOUND}")
+    phi, fermat, strong = numtheory.liar_sieve(n)
+    k = np.arange(n + 1)
+    ks = k.astype(np.float64)
+    composite = phi != k - 1  # phi(k) = k - 1 exactly for primes
+    composite[:2] = False
+    witness = np.where(composite, k - 1 - strong, 0)
+    t_gap = np.where(composite, phi - fermat, 0)
+    carmichael = composite & (t_gap == 0)
 
     with np.errstate(invalid="ignore", divide="ignore"):
         g = p * np.arcsin(np.sqrt(witness / np.maximum(ks, 1.0))) / math.pi
@@ -405,13 +401,10 @@ def perturbation_bounds(n: int, p: int) -> PerturbationBounds:
     alpha = counting.dirichlet_kernel(f_peak, p)
     coprime_amplitude = np.sqrt(phi / np.maximum(ks, 1.0))
 
-    composite = ~prime
-    composite[:2] = False
-    carm = composite & carmichael
     noncarm = composite & ~carmichael
     ratio = phi / np.maximum(ks, 1.0)
     correction = 4.0 / n * (
-        float((ratio[carm] * beta[carm] ** 2).sum())
+        float((ratio[carmichael] * beta[carmichael] ** 2).sum())
         + float((ratio[noncarm] * (1.0 - beta[noncarm] ** 2) * alpha[noncarm] ** 2).sum())
     )
     bound = 4.0 * math.pi**2 / (3.0 * p * p)
@@ -437,7 +430,7 @@ def phi_norm(n: int) -> float:
     """Mean of phi(k)/k over k = 1..n; approaches 6/pi^2 = 0.60793."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    phi = numtheory.totient_sieve(n)
+    phi = numtheory.liar_sieve(n).phi
     ks = np.arange(1, n + 1, dtype=np.float64)
     return float((phi[1:] / ks).mean())
 

@@ -11,6 +11,8 @@ byte-identical.  Exit codes: 0 success, 2 domain/precondition error,
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -35,11 +37,13 @@ def render(output: str, record: Record, config: dict | None = None) -> str:
     if output == "json":
         return json.dumps({"config": config, **record.payload()}, indent=2) + "\n"
     if output == "csv":
+        # fields go through str() first, so None and bools print as in text;
+        # the writer quotes any field that holds a comma
         header, rows = record.table()
-        lines = [",".join(str(v) for v in row) for row in [header, *rows]]
-    else:
-        lines = record.lines()
-    return "\n".join(lines) + "\n"
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([str(v) for v in row] for row in [header, *rows])
+        return buf.getvalue()
+    return "\n".join(record.lines()) + "\n"
 
 
 def write(text: str, out_path: str | None = None) -> int:

@@ -13,7 +13,9 @@ Quantities attached to an integer k >= 2, used throughout the package:
     Carmichael  composite, squarefree, with p - 1 | k - 1 for every prime
                 factor p (Korselt), equivalently composite with t(k) = 0.
                 The smallest is 561 = 3 * 11 * 17; all are odd with at
-                least three prime factors.
+                least three prime factors.  Per prime factor p, Korselt's
+                condition is the congruence k = p (mod p(p - 1)), and
+                p^2 <= k because p - 1 also divides k/p - 1.
     witnesses   bases 1 <= a < k certifying compositeness under the strong
                 (Miller-Rabin) conditions.  For odd composite k at least
                 3(k-1)/4 of the bases are witnesses.
@@ -22,6 +24,9 @@ Everything is deterministic and exact: primality uses a fixed Miller-Rabin
 base set valid far beyond the 2**50 factorization bound.  F(k) and the
 strong-liar count (Monier's formula) are closed forms over the
 factorization; the per-base censuses that check them are in tests/oracles.py.
+Two sieves cover every k below a bound at once: liar_sieve (phi, F and the
+strong-liar count, one pass over the primes up to sqrt(n)) and the Korselt
+congruence sieve of enumerate_carmichaels (up to ENUMERATION_BOUND).
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,7 +45,7 @@ from .errors import CapacityError, DomainError
 FACTOR_BOUND = 1 << 50
 
 #: Carmichael enumeration sieve refuses above this
-ENUMERATION_BOUND = 10**7
+ENUMERATION_BOUND = 10**9
 
 # Deterministic Miller-Rabin bases: correct for all n < 3.3 * 10**24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -311,76 +317,109 @@ def prime_sieve(n: int) -> np.ndarray:
     return s
 
 
-def totient_sieve(n: int) -> np.ndarray:
-    """phi(0..n) as an int64 array (phi[0] = 0)."""
-    phi = np.arange(n + 1, dtype=np.int64)
-    s = prime_sieve(n)
-    for p in np.flatnonzero(s):
+class LiarCounts(NamedTuple):
+    """phi(k), F(k) and the strong-liar count for every k = 0..n (int64).
+
+    Entries 0 and 1 count no bases (phi[1] = 1).  For a prime k the Fermat
+    and strong counts are k - 1: every base is a liar.
+    """
+
+    phi: np.ndarray
+    fermat: np.ndarray
+    strong: np.ndarray
+
+
+def liar_sieve(n: int) -> LiarCounts:
+    """phi, F and the strong-liar count of every k <= n in one pass over the primes.
+
+    Each prime p <= sqrt(n) updates its multiples p::p: phi, the product
+    F = prod gcd(p - 1, k - 1), the distinct-prime count omega and the lowest
+    set bit 2^nu of every p - 1 (nu = min v2(p - 1)); the slices p^j::p^j
+    divide p out of a cofactor.  What remains of the cofactor is 1 or the
+    one prime factor above sqrt(n), handled in one vectorized step.  The
+    strong count is strong_liar_count's formula: with k - 1 = 2^s d and
+    p - 1 = 2^{s_p} d_p, gcd(p - 1, k - 1) = 2^min(s_p, s) gcd(d_p, d), so
+    prod gcd(d, d_p) is the odd part of F, and (2^(nu*omega) - 1)/(2^omega - 1)
+    is summed as sum_{j < nu} 2^(omega j).  Every term is below k (each
+    p | k exceeds 2^nu), so int64 cannot overflow.
+    """
+    if n < 1:
+        raise DomainError(f"liar sieve requires n >= 1, got {n}")
+    ks = np.arange(n + 1, dtype=np.int64)
+    phi = ks.copy()
+    rest = ks.copy()
+    fermat = np.ones(n + 1, dtype=np.int64)
+    omega = np.zeros(n + 1, dtype=np.int64)
+    low = np.full(n + 1, 1 << 62, dtype=np.int64)
+    for p in np.flatnonzero(prime_sieve(math.isqrt(n))).tolist():
         phi[p::p] -= phi[p::p] // p
-    phi[0] = 0
-    return phi
+        fermat[p::p] *= np.gcd(ks[p::p] - 1, p - 1)
+        omega[p::p] += 1
+        low[p::p] = np.minimum(low[p::p], (p - 1) & (1 - p))
+        power = p
+        while power <= n:
+            rest[power::power] //= p
+            power *= p
+    big = np.flatnonzero(rest > 1)
+    q = rest[big]
+    phi[big] -= phi[big] // q
+    fermat[big] *= np.gcd(big - 1, q - 1)
+    omega[big] += 1
+    low[big] = np.minimum(low[big], (q - 1) & (1 - q))
+
+    # odd k: strong = odd part of F times (1 + sum_{j < nu} 2^(omega j));
+    # even k: the square-root chain is empty and strong = F
+    odd = slice(3, None, 2)
+    f_odd, omega, low = fermat[odd], omega[odd], low[odd]
+    geo = np.ones(f_odd.size, dtype=np.int64)
+    live = np.flatnonzero(low > 1)
+    j = 0
+    while live.size:
+        geo[live] += np.left_shift(1, omega[live] * j)
+        j += 1
+        live = live[low[live] > 1 << j]
+    strong = fermat.copy()
+    strong[odd] = f_odd // (f_odd & -f_odd) * geo
+    fermat[:2] = strong[:2] = 0
+    return LiarCounts(phi, fermat, strong)
 
 
-def spf_sieve(n: int) -> np.ndarray:
-    """Smallest prime factor of 0..n (spf[0] = 0, spf[1] = 1)."""
-    spf = np.zeros(n + 1, dtype=np.int64)
-    for i in range(2, math.isqrt(n) + 1):
-        if spf[i] == 0:
-            seg = spf[i * i :: i]
-            seg[seg == 0] = i
-    rest = np.flatnonzero(spf[2:] == 0) + 2
-    spf[rest] = rest
-    if n >= 1:
-        spf[1] = 1
-    return spf
-
-
-def factors_from_spf(k: int, spf: np.ndarray) -> tuple[tuple[int, int], ...]:
-    """Prime factorization of k read off a smallest-prime-factor table."""
-    out = []
-    while k > 1:
-        p = int(spf[k])
-        e = 0
-        while k % p == 0:
-            k //= p
-            e += 1
-        out.append((p, e))
-    return tuple(out)
+#: odd values of k per block of the Carmichael sieve
+_BLOCK = 1 << 22
 
 
 def enumerate_carmichaels(n: int, bound: int = ENUMERATION_BOUND) -> list[int]:
     """All Carmichael numbers strictly below n, ascending.
 
-    Sieve formulation of Korselt: start from the composites, knock out
-    non-squarefree k, then for every prime p knock out multiples with
-    (k - 1) % (p - 1) != 0.  No oddness or factor-count assumption is
-    needed; both fall out of the divisibility sieve.
+    Korselt congruence sieve.  A prime p divides a Carmichael k exactly on
+    the class k = p (mod p(p - 1)): p | k and p - 1 | k - 1.  Since also
+    p - 1 | k/p - 1 with k/p > 1, every such p has p^2 <= k.  So over odd k
+    only, prod[k] is multiplied by each odd prime p with p^2 < n along
+    k = p^2, p^2 + p(p - 1), ... (the step is even, so k stays odd), and
+    k is Carmichael exactly when prod[k] == k: a prime factor outside its
+    class, a square factor or a prime factor above sqrt(n) leaves
+    prod[k] < k, and a prime k has prod[k] = 1, its own progression
+    starting at k^2.  The test is integer-only; k runs in blocks of _BLOCK
+    odd values.
     """
     if n < 2:
         raise DomainError(f"enumeration requires n >= 2, got {n}")
     if n > bound:
         raise CapacityError(f"enumeration bound is {bound}, got {n}")
-    if n <= 4:
-        return []
-    s = prime_sieve(n - 1)
-    ok = np.ones(n, dtype=bool)
-    ok[:4] = False
-    ok[np.flatnonzero(s)] = False
-    primes = np.flatnonzero(s)
-    for p in primes:
-        p = int(p)
-        if p * p >= n:
-            break
-        ok[p * p :: p * p] = False
-    for p in primes:
-        p = int(p)
-        if p == 2:
-            continue  # p - 1 = 1 divides everything
-        if 2 * p >= n:
-            break
-        m = np.arange(p, n, p)
-        ok[m[(m - 1) % (p - 1) != 0]] = False
-    return np.flatnonzero(ok).tolist()
+    primes = np.flatnonzero(prime_sieve(math.isqrt(n - 1)))[1:]
+    squares = primes * primes
+    moduli = primes * (primes - 1)
+    dtype = np.int32 if n <= 1 << 31 else np.int64  # prod[k] divides k < n
+    found: list[int] = []
+    for lo in range(3, n, 2 * _BLOCK):
+        ks = np.arange(lo, min(lo + 2 * _BLOCK, n), 2, dtype=dtype)
+        prod = np.ones_like(ks)
+        first = (np.maximum(squares, lo + (primes - lo) % moduli) - lo) // 2
+        live = first < ks.size
+        for p, i, step in zip(primes[live].tolist(), first[live].tolist(), (moduli[live] // 2).tolist()):
+            prod[i::step] *= p
+        found += ks[prod == ks].tolist()
+    return found
 
 
 def psw_scale(n: float) -> float:

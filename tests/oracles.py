@@ -2,7 +2,8 @@
 
 The number-theory oracles recompute quantities from their definitions
 (per-base censuses, definitional Carmichael test), deliberately avoiding the
-closed formulas and sieves used by the library.  The simulation references
+closed formulas and sieves used by the library; a smallest-prime-factor
+table gives the tests a factorization of every k below a limit.  The simulation references
 are the single search gates on a full statevector (uniform preparation,
 phase flip, diffusion, one Grover iteration), the analytic per-state
 amplitudes on the rotation plane, and the amplitude version of the
@@ -57,6 +58,33 @@ def strong_liar_census(k: int) -> int:
         x = x * x % k
         liar |= x == k - 1
     return int(liar.sum())
+
+
+def spf_sieve(n: int) -> np.ndarray:
+    """Smallest prime factor of 0..n (spf[0] = 0, spf[1] = 1)."""
+    spf = np.zeros(n + 1, dtype=np.int64)
+    for i in range(2, math.isqrt(n) + 1):
+        if spf[i] == 0:
+            seg = spf[i * i :: i]
+            seg[seg == 0] = i
+    rest = np.flatnonzero(spf[2:] == 0) + 2
+    spf[rest] = rest
+    if n >= 1:
+        spf[1] = 1
+    return spf
+
+
+def factors_from_spf(k: int, spf: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """Prime factorization of k read off a smallest-prime-factor table."""
+    out = []
+    while k > 1:
+        p = int(spf[k])
+        e = 0
+        while k % p == 0:
+            k //= p
+            e += 1
+        out.append((p, e))
+    return tuple(out)
 
 
 def is_prime_naive(k: int) -> bool:

@@ -32,13 +32,13 @@ def report(num: int, name: str, ok: bool, detail: str = "") -> None:
 def test_criterion_1_number_theory_gap_suite():
     start = time.time()
     limit = 5000
-    spf = numtheory.spf_sieve(limit)
+    spf = oracles.spf_sieve(limit)
     prime = numtheory.prime_sieve(limit)
     failures = []
     for k in range(4, limit):
         if prime[k]:
             continue
-        factorization = numtheory.Factorization(k, numtheory.factors_from_spf(k, spf))
+        factorization = numtheory.Factorization(k, oracles.factors_from_spf(k, spf))
         phi = numtheory.euler_phi(factorization)
         if phi != oracles.phi_census(k):
             failures.append(("phi", k))
@@ -87,13 +87,13 @@ def test_criterion_3_non_carmichael_bound():
     start = time.time()
     limit = 2000
     prime = numtheory.prime_sieve(limit)
-    spf = numtheory.spf_sieve(limit)
+    spf = oracles.spf_sieve(limit)
     worst_match = {"production": 0.0, "dense": 0.0}
     envelope_failures = []
     for k in range(4, limit):
         if prime[k] or numtheory.is_carmichael(k):
             continue
-        factorization = numtheory.Factorization(k, numtheory.factors_from_spf(k, spf))
+        factorization = numtheory.Factorization(k, oracles.factors_from_spf(k, spf))
         phi = numtheory.euler_phi(factorization)
         t = phi - numtheory.fermat_nonwitness_count(factorization)
         alpha = counting.dirichlet_kernel(counting.peak_position(k, t, 16), 16)
@@ -126,7 +126,7 @@ def _flagged_uniform(k: int) -> qsim.StateVector:
 
 
 def test_criterion_4_flag_postselection():
-    phi = numtheory.totient_sieve(2000)
+    phi = numtheory.liar_sieve(2000).phi
     worst = 0.0
     for k in range(2, 2000):
         _, prob = qsim.postselect(_flagged_uniform(k), 1, 1)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from carmsim import cli
 
@@ -92,9 +95,10 @@ def test_two_plane_reach_beyond_dense_limits(capsys):
 
 
 def test_capacity_exits_3(capsys):
-    code, _, err = run_cli(["enumerate", "100000000"], capsys)
-    assert code == 3
-    assert "capacity" in err.lower()
+    for args in (["enumerate", "1000000001"], ["bounds", "10000001"]):
+        code, _, err = run_cli(args, capsys)
+        assert code == 3
+        assert "capacity" in err.lower()
 
 
 def test_enumerate_output(capsys):
@@ -238,6 +242,11 @@ def test_every_command_renders_every_form(args, output, capsys):
     assert out.endswith("\n") and len(out) > 1
 
 
+def test_csv_quotes_a_field_holding_a_comma():
+    record = cli.Record(table=lambda: (["name", "value", "flag"], [["6,9", None, True], ["x", 1.5, False]]))
+    assert cli.render("csv", record) == 'name,value,flag\n"6,9",None,True\nx,1.5,False\n'
+
+
 BAD_INPUTS = {
     "certify-seed": (["certify", "15", "--seed", "-1"], 2, "error: seed must be >= 0"),
     "count-bases-seed": (["count-bases", "15", "--seed", "-1"], 2, "error: seed must be >= 0"),
@@ -296,3 +305,49 @@ def test_closed_stdout_exits_2(args):
         os.close(write_end)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: cannot write stdout") and "Traceback" not in proc.stderr
+
+
+#: the counter options each command takes (every command takes --reps and --seed)
+COUNTER_OPTIONS = {
+    "facts": (),
+    "certify": ("--P", "--R"),
+    "count-bases": ("--P",),
+    "count-carmichael": ("--Q",),
+    "psw": ("--Q",),
+    "bounds": ("--P",),
+    "enumerate": (),
+}
+
+
+def run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the argument vector
+            code = ("argparse", exc.code)
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(
+    command=st.sampled_from(sorted(COUNTER_OPTIONS)),
+    target=st.integers(-5, 10**4),
+    counter=st.integers(-2, 64),
+    registers=st.integers(0, 2),
+    reps=st.integers(-1, 3),
+    seed=st.integers(-2, 10),
+    output=st.sampled_from(["text", "json", "csv"]),
+)
+def test_fuzzed_arguments_exit_cleanly(command, target, counter, registers, reps, seed, output):
+    # sizes stay small: at most 64^2 * 2 counter amplitudes and sieves over k <= 10^4
+    argv = [command, str(target), "--reps", str(reps), "--seed", str(seed), "--output", output]
+    for option in COUNTER_OPTIONS[command]:
+        argv += [option, str(registers if option == "--R" else counter)]
+    code, out, err = run_in_process(argv)
+    assert code in (0, 2, 3, ("argparse", 2)), (argv, code, err)
+    assert "Traceback" not in err
+    if code == 0:
+        assert out.endswith("\n") and not err
+    else:
+        assert not out and err
+    assert run_in_process(argv) == (code, out, err)

@@ -1,9 +1,11 @@
+import bisect
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from carmsim import carmichael
 from carmsim import numtheory as nt
 from carmsim.errors import CapacityError, DomainError
 
@@ -162,19 +164,62 @@ def test_enumerate_matches_pointwise():
 
 
 def test_enumerate_errors():
+    assert nt.ENUMERATION_BOUND == 10**9
     with pytest.raises(DomainError):
         nt.enumerate_carmichaels(1)
     with pytest.raises(CapacityError):
         nt.enumerate_carmichaels(nt.ENUMERATION_BOUND + 1)
+    with pytest.raises(CapacityError):
+        nt.enumerate_carmichaels(100, bound=99)
+    with pytest.raises(CapacityError):  # the bound sweep keeps its own cap
+        carmichael.perturbation_bounds(10**7 + 1, 16)
+
+
+DEFINITIONAL_BELOW_3000 = [k for k in range(2, 3000) if oracles.carmichael_definitional(k)]
+
+
+@given(st.integers(2, 3000))
+def test_enumerate_matches_definition(n):
+    assert nt.enumerate_carmichaels(n) == [k for k in DEFINITIONAL_BELOW_3000 if k < n]
+
+
+#: Pinch's counts C(10^j) of Carmichael numbers below 10^j (OEIS A055553)
+PINCH_COUNTS = {10**3: 1, 10**4: 7, 10**5: 16, 10**6: 43, 10**7: 105, 10**8: 255, 10**9: 646}
+
+
+def test_enumerate_reproduces_pinch_counts():
+    # 10^9 spans about 120 sieve blocks; 10^8 ends inside a block
+    values = nt.enumerate_carmichaels(10**9)
+    for bound, count in PINCH_COUNTS.items():
+        assert bisect.bisect_left(values, bound) == count, bound
+    assert nt.enumerate_carmichaels(10**8) == values[:255]
+    assert all(nt.is_carmichael(k) for k in values[::16])
 
 
 def test_sieves_agree_with_scalars():
-    phi = nt.totient_sieve(500)
-    spf = nt.spf_sieve(500)
+    phi = nt.liar_sieve(500).phi
+    spf = oracles.spf_sieve(500)
     for k in range(2, 501):
         f = nt.factorize(k)
         assert phi[k] == nt.euler_phi(f)
-        assert nt.factors_from_spf(k, spf) == f.factors
+        assert oracles.factors_from_spf(k, spf) == f.factors
+
+
+def test_liar_sieve_matches_censuses():
+    phi, fermat, strong = nt.liar_sieve(2000)
+    prime = nt.prime_sieve(2000)
+    assert phi[:2].tolist() == [0, 1] and fermat[:2].tolist() == strong[:2].tolist() == [0, 0]
+    for k in range(2, 2000):
+        if prime[k]:
+            assert phi[k] == fermat[k] == strong[k] == k - 1, k
+            continue
+        assert phi[k] == oracles.phi_census(k), k
+        assert fermat[k] == oracles.fermat_liar_census(k), k
+        # even k: the square-root chain is empty and the strong liars are the Fermat liars
+        liars = oracles.strong_liar_census(k) if k % 2 else oracles.fermat_liar_census(k)
+        assert strong[k] == liars, k
+    with pytest.raises(DomainError):
+        nt.liar_sieve(0)
 
 
 # ---------------------------------------------------------------- density scales
