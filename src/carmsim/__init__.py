@@ -8,13 +8,9 @@ from .carmichael import (
     Verdict,
     VerdictKind,
     allzero_probability,
-    certify,
     certify_reps,
     count_carmichaels_quantum,
-    count_fermat_failures,
-    flag_probability,
     perturbation_bounds,
-    phi_norm,
     psw_report,
 )
 from .counting import (

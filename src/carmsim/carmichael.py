@@ -11,12 +11,12 @@ kernel at the peak position f = P arcsin(sqrt(t/k)) / pi.
 Routes.  Certification and both counting pipelines run on the two-plane
 register (counting.count_distribution), fed the marked count from the
 factorization or the enumeration; no O(k) base mask is built, so k is
-bounded only by factorization (2^50) and the cap by the counters alone.
-The dense route over all k base values (fermat_failure_mask with
-qsim.controlled_grover_powers) remains as the test oracle and behind
-allzero_probability_flag_conditioned, which alone is limited by the mask's
-k < 2^31 guard.  A command's reps share one law: certify_reps factorizes
-and builds it once and draws rep i from np.random.default_rng([seed, i]).
+bounded only by factorization (2^50), and qsim.AMPLITUDE_CAP binds the
+counters alone.  The dense route over all k base values
+(qsim.controlled_grover_powers over a Fermat-failure mask, the mask built in
+tests/oracles.py) is a test oracle.  A command's reps share one law:
+certify_reps factorizes and builds it once and draws rep i from
+np.random.default_rng([seed, i]).
 
 Flag convention.  The coprimality flag is post-selected on the *prepared*
 uniform superposition, where its acceptance probability is exactly phi(k)/k
@@ -24,9 +24,9 @@ and independent of the counter spectrum; the counter statistics are then
 exactly the dimension-k counting law above.  Conditioning instead on a flag
 computed after the iterations couples the two through the non-coprime
 amplitudes: the acceptance mass becomes branch-dependent and the conditional
-all-zeros probability shifts at order 1/P^2.  That coupled variant is
-available as `allzero_probability_flag_conditioned` for comparison; the
-decision rule and its error budget use the independent convention.
+all-zeros probability shifts at order 1/P^2 (tests/oracles.py computes that
+coupled variant for comparison).  The decision rule and its error budget use
+the independent convention.
 
 The counting pipeline runs the same counter construction over the register
 k = 1..N with the Carmichael indicator as the mark (restricted to k < N so
@@ -47,7 +47,6 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 import numpy as np
 
@@ -106,25 +105,6 @@ class Verdict:
         return out
 
 
-def flag_probability(k: int) -> Fraction:
-    """Exact acceptance probability phi(k)/k of the coprimality flag."""
-    if k < 2:
-        raise DomainError(f"k must be >= 2, got {k}")
-    return Fraction(numtheory.euler_phi(numtheory.factorize(k)), k)
-
-
-def fermat_failure_mask(k: int) -> np.ndarray:
-    """Boolean mask over a in [0, k): coprime to k and a^(k-1) != 1 mod k."""
-    if k < 2:
-        raise DomainError(f"k must be >= 2, got {k}")
-    if k >= 1 << 31:
-        raise CapacityError(f"mask construction needs k*k within int64, got {k}")
-    a = np.arange(k, dtype=np.int64)
-    coprime = np.gcd(a, k) == 1
-    fermat_pass = numtheory._vec_mod_pow(a, k - 1, k) == 1
-    return coprime & ~fermat_pass
-
-
 def _require_composite(k: int) -> numtheory.Factorization:
     f = numtheory.factorize(k)
     if f.is_prime:
@@ -139,11 +119,7 @@ def _phi_and_t(f: numtheory.Factorization) -> tuple[int, int]:
 
 
 def ancilla_distribution(
-    k: int,
-    p: int,
-    r: int,
-    cap: int = qsim.AMPLITUDE_CAP,
-    factorization: numtheory.Factorization | None = None,
+    k: int, p: int, r: int, factorization: numtheory.Factorization | None = None
 ) -> np.ndarray:
     """Exact joint law of the R counter registers, shape (P,)*R.
 
@@ -158,56 +134,18 @@ def ancilla_distribution(
     if factorization is None:
         factorization = numtheory.factorize(k)
     _, t = _phi_and_t(factorization)
-    return counting.count_distribution(k, t, p, r, cap=cap)
+    return counting.count_distribution(k, t, p, r)
 
 
-def allzero_probability(k: int, p: int, r: int, cap: int = qsim.AMPLITUDE_CAP) -> float:
+def allzero_probability(k: int, p: int, r: int) -> float:
     """Exact probability of reading |0...0> on the counters (composite k).
 
     Equals alpha_k^(2R) with alpha_k = s(f_k), and exactly 1 iff k is
     Carmichael.
     """
     f = _require_composite(k)
-    dist = ancilla_distribution(k, p, r, cap=cap, factorization=f)
+    dist = ancilla_distribution(k, p, r, factorization=f)
     return float(dist[(0,) * r])
-
-
-@dataclass(frozen=True)
-class FlagConditionedAllZeros:
-    """Diagnostic: literal flag-after-iterations statistics."""
-
-    joint: float
-    conditional: float
-    flag_mass: float
-
-
-def allzero_probability_flag_conditioned(
-    k: int, p: int, r: int, cap: int = qsim.AMPLITUDE_CAP
-) -> FlagConditionedAllZeros:
-    """All-zeros statistics when the flag is measured after the iterations.
-
-    The flag register is written from the base register at the end of the
-    controlled powers and post-selected; the returned conditional disagrees
-    with alpha^(2R) at order 1/P^2 because the iteration mixes coprime and
-    non-coprime amplitudes before the flag is read.
-    """
-    _require_composite(k)
-    state = qsim.controlled_grover_powers((p,) * r, fermat_failure_mask(k), cap=cap)
-    coprime = (np.gcd(np.arange(k, dtype=np.int64), k) == 1).astype(np.int64)
-    grid = state.grid()
-    flagged = np.zeros(grid.shape + (2,), dtype=complex)
-    base_values = np.arange(k)
-    flagged[..., base_values, coprime] = grid
-    layout = qsim.RegisterLayout((p,) * r + (k, 2), cap=max(cap, 2 * grid.size))
-    flag_state = qsim.StateVector(layout, flagged.reshape(-1))
-    flag_state, flag_mass = qsim.postselect(flag_state, r + 1, 1)
-    for axis in range(r):
-        flag_state = qsim.qft(flag_state, axis)
-    table = qsim.exact_distribution(flag_state, list(range(r)))
-    conditional = float(table[(0,) * r])
-    return FlagConditionedAllZeros(
-        joint=conditional * flag_mass, conditional=conditional, flag_mass=float(flag_mass)
-    )
 
 
 def draw_flag_rounds(accept_probability: float, rng: np.random.Generator) -> int:
@@ -233,26 +171,6 @@ def gap_error_bound(k: int, phi: int, p: int, r: int) -> float:
     return min(1.0, envelope) ** (2 * r)
 
 
-def certify(
-    k: int,
-    p: int = 16,
-    r: int = 2,
-    mode: str = "exact",
-    seed=0,
-    cap: int = qsim.AMPLITUDE_CAP,
-) -> Verdict:
-    """Certify whether composite k is Carmichael; any nonzero counter disproves it.
-
-    Both modes draw the reported counter reading from the exact joint law
-    with np.random.default_rng(seed).  Exact mode resolves the flag
-    analytically (flag_retries = 0) and attaches the exact all-zeros
-    probability; sample mode simulates the geometric flag retries and
-    reports the gap-based worst-case error bound, which does not presume
-    knowledge of t(k).
-    """
-    return _certify_runs(k, p, r, mode, [seed], cap)[0]
-
-
 def certify_reps(
     k: int,
     p: int = 16,
@@ -260,25 +178,25 @@ def certify_reps(
     mode: str = "exact",
     seed: int = 0,
     reps: int = 100,
-    cap: int = qsim.AMPLITUDE_CAP,
 ) -> list[Verdict]:
-    """reps certifications of k sharing one factorization and one law.
+    """reps certifications of composite k; any nonzero counter disproves Carmichael.
 
-    Repetition i is certify(k, p, r, mode, seed=[seed, i]).
+    The reps share one factorization and one law, and rep i draws its
+    counter reading from the exact joint law with
+    np.random.default_rng([seed, i]).  Exact mode resolves the flag
+    analytically (flag_retries = 0) and attaches the exact all-zeros
+    probability; sample mode simulates the geometric flag retries and
+    reports the gap-based worst-case error bound, which does not presume
+    knowledge of t(k).
     """
     if reps < 1:
         raise DomainError(f"reps must be >= 1, got {reps}")
-    return _certify_runs(k, p, r, mode, [[seed, i] for i in range(reps)], cap)
-
-
-def _certify_runs(k: int, p: int, r: int, mode: str, seeds: list, cap: int) -> list[Verdict]:
-    """One verdict per seed, each drawn from np.random.default_rng(seed)."""
     if mode not in ("exact", "sample"):
         raise DomainError(f"mode must be 'exact' or 'sample', got {mode}")
     factorization = _require_composite(k)
     phi, t = _phi_and_t(factorization)
     accept = phi / k
-    dist = ancilla_distribution(k, p, r, cap=cap, factorization=factorization)
+    dist = ancilla_distribution(k, p, r, factorization=factorization)
     allzero = float(dist[(0,) * r])
     if mode == "exact":
         carmichael_bound = 0.0 if t == 0 else allzero
@@ -286,8 +204,8 @@ def _certify_runs(k: int, p: int, r: int, mode: str, seeds: list, cap: int) -> l
         carmichael_bound = gap_error_bound(k, phi, p, r)
 
     verdicts = []
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
+    for i in range(reps):
+        rng = np.random.default_rng([seed, i])
         rounds = draw_flag_rounds(accept, rng) if mode == "sample" else 0
         ancillas = tuple(int(v) for v in qsim.sample_outcomes(dist, rng, 1)[0])
         nonzero = any(ancillas)
@@ -305,38 +223,24 @@ def _certify_runs(k: int, p: int, r: int, mode: str, seeds: list, cap: int) -> l
     return verdicts
 
 
-def count_fermat_failures(
-    k: int, p: int, seed: int = 0, reps: int = 100, cap: int = qsim.AMPLITUDE_CAP
-) -> list[counting.CountEstimate]:
-    """Estimate t(k) by counting the marked Fermat-failure bases of composite k.
-
-    Estimates carry the peak-outcome error bound evaluated at the ground
-    truth t(k) = phi(k) - F(k).
-    """
-    _, t = _phi_and_t(_require_composite(k))
-    return counting.run_count(k, t, p, seed=seed, reps=reps, cap=cap)
-
-
 @dataclass(frozen=True)
 class PerturbationBounds:
     """Per-integer leakage factors and the aggregated correction budget.
 
     Arrays are indexed by k = 1..n (entry 0 unused).  beta is the kernel at
     the witness-count angle (1 exactly for primes and k = 1), alpha the
-    kernel at the Fermat-failure angle, coprime_amplitude = sqrt(phi/k),
-    carmichael_phase the Carmichael indicator.  correction_norm_sq is the
-    (4/N)-weighted composite sum bounded by 4 pi^2 / (3 P^2); phi_norm is
-    mean of phi(k)/k over k = 1..n, which converges to 6/pi^2 = 0.60793
-    (not pi^2/6: the harmonic constant sometimes quoted for this mean is
-    its reciprocal-series cousin and does not apply).
+    kernel at the Fermat-failure angle, carmichael_phase the Carmichael
+    indicator.  correction_norm_sq is the (4/N)-weighted composite sum
+    bounded by 4 pi^2 / (3 P^2); phi_norm is the mean of phi(k)/k over
+    k = 1..n, which converges to 6/pi^2 = 0.60793 (not pi^2/6: the harmonic
+    constant sometimes quoted for this mean is its reciprocal-series cousin
+    and does not apply).
     """
 
     n: int
     p: int
-    g: np.ndarray
     beta: np.ndarray
     alpha: np.ndarray
-    coprime_amplitude: np.ndarray
     carmichael_phase: np.ndarray
     correction_norm_sq: float
     correction_norm_bound: float
@@ -399,7 +303,6 @@ def perturbation_bounds(n: int, p: int) -> PerturbationBounds:
     f_peak[:2] = 0.0
     beta = counting.dirichlet_kernel(g, p)
     alpha = counting.dirichlet_kernel(f_peak, p)
-    coprime_amplitude = np.sqrt(phi / np.maximum(ks, 1.0))
 
     noncarm = composite & ~carmichael
     ratio = phi / np.maximum(ks, 1.0)
@@ -414,25 +317,14 @@ def perturbation_bounds(n: int, p: int) -> PerturbationBounds:
     return PerturbationBounds(
         n=n,
         p=p,
-        g=g,
         beta=beta,
         alpha=alpha,
-        coprime_amplitude=coprime_amplitude,
         carmichael_phase=carmichael,
         correction_norm_sq=correction,
         correction_norm_bound=bound,
         phi_norm=phi_norm_value,
         beta_violations=tuple(int(v) for v in violating),
     )
-
-
-def phi_norm(n: int) -> float:
-    """Mean of phi(k)/k over k = 1..n; approaches 6/pi^2 = 0.60793."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    phi = numtheory.liar_sieve(n).phi
-    ks = np.arange(1, n + 1, dtype=np.float64)
-    return float((phi[1:] / ks).mean())
 
 
 @dataclass(frozen=True)
@@ -453,9 +345,7 @@ class CarmichaelCountResult:
         return hits / len(self.estimates)
 
 
-def count_carmichaels_quantum(
-    n: int, q: int = 128, seed: int = 0, reps: int = 100, cap: int = qsim.AMPLITUDE_CAP
-) -> CarmichaelCountResult:
+def count_carmichaels_quantum(n: int, q: int = 128, seed: int = 0, reps: int = 100) -> CarmichaelCountResult:
     """Count Carmichael numbers below n on the k = 1..n register.
 
     The mark is the ideal Carmichael indicator restricted to k < n, so the
@@ -465,7 +355,7 @@ def count_carmichaels_quantum(
     """
     carmichaels = numtheory.enumerate_carmichaels(n)
     t_n = len(carmichaels)
-    estimates = counting.run_count(n, t_n, q, seed=seed, reps=reps, cap=cap)
+    estimates = counting.run_count(n, t_n, q, seed=seed, reps=reps)
     return CarmichaelCountResult(
         n=n,
         q=q,
@@ -523,11 +413,13 @@ class PswReport:
         return out
 
 
-def choose_q(n: float, epsilon: float, delta: float, margin: float = 0.1) -> int:
-    """Counter size policy: ceil(l(N)^beta) with beta = 1 + eps/2 + delta + margin."""
-    if margin < 0:
-        raise DomainError(f"margin must be >= 0, got {margin}")
-    beta = 1.0 + epsilon / 2.0 + delta + margin
+#: slack added to the exponent of the counter size policy
+POLICY_MARGIN = 0.1
+
+
+def choose_q(n: float, epsilon: float, delta: float) -> int:
+    """Counter size policy: ceil(l(N)^beta) with beta = 1 + eps/2 + delta + POLICY_MARGIN."""
+    beta = 1.0 + epsilon / 2.0 + delta + POLICY_MARGIN
     scale = numtheory.psw_scale(n)
     if beta * math.log(scale) >= math.log(sys.float_info.max):
         raise CapacityError(f"policy Q = l(N)^{beta} exceeds the float range")
@@ -541,8 +433,6 @@ def psw_report(
     q: int | None = None,
     seed: int = 0,
     reps: int = 100,
-    margin: float = 0.1,
-    cap: int = qsim.AMPLITUDE_CAP,
 ) -> PswReport:
     """Run the counting pipeline at the policy Q and tabulate the comparison.
 
@@ -552,8 +442,8 @@ def psw_report(
     for name, value in (("epsilon", epsilon), ("delta", delta)):
         if not (math.isfinite(value) and value > 0):
             raise DomainError(f"{name} must be finite and > 0, got {value}")
-    q_used = q if q is not None else choose_q(n, epsilon, delta, margin=margin)
-    result = count_carmichaels_quantum(n, q_used, seed=seed, reps=reps, cap=cap)
+    q_used = q if q is not None else choose_q(n, epsilon, delta)
+    result = count_carmichaels_quantum(n, q_used, seed=seed, reps=reps)
     t_est = float(np.median([e.t_tilde for e in result.estimates]))
     scale = numtheory.psw_scale(n)
     dt_exp = result.error_bound

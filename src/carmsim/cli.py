@@ -147,8 +147,11 @@ def _estimates(estimates: list[counting.CountEstimate], summary: dict, head: lis
 
 
 def _cmd_count_bases(cfg: argparse.Namespace) -> Record:
-    estimates = carmichael.count_fermat_failures(cfg.target, cfg.p, seed=cfg.seed, reps=cfg.reps)
-    t_true = numtheory.number_facts(cfg.target).t_k
+    facts = numtheory.number_facts(cfg.target)
+    if facts.classification is numtheory.Classification.PRIME:
+        raise DomainError(f"{cfg.target} is prime; certification presumes a composite input")
+    t_true = facts.t_k
+    estimates = counting.run_count(cfg.target, t_true, cfg.p, seed=cfg.seed, reps=cfg.reps)
     median = float(np.median([e.t_tilde for e in estimates]))
     return _estimates(estimates, {"t_true": t_true, "t_tilde_median": median}, [
         f"count-bases k={cfg.target} P={cfg.p} seed={cfg.seed} reps={cfg.reps}",

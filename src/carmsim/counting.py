@@ -126,34 +126,31 @@ class CountEstimate:
         }
 
 
-def estimate_from_outcome(l: int, dimension: int, p: int, t_ref: float | None = None) -> CountEstimate:
+def estimate_from_outcome(l: int, dimension: int, p: int, t_ref: float) -> CountEstimate:
     """Fold the mirror peak and decode: f~ = min(l, P-l), t~ = D sin^2(pi f~/P).
 
-    The error bound is evaluated at the true count when the caller knows it
-    (t_ref), else at the decoded t~.  in_ansatz records whether the true
-    peak sits in the window 1 < f < P/2 - 1 where the four-peak success
-    floor applies; out-of-window results are flagged, not rejected.
+    The error bound is evaluated at the true count t_ref.  in_ansatz records
+    whether the true peak sits in the window 1 < f < P/2 - 1 where the
+    four-peak success floor applies; out-of-window results are flagged, not
+    rejected.
     """
     if not 0 <= l < p:
         raise DomainError(f"outcome {l} outside [0, {p})")
     f_tilde = float(min(l, p - l))
     theta_tilde = math.pi * f_tilde / p
     t_tilde = dimension * math.sin(theta_tilde) ** 2
-    reference = t_tilde if t_ref is None else t_ref
-    f_ref = p * math.asin(math.sqrt(reference / dimension)) / math.pi
+    f_ref = p * math.asin(math.sqrt(t_ref / dimension)) / math.pi
     return CountEstimate(
         measured_l=int(l),
         f_tilde=f_tilde,
         theta_tilde=theta_tilde,
         t_tilde=t_tilde,
-        error_bound=estimate_error_bound(dimension, p, reference),
+        error_bound=estimate_error_bound(dimension, p, t_ref),
         in_ansatz=bool(1.0 < f_ref < p / 2.0 - 1.0),
     )
 
 
-def count_distribution(
-    dimension: int, marked: int, p: int, registers: int = 1, cap: int = qsim.AMPLITUDE_CAP
-) -> np.ndarray:
+def count_distribution(dimension: int, marked: int, p: int, registers: int = 1) -> np.ndarray:
     """Outcome law over `registers` counters of size P, shape (P,)*R.
 
     Production route: controlled powers on the two-plane (P,)*R + (2,)
@@ -161,33 +158,24 @@ def count_distribution(
     """
     if registers < 1:
         raise DomainError(f"need >= 1 counter registers, got {registers}")
-    state = qsim.two_plane_grover_powers((p,) * registers, dimension, marked, cap=cap)
+    state = qsim.two_plane_grover_powers((p,) * registers, dimension, marked)
     for axis in range(registers):
         state = qsim.qft(state, axis)
     return qsim.exact_distribution(state, list(range(registers)))
 
 
-def count_distribution_dense(
-    marked_mask: np.ndarray, p: int, cap: int = qsim.AMPLITUDE_CAP
-) -> np.ndarray:
+def count_distribution_dense(marked_mask: np.ndarray, p: int) -> np.ndarray:
     """Outcome law via full statevector simulation over D = marked_mask.size.
 
     Builds the controlled-power state on a (P, D) layout, Fourier-transforms
     the counter, and reads the exact marginal.  Needs P*D amplitudes; test
     oracle for count_distribution.
     """
-    state = qsim.controlled_grover_powers((p,), marked_mask, cap=cap)
+    state = qsim.controlled_grover_powers((p,), marked_mask)
     return qsim.exact_distribution(qsim.qft(state, 0), [0])
 
 
-def run_count(
-    dimension: int,
-    marked: int,
-    p: int,
-    seed: int,
-    reps: int,
-    cap: int = qsim.AMPLITUDE_CAP,
-) -> list[CountEstimate]:
+def run_count(dimension: int, marked: int, p: int, seed: int, reps: int) -> list[CountEstimate]:
     """reps seeded measurements of the counter with decoded estimates.
 
     Sampling uses the exact law of count_distribution over the t = marked
@@ -198,7 +186,7 @@ def run_count(
         raise DomainError(f"counter size must be >= 4, got {p}")
     if reps < 1:
         raise DomainError(f"reps must be >= 1, got {reps}")
-    table = count_distribution(dimension, marked, p, cap=cap)
+    table = count_distribution(dimension, marked, p)
     estimates = []
     for i in range(reps):
         rng = np.random.default_rng([seed, i])

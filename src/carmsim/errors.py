@@ -10,7 +10,7 @@ class DomainError(ValueError):
 
 
 class CapacityError(RuntimeError):
-    """Request exceeds a configured size bound (memory cap, sieve bound...)."""
+    """Request exceeds a size bound (AMPLITUDE_CAP, FACTOR_BOUND, a sieve bound...)."""
 
 
 class ZeroProbabilityError(DomainError):

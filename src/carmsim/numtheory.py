@@ -129,12 +129,12 @@ def _pollard_rho(n: int) -> int:
     raise DomainError(f"rho failed to split {n}")  # unreachable below 2**50
 
 
-def factorize(k: int, bound: int = FACTOR_BOUND) -> Factorization:
+def factorize(k: int) -> Factorization:
     """Deterministic factorization: trial division, then rho on cofactors."""
     if k < 2:
         raise DomainError(f"factorize requires k >= 2, got {k}")
-    if k > bound:
-        raise CapacityError(f"factorize bound is {bound}, got {k}")
+    if k > FACTOR_BOUND:
+        raise CapacityError(f"factorize bound is {FACTOR_BOUND}, got {k}")
     n = k
     factors: dict[int, int] = {}
 
@@ -229,18 +229,6 @@ def strong_liar_count(f: Factorization) -> int:
         base *= math.gcd(d, dp)
     omega = len(f.factors)
     return base * (1 + (2 ** (nu * omega) - 1) // (2**omega - 1))
-
-
-def _vec_mod_pow(bases: np.ndarray, e: int, m: int) -> np.ndarray:
-    """Vectorized modular exponentiation; requires m*m within int64."""
-    result = np.ones_like(bases)
-    b = bases % m
-    while e:
-        if e & 1:
-            result = result * b % m
-        b = b * b % m
-        e >>= 1
-    return result
 
 
 class Classification(Enum):
@@ -388,7 +376,7 @@ def liar_sieve(n: int) -> LiarCounts:
 _BLOCK = 1 << 22
 
 
-def enumerate_carmichaels(n: int, bound: int = ENUMERATION_BOUND) -> list[int]:
+def enumerate_carmichaels(n: int) -> list[int]:
     """All Carmichael numbers strictly below n, ascending.
 
     Korselt congruence sieve.  A prime p divides a Carmichael k exactly on
@@ -404,8 +392,8 @@ def enumerate_carmichaels(n: int, bound: int = ENUMERATION_BOUND) -> list[int]:
     """
     if n < 2:
         raise DomainError(f"enumeration requires n >= 2, got {n}")
-    if n > bound:
-        raise CapacityError(f"enumeration bound is {bound}, got {n}")
+    if n > ENUMERATION_BOUND:
+        raise CapacityError(f"enumeration bound is {ENUMERATION_BOUND}, got {n}")
     primes = np.flatnonzero(prime_sieve(math.isqrt(n - 1)))[1:]
     squares = primes * primes
     moduli = primes * (primes - 1)

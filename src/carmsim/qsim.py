@@ -8,8 +8,7 @@ uniform state in the register's own dimension, and the Fourier transform
 is the dense size-P unitary F|a> = sum_b exp(+2 pi i a b / P) |b> / sqrt(P).
 
 All operations are pure (a new state is returned) and re-verify the norm
-to 1e-10 afterwards; nothing renormalizes silently except postselect,
-whose contract is conditioning.
+to 1e-10 afterwards; nothing renormalizes silently.
 
 Counter-controlled search powers come in two routes.  The production route,
 `two_plane_grover_powers`, keeps the base register in the plane spanned by
@@ -19,7 +18,8 @@ only the marked count t enters, so the base dimension D may be as large as
 an integer allows.  `controlled_grover_powers` builds all D base amplitudes
 from a boolean mask over the base values; it is the dense test oracle for
 the reduced route.  The single gates that both routes are checked against
-(uniform preparation, phase flip, diffusion) live in tests/oracles.py.
+(uniform preparation, phase flip, diffusion) and post-selection live in
+tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, NormalizationError, ZeroProbabilityError
+from .errors import CapacityError, DomainError, NormalizationError
 
-#: default cap on the number of amplitudes a layout may hold
+#: cap on the number of amplitudes a layout may hold
 AMPLITUDE_CAP = 1 << 26
 
 NORM_TOL = 1e-10
@@ -43,10 +43,9 @@ SAMPLE_CLIP = 1e-13
 
 @dataclass(frozen=True)
 class RegisterLayout:
-    """Register sizes, leftmost most significant; product capped."""
+    """Register sizes, leftmost most significant; product at most AMPLITUDE_CAP."""
 
     dims: tuple[int, ...]
-    cap: int = AMPLITUDE_CAP
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
@@ -54,8 +53,8 @@ class RegisterLayout:
             raise DomainError("layout needs at least one register")
         if any(d < 1 for d in self.dims):
             raise DomainError(f"register sizes must be >= 1, got {self.dims}")
-        if self.dimension > self.cap:
-            raise CapacityError(f"{self.dimension} amplitudes exceed cap {self.cap}")
+        if self.dimension > AMPLITUDE_CAP:
+            raise CapacityError(f"{self.dimension} amplitudes exceed cap {AMPLITUDE_CAP}")
 
     @property
     def dimension(self) -> int:
@@ -77,9 +76,6 @@ class StateVector:
         """Amplitudes reshaped to one axis per register (a view)."""
         return self.amplitudes.reshape(self.layout.dims)
 
-    def norm_sq(self) -> float:
-        return float(np.vdot(self.amplitudes, self.amplitudes).real)
-
 
 def _finish(layout: RegisterLayout, amplitudes: np.ndarray) -> StateVector:
     flat = np.ascontiguousarray(amplitudes.reshape(-1))
@@ -89,16 +85,11 @@ def _finish(layout: RegisterLayout, amplitudes: np.ndarray) -> StateVector:
     return StateVector(layout, flat)
 
 
-def qft(state: StateVector, register: int, inverse: bool = False) -> StateVector:
+def qft(state: StateVector, register: int) -> StateVector:
     """Size-P Fourier transform on one register (+2 pi i convention)."""
     state.layout.check_register(register)
     p = state.layout.dims[register]
-    grid = state.grid()
-    if inverse:
-        out = np.fft.fft(grid, axis=register) / math.sqrt(p)
-    else:
-        out = np.fft.ifft(grid, axis=register) * math.sqrt(p)
-    return _finish(state.layout, out)
+    return _finish(state.layout, np.fft.ifft(state.grid(), axis=register) * math.sqrt(p))
 
 
 def _grover_power_table(start: np.ndarray, mask: np.ndarray, max_power: int) -> np.ndarray:
@@ -117,9 +108,7 @@ def _grover_power_table(start: np.ndarray, mask: np.ndarray, max_power: int) -> 
     return table
 
 
-def _controlled_powers(
-    ancilla_dims: Sequence[int], start: np.ndarray, mask: np.ndarray, cap: int
-) -> StateVector:
+def _controlled_powers(ancilla_dims: Sequence[int], start: np.ndarray, mask: np.ndarray) -> StateVector:
     """sum_m |m_1..m_R> G^(m_1+..+m_R)|start> / P^(R/2) on ancilla_dims + (len(start),).
 
     G^s|start> is computed once per total power s (the distinct sums are
@@ -129,7 +118,7 @@ def _controlled_powers(
     ancilla_dims = tuple(int(d) for d in ancilla_dims)
     if not ancilla_dims or any(d < 2 for d in ancilla_dims):
         raise DomainError(f"ancilla register sizes must be >= 2, got {ancilla_dims}")
-    layout = RegisterLayout(ancilla_dims + (start.size,), cap=cap)
+    layout = RegisterLayout(ancilla_dims + (start.size,))
     max_power = sum(d - 1 for d in ancilla_dims)
     table = _grover_power_table(start, mask, max_power).astype(complex)
     power_grid = np.indices(ancilla_dims).sum(axis=0)
@@ -137,9 +126,7 @@ def _controlled_powers(
     return _finish(layout, out)
 
 
-def controlled_grover_powers(
-    ancilla_dims: Sequence[int], marked_mask: np.ndarray, cap: int = AMPLITUDE_CAP
-) -> StateVector:
+def controlled_grover_powers(ancilla_dims: Sequence[int], marked_mask: np.ndarray) -> StateVector:
     """Superposed iteration counts: sum_m |m_1..m_R> G^(m_1+..+m_R)|u> / P^(R/2).
 
     Dense route: every one of the D = marked_mask.size base amplitudes is
@@ -150,12 +137,10 @@ def controlled_grover_powers(
     if mask.ndim != 1 or mask.size < 1:
         raise DomainError(f"marked mask must be 1-d and non-empty, got shape {mask.shape}")
     uniform = np.full(mask.size, 1.0 / math.sqrt(mask.size))
-    return _controlled_powers(ancilla_dims, uniform, mask, cap)
+    return _controlled_powers(ancilla_dims, uniform, mask)
 
 
-def two_plane_grover_powers(
-    ancilla_dims: Sequence[int], dimension: int, marked: int, cap: int = AMPLITUDE_CAP
-) -> StateVector:
+def two_plane_grover_powers(ancilla_dims: Sequence[int], dimension: int, marked: int) -> StateVector:
     """controlled_grover_powers on the invariant plane of the base register.
 
     The base axis has two entries: the coefficients c_M, c_U of the
@@ -163,33 +148,15 @@ def two_plane_grover_powers(
     c_M / sqrt(t) and an unmarked one c_U / sqrt(D - t).  The gates are the
     same, applied one at a time: the phase flip is diag(-1, 1) and the
     diffusion is the reflection about u = (sqrt(t/D), sqrt((D-t)/D)), the
-    uniform state.  Only the layout ancilla_dims + (2,) counts against the
-    cap.
+    uniform state.  Only the layout ancilla_dims + (2,) counts against
+    AMPLITUDE_CAP.
     """
     if dimension < 1:
         raise DomainError(f"base dimension must be >= 1, got {dimension}")
     if not 0 <= marked <= dimension:
         raise DomainError(f"marked count {marked} outside [0, {dimension}]")
     uniform = np.array([math.sqrt(marked / dimension), math.sqrt((dimension - marked) / dimension)])
-    return _controlled_powers(ancilla_dims, uniform, np.array([True, False]), cap)
-
-
-def postselect(state: StateVector, register: int, value: int) -> tuple[StateVector, float]:
-    """Condition on one register reading `value`; returns (state, probability).
-
-    The register is kept in the layout (its other values are zeroed)."""
-    state.layout.check_register(register)
-    size = state.layout.dims[register]
-    if not 0 <= value < size:
-        raise DomainError(f"value {value} outside register of size {size}")
-    grid = state.grid()
-    moved = np.moveaxis(grid, register, 0)
-    prob = float(np.sum(np.abs(moved[value]) ** 2))
-    if prob < 1e-15:
-        raise ZeroProbabilityError(f"register {register} value {value} has zero mass")
-    out = np.zeros_like(grid)
-    np.moveaxis(out, register, 0)[value] = moved[value] / math.sqrt(prob)
-    return _finish(state.layout, out), prob
+    return _controlled_powers(ancilla_dims, uniform, np.array([True, False]))
 
 
 def exact_distribution(state: StateVector, registers: Sequence[int]) -> np.ndarray:

@@ -3,11 +3,14 @@
 The number-theory oracles recompute quantities from their definitions
 (per-base censuses, definitional Carmichael test), deliberately avoiding the
 closed formulas and sieves used by the library; a smallest-prime-factor
-table gives the tests a factorization of every k below a limit.  The simulation references
-are the single search gates on a full statevector (uniform preparation,
-phase flip, diffusion, one Grover iteration), the analytic per-state
-amplitudes on the rotation plane, and the amplitude version of the
-closed-form counting law.
+table gives the tests a factorization of every k below a limit, and a
+Fermat-failure mask over the bases of k feeds the dense certification
+route.  The simulation references are the single search gates on a full
+statevector (uniform preparation, phase flip, diffusion, one Grover
+iteration), post-selection on one register, the analytic per-state
+amplitudes on the rotation plane, the amplitude version of the closed-form
+counting law, and the certification variant that reads the coprimality
+flag after the iterations.
 """
 
 from __future__ import annotations
@@ -17,8 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from carmsim import qsim
+from carmsim.carmichael import _require_composite
 from carmsim.counting import dirichlet_kernel, peak_position
-from carmsim.errors import DomainError, NormalizationError
+from carmsim.errors import CapacityError, DomainError, NormalizationError, ZeroProbabilityError
 from carmsim.qsim import RegisterLayout, StateVector, _finish
 
 
@@ -85,6 +90,18 @@ def factors_from_spf(k: int, spf: np.ndarray) -> tuple[tuple[int, int], ...]:
             e += 1
         out.append((p, e))
     return tuple(out)
+
+
+def fermat_failure_mask(k: int) -> np.ndarray:
+    """Boolean mask over a in [0, k): coprime to k and a^(k-1) != 1 mod k."""
+    if k < 2:
+        raise DomainError(f"k must be >= 2, got {k}")
+    if k >= 1 << 31:
+        raise CapacityError(f"mask construction needs k*k within int64, got {k}")
+    a = np.arange(k, dtype=np.int64)
+    coprime = np.gcd(a, k) == 1
+    fermat_pass = vec_pow_mod(a, k - 1, k) == 1
+    return coprime & ~fermat_pass
 
 
 def is_prime_naive(k: int) -> bool:
@@ -160,6 +177,24 @@ def grover_iterate(state: StateVector, register: int, marked_mask: np.ndarray) -
     return diffusion(phase_flip(state, register, marked_mask), register)
 
 
+def postselect(state: StateVector, register: int, value: int) -> tuple[StateVector, float]:
+    """Condition on one register reading `value`; returns (state, probability).
+
+    The register is kept in the layout (its other values are zeroed)."""
+    state.layout.check_register(register)
+    size = state.layout.dims[register]
+    if not 0 <= value < size:
+        raise DomainError(f"value {value} outside register of size {size}")
+    grid = state.grid()
+    moved = np.moveaxis(grid, register, 0)
+    prob = float(np.sum(np.abs(moved[value]) ** 2))
+    if prob < 1e-15:
+        raise ZeroProbabilityError(f"register {register} value {value} has zero mass")
+    out = np.zeros_like(grid)
+    np.moveaxis(out, register, 0)[value] = moved[value] / math.sqrt(prob)
+    return _finish(state.layout, out), prob
+
+
 @dataclass(frozen=True)
 class GroverAngles:
     """Analytic bundle for the marked/unmarked rotation plane."""
@@ -220,3 +255,39 @@ def closed_form_state(marked_mask: np.ndarray, p: int) -> np.ndarray:
     marked_col = c_marked / math.sqrt(t) if t > 0 else np.zeros(p, dtype=complex)
     unmarked_col = c_unmarked / math.sqrt(d - t) if t < d else np.zeros(p, dtype=complex)
     return np.where(mask[None, :], marked_col[:, None], unmarked_col[:, None])
+
+
+@dataclass(frozen=True)
+class FlagConditionedAllZeros:
+    """Diagnostic: literal flag-after-iterations statistics."""
+
+    joint: float
+    conditional: float
+    flag_mass: float
+
+
+def allzero_probability_flag_conditioned(k: int, p: int, r: int) -> FlagConditionedAllZeros:
+    """All-zeros statistics when the flag is measured after the iterations.
+
+    The flag register is written from the base register at the end of the
+    controlled powers and post-selected; the returned conditional disagrees
+    with alpha^(2R) at order 1/P^2 because the iteration mixes coprime and
+    non-coprime amplitudes before the flag is read.
+    """
+    _require_composite(k)
+    state = qsim.controlled_grover_powers((p,) * r, fermat_failure_mask(k))
+    coprime = (np.gcd(np.arange(k, dtype=np.int64), k) == 1).astype(np.int64)
+    grid = state.grid()
+    flagged = np.zeros(grid.shape + (2,), dtype=complex)
+    base_values = np.arange(k)
+    flagged[..., base_values, coprime] = grid
+    layout = RegisterLayout((p,) * r + (k, 2))
+    flag_state = StateVector(layout, flagged.reshape(-1))
+    flag_state, flag_mass = postselect(flag_state, r + 1, 1)
+    for axis in range(r):
+        flag_state = qsim.qft(flag_state, axis)
+    table = qsim.exact_distribution(flag_state, list(range(r)))
+    conditional = float(table[(0,) * r])
+    return FlagConditionedAllZeros(
+        joint=conditional * flag_mass, conditional=conditional, flag_mass=float(flag_mass)
+    )

@@ -77,7 +77,7 @@ def test_criterion_2_carmichael_exactness():
 
 def _dense_allzero(k: int, p: int, r: int) -> float:
     """All-zeros mass from the dense oracle: every base value of k simulated."""
-    state = qsim.controlled_grover_powers((p,) * r, cm.fermat_failure_mask(k))
+    state = qsim.controlled_grover_powers((p,) * r, oracles.fermat_failure_mask(k))
     for axis in range(r):
         state = qsim.qft(state, axis)
     return float(qsim.exact_distribution(state, list(range(r)))[(0,) * r])
@@ -129,13 +129,13 @@ def test_criterion_4_flag_postselection():
     phi = numtheory.liar_sieve(2000).phi
     worst = 0.0
     for k in range(2, 2000):
-        _, prob = qsim.postselect(_flagged_uniform(k), 1, 1)
+        _, prob = oracles.postselect(_flagged_uniform(k), 1, 1)
         worst = max(worst, abs(prob - phi[k] / k))
     retry_ok = True
     details = [f"max |p - phi/k| = {worst:.2e}"]
     trials = 10**4
     for k in (561, 15, 105):
-        p = float(cm.flag_probability(k))
+        p = float(phi[k] / k)
         rounds = []
         for i in range(trials):
             rng = np.random.default_rng([20260808, k, i])
@@ -244,7 +244,7 @@ def test_criterion_7_perturbation_budget():
 # ------------------------------------------------------------------ 8
 
 def test_criterion_8_phi_norm_report():
-    value = cm.phi_norm(10**5)
+    value = cm.perturbation_bounds(10**5, 64).phi_norm
     ok = abs(value - 0.6079) <= 0.001
     report(
         8,

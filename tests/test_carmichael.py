@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,16 +19,15 @@ def leakage_alpha(k: int, p: int) -> float:
 # ---------------------------------------------------------------- flag stage
 
 def test_flag_probability_examples():
-    assert cm.flag_probability(561) == Fraction(320, 561)
-    assert cm.flag_probability(13) == Fraction(12, 13)
-    assert cm.flag_probability(15) == Fraction(8, 15)
+    for k, phi in ((561, 320), (15, 8), (1105, 768)):
+        assert cm.certify_reps(k, 8, 1, reps=1)[0].flag_probability == phi / k
 
 
 def test_flag_probability_matches_simulator():
     for k in (15, 105, 561, 1105):
         state = oracles.uniform_state(qsim.RegisterLayout((k,)))
-        _, prob = qsim.postselect(_flagged(state, k), 1, 1)
-        assert prob == pytest.approx(float(cm.flag_probability(k)), abs=1e-10)
+        _, prob = oracles.postselect(_flagged(state, k), 1, 1)
+        assert prob == pytest.approx(cm.certify_reps(k, 8, 1, reps=1)[0].flag_probability, abs=1e-10)
 
 
 def _flagged(state: qsim.StateVector, k: int) -> qsim.StateVector:
@@ -41,7 +39,7 @@ def _flagged(state: qsim.StateVector, k: int) -> qsim.StateVector:
 
 def test_draw_flag_rounds_mean():
     rng = np.random.default_rng(7)
-    p = float(cm.flag_probability(561))
+    p = 320 / 561
     rounds = [cm.draw_flag_rounds(p, rng) for _ in range(4000)]
     expected = 561 / 320
     sigma = math.sqrt((1 - p) / p**2 / len(rounds))
@@ -80,7 +78,7 @@ def test_gap_bound_applies_above_half():
 
 
 def test_flag_conditioned_diagnostic_differs():
-    diag = cm.allzero_probability_flag_conditioned(15, 8, 1)
+    diag = oracles.allzero_probability_flag_conditioned(15, 8, 1)
     marginal = cm.allzero_probability(15, 8, 1)
     assert 0.0 <= diag.joint <= diag.conditional <= 1.0
     # the literal post-iteration flag couples to the counters: the mass is
@@ -92,7 +90,7 @@ def test_flag_conditioned_diagnostic_differs():
 # ---------------------------------------------------------------- certify
 
 def test_certify_carmichael_exact():
-    verdict = cm.certify(561, 16, 2, mode="exact", seed=3)
+    verdict = cm.certify_reps(561, 16, 2, mode="exact", seed=3, reps=1)[0]
     assert verdict.kind is cm.VerdictKind.PROBABLY_CARMICHAEL
     assert verdict.error_bound == 0.0
     assert verdict.observed_ancillas == (0, 0)
@@ -102,9 +100,8 @@ def test_certify_carmichael_exact():
 
 
 def test_certify_non_carmichael():
-    # all-zeros carries ~4.5e-5 mass at P=16, R=2; these seeds all refute
-    for seed in range(8):
-        verdict = cm.certify(15, 16, 2, mode="exact", seed=seed)
+    # all-zeros carries ~4.5e-5 mass at P=16, R=2; these reps all refute
+    for verdict in cm.certify_reps(15, 16, 2, mode="exact", seed=0, reps=8):
         assert verdict.kind is cm.VerdictKind.NOT_CARMICHAEL
         assert verdict.error_bound == 0.0
         assert verdict.exact_allzero == pytest.approx(
@@ -113,11 +110,11 @@ def test_certify_non_carmichael():
 
 
 def test_certify_sample_mode():
-    verdict = cm.certify(15, 16, 2, mode="sample", seed=5)
+    verdict = cm.certify_reps(15, 16, 2, mode="sample", seed=5, reps=1)[0]
     assert verdict.flag_retries >= 1
     assert verdict.grover_applications == 2 * 15 * verdict.flag_retries
     assert verdict.exact_allzero is None
-    probably = cm.certify(561, 8, 1, mode="sample", seed=5)
+    probably = cm.certify_reps(561, 8, 1, mode="sample", seed=5, reps=1)[0]
     assert probably.kind is cm.VerdictKind.PROBABLY_CARMICHAEL
     expected = cm.gap_error_bound(561, 320, 8, 1)
     assert probably.error_bound == pytest.approx(expected)
@@ -125,21 +122,28 @@ def test_certify_sample_mode():
 
 
 def test_certify_determinism_and_validation():
-    a = cm.certify(15, 16, 2, mode="sample", seed=9)
-    b = cm.certify(15, 16, 2, mode="sample", seed=9)
+    a = cm.certify_reps(15, 16, 2, mode="sample", seed=9, reps=4)
+    b = cm.certify_reps(15, 16, 2, mode="sample", seed=9, reps=4)
     assert a == b
     with pytest.raises(DomainError):
-        cm.certify(13, 16, 2)
+        cm.certify_reps(13, 16, 2)
     with pytest.raises(DomainError):
-        cm.certify(15, 16, 2, mode="other")
+        cm.certify_reps(15, 16, 2, mode="other")
 
 
 def test_certify_reps_share_one_law_and_keep_streams():
+    # rep i draws from default_rng([seed, i]) alone: a longer run extends a
+    # shorter one, and each reading is one draw from the shared law
     for k in (15, 91, 561):
+        law = cm.ancilla_distribution(k, 8, 2)
         for mode in ("exact", "sample"):
             batch = cm.certify_reps(k, 8, 2, mode=mode, seed=4, reps=6)
-            single = [cm.certify(k, 8, 2, mode=mode, seed=[4, i]) for i in range(6)]
-            assert batch == single
+            assert batch[:3] == cm.certify_reps(k, 8, 2, mode=mode, seed=4, reps=3)
+            for i, verdict in enumerate(batch):
+                rng = np.random.default_rng([4, i])
+                if mode == "sample":
+                    assert verdict.flag_retries == cm.draw_flag_rounds(verdict.flag_probability, rng)
+                assert verdict.observed_ancillas == tuple(qsim.sample_outcomes(law, rng, 1)[0])
     for reps in (0, -3):
         with pytest.raises(DomainError, match="reps must be >= 1"):
             cm.certify_reps(561, 16, 2, reps=reps)
@@ -167,26 +171,6 @@ def test_gap_error_bound_envelope():
             assert counting.dirichlet_kernel(f, 16) ** 2 <= bound + 1e-12
 
 
-# ---------------------------------------------------------------- base counting
-
-def test_count_fermat_failures_carmichael():
-    estimates = cm.count_fermat_failures(561, 16, seed=0, reps=10)
-    assert all(e.t_tilde == 0.0 for e in estimates)
-
-
-def test_count_fermat_failures_within_bound():
-    estimates = cm.count_fermat_failures(15, 16, seed=4, reps=120)
-    bound = counting.estimate_error_bound(15, 16, 4)
-    hits = sum(1 for e in estimates if abs(e.t_tilde - 4) <= bound)
-    assert hits / len(estimates) >= 8 / math.pi**2
-    estimates = cm.count_fermat_failures(25, 16, seed=4, reps=120)
-    bound = counting.estimate_error_bound(25, 16, 16)
-    hits = sum(1 for e in estimates if abs(e.t_tilde - 16) <= bound)
-    assert hits / len(estimates) >= 8 / math.pi**2
-    with pytest.raises(DomainError):
-        cm.count_fermat_failures(13, 16)
-
-
 # ---------------------------------------------------------------- perturbation budget
 
 def test_perturbation_bounds_small():
@@ -201,9 +185,6 @@ def test_perturbation_bounds_small():
     carms = set(numtheory.enumerate_carmichaels(500))
     for k in range(2, 500):
         assert bounds.carmichael_phase[k] == (k in carms)
-        assert bounds.coprime_amplitude[k] == pytest.approx(
-            math.sqrt(numtheory.euler_phi(numtheory.factorize(k)) / k)
-        )
 
 
 def test_perturbation_bounds_known_small_k_exceptions():
@@ -223,8 +204,7 @@ def test_perturbation_bounds_hold_at_p16_full_range():
 
 
 def test_phi_norm():
-    assert cm.phi_norm(1) == 1.0
-    value = cm.phi_norm(10**4)
+    value = cm.perturbation_bounds(10**4, 16).phi_norm
     assert 0.0 < value <= 1.0
     assert value == pytest.approx(6 / math.pi**2, abs=2e-3)
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from carmsim import cli
+from carmsim import cli, counting
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -133,6 +134,27 @@ def test_count_bases(capsys):
     assert set(payload["estimates"][0]) == {"l", "f_tilde", "theta_tilde", "t_tilde", "bound", "in_ansatz"}
 
 
+def test_count_bases_carmichael_reads_zero(capsys):
+    code, out, _ = run_cli(["count-bases", "561", "--reps", "10", "--seed", "0", "--output", "json"], capsys)
+    assert code == 0
+    assert all(e["t_tilde"] == 0.0 for e in json.loads(out)["estimates"])
+
+
+def test_count_bases_within_bound(capsys):
+    for k, t in ((15, 4), (25, 16)):
+        args = ["count-bases", str(k), "--P", "16", "--reps", "120", "--seed", "4", "--output", "json"]
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        estimates = json.loads(out)["estimates"]
+        bound = counting.estimate_error_bound(k, 16, t)
+        assert all(e["bound"] == bound for e in estimates)
+        hits = sum(1 for e in estimates if abs(e["t_tilde"] - t) <= bound)
+        assert hits / len(estimates) >= 8 / math.pi**2
+    code, out, err = run_cli(["count-bases", "13", "--P", "16"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: 13 is prime; certification presumes a composite input\n"
+
+
 def test_psw_csv_columns(capsys):
     code, out, _ = run_cli(
         ["psw", "10000", "--epsilon", "0.5", "--delta", "0.05", "--reps", "5", "--output", "csv"],
@@ -142,6 +164,15 @@ def test_psw_csv_columns(capsys):
     header, row = out.strip().splitlines()
     assert header == "N,t_N,t_tilde,dt_exp,dt_th,psw_lower,psw_upper,Q,epsilon,delta"
     assert row.split(",")[0] == "10000" and row.split(",")[1] == "7"
+
+
+def test_psw_at_the_pomerance_selfridge_wagstaff_scale(capsys):
+    # N = 10^8, the regime of the paper's density application: t_N is
+    # Pinch's C(10^8) and the policy counter is ceil(l(N)^1.4)
+    code, out, _ = run_cli(["psw", "100000000", "--reps", "5", "--output", "json"], capsys)
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert report["t_N"] == 255 and report["Q"] == 12906
 
 
 def test_bounds_command(capsys):

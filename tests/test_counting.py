@@ -209,15 +209,8 @@ def test_estimate_folding():
 
 
 def test_estimate_serialization_keys():
-    est = counting.estimate_from_outcome(3, 100, 16)
+    est = counting.estimate_from_outcome(3, 100, 16, t_ref=4)
     assert set(est.to_json_dict()) == {"l", "f_tilde", "theta_tilde", "t_tilde", "bound", "in_ansatz"}
-
-
-def test_estimate_without_reference_uses_decoded_t():
-    est = counting.estimate_from_outcome(4, 100, 16)
-    assert est.error_bound == pytest.approx(
-        counting.estimate_error_bound(100, 16, est.t_tilde)
-    )
 
 
 # ---------------------------------------------------------------- run_count

@@ -169,8 +169,6 @@ def test_enumerate_errors():
         nt.enumerate_carmichaels(1)
     with pytest.raises(CapacityError):
         nt.enumerate_carmichaels(nt.ENUMERATION_BOUND + 1)
-    with pytest.raises(CapacityError):
-        nt.enumerate_carmichaels(100, bound=99)
     with pytest.raises(CapacityError):  # the bound sweep keeps its own cap
         carmichael.perturbation_bounds(10**7 + 1, 16)
 
