@@ -22,7 +22,7 @@ from .counting import (
     peak_success_probability,
     run_count,
 )
-from .errors import CapacityError, DomainError, NormalizationError, ZeroProbabilityError
+from .errors import CapacityError, DomainError, NormalizationError
 from .numtheory import (
     Classification,
     Factorization,

@@ -15,8 +15,9 @@ bounded only by factorization (2^50), and qsim.AMPLITUDE_CAP binds the
 counters alone.  The dense route over all k base values
 (qsim.controlled_grover_powers over a Fermat-failure mask, the mask built in
 tests/oracles.py) is a test oracle.  A command's reps share one law:
-certify_reps factorizes and builds it once and draws rep i from
-np.random.default_rng([seed, i]).
+certify_reps factorizes and builds it once, draws one uniform for rep i
+from np.random.default_rng([seed, i]) and maps every rep's uniform to a
+counter reading in one qsim.sample_outcomes call.
 
 Flag convention.  The coprimality flag is post-selected on the *prepared*
 uniform superposition, where its acceptance probability is exactly phi(k)/k
@@ -171,23 +172,17 @@ def gap_error_bound(k: int, phi: int, p: int, r: int) -> float:
     return min(1.0, envelope) ** (2 * r)
 
 
-def certify_reps(
-    k: int,
-    p: int = 16,
-    r: int = 2,
-    mode: str = "exact",
-    seed: int = 0,
-    reps: int = 100,
-) -> list[Verdict]:
+def certify_reps(k: int, p: int, r: int, mode: str, seed: int, reps: int) -> list[Verdict]:
     """reps certifications of composite k; any nonzero counter disproves Carmichael.
 
-    The reps share one factorization and one law, and rep i draws its
-    counter reading from the exact joint law with
-    np.random.default_rng([seed, i]).  Exact mode resolves the flag
-    analytically (flag_retries = 0) and attaches the exact all-zeros
-    probability; sample mode simulates the geometric flag retries and
-    reports the gap-based worst-case error bound, which does not presume
-    knowledge of t(k).
+    The reps share one factorization and one law.  Rep i owns the stream
+    np.random.default_rng([seed, i]): in sample mode it first draws its
+    geometric flag retries, then one uniform, and its counter reading is the
+    first outcome of the joint law whose cumulative mass exceeds that
+    uniform (qsim.sample_outcomes maps all reps at once).  Exact mode
+    resolves the flag analytically (flag_retries = 0) and attaches the exact
+    all-zeros probability; sample mode reports the gap-based worst-case
+    error bound, which does not presume knowledge of t(k).
     """
     if reps < 1:
         raise DomainError(f"reps must be >= 1, got {reps}")
@@ -203,19 +198,19 @@ def certify_reps(
     else:
         carmichael_bound = gap_error_bound(k, phi, p, r)
 
+    rngs = [np.random.default_rng([seed, i]) for i in range(reps)]
+    rounds = [draw_flag_rounds(accept, rng) if mode == "sample" else 0 for rng in rngs]
+    readings = qsim.sample_outcomes(dist, [rng.random() for rng in rngs]).tolist()
     verdicts = []
-    for i in range(reps):
-        rng = np.random.default_rng([seed, i])
-        rounds = draw_flag_rounds(accept, rng) if mode == "sample" else 0
-        ancillas = tuple(int(v) for v in qsim.sample_outcomes(dist, rng, 1)[0])
-        nonzero = any(ancillas)
+    for reading, n_rounds in zip(readings, rounds):
+        nonzero = any(reading)
         verdicts.append(
             Verdict(
                 kind=VerdictKind.NOT_CARMICHAEL if nonzero else VerdictKind.PROBABLY_CARMICHAEL,
                 error_bound=0.0 if nonzero else carmichael_bound,
-                observed_ancillas=ancillas,
-                flag_retries=rounds,
-                grover_applications=r * (p - 1) * max(rounds, 1),
+                observed_ancillas=tuple(reading),
+                flag_retries=n_rounds,
+                grover_applications=r * (p - 1) * max(n_rounds, 1),
                 flag_probability=accept,
                 exact_allzero=allzero if mode == "exact" else None,
             )
@@ -345,7 +340,7 @@ class CarmichaelCountResult:
         return hits / len(self.estimates)
 
 
-def count_carmichaels_quantum(n: int, q: int = 128, seed: int = 0, reps: int = 100) -> CarmichaelCountResult:
+def count_carmichaels_quantum(n: int, q: int, seed: int, reps: int) -> CarmichaelCountResult:
     """Count Carmichael numbers below n on the k = 1..n register.
 
     The mark is the ideal Carmichael indicator restricted to k < n, so the
@@ -427,17 +422,13 @@ def choose_q(n: float, epsilon: float, delta: float) -> int:
 
 
 def psw_report(
-    n: int,
-    epsilon: float,
-    delta: float,
-    q: int | None = None,
-    seed: int = 0,
-    reps: int = 100,
+    n: int, epsilon: float, delta: float, seed: int, reps: int, q: int | None = None
 ) -> PswReport:
     """Run the counting pipeline at the policy Q and tabulate the comparison.
 
-    t_tilde is the median of the per-rep estimates (simple majority-style
-    aggregation; heavier boosting belongs to callers).
+    q, when given, overrides the policy Q.  t_tilde is the median of the
+    per-rep estimates (simple majority-style aggregation; heavier boosting
+    belongs to callers).
     """
     for name, value in (("epsilon", epsilon), ("delta", delta)):
         if not (math.isfinite(value) and value > 0):

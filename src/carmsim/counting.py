@@ -90,7 +90,7 @@ def exact_count_joint(dimension: int, marked: int, p: int, registers: int) -> np
         plus = np.multiply.outer(plus, sp2)
         minus = np.multiply.outer(minus, sm2)
     joint = 0.5 * (plus + minus)
-    if abs(float(joint.sum()) - 1.0) > 1e-10:
+    if not abs(float(joint.sum()) - 1.0) <= 1e-10:  # written so that NaN fails too
         raise NormalizationError(f"closed-form law sums to {joint.sum()}")
     return joint
 
@@ -126,28 +126,32 @@ class CountEstimate:
         }
 
 
-def estimate_from_outcome(l: int, dimension: int, p: int, t_ref: float) -> CountEstimate:
-    """Fold the mirror peak and decode: f~ = min(l, P-l), t~ = D sin^2(pi f~/P).
+def decode_outcomes(outcomes, dimension: int, p: int, t_ref: float) -> list[CountEstimate]:
+    """Fold the mirror peak and decode each outcome: f~ = min(l, P-l), t~ = D sin^2(pi f~/P).
 
-    The error bound is evaluated at the true count t_ref.  in_ansatz records
-    whether the true peak sits in the window 1 < f < P/2 - 1 where the
-    four-peak success floor applies; out-of-window results are flagged, not
-    rejected.
+    The error bound is evaluated at the true count t_ref, once for all
+    outcomes.  in_ansatz records whether the true peak sits in the window
+    1 < f < P/2 - 1 where the four-peak success floor applies;
+    out-of-window results are flagged, not rejected.
     """
-    if not 0 <= l < p:
-        raise DomainError(f"outcome {l} outside [0, {p})")
-    f_tilde = float(min(l, p - l))
-    theta_tilde = math.pi * f_tilde / p
-    t_tilde = dimension * math.sin(theta_tilde) ** 2
+    bound = estimate_error_bound(dimension, p, t_ref)
     f_ref = p * math.asin(math.sqrt(t_ref / dimension)) / math.pi
-    return CountEstimate(
-        measured_l=int(l),
-        f_tilde=f_tilde,
-        theta_tilde=theta_tilde,
-        t_tilde=t_tilde,
-        error_bound=estimate_error_bound(dimension, p, t_ref),
-        in_ansatz=bool(1.0 < f_ref < p / 2.0 - 1.0),
-    )
+    in_ansatz = bool(1.0 < f_ref < p / 2.0 - 1.0)
+    estimates = []
+    for l in map(int, outcomes):
+        if not 0 <= l < p:
+            raise DomainError(f"outcome {l} outside [0, {p})")
+        f_tilde = float(min(l, p - l))
+        theta_tilde = math.pi * f_tilde / p
+        estimates.append(CountEstimate(
+            measured_l=l,
+            f_tilde=f_tilde,
+            theta_tilde=theta_tilde,
+            t_tilde=dimension * math.sin(theta_tilde) ** 2,
+            error_bound=bound,
+            in_ansatz=in_ansatz,
+        ))
+    return estimates
 
 
 def count_distribution(dimension: int, marked: int, p: int, registers: int = 1) -> np.ndarray:
@@ -179,20 +183,18 @@ def run_count(dimension: int, marked: int, p: int, seed: int, reps: int) -> list
     """reps seeded measurements of the counter with decoded estimates.
 
     Sampling uses the exact law of count_distribution over the t = marked
-    values; repetition i draws from np.random.default_rng([seed, i]) so runs
-    are reproducible and independent reps can be regenerated in isolation.
+    values, built once.  Rep i draws one uniform from
+    np.random.default_rng([seed, i]), and its outcome is the first l whose
+    cumulative mass exceeds that uniform, so runs are reproducible and
+    independent reps can be regenerated in isolation.
     """
     if p < 4:
         raise DomainError(f"counter size must be >= 4, got {p}")
     if reps < 1:
         raise DomainError(f"reps must be >= 1, got {reps}")
     table = count_distribution(dimension, marked, p)
-    estimates = []
-    for i in range(reps):
-        rng = np.random.default_rng([seed, i])
-        l = int(qsim.sample_outcomes(table, rng, 1)[0, 0])
-        estimates.append(estimate_from_outcome(l, dimension, p, t_ref=marked))
-    return estimates
+    uniforms = [np.random.default_rng([seed, i]).random() for i in range(reps)]
+    return decode_outcomes(qsim.sample_outcomes(table, uniforms)[:, 0], dimension, p, t_ref=marked)
 
 
 @dataclass(frozen=True)

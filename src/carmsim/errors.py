@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: DomainError (and subclasses) exit 2,
-CapacityError exit 3.
+The CLI maps these onto exit codes: DomainError exits 2, CapacityError
+exits 3.
 """
 
 
@@ -11,10 +11,6 @@ class DomainError(ValueError):
 
 class CapacityError(RuntimeError):
     """Request exceeds a size bound (AMPLITUDE_CAP, FACTOR_BOUND, a sieve bound...)."""
-
-
-class ZeroProbabilityError(DomainError):
-    """Post-selection on an outcome carrying (numerically) zero mass."""
 
 
 class NormalizationError(RuntimeError):

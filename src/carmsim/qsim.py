@@ -20,6 +20,11 @@ from a boolean mask over the base values; it is the dense test oracle for
 the reduced route.  The single gates that both routes are checked against
 (uniform preparation, phase flip, diffusion) and post-selection live in
 tests/oracles.py.
+
+Measurement is sampled from an exact marginal table.  `sample_outcomes`
+builds the table's CDF once and maps a whole vector of uniforms in [0, 1)
+to outcomes with one search, so a command with many reps pays for one CDF;
+the caller owns the random streams and draws the uniforms.
 """
 
 from __future__ import annotations
@@ -80,7 +85,7 @@ class StateVector:
 def _finish(layout: RegisterLayout, amplitudes: np.ndarray) -> StateVector:
     flat = np.ascontiguousarray(amplitudes.reshape(-1))
     norm_sq = float(np.vdot(flat, flat).real)
-    if abs(norm_sq - 1.0) > NORM_TOL:
+    if not abs(norm_sq - 1.0) <= NORM_TOL:  # written so that NaN fails too
         raise NormalizationError(f"norm^2 drifted to {norm_sq}")
     return StateVector(layout, flat)
 
@@ -174,20 +179,27 @@ def exact_distribution(state: StateVector, registers: Sequence[int]) -> np.ndarr
         # permute them into the caller's order
         marg = np.transpose(marg, np.argsort(np.argsort(regs)))
     total = float(marg.sum())
-    if abs(total - 1.0) > NORM_TOL:
+    if not abs(total - 1.0) <= NORM_TOL:  # written so that NaN fails too
         raise NormalizationError(f"marginal mass {total} != 1")
     return marg
 
 
-def sample_outcomes(table: np.ndarray, rng: np.random.Generator, n_samples: int) -> np.ndarray:
-    """n_samples i.i.d. draws from a probability table; shape (n, table.ndim).
+def sample_outcomes(table: np.ndarray, uniforms: Sequence[float] | np.ndarray) -> np.ndarray:
+    """One outcome per uniform in [0, 1) from a probability table; shape (n, table.ndim).
 
     Entries below SAMPLE_CLIP are zeroed and the rest renormalized first:
-    measured outcomes never come from floating-point dust.  The draws are
-    one rng.choice call, so n = 1 consumes the stream as a scalar draw does.
+    measured outcomes never come from floating-point dust.  The CDF is built
+    once and each uniform u maps to the first flat index whose cumulative
+    mass exceeds u.  These are the steps of numpy's Generator.choice with
+    p = clipped table, so n uniforms from rng.random(n) give its n draws.
     """
-    flat = np.asarray(table, dtype=float).reshape(-1).copy()
-    flat[flat < SAMPLE_CLIP] = 0.0
-    flat /= flat.sum()
-    draws = rng.choice(flat.size, size=n_samples, p=flat)
+    flat = np.asarray(table, dtype=float).reshape(-1)
+    flat = np.where(flat < SAMPLE_CLIP, 0.0, flat)
+    total = float(flat.sum())
+    if not 0.0 < total < math.inf:
+        raise NormalizationError(f"sampled table carries mass {total}")
+    flat /= total
+    cdf = flat.cumsum()
+    cdf /= cdf[-1]
+    draws = cdf.searchsorted(uniforms, side="right")
     return np.stack(np.unravel_index(draws, np.shape(table)), axis=1).astype(np.int64)

@@ -23,7 +23,7 @@ import numpy as np
 from carmsim import qsim
 from carmsim.carmichael import _require_composite
 from carmsim.counting import dirichlet_kernel, peak_position
-from carmsim.errors import CapacityError, DomainError, NormalizationError, ZeroProbabilityError
+from carmsim.errors import CapacityError, DomainError, NormalizationError
 from carmsim.qsim import RegisterLayout, StateVector, _finish
 
 
@@ -175,6 +175,10 @@ def grover_iterate(state: StateVector, register: int, marked_mask: np.ndarray) -
     acts as a rotation by 2*theta with sin(theta) = sqrt(t/D).
     """
     return diffusion(phase_flip(state, register, marked_mask), register)
+
+
+class ZeroProbabilityError(DomainError):
+    """Post-selection on an outcome carrying (numerically) zero mass."""
 
 
 def postselect(state: StateVector, register: int, value: int) -> tuple[StateVector, float]:

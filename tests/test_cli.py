@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -197,6 +198,26 @@ def test_byte_identical_outputs(tmp_path):
         assert cli.main(args + ["--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
         assert first.read_bytes()  # nonempty
+
+
+#: sha256 of stdout with --seed 42 --output json; a shift in any rep's
+#: stream or in the map from its uniform to an outcome changes a digest
+PINNED_STDOUT = [
+    (["certify", "561", "--mode", "exact"], "839330a8950435e31bce2f2fba5c9b796f9b952c6c1aa4ff9071136dea51a971"),
+    (["certify", "561", "--mode", "sample"], "e443be509221342fceb6e877c3f7cee047bf530a85d3f81b1b4a57eb6c5decbb"),
+    (["certify", "15", "--mode", "exact"], "2d51e4a17158a9711aa8acc38b9ceea6a934f1b657c2532033bf95499aba86fc"),
+    (["certify", "15", "--mode", "sample"], "adb2f2cdb8e934ecb9a8281e82d358c0edbefe46f7b68e8c2be91202559cdcff"),
+    (["count-bases", "25001", "--P", "64"], "b7f2a921fb5c3a6cff90127c3a7a0038a005fa2421ad9a99cfa16375082874dd"),
+    (["count-carmichael", "65000", "--Q", "64"], "99f9a719e6f9cd574796d49721e95ef015cefda8e199b88235eb501775cebd4c"),
+    (["psw", "10000", "--reps", "5"], "eb4f4f648c5a50ec82ceba3d2cb9a269678e8c3eef2380667224ea2f4929244a"),
+]
+
+
+@pytest.mark.parametrize("args,digest", PINNED_STDOUT, ids=[" ".join(a) for a, _ in PINNED_STDOUT])
+def test_seeded_stdout_is_pinned(args, digest, capsys):
+    code, out, _ = run_cli(args + ["--seed", "42", "--output", "json"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_different_seed_changes_sampled_output(tmp_path):

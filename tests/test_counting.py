@@ -101,6 +101,12 @@ def test_closed_form_law_checks_its_mass(monkeypatch):
             counting.exact_count_joint(15, 4, 8, registers)
 
 
+def test_closed_form_law_rejects_nan(monkeypatch):
+    monkeypatch.setattr(counting, "dirichlet_kernel", lambda x, p: np.full(np.shape(x), np.nan))
+    with pytest.raises(NormalizationError):
+        counting.exact_count_joint(15, 4, 8, 1)
+
+
 @pytest.mark.parametrize("dimension,marked,p", [
     (15, 4, 8), (15, 4, 16), (60, 17, 32), (200, 100, 4), (7, 7, 8), (33, 0, 16),
 ])
@@ -193,15 +199,15 @@ def test_peak_outcomes_within_bound(dimension, data, p):
     marked = data.draw(st.integers(0, dimension))
     f = counting.peak_position(dimension, marked, p)
     bound = counting.estimate_error_bound(dimension, p, marked)
-    for l in {math.floor(f) % p, math.ceil(f) % p, (p - math.floor(f)) % p, (p - math.ceil(f)) % p}:
-        estimate = counting.estimate_from_outcome(l, dimension, p, t_ref=marked)
+    peaks = {math.floor(f) % p, math.ceil(f) % p, (p - math.floor(f)) % p, (p - math.ceil(f)) % p}
+    for estimate in counting.decode_outcomes(sorted(peaks), dimension, p, t_ref=marked):
         assert abs(estimate.t_tilde - marked) <= bound + 1e-9
 
 
 # ---------------------------------------------------------------- decoding
 
 def test_estimate_folding():
-    est = counting.estimate_from_outcome(120, 10**4, 128, t_ref=7)
+    (est,) = counting.decode_outcomes([120], 10**4, 128, t_ref=7)
     assert est.f_tilde == 8.0
     assert est.theta_tilde == pytest.approx(math.pi * 8 / 128)
     assert est.t_tilde == pytest.approx(10**4 * math.sin(math.pi * 8 / 128) ** 2)
@@ -209,7 +215,7 @@ def test_estimate_folding():
 
 
 def test_estimate_serialization_keys():
-    est = counting.estimate_from_outcome(3, 100, 16, t_ref=4)
+    (est,) = counting.decode_outcomes([3], 100, 16, t_ref=4)
     assert set(est.to_json_dict()) == {"l", "f_tilde", "theta_tilde", "t_tilde", "bound", "in_ansatz"}
 
 

@@ -5,14 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from carmsim import qsim
-from carmsim.errors import (
-    CapacityError,
-    DomainError,
-    NormalizationError,
-    ZeroProbabilityError,
-)
+from carmsim.errors import CapacityError, DomainError, NormalizationError
 
 import oracles
+from oracles import ZeroProbabilityError
 
 
 def random_state(dims, seed):
@@ -295,7 +291,7 @@ def test_sample_deterministic_distribution():
     sure = np.zeros(6, complex)
     sure[4] = 1.0
     state = qsim.StateVector(qsim.RegisterLayout((6,)), sure)
-    draws = qsim.sample_outcomes(qsim.exact_distribution(state, [0]), np.random.default_rng(5), 50)
+    draws = qsim.sample_outcomes(qsim.exact_distribution(state, [0]), np.random.default_rng(5).random(50))
     assert draws.shape == (50, 1)
     assert (draws == 4).all()
 
@@ -303,10 +299,10 @@ def test_sample_deterministic_distribution():
 def test_sample_seed_reproducibility():
     state = random_state((8, 3), 13)
     table = qsim.exact_distribution(state, [0, 1])
-    a = qsim.sample_outcomes(table, np.random.default_rng(99), 200)
-    b = qsim.sample_outcomes(table, np.random.default_rng(99), 200)
+    a = qsim.sample_outcomes(table, np.random.default_rng(99).random(200))
+    b = qsim.sample_outcomes(table, np.random.default_rng(99).random(200))
     assert (a == b).all()
-    c = qsim.sample_outcomes(table, np.random.default_rng(100), 200)
+    c = qsim.sample_outcomes(table, np.random.default_rng(100).random(200))
     assert (a != c).any()
 
 
@@ -314,10 +310,39 @@ def test_sample_frequencies_match_distribution():
     state = random_state((10,), 3)
     table = qsim.exact_distribution(state, [0])
     n = 10**5
-    draws = qsim.sample_outcomes(table, np.random.default_rng(17), n)[:, 0]
+    draws = qsim.sample_outcomes(table, np.random.default_rng(17).random(n))[:, 0]
     counts = np.bincount(draws, minlength=10) / n
     sigma = np.sqrt(table * (1 - table) / n)
     assert (np.abs(counts - table) <= 5 * sigma + 1e-12).all()
+
+
+def test_sample_outcomes_match_rng_choice():
+    # one CDF and one search reproduce Generator.choice draw for draw, dust
+    # and exact zeros included
+    table_rng = np.random.default_rng(2024)
+    for case in range(60):
+        dims = tuple(table_rng.integers(1, 6, size=table_rng.integers(1, 4)))
+        table = table_rng.random(dims)
+        table[table_rng.random(dims) < 0.3] = 0.0
+        table[table_rng.random(dims) < 0.2] = qsim.SAMPLE_CLIP * table_rng.random()
+        if not (table >= qsim.SAMPLE_CLIP).any():
+            table.flat[0] = 1.0
+        table /= table.sum()
+        clipped = np.where(table < qsim.SAMPLE_CLIP, 0.0, table).reshape(-1)
+        clipped /= clipped.sum()
+        for seed in (case, case + 1000):
+            n = 1 + case % 7
+            draws = qsim.sample_outcomes(table, np.random.default_rng(seed).random(n))
+            twin = np.random.default_rng(seed).choice(table.size, n, p=clipped)
+            assert draws.shape == (n, table.ndim)
+            assert (draws == np.stack(np.unravel_index(twin, dims), axis=1)).all()
+            assert (table[tuple(draws.T)] >= qsim.SAMPLE_CLIP).all()
+
+
+def test_sample_outcomes_reject_a_table_without_mass():
+    for table in (np.zeros(4), np.full(4, np.nan), np.full(3, qsim.SAMPLE_CLIP / 2)):
+        with pytest.raises(NormalizationError):
+            qsim.sample_outcomes(table, [0.5])
 
 
 # ---------------------------------------------------------------- angles
@@ -345,3 +370,14 @@ def test_operations_reject_denormalized_states():
         oracles.phase_flip(bad, 0, np.arange(4) == 0)
     with pytest.raises(NormalizationError):
         qsim.qft(bad, 0)
+
+
+def test_finish_rejects_nan_amplitudes():
+    with pytest.raises(NormalizationError):
+        qsim._finish(qsim.RegisterLayout((4,)), np.full(4, np.nan, complex))
+
+
+def test_exact_distribution_rejects_nan_state():
+    nan_state = qsim.StateVector(qsim.RegisterLayout((4,)), np.full(4, np.nan, complex))
+    with pytest.raises(NormalizationError):
+        qsim.exact_distribution(nan_state, [0])
