@@ -22,15 +22,18 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=42)
     args = parser.parse_args()
 
-    rows = []
-    for q in args.q_values:
-        result = carmichael.count_carmichaels_quantum(args.N, q, seed=args.seed, reps=args.reps)
-        peak = result.peak_probability
-        rows.append([args.N, q, result.exact_count, result.success_fraction(),
-                     result.error_bound, peak.value, peak.in_ansatz])
-    header = ["N", "Q", "t_N", "success_fraction", "error_bound", "peak_probability", "in_ansatz"]
-    table = cli.render("csv", cli.Record(table=lambda: (header, rows)))
-    return cli.write(table + f"# four-peak floor 8/pi^2 = {8 / math.pi ** 2}\n")
+    def table() -> str:
+        rows = []
+        for q in args.q_values:
+            result = carmichael.count_carmichaels_quantum(args.N, q, seed=args.seed, reps=args.reps)
+            peak = result.peak_probability
+            rows.append([args.N, q, result.exact_count, result.success_fraction(),
+                         result.error_bound, peak.value, peak.in_ansatz])
+        header = ["N", "Q", "t_N", "success_fraction", "error_bound", "peak_probability", "in_ansatz"]
+        text = cli.render("csv", cli.Record(table=lambda: (header, rows)))
+        return text + f"# four-peak floor 8/pi^2 = {8 / math.pi ** 2}\n"
+
+    return cli.run(table)
 
 
 if __name__ == "__main__":

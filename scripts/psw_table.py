@@ -22,14 +22,17 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=42)
     args = parser.parse_args()
 
-    rows = []
-    for n in args.n_values:
-        report = carmichael.psw_report(
-            n, args.epsilon, args.delta, seed=args.seed, reps=args.reps
-        )
-        rows.append([*report.to_csv_row(), report.meets_target])
-    header = [*carmichael.PswReport.CSV_HEADER, "meets_target"]
-    return cli.write(cli.render("csv", cli.Record(table=lambda: (header, rows))))
+    def table() -> str:
+        rows = []
+        for n in args.n_values:
+            report = carmichael.psw_report(
+                n, args.epsilon, args.delta, seed=args.seed, reps=args.reps
+            )
+            rows.append([*report.to_csv_row(), report.meets_target])
+        header = [*carmichael.PswReport.CSV_HEADER, "meets_target"]
+        return cli.render("csv", cli.Record(table=lambda: (header, rows)))
+
+    return cli.run(table)
 
 
 if __name__ == "__main__":

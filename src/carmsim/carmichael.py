@@ -15,9 +15,9 @@ bounded only by factorization (2^50), and qsim.AMPLITUDE_CAP binds the
 counters alone.  The dense route over all k base values
 (qsim.controlled_grover_powers over a Fermat-failure mask, the mask built in
 tests/oracles.py) is a test oracle.  A command's reps share one law:
-certify_reps factorizes and builds it once, draws one uniform for rep i
-from np.random.default_rng([seed, i]) and maps every rep's uniform to a
-counter reading in one qsim.sample_outcomes call.
+certify_reps reads the composite's facts and builds the law once, draws one
+uniform for rep i from its stream of qsim.rep_streams and maps every rep's
+uniform to a counter reading in one qsim.sample_outcomes call.
 
 Flag convention.  The coprimality flag is post-selected on the *prepared*
 uniform superposition, where its acceptance probability is exactly phi(k)/k
@@ -106,36 +106,22 @@ class Verdict:
         return out
 
 
-def _require_composite(k: int) -> numtheory.Factorization:
-    f = numtheory.factorize(k)
-    if f.is_prime:
+def composite_facts(k: int) -> numtheory.NumberFacts:
+    """numtheory.number_facts(k), refused for a prime k: certification presumes a composite."""
+    facts = numtheory.number_facts(k)
+    if facts.classification is numtheory.Classification.PRIME:
         raise DomainError(f"{k} is prime; certification presumes a composite input")
-    return f
+    return facts
 
 
-def _phi_and_t(f: numtheory.Factorization) -> tuple[int, int]:
-    """phi(k) and the Fermat-failure count t(k) = phi(k) - F(k); 0 for primes."""
-    phi = numtheory.euler_phi(f)
-    return phi, 0 if f.is_prime else phi - numtheory.fermat_nonwitness_count(f)
+def ancilla_distribution(k: int, p: int, r: int) -> np.ndarray:
+    """Exact joint law of the R counter registers of composite k, shape (P,)*R.
 
-
-def ancilla_distribution(
-    k: int, p: int, r: int, factorization: numtheory.Factorization | None = None
-) -> np.ndarray:
-    """Exact joint law of the R counter registers, shape (P,)*R.
-
-    Two-plane route with t(k) from the factorization of k (pass it when
-    already at hand): controlled powers on the (P,)*R + (2,) layout, Fourier
-    transform on each counter, marginal over the base plane.
+    Two-plane route with t(k) from the factorization of k: controlled powers
+    on the (P,)*R + (2,) layout, Fourier transform on each counter, marginal
+    over the base plane.
     """
-    if p < 4:
-        raise DomainError(f"counter size must be >= 4, got {p}")
-    if r < 1:
-        raise DomainError(f"need >= 1 counter registers, got {r}")
-    if factorization is None:
-        factorization = numtheory.factorize(k)
-    _, t = _phi_and_t(factorization)
-    return counting.count_distribution(k, t, p, r)
+    return counting.count_distribution(k, composite_facts(k).t_k, p, r)
 
 
 def allzero_probability(k: int, p: int, r: int) -> float:
@@ -144,9 +130,7 @@ def allzero_probability(k: int, p: int, r: int) -> float:
     Equals alpha_k^(2R) with alpha_k = s(f_k), and exactly 1 iff k is
     Carmichael.
     """
-    f = _require_composite(k)
-    dist = ancilla_distribution(k, p, r, factorization=f)
-    return float(dist[(0,) * r])
+    return float(ancilla_distribution(k, p, r)[(0,) * r])
 
 
 def draw_flag_rounds(accept_probability: float, rng: np.random.Generator) -> int:
@@ -176,29 +160,26 @@ def certify_reps(k: int, p: int, r: int, mode: str, seed: int, reps: int) -> lis
     """reps certifications of composite k; any nonzero counter disproves Carmichael.
 
     The reps share one factorization and one law.  Rep i owns the stream
-    np.random.default_rng([seed, i]): in sample mode it first draws its
-    geometric flag retries, then one uniform, and its counter reading is the
-    first outcome of the joint law whose cumulative mass exceeds that
-    uniform (qsim.sample_outcomes maps all reps at once).  Exact mode
-    resolves the flag analytically (flag_retries = 0) and attaches the exact
+    qsim.rep_streams(seed, reps)[i] (built first): in sample mode it first
+    draws its geometric flag retries, then one uniform, and its counter
+    reading is the first outcome of the joint law whose cumulative mass
+    exceeds that uniform (qsim.sample_outcomes maps all reps at once).
+    Exact mode resolves the flag analytically (flag_retries = 0) and attaches the exact
     all-zeros probability; sample mode reports the gap-based worst-case
     error bound, which does not presume knowledge of t(k).
     """
-    if reps < 1:
-        raise DomainError(f"reps must be >= 1, got {reps}")
+    rngs = qsim.rep_streams(seed, reps)
     if mode not in ("exact", "sample"):
         raise DomainError(f"mode must be 'exact' or 'sample', got {mode}")
-    factorization = _require_composite(k)
-    phi, t = _phi_and_t(factorization)
-    accept = phi / k
-    dist = ancilla_distribution(k, p, r, factorization=factorization)
+    facts = composite_facts(k)
+    accept = facts.phi / k
+    dist = counting.count_distribution(k, facts.t_k, p, r)
     allzero = float(dist[(0,) * r])
     if mode == "exact":
-        carmichael_bound = 0.0 if t == 0 else allzero
+        carmichael_bound = 0.0 if facts.t_k == 0 else allzero
     else:
-        carmichael_bound = gap_error_bound(k, phi, p, r)
+        carmichael_bound = gap_error_bound(k, facts.phi, p, r)
 
-    rngs = [np.random.default_rng([seed, i]) for i in range(reps)]
     rounds = [draw_flag_rounds(accept, rng) if mode == "sample" else 0 for rng in rngs]
     readings = qsim.sample_outcomes(dist, [rng.random() for rng in rngs]).tolist()
     verdicts = []
@@ -265,9 +246,9 @@ def perturbation_bounds(n: int, p: int) -> PerturbationBounds:
 
     The witness count feeding beta uses the exact strong-liar formula,
     evaluated for every k at once by numtheory.liar_sieve (for even
-    composites the square-root chain is empty and the witnesses are the
-    Fermat failures over all bases); the census route is equivalent and
-    cross-validated in the test suite.  A composite whose witness ratio is
+    composites, by numtheory's convention, every base that is not a Fermat
+    liar counts as a witness, a^(k-1) = -1 included); the census route is
+    equivalent and cross-validated in the test suite.  A composite whose witness ratio is
     at least 3/4 has pi/3 <= pi g / P <= pi/2, so its beta stays under
     2/(sqrt(3) P).  Only k = 4 (ratio 1/2) and k = 6, 9 (ratio 2/3) fall
     below 3/4.  For k = 4, g = P/4: its beta is 0 whenever 4 | P and

@@ -1,17 +1,18 @@
 """Batch command-line front end.
 
 Subcommands: facts, certify, count-bases, count-carmichael, psw, bounds,
-enumerate.  All randomness flows from --seed: repetition i of a command
-draws from np.random.default_rng([seed, i]), so identical invocations are
-byte-identical.  Exit codes: 0 success, 2 domain/precondition error,
-3 capacity error.  Every command and script prints through one renderer
-(`render`) and one writer (`write`).
+enumerate.  Rep i of a command draws from qsim.rep_streams(seed, reps)[i],
+so identical invocations are byte-identical; only the commands that draw
+check --seed and --reps.  Every command and script shares one renderer
+(`render`), one writer (`write`) and one error boundary (`run`): exit 0 on
+success, 2 on a domain/precondition error, 3 on a capacity error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -65,6 +66,19 @@ def write(text: str, out_path: str | None = None) -> int:
         print(f"error: cannot write {out_path or 'stdout'}: {exc.strerror or exc}", file=sys.stderr)
         return 2
     return 0
+
+
+def run(build: Callable[[], str], out_path: str | None = None) -> int:
+    """write(build()), or 2 on a DomainError and 3 on a CapacityError after one stderr line."""
+    try:
+        text = build()
+    except DomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except CapacityError as exc:
+        print(f"capacity error: {exc}", file=sys.stderr)
+        return 3
+    return write(text, out_path)
 
 
 def _config(cfg: argparse.Namespace) -> dict:
@@ -147,10 +161,7 @@ def _estimates(estimates: list[counting.CountEstimate], summary: dict, head: lis
 
 
 def _cmd_count_bases(cfg: argparse.Namespace) -> Record:
-    facts = numtheory.number_facts(cfg.target)
-    if facts.classification is numtheory.Classification.PRIME:
-        raise DomainError(f"{cfg.target} is prime; certification presumes a composite input")
-    t_true = facts.t_k
+    t_true = carmichael.composite_facts(cfg.target).t_k
     estimates = counting.run_count(cfg.target, t_true, cfg.p, seed=cfg.seed, reps=cfg.reps)
     median = float(np.median([e.t_tilde for e in estimates]))
     return _estimates(estimates, {"t_true": t_true, "t_tilde_median": median}, [
@@ -216,7 +227,9 @@ def _cmd_enumerate(cfg: argparse.Namespace) -> Record:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="carmsim",
         description="Carmichael certification and counting pipelines (exact simulation)",
@@ -278,17 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     cfg = build_parser().parse_args(argv)
-    try:
-        if cfg.seed < 0:  # np.random.default_rng takes no negative seed
-            raise DomainError(f"seed must be >= 0, got {cfg.seed}")
-        record = cfg.handler(cfg)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CapacityError as exc:
-        print(f"capacity error: {exc}", file=sys.stderr)
-        return 3
-    return write(render(cfg.output, record, _config(cfg)), cfg.out_path)
+    return run(lambda: render(cfg.output, cfg.handler(cfg), _config(cfg)), cfg.out_path)
 
 
 if __name__ == "__main__":

@@ -135,7 +135,7 @@ def decode_outcomes(outcomes, dimension: int, p: int, t_ref: float) -> list[Coun
     out-of-window results are flagged, not rejected.
     """
     bound = estimate_error_bound(dimension, p, t_ref)
-    f_ref = p * math.asin(math.sqrt(t_ref / dimension)) / math.pi
+    f_ref = peak_position(dimension, t_ref, p)
     in_ansatz = bool(1.0 < f_ref < p / 2.0 - 1.0)
     estimates = []
     for l in map(int, outcomes):
@@ -158,8 +158,11 @@ def count_distribution(dimension: int, marked: int, p: int, registers: int = 1) 
     """Outcome law over `registers` counters of size P, shape (P,)*R.
 
     Production route: controlled powers on the two-plane (P,)*R + (2,)
-    layout, a Fourier transform on each counter, the exact marginal.
+    layout, a Fourier transform on each counter, the exact marginal.  It
+    builds every sampled law, so it owns the rules P >= 4 and R >= 1.
     """
+    if p < 4:
+        raise DomainError(f"counter size must be >= 4, got {p}")
     if registers < 1:
         raise DomainError(f"need >= 1 counter registers, got {registers}")
     state = qsim.two_plane_grover_powers((p,) * registers, dimension, marked)
@@ -183,17 +186,12 @@ def run_count(dimension: int, marked: int, p: int, seed: int, reps: int) -> list
     """reps seeded measurements of the counter with decoded estimates.
 
     Sampling uses the exact law of count_distribution over the t = marked
-    values, built once.  Rep i draws one uniform from
-    np.random.default_rng([seed, i]), and its outcome is the first l whose
-    cumulative mass exceeds that uniform, so runs are reproducible and
-    independent reps can be regenerated in isolation.
+    values, built once, then one uniform per rep from qsim.rep_streams: rep
+    i's outcome is the first l whose cumulative mass exceeds its uniform,
+    so runs are reproducible and reps can be regenerated in isolation.
     """
-    if p < 4:
-        raise DomainError(f"counter size must be >= 4, got {p}")
-    if reps < 1:
-        raise DomainError(f"reps must be >= 1, got {reps}")
     table = count_distribution(dimension, marked, p)
-    uniforms = [np.random.default_rng([seed, i]).random() for i in range(reps)]
+    uniforms = [rng.random() for rng in qsim.rep_streams(seed, reps)]
     return decode_outcomes(qsim.sample_outcomes(table, uniforms)[:, 0], dimension, p, t_ref=marked)
 
 

@@ -18,7 +18,12 @@ Quantities attached to an integer k >= 2, used throughout the package:
                 p^2 <= k because p - 1 also divides k/p - 1.
     witnesses   bases 1 <= a < k certifying compositeness under the strong
                 (Miller-Rabin) conditions.  For odd composite k at least
-                3(k-1)/4 of the bases are witnesses.
+                3(k-1)/4 of the bases are witnesses.  For even composite k
+                the package counts only the F(k) Fermat liars as strong
+                liars; the textbook test also accepts a^(k-1) = -1, which
+                a = k-1 always meets.  The convention is kept because it
+                pins the bounds output (perfbench/reference.json and
+                criterion 7's exempt set {4, 6, 9}).
 
 Everything is deterministic and exact: primality uses a fixed Miller-Rabin
 base set valid far beyond the 2**50 factorization bound.  F(k) and the
@@ -206,8 +211,9 @@ def strong_liar_count(f: Factorization) -> int:
     Odd composite k: with k-1 = 2^s d (d odd) and p-1 = 2^{s_p} d_p,
         liars = (1 + (2^(nu*omega) - 1)/(2^omega - 1)) * prod gcd(d, d_p),
     nu = min s_p, omega = number of distinct primes.  Even composite k has
-    an odd k-1, the square-root chain is empty, and the liars are exactly
-    the F(k) Fermat liars.  Primes have k-1 liars (no witnesses).
+    an odd k-1 and counts the F(k) Fermat liars, leaving out the bases with
+    a^(k-1) = -1 that the textbook test also accepts (the package's
+    convention; see the module docstring).  Primes have k-1 liars.
     """
     k = f.k
     if f.is_prime:
@@ -356,7 +362,7 @@ def liar_sieve(n: int) -> LiarCounts:
     low[big] = np.minimum(low[big], (q - 1) & (1 - q))
 
     # odd k: strong = odd part of F times (1 + sum_{j < nu} 2^(omega j));
-    # even k: the square-root chain is empty and strong = F
+    # even k: strong = F, leaving out a^(k-1) = -1 (the module's convention)
     odd = slice(3, None, 2)
     f_odd, omega, low = fermat[odd], omega[odd], low[odd]
     geo = np.ones(f_odd.size, dtype=np.int64)

@@ -24,7 +24,7 @@ tests/oracles.py.
 Measurement is sampled from an exact marginal table.  `sample_outcomes`
 builds the table's CDF once and maps a whole vector of uniforms in [0, 1)
 to outcomes with one search, so a command with many reps pays for one CDF;
-the caller owns the random streams and draws the uniforms.
+the caller draws the uniforms from `rep_streams`, the one stream builder.
 """
 
 from __future__ import annotations
@@ -203,3 +203,12 @@ def sample_outcomes(table: np.ndarray, uniforms: Sequence[float] | np.ndarray) -
     cdf /= cdf[-1]
     draws = cdf.searchsorted(uniforms, side="right")
     return np.stack(np.unravel_index(draws, np.shape(table)), axis=1).astype(np.int64)
+
+
+def rep_streams(seed: int, reps: int) -> list[np.random.Generator]:
+    """np.random.default_rng([seed, i]) for each rep i < reps, a stream fixed by (seed, i) alone."""
+    if seed < 0:  # np.random.default_rng takes no negative seed
+        raise DomainError(f"seed must be >= 0, got {seed}")
+    if reps < 1:
+        raise DomainError(f"reps must be >= 1, got {reps}")
+    return [np.random.default_rng([seed, i]) for i in range(reps)]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from carmsim import qsim
-from carmsim.carmichael import _require_composite
+from carmsim.carmichael import composite_facts
 from carmsim.counting import dirichlet_kernel, peak_position
 from carmsim.errors import CapacityError, DomainError, NormalizationError
 from carmsim.qsim import RegisterLayout, StateVector, _finish
@@ -278,7 +278,7 @@ def allzero_probability_flag_conditioned(k: int, p: int, r: int) -> FlagConditio
     with alpha^(2R) at order 1/P^2 because the iteration mixes coprime and
     non-coprime amplitudes before the flag is read.
     """
-    _require_composite(k)
+    composite_facts(k)
     state = qsim.controlled_grover_powers((p,) * r, fermat_failure_mask(k))
     coprime = (np.gcd(np.arange(k, dtype=np.int64), k) == 1).astype(np.int64)
     grid = state.grid()

@@ -343,6 +343,25 @@ def test_scripts_smoke(script, args, header):
     assert len(lines) >= 2
 
 
+SCRIPT_BAD_INPUTS = {
+    "psw-reps0": ("psw_table.py", ["--reps", "0"], 2),
+    "psw-seed": ("psw_table.py", ["--seed", "-1"], 2),
+    "psw-N10": ("psw_table.py", ["--N", "10"], 2),
+    "counting-Q2": ("counting_success_experiment.py", ["--Q", "2"], 2),
+    "counting-N-past-enumeration": ("counting_success_experiment.py", ["--N", "2000000000"], 3),
+    "sweep-P2": ("certify_error_sweep.py", ["--P", "2"], 2),
+    "sweep-R0": ("certify_error_sweep.py", ["--R", "0"], 2),
+}
+
+
+@pytest.mark.parametrize("script,args,code", SCRIPT_BAD_INPUTS.values(), ids=SCRIPT_BAD_INPUTS.keys())
+def test_script_bad_inputs_exit_cleanly(script, args, code):
+    proc = run_process([str(ROOT / "scripts" / script), *args])
+    assert (proc.returncode, proc.stdout) == (code, "")
+    assert proc.stderr.startswith("error: " if code == 2 else "capacity error: ")
+    assert "Traceback" not in proc.stderr
+
+
 CLOSED_STDOUT = {script: [str(ROOT / "scripts" / script), *args] for script, args, _ in SCRIPTS}
 CLOSED_STDOUT["cli"] = ["-m", "carmsim.cli", "facts", "561"]
 

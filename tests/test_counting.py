@@ -242,6 +242,8 @@ def test_run_count_capacity():
         counting.run_count(50, 0, 16, seed=0, reps=0)
     with pytest.raises(DomainError):
         counting.run_count(50, 0, 2, seed=0, reps=1)  # certification's P >= 4 rule
+    with pytest.raises(DomainError):
+        counting.run_count(50, 0, 16, seed=-1, reps=1)
 
 
 def test_run_count_estimates_concentrate():

@@ -120,6 +120,15 @@ def test_strong_liar_even_and_prime():
     assert nt.strong_liar_count(nt.factorize(28)) == oracles.fermat_liar_census(28)
 
 
+def test_even_strong_liars_leave_out_minus_one():
+    # the package's even-k convention counts the Fermat liars only; the
+    # textbook census also accepts a^(k-1) = -1, and those bases are the gap
+    for k in range(4, 201, 2):
+        textbook = sum(1 for a in range(1, k) if not oracles.strong_witness_scalar(k, a))
+        minus_one = sum(1 for a in range(1, k) if pow(a, k - 1, k) == k - 1)
+        assert nt.strong_liar_count(nt.factorize(k)) + minus_one == textbook, k
+
+
 # ---------------------------------------------------------------- facts record
 
 def test_number_facts_561():

@@ -5,6 +5,9 @@ counts as called when its own module names it outside its definition, or
 when any file reaches it through the imported module (`numtheory.factorize`).
 A method or property counts as called when any attribute access outside its
 definition uses its name.
+
+The same parse checks that the random streams have one constructor:
+`default_rng` is named in the package only inside `qsim.rep_streams`.
 """
 
 import ast
@@ -75,3 +78,23 @@ def test_every_public_function_has_a_caller():
             if name not in DENSE_ORACLES and not any(calls(ref) for ref in refs):
                 uncalled.append(f"{module}.{qualname}")
     assert uncalled == []
+
+
+def _functions_naming(tree: ast.AST, name: str, owner: str = "") -> list[str]:
+    """The innermost enclosing function ("" at module level) of each use of `name`."""
+    if isinstance(tree, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        owner = tree.name
+    found = []
+    if (isinstance(tree, ast.Attribute) and tree.attr == name) or (isinstance(tree, ast.Name) and tree.id == name):
+        found.append(owner)
+    for child in ast.iter_child_nodes(tree):
+        found += _functions_naming(child, name, owner)
+    return found
+
+
+def test_rep_streams_is_the_only_stream_constructor():
+    users = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        users += [f"{path.stem}.{owner}" for owner in _functions_naming(tree, "default_rng")]
+    assert users == ["qsim.rep_streams"]
