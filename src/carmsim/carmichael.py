@@ -160,7 +160,8 @@ def certify_reps(k: int, p: int, r: int, mode: str, seed: int, reps: int) -> lis
     """reps certifications of composite k; any nonzero counter disproves Carmichael.
 
     The reps share one factorization and one law.  Rep i owns the stream
-    qsim.rep_streams(seed, reps)[i] (built first): in sample mode it first
+    qsim.rep_streams(seed, reps)[i], built once mode and k have passed their
+    checks, so a rejected input pays for no stream: in sample mode it first
     draws its geometric flag retries, then one uniform, and its counter
     reading is the first outcome of the joint law whose cumulative mass
     exceeds that uniform (qsim.sample_outcomes maps all reps at once).
@@ -168,10 +169,10 @@ def certify_reps(k: int, p: int, r: int, mode: str, seed: int, reps: int) -> lis
     all-zeros probability; sample mode reports the gap-based worst-case
     error bound, which does not presume knowledge of t(k).
     """
-    rngs = qsim.rep_streams(seed, reps)
     if mode not in ("exact", "sample"):
         raise DomainError(f"mode must be 'exact' or 'sample', got {mode}")
     facts = composite_facts(k)
+    rngs = qsim.rep_streams(seed, reps)
     accept = facts.phi / k
     dist = counting.count_distribution(k, facts.t_k, p, r)
     allzero = float(dist[(0,) * r])

@@ -25,6 +25,9 @@ Measurement is sampled from an exact marginal table.  `sample_outcomes`
 builds the table's CDF once and maps a whole vector of uniforms in [0, 1)
 to outcomes with one search, so a command with many reps pays for one CDF;
 the caller draws the uniforms from `rep_streams`, the one stream builder.
+Rep i's stream is np.random.default_rng([seed, i]) bit for bit; the
+SeedSequence hash of the seed words is computed for all reps in one numpy
+uint32 pass, and PCG64 seeding and every draw stay numpy's own.
 """
 
 from __future__ import annotations
@@ -205,10 +208,94 @@ def sample_outcomes(table: np.ndarray, uniforms: Sequence[float] | np.ndarray) -
     return np.stack(np.unravel_index(draws, np.shape(table)), axis=1).astype(np.int64)
 
 
+#: SeedSequence's hash constants (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+#: rep indices are one uint32 entropy word each, as SeedSequence reads them
+MAX_REPS = 1 << 32
+
+
+def _seed_words(seed: int, reps: int) -> np.ndarray:
+    """SeedSequence([seed, i]).generate_state(4, np.uint64) as row i, for every i < reps at once.
+
+    The entropy words are those of seed, least significant first ([0] for
+    0), then i.  SeedSequence's hash constant advances the same way for
+    every i, so it stays a Python int and only the hashed values are arrays.
+    """
+    words = [seed & _MASK32]
+    while seed >> 32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    # zero rows pad the pool to 4 words; rows past 4 are the extra entropy
+    entropy = np.zeros((max(len(words) + 1, 4), reps), dtype=np.uint32)
+    entropy[: len(words)] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[len(words)] = np.arange(reps, dtype=np.uint32)
+    const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        value *= const
+        value ^= value >> 16
+        return value
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        x = x * _MIX_MULT_L
+        x -= y * _MIX_MULT_R
+        x ^= x >> 16
+        return x
+
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if dst != src:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    state = np.empty((reps, 8), dtype="<u4")
+    const = _INIT_B
+    for j in range(8):
+        value = pool[j % 4] ^ const
+        const = const * _MULT_B & _MASK32
+        value *= const
+        value ^= value >> 16
+        state[:, j] = value
+    return state.view("<u8").astype(np.uint64)
+
+
+class _SeedWords:
+    """A precomputed generate_state(4, np.uint64) row, handed to PCG64 as its seed.
+
+    rep_streams registers it as a numpy ISeedSequence, which PCG64 requires
+    of a seed it does not hash itself.  Subclassing would import numpy.random
+    with this module, in every command, drawing or not.
+    """
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.words
+
+
 def rep_streams(seed: int, reps: int) -> list[np.random.Generator]:
-    """np.random.default_rng([seed, i]) for each rep i < reps, a stream fixed by (seed, i) alone."""
+    """np.random.default_rng([seed, i]) for each rep i < reps, a stream fixed by (seed, i) alone.
+
+    The streams are numpy's own, bit for bit: one pass hashes the seed words
+    of every rep as SeedSequence([seed, i]) would (_seed_words), and each
+    rep's PCG64 and Generator are seeded from its row.  Beyond MAX_REPS a
+    rep index would no longer be one entropy word, so more reps are refused.
+    """
     if seed < 0:  # np.random.default_rng takes no negative seed
         raise DomainError(f"seed must be >= 0, got {seed}")
     if reps < 1:
         raise DomainError(f"reps must be >= 1, got {reps}")
-    return [np.random.default_rng([seed, i]) for i in range(reps)]
+    if reps > MAX_REPS:
+        raise CapacityError(f"{reps} reps exceed cap {MAX_REPS}")
+    np.random.bit_generator.ISeedSequence.register(_SeedWords)
+    return [np.random.Generator(np.random.PCG64(_SeedWords(row))) for row in _seed_words(seed, reps)]

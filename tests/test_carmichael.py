@@ -149,6 +149,26 @@ def test_certify_reps_share_one_law_and_keep_streams():
             cm.certify_reps(561, 16, 2, mode="exact", seed=0, reps=reps)
 
 
+def test_sample_mode_draws_match_default_rng():
+    # the sample-mode path of a rep: geometric flag rounds, then one uniform
+    for seed in (0, 42, 2**32, 2**100 + 7):
+        for accept in (1.0, 8 / 15, 0.05):
+            for i, stream in enumerate(qsim.rep_streams(seed, 200)):
+                twin = np.random.default_rng([seed, i])
+                assert cm.draw_flag_rounds(accept, stream) == cm.draw_flag_rounds(accept, twin)
+                assert stream.random() == twin.random()
+
+
+def test_certify_rejects_mode_and_prime_before_building_streams(monkeypatch):
+    built = []
+    monkeypatch.setattr(qsim, "rep_streams", lambda seed, reps: built.append(reps) or [])
+    with pytest.raises(DomainError, match="is prime"):
+        cm.certify_reps(1009, 16, 2, mode="exact", seed=0, reps=100)
+    with pytest.raises(DomainError, match="mode must be"):
+        cm.certify_reps(15, 16, 2, mode="other", seed=0, reps=100)
+    assert built == []
+
+
 def test_verdict_validation():
     with pytest.raises(DomainError):
         cm.Verdict(

@@ -319,6 +319,20 @@ def test_bad_seed_and_counter_size_exit_cleanly(args, code, prefix, capsys):
     assert err.startswith(prefix) and "Traceback" not in err
 
 
+def test_commands_that_draw_nothing_never_import_numpy_random():
+    # importing numpy.random adds start-up time and memory to a process;
+    # only qsim.rep_streams loads it
+    check = "import sys; from carmsim import cli; cli.main(['facts', '561']); print('numpy.random' in sys.modules)"
+    proc = run_process(["-c", check])
+    assert proc.returncode == 0 and proc.stdout.splitlines()[-1] == "False"
+
+
+def test_reps_past_one_seed_word_exit_3(capsys):
+    code, out, err = run_cli(["certify", "15", "--reps", str(2**32 + 1)], capsys)
+    assert (code, out) == (3, "")
+    assert err == "capacity error: 4294967297 reps exceed cap 4294967296\n"
+
+
 SCRIPTS = [
     ("certify_error_sweep.py", ["--kmax", "20"], "k,t,P,R,allzero,alpha_pow,gap_bound"),
     (

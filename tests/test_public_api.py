@@ -6,8 +6,9 @@ when any file reaches it through the imported module (`numtheory.factorize`).
 A method or property counts as called when any attribute access outside its
 definition uses its name.
 
-The same parse checks that the random streams have one constructor:
-`default_rng` is named in the package only inside `qsim.rep_streams`.
+The same parse checks that the random streams have one constructor: every
+call of `default_rng`, `SeedSequence`, `PCG64` or `Generator` in the
+package sits inside `qsim.rep_streams`.
 """
 
 import ast
@@ -20,6 +21,10 @@ MODULES = ("numtheory", "qsim", "counting", "carmichael", "cli")
 #: the dense statevector route, kept in the package as the oracle that the
 #: two-plane production route is checked against
 DENSE_ORACLES = {"controlled_grover_powers", "count_distribution_dense"}
+
+#: methods whose caller is numpy: PCG64 reads its seed words through
+#: ISeedSequence.generate_state, which no parsed file names
+NUMPY_CALLBACKS = {"qsim._SeedWords.generate_state"}
 
 
 def _public_definitions(tree: ast.Module):
@@ -75,26 +80,35 @@ def test_every_public_function_has_a_caller():
                 # a bare name is owned by the file that reads it
                 return kind == "attribute" if is_method else owner == module
 
-            if name not in DENSE_ORACLES and not any(calls(ref) for ref in refs):
+            if name in DENSE_ORACLES or f"{module}.{qualname}" in NUMPY_CALLBACKS:
+                continue
+            if not any(calls(ref) for ref in refs):
                 uncalled.append(f"{module}.{qualname}")
     assert uncalled == []
 
 
-def _functions_naming(tree: ast.AST, name: str, owner: str = "") -> list[str]:
-    """The innermost enclosing function ("" at module level) of each use of `name`."""
+#: numpy's stream constructors; a name used as an annotation is no call
+STREAM_CONSTRUCTORS = {"default_rng", "SeedSequence", "PCG64", "Generator"}
+
+
+def _constructor_calls(tree: ast.AST, owner: str = "") -> list[str]:
+    """The innermost enclosing function ("" at module level) of each call to a stream constructor."""
     if isinstance(tree, (ast.FunctionDef, ast.AsyncFunctionDef)):
         owner = tree.name
     found = []
-    if (isinstance(tree, ast.Attribute) and tree.attr == name) or (isinstance(tree, ast.Name) and tree.id == name):
-        found.append(owner)
+    if isinstance(tree, ast.Call):
+        func = tree.func
+        called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if called in STREAM_CONSTRUCTORS:
+            found.append(owner)
     for child in ast.iter_child_nodes(tree):
-        found += _functions_naming(child, name, owner)
+        found += _constructor_calls(child, owner)
     return found
 
 
 def test_rep_streams_is_the_only_stream_constructor():
-    users = []
+    users = set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-        users += [f"{path.stem}.{owner}" for owner in _functions_naming(tree, "default_rng")]
-    assert users == ["qsim.rep_streams"]
+        users |= {f"{path.stem}.{owner}" for owner in _constructor_calls(tree)}
+    assert users == {"qsim.rep_streams"}

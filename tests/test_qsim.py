@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -343,6 +344,44 @@ def test_sample_outcomes_reject_a_table_without_mass():
     for table in (np.zeros(4), np.full(4, np.nan), np.full(3, qsim.SAMPLE_CLIP / 2)):
         with pytest.raises(NormalizationError):
             qsim.sample_outcomes(table, [0.5])
+
+
+# ---------------------------------------------------------------- rep streams
+
+#: seeds of 1, 2, 3 and 4 words: with the rep index they pad the 4-word pool
+#: (one and two), fill it exactly (three) and reach the extra-entropy loop (four)
+STREAM_SEEDS = (0, 1, 42, 2**32 - 1, 2**32, 2**64 + 5, 2**100 + 7)
+
+
+def assert_streams_are_default_rng(seed, reps):
+    words = qsim._seed_words(seed, reps)
+    streams = qsim.rep_streams(seed, reps)
+    assert words.shape == (reps, 4) and len(streams) == reps
+    for i, stream in enumerate(streams):
+        assert np.array_equal(words[i], np.random.SeedSequence([seed, i]).generate_state(4, np.uint64))
+        assert np.array_equal(stream.random(8), np.random.default_rng([seed, i]).random(8))
+
+
+@pytest.mark.parametrize("reps", [1, 1000])
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_rep_streams_are_default_rng_bit_for_bit(seed, reps):
+    assert_streams_are_default_rng(seed, reps)
+
+
+@given(st.integers(0, 2**130 - 1), st.integers(1, 64))
+def test_rep_streams_are_default_rng_for_any_seed(seed, reps):
+    assert_streams_are_default_rng(seed, reps)
+
+
+def test_rep_streams_refuse_reps_past_one_seed_word_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="reps exceed cap"):
+            qsim.rep_streams(0, qsim.MAX_REPS + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 # ---------------------------------------------------------------- angles
