@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Sweep the certification leakage over (k, P, R).
 
-For each composite k the exact all-zeros probability is compared against
-the kernel prediction alpha^(2R) and the gap-based worst case reported in
-sampling mode.  Output is CSV on stdout.
+For each non-Carmichael composite k the exact all-zeros probability is
+compared against the kernel prediction alpha^(2R) and the gap-based worst
+case reported in sampling mode.  Output is CSV on stdout.
 """
 
 import argparse
@@ -22,15 +22,14 @@ def main() -> int:
     def table() -> str:
         rows = []
         for k in range(4, args.kmax + 1):
-            factorization = numtheory.factorize(k)
-            if factorization.is_prime or numtheory.is_carmichael(k):
+            facts = numtheory.number_facts(k)
+            if facts.classification is not numtheory.Classification.COMPOSITE_NON_CARMICHAEL:
                 continue
-            phi = numtheory.euler_phi(factorization)
-            t = phi - numtheory.fermat_nonwitness_count(factorization)
+            phi, t = facts.phi, facts.t_k
             for p in args.p_values:
                 alpha = counting.dirichlet_kernel(counting.peak_position(k, t, p), p)
                 for r in args.r_values:
-                    allzero = carmichael.allzero_probability(k, p, r)
+                    allzero = float(counting.count_distribution(k, t, p, r)[(0,) * r])
                     gap = carmichael.gap_error_bound(k, phi, p, r)
                     rows.append([k, t, p, r, allzero, alpha ** (2 * r), gap])
         header = ["k", "t", "P", "R", "allzero", "alpha_pow", "gap_bound"]

@@ -7,7 +7,6 @@ from .carmichael import (
     PswReport,
     Verdict,
     VerdictKind,
-    allzero_probability,
     certify_reps,
     count_carmichaels_quantum,
     perturbation_bounds,
@@ -31,7 +30,6 @@ from .numtheory import (
     euler_phi,
     factorize,
     fermat_nonwitness_count,
-    is_carmichael,
     number_facts,
     psw_bounds,
     psw_scale,

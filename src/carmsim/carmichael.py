@@ -124,15 +124,6 @@ def ancilla_distribution(k: int, p: int, r: int) -> np.ndarray:
     return counting.count_distribution(k, composite_facts(k).t_k, p, r)
 
 
-def allzero_probability(k: int, p: int, r: int) -> float:
-    """Exact probability of reading |0...0> on the counters (composite k).
-
-    Equals alpha_k^(2R) with alpha_k = s(f_k), and exactly 1 iff k is
-    Carmichael.
-    """
-    return float(ancilla_distribution(k, p, r)[(0,) * r])
-
-
 def draw_flag_rounds(accept_probability: float, rng: np.random.Generator) -> int:
     """Number of flag post-selection rounds until acceptance (geometric, >= 1)."""
     if not 0.0 < accept_probability <= 1.0:
@@ -159,22 +150,25 @@ def gap_error_bound(k: int, phi: int, p: int, r: int) -> float:
 def certify_reps(k: int, p: int, r: int, mode: str, seed: int, reps: int) -> list[Verdict]:
     """reps certifications of composite k; any nonzero counter disproves Carmichael.
 
-    The reps share one factorization and one law.  Rep i owns the stream
-    qsim.rep_streams(seed, reps)[i], built once mode and k have passed their
-    checks, so a rejected input pays for no stream: in sample mode it first
-    draws its geometric flag retries, then one uniform, and its counter
-    reading is the first outcome of the joint law whose cumulative mass
-    exceeds that uniform (qsim.sample_outcomes maps all reps at once).
-    Exact mode resolves the flag analytically (flag_retries = 0) and attaches the exact
-    all-zeros probability; sample mode reports the gap-based worst-case
-    error bound, which does not presume knowledge of t(k).
+    The reps share the composite's facts and one law, built by
+    ancilla_distribution.  Rep i owns the stream qsim.rep_streams(seed,
+    reps)[i], built once mode and k have passed their checks, so a rejected
+    input pays for no stream: in sample mode it first draws its geometric
+    flag retries, then one uniform, and its counter reading is the first
+    outcome of the joint law whose cumulative mass exceeds that uniform
+    (qsim.sample_outcomes maps all reps at once).  Exact mode resolves the
+    flag analytically (flag_retries = 0) and attaches the exact all-zeros
+    probability; sample mode reports the gap-based worst-case error bound,
+    which does not presume knowledge of t(k).  A Verdict depends only on
+    its rep's (reading, flag rounds), so reps with the same pair share one
+    frozen Verdict, built and checked once.
     """
     if mode not in ("exact", "sample"):
         raise DomainError(f"mode must be 'exact' or 'sample', got {mode}")
     facts = composite_facts(k)
     rngs = qsim.rep_streams(seed, reps)
     accept = facts.phi / k
-    dist = counting.count_distribution(k, facts.t_k, p, r)
+    dist = ancilla_distribution(k, p, r)
     allzero = float(dist[(0,) * r])
     if mode == "exact":
         carmichael_bound = 0.0 if facts.t_k == 0 else allzero
@@ -183,21 +177,22 @@ def certify_reps(k: int, p: int, r: int, mode: str, seed: int, reps: int) -> lis
 
     rounds = [draw_flag_rounds(accept, rng) if mode == "sample" else 0 for rng in rngs]
     readings = qsim.sample_outcomes(dist, [rng.random() for rng in rngs]).tolist()
-    verdicts = []
-    for reading, n_rounds in zip(readings, rounds):
+
+    def verdict(reading: tuple[int, ...], n_rounds: int) -> Verdict:
         nonzero = any(reading)
-        verdicts.append(
-            Verdict(
-                kind=VerdictKind.NOT_CARMICHAEL if nonzero else VerdictKind.PROBABLY_CARMICHAEL,
-                error_bound=0.0 if nonzero else carmichael_bound,
-                observed_ancillas=tuple(reading),
-                flag_retries=n_rounds,
-                grover_applications=r * (p - 1) * max(n_rounds, 1),
-                flag_probability=accept,
-                exact_allzero=allzero if mode == "exact" else None,
-            )
+        return Verdict(
+            kind=VerdictKind.NOT_CARMICHAEL if nonzero else VerdictKind.PROBABLY_CARMICHAEL,
+            error_bound=0.0 if nonzero else carmichael_bound,
+            observed_ancillas=reading,
+            flag_retries=n_rounds,
+            grover_applications=r * (p - 1) * max(n_rounds, 1),
+            flag_probability=accept,
+            exact_allzero=allzero if mode == "exact" else None,
         )
-    return verdicts
+
+    outcomes = list(zip(map(tuple, readings), rounds))
+    shared = {outcome: verdict(*outcome) for outcome in dict.fromkeys(outcomes)}
+    return [shared[outcome] for outcome in outcomes]
 
 
 @dataclass(frozen=True)

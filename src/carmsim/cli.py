@@ -6,6 +6,11 @@ so identical invocations are byte-identical; only the commands that draw
 check --seed and --reps.  Every command and script shares one renderer
 (`render`), one writer (`write`) and one error boundary (`run`): exit 0 on
 success, 2 on a domain/precondition error, 3 on a capacity error.
+
+JSON output equals json.dumps(payload, indent=2) byte for byte.  Reps with
+the same outcome share one record, so a payload holds each distinct
+record's dict once, repeated, and the renderer encodes a list element that
+recurs once and reuses its text.
 """
 
 from __future__ import annotations
@@ -14,9 +19,10 @@ import argparse
 import csv
 import functools
 import io
-import json
+import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -33,10 +39,68 @@ class Record(NamedTuple):
     lines: Callable[[], Iterable[str]] | None = None  # text lines
 
 
+def _json_float(value: float) -> str:
+    """A float as json writes it: NaN and the infinities by name, any other by float.__repr__."""
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _json_key(key) -> str:
+    """A dict key as json writes it: a str as is, an int, float, bool or None as its JSON text."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return _json_text(key, "")
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _json_text(value, indent: str) -> str:
+    """value as json.dumps(value, indent=2) writes it, nested at the given indent.
+
+    A list element that recurs (the same object) is encoded once and its
+    text reused; a type json rejects raises json's TypeError.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _json_float(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        texts: dict[int, str] = {}
+        for item in value:
+            if id(item) not in texts:
+                texts[id(item)] = _json_text(item, inner)
+        items = [texts[id(item)] for item in value]
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            f"{encode_basestring_ascii(_json_key(key))}: {_json_text(item, inner)}" for key, item in value.items()
+        ]
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
 def render(output: str, record: Record, config: dict | None = None) -> str:
     """The record as "text", "json" (config block first) or "csv"."""
     if output == "json":
-        return json.dumps({"config": config, **record.payload()}, indent=2) + "\n"
+        return _json_text({"config": config, **record.payload()}, "") + "\n"
     if output == "csv":
         # fields go through str() first, so None and bools print as in text;
         # the writer quotes any field that holds a comma
@@ -79,6 +143,19 @@ def run(build: Callable[[], str], out_path: str | None = None) -> int:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3
     return write(text, out_path)
+
+
+def _json_dicts(records: Sequence) -> list[dict]:
+    """Each record's to_json_dict(), built once per distinct record object.
+
+    Reps with the same outcome share one record, so their entries share one
+    dict, which render then encodes once.
+    """
+    built: dict[int, dict] = {}
+    for record in records:
+        if id(record) not in built:
+            built[id(record)] = record.to_json_dict()
+    return [built[id(record)] for record in records]
 
 
 def _config(cfg: argparse.Namespace) -> dict:
@@ -130,7 +207,7 @@ def _cmd_certify(cfg: argparse.Namespace) -> Record:
             [i, v.kind.value, v.error_bound, ";".join(str(a) for a in v.observed_ancillas), v.flag_retries, v.grover_applications]
             for i, v in enumerate(verdicts)
         )),
-        payload=lambda: {"verdicts": [v.to_json_dict() for v in verdicts], "majority": majority.value},
+        payload=lambda: {"verdicts": _json_dicts(verdicts), "majority": majority.value},
         lines=lambda: [
             f"certify k={cfg.target} P={cfg.p} R={cfg.r} mode={cfg.mode} seed={cfg.seed} reps={cfg.reps}",
             *(
@@ -152,7 +229,7 @@ def _estimates(estimates: list[counting.CountEstimate], summary: dict, head: lis
             [i, e.measured_l, e.f_tilde, e.theta_tilde, e.t_tilde, e.error_bound, e.in_ansatz]
             for i, e in enumerate(estimates)
         )),
-        payload=lambda: {**summary, "estimates": [e.to_json_dict() for e in estimates]},
+        payload=lambda: {**summary, "estimates": _json_dicts(estimates)},
         lines=lambda: head + [
             f"  rep {i}: l={e.measured_l} t_tilde={e.t_tilde} bound={e.error_bound} in_ansatz={e.in_ansatz}"
             for i, e in enumerate(estimates)

@@ -132,26 +132,30 @@ def decode_outcomes(outcomes, dimension: int, p: int, t_ref: float) -> list[Coun
     The error bound is evaluated at the true count t_ref, once for all
     outcomes.  in_ansatz records whether the true peak sits in the window
     1 < f < P/2 - 1 where the four-peak success floor applies;
-    out-of-window results are flagged, not rejected.
+    out-of-window results are flagged, not rejected.  Outcomes with the
+    same l share one frozen CountEstimate, decoded and checked once.
     """
     bound = estimate_error_bound(dimension, p, t_ref)
     f_ref = peak_position(dimension, t_ref, p)
     in_ansatz = bool(1.0 < f_ref < p / 2.0 - 1.0)
-    estimates = []
-    for l in map(int, outcomes):
+
+    def estimate(l: int) -> CountEstimate:
         if not 0 <= l < p:
             raise DomainError(f"outcome {l} outside [0, {p})")
         f_tilde = float(min(l, p - l))
         theta_tilde = math.pi * f_tilde / p
-        estimates.append(CountEstimate(
+        return CountEstimate(
             measured_l=l,
             f_tilde=f_tilde,
             theta_tilde=theta_tilde,
             t_tilde=dimension * math.sin(theta_tilde) ** 2,
             error_bound=bound,
             in_ansatz=in_ansatz,
-        ))
-    return estimates
+        )
+
+    ls = list(map(int, outcomes))
+    shared = {l: estimate(l) for l in dict.fromkeys(ls)}
+    return [shared[l] for l in ls]
 
 
 def count_distribution(dimension: int, marked: int, p: int, registers: int = 1) -> np.ndarray:

@@ -111,10 +111,6 @@ class Factorization:
     def is_prime(self) -> bool:
         return len(self.factors) == 1 and self.factors[0][1] == 1
 
-    @property
-    def is_squarefree(self) -> bool:
-        return all(e == 1 for _, e in self.factors)
-
 
 def _pollard_rho(n: int) -> int:
     """Brent-cycle rho with deterministic parameters; n odd composite."""
@@ -193,16 +189,6 @@ def fermat_nonwitness_count(f: Factorization) -> int:
     for p, _ in f.factors:
         count *= math.gcd(p - 1, f.k - 1)
     return count
-
-
-def is_carmichael(k: int) -> bool:
-    """Korselt test: composite, squarefree, >= 3 primes, p-1 | k-1 for all p."""
-    if k < 2:
-        return False
-    f = factorize(k)
-    if f.is_prime or not f.is_squarefree or len(f.factors) < 3:
-        return False
-    return all((k - 1) % (p - 1) == 0 for p, _ in f.factors)
 
 
 def strong_liar_count(f: Factorization) -> int:

@@ -2,15 +2,17 @@
 
 The number-theory oracles recompute quantities from their definitions
 (per-base censuses, definitional Carmichael test), deliberately avoiding the
-closed formulas and sieves used by the library; a smallest-prime-factor
+closed formulas and sieves used by the library; the Korselt test checks
+the Carmichael property from a factorization, a smallest-prime-factor
 table gives the tests a factorization of every k below a limit, and a
 Fermat-failure mask over the bases of k feeds the dense certification
 route.  The simulation references are the single search gates on a full
 statevector (uniform preparation, phase flip, diffusion, one Grover
 iteration), post-selection on one register, the analytic per-state
 amplitudes on the rotation plane, the amplitude version of the closed-form
-counting law, and the certification variant that reads the coprimality
-flag after the iterations.
+counting law, the all-zeros probability of the certification law, and the
+certification variant that reads the coprimality flag after the
+iterations.
 """
 
 from __future__ import annotations
@@ -21,9 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from carmsim import qsim
-from carmsim.carmichael import composite_facts
+from carmsim.carmichael import ancilla_distribution, composite_facts
 from carmsim.counting import dirichlet_kernel, peak_position
 from carmsim.errors import CapacityError, DomainError, NormalizationError
+from carmsim.numtheory import factorize
 from carmsim.qsim import RegisterLayout, StateVector, _finish
 
 
@@ -117,6 +120,16 @@ def carmichael_definitional(k: int) -> bool:
     return all(
         pow(a, k - 1, k) == 1 for a in range(2, k) if math.gcd(a, k) == 1
     )
+
+
+def is_carmichael(k: int) -> bool:
+    """Korselt test: composite, squarefree, >= 3 primes, p-1 | k-1 for all p."""
+    if k < 2:
+        return False
+    f = factorize(k)
+    if len(f.factors) < 3 or any(e > 1 for _, e in f.factors):
+        return False
+    return all((k - 1) % (p - 1) == 0 for p, _ in f.factors)
 
 
 def strong_witness_scalar(k: int, a: int) -> bool:
@@ -259,6 +272,15 @@ def closed_form_state(marked_mask: np.ndarray, p: int) -> np.ndarray:
     marked_col = c_marked / math.sqrt(t) if t > 0 else np.zeros(p, dtype=complex)
     unmarked_col = c_unmarked / math.sqrt(d - t) if t < d else np.zeros(p, dtype=complex)
     return np.where(mask[None, :], marked_col[:, None], unmarked_col[:, None])
+
+
+def allzero_probability(k: int, p: int, r: int) -> float:
+    """Exact probability of reading |0...0> on the counters (composite k).
+
+    Equals alpha_k^(2R) with alpha_k = s(f_k), and exactly 1 iff k is
+    Carmichael.
+    """
+    return float(ancilla_distribution(k, p, r)[(0,) * r])
 
 
 @dataclass(frozen=True)

@@ -51,35 +51,35 @@ def test_draw_flag_rounds_mean():
 # ---------------------------------------------------------------- all-zeros law
 
 def test_allzero_carmichael_is_one():
-    assert cm.allzero_probability(561, 16, 2) == pytest.approx(1.0, abs=1e-10)
+    assert oracles.allzero_probability(561, 16, 2) == pytest.approx(1.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("k", [15, 21, 25, 49, 91, 105])
 @pytest.mark.parametrize("p,r", [(8, 1), (16, 1), (16, 2)])
 def test_allzero_matches_kernel_power(k, p, r):
     alpha = leakage_alpha(k, p)
-    assert cm.allzero_probability(k, p, r) == pytest.approx(alpha ** (2 * r), abs=1e-10)
+    assert oracles.allzero_probability(k, p, r) == pytest.approx(alpha ** (2 * r), abs=1e-10)
 
 
 def test_allzero_decreasing_in_r():
-    values = [cm.allzero_probability(15, 16, r) for r in (1, 2, 3)]
+    values = [oracles.allzero_probability(15, 16, r) for r in (1, 2, 3)]
     assert values[0] > values[1] > values[2]
 
 
 def test_allzero_probability_rejects_primes():
     with pytest.raises(DomainError):
-        cm.allzero_probability(13, 16, 1)
+        oracles.allzero_probability(13, 16, 1)
 
 
 def test_gap_bound_applies_above_half():
     # t(25) = 16 >= 25/2, so the sqrt(2)/P envelope applies
-    assert cm.allzero_probability(25, 8, 2) <= (math.sqrt(2) / 8) ** 4
-    assert cm.allzero_probability(49, 16, 2) <= (math.sqrt(2) / 16) ** 4
+    assert oracles.allzero_probability(25, 8, 2) <= (math.sqrt(2) / 8) ** 4
+    assert oracles.allzero_probability(49, 16, 2) <= (math.sqrt(2) / 16) ** 4
 
 
 def test_flag_conditioned_diagnostic_differs():
     diag = oracles.allzero_probability_flag_conditioned(15, 8, 1)
-    marginal = cm.allzero_probability(15, 8, 1)
+    marginal = oracles.allzero_probability(15, 8, 1)
     assert 0.0 <= diag.joint <= diag.conditional <= 1.0
     # the literal post-iteration flag couples to the counters: the mass is
     # branch-dependent and the conditional shifts away from alpha^(2R)
@@ -147,6 +147,67 @@ def test_certify_reps_share_one_law_and_keep_streams():
     for reps in (0, -3):
         with pytest.raises(DomainError, match="reps must be >= 1"):
             cm.certify_reps(561, 16, 2, mode="exact", seed=0, reps=reps)
+
+
+def _per_rep_verdicts(k: int, p: int, r: int, mode: str, seed: int, reps: int) -> list[cm.Verdict]:
+    """One Verdict built per rep from its own default_rng([seed, i]) stream."""
+    facts = numtheory.number_facts(k)
+    law = counting.count_distribution(k, facts.t_k, p, r)
+    allzero = float(law[(0,) * r])
+    accept = facts.phi / k
+    if mode == "exact":
+        bound = 0.0 if facts.t_k == 0 else allzero
+    else:
+        bound = cm.gap_error_bound(k, facts.phi, p, r)
+    verdicts = []
+    for i in range(reps):
+        rng = np.random.default_rng([seed, i])
+        rounds = cm.draw_flag_rounds(accept, rng) if mode == "sample" else 0
+        reading = tuple(qsim.sample_outcomes(law, [rng.random()])[0].tolist())
+        nonzero = any(reading)
+        verdicts.append(cm.Verdict(
+            kind=cm.VerdictKind.NOT_CARMICHAEL if nonzero else cm.VerdictKind.PROBABLY_CARMICHAEL,
+            error_bound=0.0 if nonzero else bound,
+            observed_ancillas=reading,
+            flag_retries=rounds,
+            grover_applications=r * (p - 1) * max(rounds, 1),
+            flag_probability=accept,
+            exact_allzero=allzero if mode == "exact" else None,
+        ))
+    return verdicts
+
+
+def _per_rep_estimates(dimension: int, marked: int, p: int, seed: int, reps: int) -> list[counting.CountEstimate]:
+    """One CountEstimate decoded per rep from its own default_rng([seed, i]) stream."""
+    table = counting.count_distribution(dimension, marked, p)
+    return [
+        counting.decode_outcomes(
+            qsim.sample_outcomes(table, [np.random.default_rng([seed, i]).random()])[:, 0], dimension, p, marked
+        )[0]
+        for i in range(reps)
+    ]
+
+
+@pytest.mark.parametrize("seed", [0, 5, 42, 2**32, 2**100 + 7])
+@pytest.mark.parametrize("command", ["certify-exact", "certify-sample", "count-bases", "count-carmichael"])
+def test_reps_with_one_outcome_share_one_record(command, seed):
+    # the library calls behind each CLI command, at 100 reps
+    if command.startswith("certify"):
+        mode = command.removeprefix("certify-")
+        records = cm.certify_reps(403, 8, 2, mode=mode, seed=seed, reps=100)
+        rebuilt = _per_rep_verdicts(403, 8, 2, mode, seed, 100)
+        outcomes = {(v.observed_ancillas, v.flag_retries) for v in records}
+    else:
+        if command == "count-bases":
+            dimension, marked = 25001, cm.composite_facts(25001).t_k
+            records = counting.run_count(dimension, marked, 64, seed=seed, reps=100)
+        else:
+            result = cm.count_carmichaels_quantum(65000, 64, seed=seed, reps=100)
+            dimension, marked, records = 65000, result.exact_count, result.estimates
+        rebuilt = _per_rep_estimates(dimension, marked, 64, seed, 100)
+        outcomes = {e.measured_l for e in records}
+    assert len({id(record) for record in records}) == len(outcomes) < len(records)
+    assert records == rebuilt
 
 
 def test_sample_mode_draws_match_default_rng():

@@ -4,14 +4,16 @@ import io
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from carmsim import cli, counting
+from carmsim import cli, counting, numtheory
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -327,6 +329,66 @@ def test_commands_that_draw_nothing_never_import_numpy_random():
     assert proc.returncode == 0 and proc.stdout.splitlines()[-1] == "False"
 
 
+#: every character, lone surrogates and control characters included
+JSON_TEXT = st.text(st.characters(exclude_categories=())) | st.sampled_from(
+    ["\ud800", "\udfff x", "\x00\x1f\x7f", "é€😀\u2028"]
+)
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(2**64, 2**200).flatmap(lambda n: st.sampled_from([n, -n])),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e-320, 1e300]),
+    JSON_TEXT,
+)
+JSON_KEYS = st.one_of(JSON_TEXT, st.integers(), st.floats(), st.booleans(), st.none())
+
+
+def _json_containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(JSON_KEYS, children, max_size=4),
+        # one child object repeated in a list, and recurring at other depths
+        st.builds(lambda child, n: [child] * n, children, st.integers(2, 4)),
+        children.map(lambda child: {"shallow": child, "deep": [[child], (child, child)]}),
+    )
+
+
+def _render_json(payload: dict) -> str:
+    return cli.render("json", cli.Record(table=lambda: ([], []), payload=lambda: payload))
+
+
+@given(st.recursive(JSON_SCALARS, _json_containers, max_leaves=12))
+def test_json_render_equals_json_dumps(value):
+    assert _render_json({"value": value}) == json.dumps({"config": None, "value": value}, indent=2) + "\n"
+
+
+#: values json.dumps rejects; where two are present, the first one reached is named
+JSON_REJECTED = {
+    "int64": np.int64(3),
+    "set": {1, 2},
+    "object": object(),
+    "numpy-bool": np.bool_(True),
+    "int64-before-set": [1.5, "x", np.int64(3), {2}],
+    "set-before-int64": [{2}, np.int64(3)],
+    "nested-object": {"a": [None, {"b": object()}], "c": np.int64(1)},
+    "tuple-key": {"a": 1, (1,): 2},
+    "tuple-key-before-value": {(1,): object()},
+    "frozenset-key": {frozenset(): 1},
+}
+
+
+@pytest.mark.parametrize("value", JSON_REJECTED.values(), ids=JSON_REJECTED.keys())
+def test_json_render_rejects_what_json_dumps_rejects(value):
+    with pytest.raises(TypeError) as expected:
+        json.dumps({"config": None, "value": value}, indent=2)
+    with pytest.raises(TypeError) as rejected:
+        _render_json({"value": value})
+    assert str(rejected.value) == str(expected.value)
+
+
 def test_reps_past_one_seed_word_exit_3(capsys):
     code, out, err = run_cli(["certify", "15", "--reps", str(2**32 + 1)], capsys)
     assert (code, out) == (3, "")
@@ -355,6 +417,17 @@ def test_scripts_smoke(script, args, header):
     lines = proc.stdout.splitlines()
     assert lines[0] == header
     assert len(lines) >= 2
+
+
+def test_error_sweep_factorizes_each_k_once(monkeypatch, capsys):
+    calls = []
+    factorize = numtheory.factorize
+    monkeypatch.setattr(numtheory, "factorize", lambda k: calls.append(k) or factorize(k))
+    monkeypatch.setattr(sys, "argv", ["certify_error_sweep.py", "--kmax", "60"])
+    sweep = runpy.run_path(str(ROOT / "scripts" / "certify_error_sweep.py"))
+    assert sweep["main"]() == 0
+    assert capsys.readouterr().out.startswith("k,t,P,R,allzero,alpha_pow,gap_bound\n")
+    assert calls == list(range(4, 61))
 
 
 SCRIPT_BAD_INPUTS = {
