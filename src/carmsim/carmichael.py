@@ -236,6 +236,9 @@ class PerturbationBounds:
 #: perturbation_bounds refuses n above this
 SWEEP_BOUND = 10**7
 
+#: k values per chunk of perturbation_bounds' angle and kernel evaluation
+_KERNEL_CHUNK = 1 << 14
+
 
 def perturbation_bounds(n: int, p: int) -> PerturbationBounds:
     """Leakage factors and correction budget for every k = 1..n.
@@ -251,7 +254,10 @@ def perturbation_bounds(n: int, p: int) -> PerturbationBounds:
     exceeds the limit whenever P = 2 mod 4.  k = 6 and 9 exceed it at some
     P only; among the powers of two P = 4..1024, at P = 8 and P = 64.
     Every composite k = 2..n over the limit is reported in beta_violations
-    rather than masked.
+    rather than masked.  The angles and both kernels are evaluated in
+    chunks of _KERNEL_CHUNK values of k into the preallocated beta and
+    alpha, so their temporaries stay small; the sums run over the whole
+    arrays once the sieve's counts are freed, so the sieve sets the peak.
     """
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
@@ -267,14 +273,20 @@ def perturbation_bounds(n: int, p: int) -> PerturbationBounds:
     witness = np.where(composite, k - 1 - strong, 0)
     t_gap = np.where(composite, phi - fermat, 0)
     carmichael = composite & (t_gap == 0)
+    del k, fermat, strong  # the sums below peak above the sieve unless freed
 
-    with np.errstate(invalid="ignore", divide="ignore"):
-        g = p * np.arcsin(np.sqrt(witness / np.maximum(ks, 1.0))) / math.pi
-        f_peak = p * np.arcsin(np.sqrt(t_gap / np.maximum(ks, 1.0))) / math.pi
-    g[:2] = 0.0
-    f_peak[:2] = 0.0
-    beta = counting.dirichlet_kernel(g, p)
-    alpha = counting.dirichlet_kernel(f_peak, p)
+    # elementwise, so chunking leaves every entry bit-identical; k = 0, 1
+    # carry no witnesses and no gap, so their angles are 0
+    beta = np.empty(n + 1)
+    alpha = np.empty(n + 1)
+    for lo in range(0, n + 1, _KERNEL_CHUNK):
+        chunk = slice(lo, lo + _KERNEL_CHUNK)
+        size = np.maximum(ks[chunk], 1.0)
+        g = p * np.arcsin(np.sqrt(witness[chunk] / size)) / math.pi
+        f_peak = p * np.arcsin(np.sqrt(t_gap[chunk] / size)) / math.pi
+        beta[chunk] = counting.dirichlet_kernel(g, p)
+        alpha[chunk] = counting.dirichlet_kernel(f_peak, p)
+    del witness, t_gap
 
     noncarm = composite & ~carmichael
     ratio = phi / np.maximum(ks, 1.0)
@@ -412,7 +424,7 @@ def psw_report(
             raise DomainError(f"{name} must be finite and > 0, got {value}")
     q_used = q if q is not None else choose_q(n, epsilon, delta)
     result = count_carmichaels_quantum(n, q_used, seed=seed, reps=reps)
-    t_est = float(np.median([e.t_tilde for e in result.estimates]))
+    t_est = counting.median_t_tilde(result.estimates)
     scale = numtheory.psw_scale(n)
     dt_exp = result.error_bound
     dt_th = n * scale ** (-(2.0 + epsilon + delta))

@@ -240,7 +240,7 @@ def _estimates(estimates: list[counting.CountEstimate], summary: dict, head: lis
 def _cmd_count_bases(cfg: argparse.Namespace) -> Record:
     t_true = carmichael.composite_facts(cfg.target).t_k
     estimates = counting.run_count(cfg.target, t_true, cfg.p, seed=cfg.seed, reps=cfg.reps)
-    median = float(np.median([e.t_tilde for e in estimates]))
+    median = counting.median_t_tilde(estimates)
     return _estimates(estimates, {"t_true": t_true, "t_tilde_median": median}, [
         f"count-bases k={cfg.target} P={cfg.p} seed={cfg.seed} reps={cfg.reps}",
         f"t_true: {t_true}  t_tilde median: {median}",
@@ -251,7 +251,7 @@ def _cmd_count_carmichael(cfg: argparse.Namespace) -> Record:
     result = carmichael.count_carmichaels_quantum(cfg.target, cfg.q, seed=cfg.seed, reps=cfg.reps)
     summary = {
         "t_N": result.exact_count,
-        "t_tilde_median": float(np.median([e.t_tilde for e in result.estimates])),
+        "t_tilde_median": counting.median_t_tilde(result.estimates),
         "success_fraction": result.success_fraction(),
         "error_bound": result.error_bound,
         "peak_probability": result.peak_probability.value,

@@ -312,11 +312,14 @@ class LiarCounts(NamedTuple):
 def liar_sieve(n: int) -> LiarCounts:
     """phi, F and the strong-liar count of every k <= n in one pass over the primes.
 
-    Each prime p <= sqrt(n) updates its multiples p::p: phi, the product
-    F = prod gcd(p - 1, k - 1), the distinct-prime count omega and the lowest
-    set bit 2^nu of every p - 1 (nu = min v2(p - 1)); the slices p^j::p^j
-    divide p out of a cofactor.  What remains of the cofactor is 1 or the
-    one prime factor above sqrt(n), handled in one vectorized step.  The
+    Each prime p <= sqrt(n) updates its multiples p::p in place: phi, the
+    product F = prod gcd(p - 1, k - 1), the distinct-prime count omega and
+    the lowest set bit 2^nu of every p - 1 (nu = min v2(p - 1)); the slices
+    p^j::p^j divide p out of a cofactor.  The gcd needs no per-multiple
+    call: on k = p m, gcd(p m - 1, p - 1) = gcd(m - 1, p - 1) has period
+    p - 1 in m, so one table of gcd(j, p - 1), j < p - 1, is tiled over the
+    multiples.  What remains of the cofactor is 1 or the one prime factor
+    above sqrt(n), handled in one vectorized step.  The
     strong count is strong_liar_count's formula: with k - 1 = 2^s d and
     p - 1 = 2^{s_p} d_p, gcd(p - 1, k - 1) = 2^min(s_p, s) gcd(d_p, d), so
     prod gcd(d, d_p) is the odd part of F, and (2^(nu*omega) - 1)/(2^omega - 1)
@@ -325,17 +328,20 @@ def liar_sieve(n: int) -> LiarCounts:
     """
     if n < 1:
         raise DomainError(f"liar sieve requires n >= 1, got {n}")
-    ks = np.arange(n + 1, dtype=np.int64)
-    phi = ks.copy()
-    rest = ks.copy()
+    phi = np.arange(n + 1, dtype=np.int64)
+    rest = phi.copy()
     fermat = np.ones(n + 1, dtype=np.int64)
     omega = np.zeros(n + 1, dtype=np.int64)
     low = np.full(n + 1, 1 << 62, dtype=np.int64)
     for p in np.flatnonzero(prime_sieve(math.isqrt(n))).tolist():
+        multiples = n // p
+        period = np.gcd(np.arange(p - 1), p - 1)
+        # period tiled over the multiples: np.tile without its per-call overhead
+        tiles = period[None].repeat(-(-multiples // (p - 1)), axis=0).ravel()
         phi[p::p] -= phi[p::p] // p
-        fermat[p::p] *= np.gcd(ks[p::p] - 1, p - 1)
+        fermat[p::p] *= tiles[:multiples]
         omega[p::p] += 1
-        low[p::p] = np.minimum(low[p::p], (p - 1) & (1 - p))
+        np.minimum(low[p::p], (p - 1) & (1 - p), out=low[p::p])
         power = p
         while power <= n:
             rest[power::power] //= p
@@ -364,8 +370,8 @@ def liar_sieve(n: int) -> LiarCounts:
     return LiarCounts(phi, fermat, strong)
 
 
-#: odd values of k per block of the Carmichael sieve
-_BLOCK = 1 << 22
+#: odd values of k per block of the Carmichael sieve (4 MiB of int32)
+_BLOCK = 1 << 20
 
 
 def enumerate_carmichaels(n: int) -> list[int]:
@@ -379,8 +385,11 @@ def enumerate_carmichaels(n: int) -> list[int]:
     k is Carmichael exactly when prod[k] == k: a prime factor outside its
     class, a square factor or a prime factor above sqrt(n) leaves
     prod[k] < k, and a prime k has prod[k] = 1, its own progression
-    starting at k^2.  The test is integer-only; k runs in blocks of _BLOCK
-    odd values.
+    starting at k^2.  k runs in blocks of _BLOCK odd values k = lo + 2i,
+    and no array of the k themselves is built: prod[i] divides k and no
+    Carmichael number is below 561, so only the few entries with
+    prod[i] >= max(lo, 561) are candidates, each tested exactly against
+    lo + 2i.  The test is integer-only.
     """
     if n < 2:
         raise DomainError(f"enumeration requires n >= 2, got {n}")
@@ -392,13 +401,15 @@ def enumerate_carmichaels(n: int) -> list[int]:
     dtype = np.int32 if n <= 1 << 31 else np.int64  # prod[k] divides k < n
     found: list[int] = []
     for lo in range(3, n, 2 * _BLOCK):
-        ks = np.arange(lo, min(lo + 2 * _BLOCK, n), 2, dtype=dtype)
-        prod = np.ones_like(ks)
+        size = (min(lo + 2 * _BLOCK, n) - lo + 1) // 2
+        prod = np.ones(size, dtype=dtype)
         first = (np.maximum(squares, lo + (primes - lo) % moduli) - lo) // 2
-        live = first < ks.size
+        live = first < size
         for p, i, step in zip(primes[live].tolist(), first[live].tolist(), (moduli[live] // 2).tolist()):
             prod[i::step] *= p
-        found += ks[prod == ks].tolist()
+        cand = np.flatnonzero(prod >= max(lo, 561))
+        ks = lo + 2 * cand
+        found += ks[prod[cand] == ks].tolist()
     return found
 
 

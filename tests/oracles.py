@@ -12,12 +12,14 @@ iteration), post-selection on one register, the analytic per-state
 amplitudes on the rotation plane, the amplitude version of the closed-form
 counting law, the all-zeros probability of the certification law, and the
 certification variant that reads the coprimality flag after the
-iterations.
+iterations.  peak_traced_bytes measures a call's peak heap for the memory
+guards.
 """
 
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -317,3 +319,13 @@ def allzero_probability_flag_conditioned(k: int, p: int, r: int) -> FlagConditio
     return FlagConditionedAllZeros(
         joint=conditional * flag_mass, conditional=conditional, flag_mass=float(flag_mass)
     )
+
+
+def peak_traced_bytes(fn, *args) -> int:
+    """Peak bytes allocated during fn(*args); tracemalloc sees numpy buffers too."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -284,6 +284,29 @@ def test_perturbation_bounds_hold_at_p16_full_range():
     assert bounds.correction_norm_sq <= bounds.correction_norm_bound
 
 
+CHUNK = cm._KERNEL_CHUNK
+
+
+@pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+def test_perturbation_bounds_chunks_match_one_shot_kernel(n):
+    phi, fermat, strong = numtheory.liar_sieve(n)
+    k = np.arange(n + 1)
+    composite = phi != k - 1
+    composite[:2] = False
+    size = np.maximum(k, 1).astype(np.float64)
+    g = 64 * np.arcsin(np.sqrt(np.where(composite, k - 1 - strong, 0) / size)) / math.pi
+    f_peak = 64 * np.arcsin(np.sqrt(np.where(composite, phi - fermat, 0) / size)) / math.pi
+    bounds = cm.perturbation_bounds(n, 64)
+    assert np.array_equal(bounds.beta, counting.dirichlet_kernel(g, 64))
+    assert np.array_equal(bounds.alpha, counting.dirichlet_kernel(f_peak, 64))
+
+
+def test_perturbation_bounds_stay_in_bounded_memory():
+    # the kernels run in chunks and the sieve's counts are freed before the
+    # sums: 6.8 MiB measured, 16.3 MiB with the kernels over whole arrays
+    assert oracles.peak_traced_bytes(cm.perturbation_bounds, 10**5, 64) < 10 * 2**20
+
+
 def test_phi_norm():
     value = cm.perturbation_bounds(10**4, 16).phi_norm
     assert 0.0 < value <= 1.0

@@ -329,6 +329,15 @@ def test_commands_that_draw_nothing_never_import_numpy_random():
     assert proc.returncode == 0 and proc.stdout.splitlines()[-1] == "False"
 
 
+def test_counting_commands_never_import_numpy_ma():
+    # np.median's NaN check imports numpy.ma, about 10 ms of a process's
+    # first call; the counting commands take their median by sorting
+    commands = [["count-carmichael", "5000", "--Q", "64"], ["count-bases", "561"], ["psw", "10000"]]
+    check = f"import sys; from carmsim import cli; [cli.main(c) for c in {commands}]; print('numpy.ma' in sys.modules)"
+    proc = run_process(["-c", check])
+    assert proc.returncode == 0 and proc.stdout.splitlines()[-1] == "False"
+
+
 #: every character, lone surrogates and control characters included
 JSON_TEXT = st.text(st.characters(exclude_categories=())) | st.sampled_from(
     ["\ud800", "\udfff x", "\x00\x1f\x7f", "é€😀\u2028"]

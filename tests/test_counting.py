@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -220,6 +221,12 @@ def test_estimate_serialization_keys():
 
 
 # ---------------------------------------------------------------- run_count
+
+@given(st.lists(st.floats(0, 1e12), min_size=1, max_size=200))
+def test_median_t_tilde_equals_numpy_median(values):
+    estimates = [SimpleNamespace(t_tilde=v) for v in values]
+    assert counting.median_t_tilde(estimates) == float(np.median(values))
+
 
 def test_run_count_empty_marked():
     estimates = counting.run_count(50, 0, 16, seed=3, reps=20)
