@@ -33,7 +33,7 @@ def main() -> int:
                     gap = carmichael.gap_error_bound(k, phi, p, r)
                     rows.append([k, t, p, r, allzero, alpha ** (2 * r), gap])
         header = ["k", "t", "P", "R", "allzero", "alpha_pow", "gap_bound"]
-        return cli.render("csv", cli.Record(table=lambda: (header, rows)))
+        return cli.render("csv", cli.Record(table=lambda: [cli.csv_line(row) for row in [header, *rows]]))
 
     return cli.run(table)
 

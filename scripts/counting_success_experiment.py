@@ -30,7 +30,7 @@ def main() -> int:
             rows.append([args.N, q, result.exact_count, result.success_fraction(),
                          result.error_bound, peak.value, peak.in_ansatz])
         header = ["N", "Q", "t_N", "success_fraction", "error_bound", "peak_probability", "in_ansatz"]
-        text = cli.render("csv", cli.Record(table=lambda: (header, rows)))
+        text = cli.render("csv", cli.Record(table=lambda: [cli.csv_line(row) for row in [header, *rows]]))
         return text + f"# four-peak floor 8/pi^2 = {8 / math.pi ** 2}\n"
 
     return cli.run(table)

@@ -30,7 +30,7 @@ def main() -> int:
             )
             rows.append([*report.to_csv_row(), report.meets_target])
         header = [*carmichael.PswReport.CSV_HEADER, "meets_target"]
-        return cli.render("csv", cli.Record(table=lambda: (header, rows)))
+        return cli.render("csv", cli.Record(table=lambda: [cli.csv_line(row) for row in [header, *rows]]))
 
     return cli.run(table)
 

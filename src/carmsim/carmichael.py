@@ -15,9 +15,12 @@ bounded only by factorization (2^50), and qsim.AMPLITUDE_CAP binds the
 counters alone.  The dense route over all k base values
 (qsim.controlled_grover_powers over a Fermat-failure mask, the mask built in
 tests/oracles.py) is a test oracle.  A command's reps share one law:
-certify_reps reads the composite's facts and builds the law once, draws one
-uniform for rep i from its stream of qsim.rep_streams and maps every rep's
-uniform to a counter reading in one qsim.sample_outcomes call.
+certify_reps reads the composite's facts and builds the law once, draws
+every rep's uniforms at once from qsim.rep_streams, where rep i draws
+numpy's PCG64 sequence of default_rng([seed, i]) reproduced in-package, and
+maps every rep's reading uniform to a counter reading in one
+qsim.sample_outcomes call.  numpy.random itself is only the tests' oracle
+for the streams.
 
 Flag convention.  The coprimality flag is post-selected on the *prepared*
 uniform superposition, where its acceptance probability is exactly phi(k)/k
@@ -124,16 +127,6 @@ def ancilla_distribution(k: int, p: int, r: int) -> np.ndarray:
     return counting.count_distribution(k, composite_facts(k).t_k, p, r)
 
 
-def draw_flag_rounds(accept_probability: float, rng: np.random.Generator) -> int:
-    """Number of flag post-selection rounds until acceptance (geometric, >= 1)."""
-    if not 0.0 < accept_probability <= 1.0:
-        raise DomainError(f"acceptance probability {accept_probability} outside (0, 1]")
-    rounds = 1
-    while rng.random() >= accept_probability:
-        rounds += 1
-    return rounds
-
-
 def gap_error_bound(k: int, phi: int, p: int, r: int) -> float:
     """Worst-case all-zeros leakage over the guaranteed gap t >= phi/2.
 
@@ -151,22 +144,23 @@ def certify_reps(k: int, p: int, r: int, mode: str, seed: int, reps: int) -> lis
     """reps certifications of composite k; any nonzero counter disproves Carmichael.
 
     The reps share the composite's facts and one law, built by
-    ancilla_distribution.  Rep i owns the stream qsim.rep_streams(seed,
-    reps)[i], built once mode and k have passed their checks, so a rejected
+    ancilla_distribution.  Rep i owns stream i of qsim.rep_streams(seed,
+    reps), built once mode and k have passed their checks, so a rejected
     input pays for no stream: in sample mode it first draws its geometric
-    flag retries, then one uniform, and its counter reading is the first
-    outcome of the joint law whose cumulative mass exceeds that uniform
-    (qsim.sample_outcomes maps all reps at once).  Exact mode resolves the
-    flag analytically (flag_retries = 0) and attaches the exact all-zeros
-    probability; sample mode reports the gap-based worst-case error bound,
-    which does not presume knowledge of t(k).  A Verdict depends only on
-    its rep's (reading, flag rounds), so reps with the same pair share one
-    frozen Verdict, built and checked once.
+    flag retries, then one uniform (RepStreams.flag_rounds draws both for
+    all reps), and its counter reading is the first outcome of the joint
+    law whose cumulative mass exceeds that uniform (qsim.sample_outcomes
+    maps all reps at once).  Exact mode resolves the flag analytically
+    (flag_retries = 0) and attaches the exact all-zeros probability; sample
+    mode reports the gap-based worst-case error bound, which does not
+    presume knowledge of t(k).  A Verdict depends only on its rep's
+    (reading, flag rounds), so reps with the same pair share one frozen
+    Verdict, built and checked once.
     """
     if mode not in ("exact", "sample"):
         raise DomainError(f"mode must be 'exact' or 'sample', got {mode}")
     facts = composite_facts(k)
-    rngs = qsim.rep_streams(seed, reps)
+    streams = qsim.rep_streams(seed, reps)
     accept = facts.phi / k
     dist = ancilla_distribution(k, p, r)
     allzero = float(dist[(0,) * r])
@@ -175,8 +169,12 @@ def certify_reps(k: int, p: int, r: int, mode: str, seed: int, reps: int) -> lis
     else:
         carmichael_bound = gap_error_bound(k, facts.phi, p, r)
 
-    rounds = [draw_flag_rounds(accept, rng) if mode == "sample" else 0 for rng in rngs]
-    readings = qsim.sample_outcomes(dist, [rng.random() for rng in rngs]).tolist()
+    if mode == "sample":
+        rounds, uniforms = streams.flag_rounds(accept)
+        rounds = rounds.tolist()
+    else:
+        rounds, uniforms = [0] * reps, streams.random()
+    readings = qsim.sample_outcomes(dist, uniforms).tolist()
 
     def verdict(reading: tuple[int, ...], n_rounds: int) -> Verdict:
         nonzero = any(reading)

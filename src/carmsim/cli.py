@@ -1,16 +1,20 @@
 """Batch command-line front end.
 
 Subcommands: facts, certify, count-bases, count-carmichael, psw, bounds,
-enumerate.  Rep i of a command draws from qsim.rep_streams(seed, reps)[i],
-so identical invocations are byte-identical; only the commands that draw
-check --seed and --reps.  Every command and script shares one renderer
+enumerate.  Rep i of a command draws numpy's PCG64 sequence of
+np.random.default_rng([seed, i]), which qsim.rep_streams reproduces
+in-package for all reps at once (no command imports numpy.random), so
+identical invocations are byte-identical; only the commands that draw check
+--seed and --reps.  Every command and script shares one renderer
 (`render`), one writer (`write`) and one error boundary (`run`): exit 0 on
-success, 2 on a domain/precondition error, 3 on a capacity error.
+success, 2 on a domain/precondition error, 3 on a capacity error or when
+memory runs out.
 
 JSON output equals json.dumps(payload, indent=2) byte for byte.  Reps with
 the same outcome share one record, so a payload holds each distinct
 record's dict once, repeated, and the renderer encodes a list element that
-recurs once and reuses its text.
+recurs once and reuses its text.  The text and CSV forms likewise format
+each distinct record once and prefix each rep's copy with its rep index.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .errors import CapacityError, DomainError
 class Record(NamedTuple):
     """A command's result in each output form; render builds only the one asked for."""
 
-    table: Callable[[], tuple[Sequence[str], Iterable[Sequence]]]  # CSV header and rows
+    table: Callable[[], Iterable[str]]  # CSV lines (csv_line), header first
     payload: Callable[[], dict] | None = None  # JSON body after the "config" block
     lines: Callable[[], Iterable[str]] | None = None  # text lines
 
@@ -97,18 +101,22 @@ def _json_text(value, indent: str) -> str:
     raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
+def csv_line(fields: Iterable) -> str:
+    """One CSV row as csv.writer writes it, without its line end.
+
+    Fields go through str() first, so None and bools print as in text; the
+    writer quotes any field that holds a comma.
+    """
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow([str(v) for v in fields])
+    return buf.getvalue()
+
+
 def render(output: str, record: Record, config: dict | None = None) -> str:
     """The record as "text", "json" (config block first) or "csv"."""
     if output == "json":
         return _json_text({"config": config, **record.payload()}, "") + "\n"
-    if output == "csv":
-        # fields go through str() first, so None and bools print as in text;
-        # the writer quotes any field that holds a comma
-        header, rows = record.table()
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows([str(v) for v in row] for row in [header, *rows])
-        return buf.getvalue()
-    return "\n".join(record.lines()) + "\n"
+    return "\n".join(record.table() if output == "csv" else record.lines()) + "\n"
 
 
 def write(text: str, out_path: str | None = None) -> int:
@@ -133,28 +141,28 @@ def write(text: str, out_path: str | None = None) -> int:
 
 
 def run(build: Callable[[], str], out_path: str | None = None) -> int:
-    """write(build()), or 2 on a DomainError and 3 on a CapacityError after one stderr line."""
+    """write(build()), or 2 on a DomainError and 3 on a CapacityError or MemoryError after one stderr line."""
     try:
         text = build()
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CapacityError as exc:
-        print(f"capacity error: {exc}", file=sys.stderr)
+    except (CapacityError, MemoryError) as exc:
+        print(f"capacity error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     return write(text, out_path)
 
 
-def _json_dicts(records: Sequence) -> list[dict]:
-    """Each record's to_json_dict(), built once per distinct record object.
+def _shared(records: Sequence, build: Callable) -> list:
+    """build(record) for each record, run once per distinct record object.
 
     Reps with the same outcome share one record, so their entries share one
-    dict, which render then encodes once.
+    result: one JSON dict, which render then encodes once, or one text.
     """
-    built: dict[int, dict] = {}
+    built: dict[int, object] = {}
     for record in records:
         if id(record) not in built:
-            built[id(record)] = record.to_json_dict()
+            built[id(record)] = build(record)
     return [built[id(record)] for record in records]
 
 
@@ -185,7 +193,7 @@ def _cmd_facts(cfg: argparse.Namespace) -> Record:
 
     product = " * ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in factors)
     return Record(
-        table=lambda: (keys, [values(";".join(f"{p}^{e}" for p, e in factors))]),
+        table=lambda: [csv_line(keys), csv_line(values(";".join(f"{p}^{e}" for p, e in factors)))],
         payload=lambda: {"facts": facts.to_json_dict()},
         lines=lambda: [f"{key}: {value}" for key, value in zip(keys, values(product))],
     )
@@ -202,20 +210,23 @@ def _cmd_certify(cfg: argparse.Namespace) -> Record:
         else carmichael.VerdictKind.NOT_CARMICHAEL
     )
     header = ["rep", "kind", "error_bound", "observed_ancillas", "flag_retries", "grover_applications"]
+
+    def row(v: carmichael.Verdict) -> str:
+        ancillas = ";".join(str(a) for a in v.observed_ancillas)
+        return csv_line([v.kind.value, v.error_bound, ancillas, v.flag_retries, v.grover_applications])
+
+    def line(v: carmichael.Verdict) -> str:
+        return (
+            f"{v.kind.value} ancillas={v.observed_ancillas} error_bound={v.error_bound} flag_retries={v.flag_retries}"
+            + (f" exact_allzero={v.exact_allzero}" if v.exact_allzero is not None else "")
+        )
+
     return Record(
-        table=lambda: (header, (
-            [i, v.kind.value, v.error_bound, ";".join(str(a) for a in v.observed_ancillas), v.flag_retries, v.grover_applications]
-            for i, v in enumerate(verdicts)
-        )),
-        payload=lambda: {"verdicts": _json_dicts(verdicts), "majority": majority.value},
+        table=lambda: [csv_line(header), *(f"{i},{text}" for i, text in enumerate(_shared(verdicts, row)))],
+        payload=lambda: {"verdicts": _shared(verdicts, carmichael.Verdict.to_json_dict), "majority": majority.value},
         lines=lambda: [
             f"certify k={cfg.target} P={cfg.p} R={cfg.r} mode={cfg.mode} seed={cfg.seed} reps={cfg.reps}",
-            *(
-                f"  rep {i}: {v.kind.value} ancillas={v.observed_ancillas} "
-                f"error_bound={v.error_bound} flag_retries={v.flag_retries}"
-                + (f" exact_allzero={v.exact_allzero}" if v.exact_allzero is not None else "")
-                for i, v in enumerate(verdicts)
-            ),
+            *(f"  rep {i}: {text}" for i, text in enumerate(_shared(verdicts, line))),
             f"majority: {majority.value} ({n_carm}/{len(verdicts)} ProbablyCarmichael)",
         ],
     )
@@ -224,16 +235,17 @@ def _cmd_certify(cfg: argparse.Namespace) -> Record:
 def _estimates(estimates: list[counting.CountEstimate], summary: dict, head: list[str]) -> Record:
     """A counting command: its summary and head lines, then a row and a line per rep."""
     header = ["rep", "l", "f_tilde", "theta_tilde", "t_tilde", "bound", "in_ansatz"]
+
+    def row(e: counting.CountEstimate) -> str:
+        return csv_line([e.measured_l, e.f_tilde, e.theta_tilde, e.t_tilde, e.error_bound, e.in_ansatz])
+
+    def line(e: counting.CountEstimate) -> str:
+        return f"l={e.measured_l} t_tilde={e.t_tilde} bound={e.error_bound} in_ansatz={e.in_ansatz}"
+
     return Record(
-        table=lambda: (header, (
-            [i, e.measured_l, e.f_tilde, e.theta_tilde, e.t_tilde, e.error_bound, e.in_ansatz]
-            for i, e in enumerate(estimates)
-        )),
-        payload=lambda: {**summary, "estimates": _json_dicts(estimates)},
-        lines=lambda: head + [
-            f"  rep {i}: l={e.measured_l} t_tilde={e.t_tilde} bound={e.error_bound} in_ansatz={e.in_ansatz}"
-            for i, e in enumerate(estimates)
-        ],
+        table=lambda: [csv_line(header), *(f"{i},{text}" for i, text in enumerate(_shared(estimates, row)))],
+        payload=lambda: {**summary, "estimates": _shared(estimates, counting.CountEstimate.to_json_dict)},
+        lines=lambda: head + [f"  rep {i}: {text}" for i, text in enumerate(_shared(estimates, line))],
     )
 
 
@@ -268,7 +280,7 @@ def _cmd_psw(cfg: argparse.Namespace) -> Record:
         cfg.target, cfg.epsilon, cfg.delta, q=cfg.q or None, seed=cfg.seed, reps=cfg.reps
     )
     return Record(
-        table=lambda: (report.CSV_HEADER, [report.to_csv_row()]),
+        table=lambda: [csv_line(report.CSV_HEADER), csv_line(report.to_csv_row())],
         payload=lambda: {"report": report.to_json_dict()},
         lines=lambda: [
             f"psw N={cfg.target} epsilon={cfg.epsilon} delta={cfg.delta}",
@@ -284,7 +296,7 @@ def _cmd_bounds(cfg: argparse.Namespace) -> Record:
     # the CSV joins the violation list with ";" so that the row keeps one field per column
     row = {**payload, "beta_violations": ";".join(str(k) for k in bounds.beta_violations)}
     return Record(
-        table=lambda: (list(row), [list(row.values())]),
+        table=lambda: [csv_line(row.keys()), csv_line(row.values())],
         payload=lambda: {"bounds": payload},
         lines=lambda: [
             f"bounds N={cfg.target} P={cfg.p}",
@@ -298,7 +310,7 @@ def _cmd_bounds(cfg: argparse.Namespace) -> Record:
 def _cmd_enumerate(cfg: argparse.Namespace) -> Record:
     values = numtheory.enumerate_carmichaels(cfg.target)
     return Record(
-        table=lambda: (["carmichael"], ([v] for v in values)),
+        table=lambda: [csv_line(["carmichael"]), *(csv_line([v]) for v in values)],
         payload=lambda: {"count": len(values), "carmichaels": values},
         lines=lambda: [f"carmichael numbers below {cfg.target}: {len(values)}", *(f"  {v}" for v in values)],
     )

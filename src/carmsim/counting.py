@@ -204,12 +204,14 @@ def run_count(dimension: int, marked: int, p: int, seed: int, reps: int) -> list
     """reps seeded measurements of the counter with decoded estimates.
 
     Sampling uses the exact law of count_distribution over the t = marked
-    values, built once, then one uniform per rep from qsim.rep_streams: rep
-    i's outcome is the first l whose cumulative mass exceeds its uniform,
-    so runs are reproducible and reps can be regenerated in isolation.
+    values, built once, then one uniform per rep from qsim.rep_streams, drawn
+    for all reps at once: rep i's uniform is the first draw of numpy's PCG64
+    sequence of default_rng([seed, i]), reproduced in-package, and its
+    outcome is the first l whose cumulative mass exceeds it, so runs are
+    reproducible and reps can be regenerated in isolation.
     """
     table = count_distribution(dimension, marked, p)
-    uniforms = [rng.random() for rng in qsim.rep_streams(seed, reps)]
+    uniforms = qsim.rep_streams(seed, reps).random()
     return decode_outcomes(qsim.sample_outcomes(table, uniforms)[:, 0], dimension, p, t_ref=marked)
 
 

@@ -25,13 +25,17 @@ Measurement is sampled from an exact marginal table.  `sample_outcomes`
 builds the table's CDF once and maps a whole vector of uniforms in [0, 1)
 to outcomes with one search, so a command with many reps pays for one CDF;
 the caller draws the uniforms from `rep_streams`, the one stream builder.
-Rep i's stream is np.random.default_rng([seed, i]) bit for bit; the
-SeedSequence hash of the seed words is computed for all reps in one numpy
-uint32 pass, and PCG64 seeding and every draw stay numpy's own.
+Rep i draws numpy's PCG64 sequence of np.random.default_rng([seed, i]), bit
+for bit, reproduced in-package: the SeedSequence hash of the seed words
+runs for all reps in one numpy uint32 pass, and `RepStreams` seeds and
+steps every rep's 128-bit LCG as uint64 array arithmetic, a block of steps
+by jump-ahead.  No command imports numpy.random, which the tests use as
+the oracle for these streams.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -218,12 +222,23 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 MAX_REPS = 1 << 32
 
 
+def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
+    """init mult^t mod 2^32 for t = 0..n, a uint32 column."""
+    consts = [init]
+    for _ in range(n):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
 def _seed_words(seed: int, reps: int) -> np.ndarray:
     """SeedSequence([seed, i]).generate_state(4, np.uint64) as row i, for every i < reps at once.
 
     The entropy words are those of seed, least significant first ([0] for
     0), then i.  SeedSequence's hash constant advances the same way for
-    every i, so it stays a Python int and only the hashed values are arrays.
+    every i, so the constants are computed once.  Each run of hashes that
+    reads no result of another (the four pool words, the three pool words a
+    source word mixes into, the four an extra entropy word mixes into, the
+    eight output words) is one whole-array step with a row per hash.
     """
     words = [seed & _MASK32]
     while seed >> 32:
@@ -233,15 +248,19 @@ def _seed_words(seed: int, reps: int) -> np.ndarray:
     entropy = np.zeros((max(len(words) + 1, 4), reps), dtype=np.uint32)
     entropy[: len(words)] = np.array(words, dtype=np.uint32)[:, None]
     entropy[len(words)] = np.arange(reps, dtype=np.uint32)
-    const = _INIT_A
+    # 4 pool words, 4 x 3 pool mixes, 4 mixes per extra word: 4 hashes per entropy row
+    consts = _hash_consts(_INIT_A, _MULT_A, 4 * len(entropy))
+    used = 0
 
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal const
-        value = value ^ const
-        const = const * _MULT_A & _MASK32
-        value *= const
-        value ^= value >> 16
-        return value
+    def hashmix(values: np.ndarray, n: int) -> np.ndarray:
+        # n hashes of values (n rows, or one broadcast); hash t xors with
+        # constant t and multiplies by constant t + 1
+        nonlocal used
+        values = values ^ consts[used : used + n]
+        values *= consts[used + 1 : used + n + 1]
+        used += n
+        values ^= values >> 16
+        return values
 
     def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         x = x * _MIX_MULT_L
@@ -249,47 +268,191 @@ def _seed_words(seed: int, reps: int) -> np.ndarray:
         x ^= x >> 16
         return x
 
-    pool = [hashmix(word) for word in entropy[:4]]
+    pool = hashmix(entropy[:4], 4)
     for src in range(4):
-        for dst in range(4):
-            if dst != src:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = mix(pool[dst], hashmix(pool[src], 3))
     for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
+        pool = mix(pool, hashmix(word, 4))
+    out_consts = _hash_consts(_INIT_B, _MULT_B, 8)
+    out = pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ out_consts[:8]
+    out *= out_consts[1:]
+    out ^= out >> 16
     state = np.empty((reps, 8), dtype="<u4")
-    const = _INIT_B
-    for j in range(8):
-        value = pool[j % 4] ^ const
-        const = const * _MULT_B & _MASK32
-        value *= const
-        value ^= value >> 16
-        state[:, j] = value
-    return state.view("<u8").astype(np.uint64)
+    state.T[...] = out
+    return state.view("<u8").astype(np.uint64, copy=False)
 
 
-class _SeedWords:
-    """A precomputed generate_state(4, np.uint64) row, handed to PCG64 as its seed.
+#: PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
 
-    rep_streams registers it as a numpy ISeedSequence, which PCG64 requires
-    of a seed it does not hash itself.  Subclassing would import numpy.random
-    with this module, in every command, drawing or not.
+#: uniforms per chunk of a block draw, so that its uint64 temporaries stay a few MiB
+_BLOCK_ELEMENTS = 1 << 16
+
+#: a block of flag rounds leaves a rep still drawing with at most this probability
+_FLAG_TAIL = 2.0**-10
+
+
+def _hi_lo(values: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """128-bit ints as (high, low) uint64 arrays."""
+    return (np.array([v >> 64 for v in values], dtype=np.uint64),
+            np.array([v & _MASK64 for v in values], dtype=np.uint64))
+
+
+def _mulhi(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """High 64 bits of the 128-bit products x * y of uint64 arrays, from 32-bit halves.
+
+    Neither partial sum can pass 2^64: (2^32 - 1)^2 + 2 (2^32 - 1) = 2^64 - 1.
+    """
+    x0, x1 = x & _MASK32, x >> 32
+    y0, y1 = y & _MASK32, y >> 32
+    w1 = x1 * y0 + (x0 * y0 >> 32)
+    w2 = x0 * y1 + (w1 & _MASK32)
+    return x1 * y1 + (w1 >> 32) + (w2 >> 32)
+
+
+def _mul128(x_hi, x_lo, y_hi, y_lo) -> tuple[np.ndarray, np.ndarray]:
+    """x * y mod 2^128 of (high, low) uint64 arrays; uint64 arithmetic wraps mod 2^64."""
+    return _mulhi(x_lo, y_lo) + x_lo * y_hi + x_hi * y_lo, x_lo * y_lo
+
+
+def _add128(x_hi, x_lo, y_hi, y_lo) -> tuple[np.ndarray, np.ndarray]:
+    """x + y mod 2^128 of (high, low) uint64 arrays."""
+    lo = x_lo + y_lo
+    return x_hi + y_hi + (lo < x_lo), lo
+
+
+def _uniform(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """Generator.random() of stepped PCG64 states: the XSL-RR output's top 53 bits over 2^53."""
+    x = hi ^ lo
+    rot = hi >> 58
+    x = (x >> rot) | (x << ((64 - rot) & 63))
+    return (x >> 11) * (1.0 / (1 << 53))
+
+
+def _step_int(state: int, inc: int) -> int:
+    """One PCG64 step of a state held as an int."""
+    return (state * _PCG_MULT + inc) & _MASK128
+
+
+def _uniform_int(state: int) -> float:
+    """_uniform of one state held as an int."""
+    x = ((state >> 64) ^ state) & _MASK64
+    rot = state >> 122
+    x = (x >> rot | x << (64 - rot)) & _MASK64
+    return (x >> 11) * (1.0 / (1 << 53))
+
+
+#: the multiplier as (high, low) uint64 arrays
+_MULT_WORDS = _hi_lo([_PCG_MULT])
+
+
+@functools.cache
+def _jumps(n: int) -> tuple[np.ndarray, ...]:
+    """a^j and (a^j - 1) / (a - 1) mod 2^128 for j = 1..n, each as (high, low) arrays.
+
+    j steps of the LCG s -> a s + c take s to a^j s + c (a^j - 1) / (a - 1);
+    the second factor is the sum of a^m over m < j.
+    """
+    powers, sums = [_PCG_MULT], [1]
+    for _ in range(n - 1):
+        powers.append(powers[-1] * _PCG_MULT & _MASK128)
+        sums.append((sums[-1] * _PCG_MULT + 1) & _MASK128)
+    return (*_hi_lo(powers), *_hi_lo(sums))
+
+
+class RepStreams:
+    """numpy's PCG64 stream of every rep at once: rep i draws default_rng([seed, i]).
+
+    PCG64 is the LCG s -> a s + c mod 2^128, with an odd increment c of its
+    own per stream, and Generator.random() is the XSL-RR output of each
+    stepped state, its top 53 bits over 2^53.  The states and increments of
+    all reps are (high, low) uint64 arrays, 32 bytes per rep, and a step of
+    every rep is a few whole-array operations.  A block of n draws comes
+    from the jump-ahead s_j = a^j s + c (a^j - 1) / (a - 1), j = 1..n,
+    evaluated for all reps and all j at once.  Both run in chunks of reps.
     """
 
     def __init__(self, words: np.ndarray) -> None:
-        self.words = words
+        # PCG64's seeding from generate_state(4, np.uint64): words 0-1 are the
+        # initial state and 2-3 the sequence, high word first; state = 0,
+        # inc = 2 sequence + 1, step, state += initial state, step
+        inc = ((words[:, 2] << 1) | (words[:, 3] >> 63), (words[:, 3] << 1) | 1)
+        state = _add128(*inc, words[:, 0], words[:, 1])
+        self.inc = np.stack(inc)
+        self.state = np.stack(_add128(*_mul128(*state, *_MULT_WORDS), *inc))
 
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        return self.words
+    @property
+    def reps(self) -> int:
+        return self.state.shape[1]
+
+    def _chunks(self, n: int):
+        """Slices of reps whose blocks of n draws hold about _BLOCK_ELEMENTS uniforms each."""
+        step = max(1, _BLOCK_ELEMENTS // n)
+        return (slice(lo, lo + step) for lo in range(0, self.reps, step))
+
+    def _block(self, n: int, rows: slice) -> tuple[np.ndarray, np.ndarray]:
+        """The states 1..n steps past the current ones of the reps in rows, (high, low) of shape (rows, n)."""
+        a_hi, a_lo, g_hi, g_lo = _jumps(n)
+        (s_hi, s_lo), (c_hi, c_lo) = self.state[:, rows, None], self.inc[:, rows, None]
+        return _add128(*_mul128(s_hi, s_lo, a_hi, a_lo), *_mul128(c_hi, c_lo, g_hi, g_lo))
+
+    def random(self) -> np.ndarray:
+        """The next uniform of every rep, Generator.random() of its stream."""
+        out = np.empty(self.reps)
+        for rows in self._chunks(1):
+            (s_hi, s_lo), (c_hi, c_lo) = self.state[:, rows], self.inc[:, rows]
+            hi, lo = _add128(*_mul128(s_hi, s_lo, *_MULT_WORDS), c_hi, c_lo)
+            self.state[:, rows] = hi, lo
+            out[rows] = _uniform(hi, lo)
+        return out
+
+    def flag_rounds(self, accept: float) -> tuple[np.ndarray, np.ndarray]:
+        """Every rep's flag rounds until acceptance (geometric, >= 1), and the uniform after them.
+
+        A round draws one uniform and accepts when it is below accept.  All
+        reps draw one block of rounds + 1 uniforms, with enough rounds that a
+        rep has not accepted within them with probability at most _FLAG_TAIL
+        (at most _BLOCK_ELEMENTS rounds); such a rep draws on alone in int
+        arithmetic.  Each stream is left after the uniform it returned.
+        """
+        if not 0.0 < accept <= 1.0:
+            raise DomainError(f"acceptance probability {accept} outside (0, 1]")
+        flags = 1 if accept == 1.0 else math.ceil(math.log(_FLAG_TAIL) / math.log1p(-accept))
+        flags = min(max(flags, 1), _BLOCK_ELEMENTS)
+        rounds = np.empty(self.reps, dtype=np.int64)
+        readings = np.empty(self.reps)
+        for rows in self._chunks(flags + 1):
+            hi, lo = self._block(flags + 1, rows)
+            draws = _uniform(hi, lo)
+            accepted = draws[:, :flags] < accept
+            first = accepted.argmax(axis=1)
+            at = np.arange(len(first)), first + 1
+            rounds[rows], readings[rows] = first + 1, draws[at]
+            self.state[:, rows] = hi[at], lo[at]
+            for i in np.flatnonzero(~accepted.any(axis=1)):
+                # on from the state of the block's last flag round
+                rep = rows.start + int(i)
+                inc = int(self.inc[0, rep]) << 64 | int(self.inc[1, rep])
+                state = _step_int(int(hi[i, flags - 1]) << 64 | int(lo[i, flags - 1]), inc)
+                n_rounds = flags + 1
+                while _uniform_int(state) >= accept:
+                    n_rounds, state = n_rounds + 1, _step_int(state, inc)
+                state = _step_int(state, inc)
+                rounds[rep], readings[rep] = n_rounds, _uniform_int(state)
+                self.state[:, rep] = state >> 64, state & _MASK64
+        return rounds, readings
 
 
-def rep_streams(seed: int, reps: int) -> list[np.random.Generator]:
-    """np.random.default_rng([seed, i]) for each rep i < reps, a stream fixed by (seed, i) alone.
+def rep_streams(seed: int, reps: int) -> RepStreams:
+    """The streams np.random.default_rng([seed, i]) of reps i < reps, each fixed by (seed, i) alone.
 
-    The streams are numpy's own, bit for bit: one pass hashes the seed words
-    of every rep as SeedSequence([seed, i]) would (_seed_words), and each
-    rep's PCG64 and Generator are seeded from its row.  Beyond MAX_REPS a
-    rep index would no longer be one entropy word, so more reps are refused.
+    The draws are numpy's, bit for bit: one pass hashes the seed words of
+    every rep as SeedSequence([seed, i]) would (_seed_words), and RepStreams
+    seeds and steps every rep's PCG64 as numpy does.  Beyond MAX_REPS a rep
+    index would no longer be one entropy word, so more reps are refused.
     """
     if seed < 0:  # np.random.default_rng takes no negative seed
         raise DomainError(f"seed must be >= 0, got {seed}")
@@ -297,5 +460,4 @@ def rep_streams(seed: int, reps: int) -> list[np.random.Generator]:
         raise DomainError(f"reps must be >= 1, got {reps}")
     if reps > MAX_REPS:
         raise CapacityError(f"{reps} reps exceed cap {MAX_REPS}")
-    np.random.bit_generator.ISeedSequence.register(_SeedWords)
-    return [np.random.Generator(np.random.PCG64(_SeedWords(row))) for row in _seed_words(seed, reps)]
+    return RepStreams(_seed_words(seed, reps))

@@ -12,8 +12,10 @@ iteration), post-selection on one register, the analytic per-state
 amplitudes on the rotation plane, the amplitude version of the closed-form
 counting law, the all-zeros probability of the certification law, and the
 certification variant that reads the coprimality flag after the
-iterations.  peak_traced_bytes measures a call's peak heap for the memory
-guards.
+iterations.  draw_flag_rounds is the flag post-selection loop on one
+numpy Generator, the scalar route that qsim.RepStreams.flag_rounds runs for
+all reps at once.  peak_traced_bytes measures a call's peak heap for the
+memory guards.
 """
 
 from __future__ import annotations
@@ -319,6 +321,16 @@ def allzero_probability_flag_conditioned(k: int, p: int, r: int) -> FlagConditio
     return FlagConditionedAllZeros(
         joint=conditional * flag_mass, conditional=conditional, flag_mass=float(flag_mass)
     )
+
+
+def draw_flag_rounds(accept_probability: float, rng: np.random.Generator) -> int:
+    """Number of flag post-selection rounds until acceptance (geometric, >= 1)."""
+    if not 0.0 < accept_probability <= 1.0:
+        raise DomainError(f"acceptance probability {accept_probability} outside (0, 1]")
+    rounds = 1
+    while rng.random() >= accept_probability:
+        rounds += 1
+    return rounds
 
 
 def peak_traced_bytes(fn, *args) -> int:

@@ -139,7 +139,7 @@ def test_criterion_4_flag_postselection():
         rounds = []
         for i in range(trials):
             rng = np.random.default_rng([20260808, k, i])
-            rounds.append(cm.draw_flag_rounds(p, rng))
+            rounds.append(oracles.draw_flag_rounds(p, rng))
         mean = float(np.mean(rounds))
         sigma = math.sqrt((1 - p) / p**2 / trials)
         details.append(f"k={k}: mean={mean:.4f} target={1/p:.4f} 5sigma={5*sigma:.4f}")

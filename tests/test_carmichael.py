@@ -40,12 +40,15 @@ def _flagged(state: qsim.StateVector, k: int) -> qsim.StateVector:
 def test_draw_flag_rounds_mean():
     rng = np.random.default_rng(7)
     p = 320 / 561
-    rounds = [cm.draw_flag_rounds(p, rng) for _ in range(4000)]
+    rounds = [oracles.draw_flag_rounds(p, rng) for _ in range(4000)]
     expected = 561 / 320
     sigma = math.sqrt((1 - p) / p**2 / len(rounds))
     assert abs(np.mean(rounds) - expected) <= 5 * sigma
     with pytest.raises(DomainError):
-        cm.draw_flag_rounds(0.0, rng)
+        oracles.draw_flag_rounds(0.0, rng)
+    for accept in (0.0, -0.5, 1.5, math.nan):
+        with pytest.raises(DomainError, match="acceptance probability"):
+            qsim.rep_streams(0, 3).flag_rounds(accept)
 
 
 # ---------------------------------------------------------------- all-zeros law
@@ -142,7 +145,7 @@ def test_certify_reps_share_one_law_and_keep_streams():
             for i, verdict in enumerate(batch):
                 rng = np.random.default_rng([4, i])
                 if mode == "sample":
-                    assert verdict.flag_retries == cm.draw_flag_rounds(verdict.flag_probability, rng)
+                    assert verdict.flag_retries == oracles.draw_flag_rounds(verdict.flag_probability, rng)
                 assert verdict.observed_ancillas == tuple(qsim.sample_outcomes(law, [rng.random()])[0])
     for reps in (0, -3):
         with pytest.raises(DomainError, match="reps must be >= 1"):
@@ -162,7 +165,7 @@ def _per_rep_verdicts(k: int, p: int, r: int, mode: str, seed: int, reps: int) -
     verdicts = []
     for i in range(reps):
         rng = np.random.default_rng([seed, i])
-        rounds = cm.draw_flag_rounds(accept, rng) if mode == "sample" else 0
+        rounds = oracles.draw_flag_rounds(accept, rng) if mode == "sample" else 0
         reading = tuple(qsim.sample_outcomes(law, [rng.random()])[0].tolist())
         nonzero = any(reading)
         verdicts.append(cm.Verdict(
@@ -210,14 +213,24 @@ def test_reps_with_one_outcome_share_one_record(command, seed):
     assert records == rebuilt
 
 
-def test_sample_mode_draws_match_default_rng():
-    # the sample-mode path of a rep: geometric flag rounds, then one uniform
-    for seed in (0, 42, 2**32, 2**100 + 7):
-        for accept in (1.0, 8 / 15, 0.05):
-            for i, stream in enumerate(qsim.rep_streams(seed, 200)):
-                twin = np.random.default_rng([seed, i])
-                assert cm.draw_flag_rounds(accept, stream) == cm.draw_flag_rounds(accept, twin)
-                assert stream.random() == twin.random()
+def test_sample_mode_draws_match_default_rng(monkeypatch):
+    # the sample-mode path of a rep: geometric flag rounds, then one uniform,
+    # from one block draw of all reps; a tail of 1/2 sends up to half of the
+    # reps past the block, into the int fallback, and 64 uniforms per chunk
+    # split the reps into many chunks
+    for tail, elements in ((qsim._FLAG_TAIL, qsim._BLOCK_ELEMENTS), (0.5, 64)):
+        monkeypatch.setattr(qsim, "_FLAG_TAIL", tail)
+        monkeypatch.setattr(qsim, "_BLOCK_ELEMENTS", elements)
+        for seed in (0, 42, 2**32, 2**100 + 7):
+            for accept in (1.0, 8 / 15, 8 / 30, 0.05):
+                streams = qsim.rep_streams(seed, 200)
+                rounds, readings = streams.flag_rounds(accept)
+                after = streams.random()
+                for i in range(200):
+                    twin = np.random.default_rng([seed, i])
+                    assert rounds[i] == oracles.draw_flag_rounds(accept, twin)
+                    assert readings[i] == twin.random()
+                    assert after[i] == twin.random()
 
 
 def test_certify_rejects_mode_and_prime_before_building_streams(monkeypatch):

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from carmsim import cli, counting, numtheory
+from carmsim import carmichael, cli, counting, numtheory
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -103,6 +104,21 @@ def test_capacity_exits_3(capsys):
         code, _, err = run_cli(args, capsys)
         assert code == 3
         assert "capacity" in err.lower()
+
+
+@pytest.mark.parametrize(
+    "error,line",
+    [
+        (MemoryError("Unable to allocate 7.45 GiB"), "capacity error: Unable to allocate 7.45 GiB\n"),
+        (MemoryError(), "capacity error: out of memory\n"),
+    ],
+)
+def test_memory_error_exits_3(error, line, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(carmichael, "certify_reps", exhausted)
+    assert run_cli(["certify", "561", "--reps", "10000000"], capsys) == (3, "", line)
 
 
 def test_enumerate_output(capsys):
@@ -296,8 +312,68 @@ def test_every_command_renders_every_form(args, output, capsys):
     assert out.endswith("\n") and len(out) > 1
 
 
+def _per_rep_outputs(args: list[str], seed: int, reps: int) -> tuple[list[str], str]:
+    """The rep lines of the text form and the whole CSV form, every rep formatted from its own record."""
+    command, target = args[0], int(args[1])
+    if command == "certify":
+        verdicts = carmichael.certify_reps(target, 8, 2, mode=args[-1], seed=seed, reps=reps)
+        header = ["rep", "kind", "error_bound", "observed_ancillas", "flag_retries", "grover_applications"]
+        rows = [
+            [i, v.kind.value, v.error_bound, ";".join(str(a) for a in v.observed_ancillas), v.flag_retries, v.grover_applications]
+            for i, v in enumerate(verdicts)
+        ]
+        lines = [
+            f"  rep {i}: {v.kind.value} ancillas={v.observed_ancillas} "
+            f"error_bound={v.error_bound} flag_retries={v.flag_retries}"
+            + (f" exact_allzero={v.exact_allzero}" if v.exact_allzero is not None else "")
+            for i, v in enumerate(verdicts)
+        ]
+        distinct = len({id(v) for v in verdicts})
+    else:
+        if command == "count-bases":
+            t_true = carmichael.composite_facts(target).t_k
+            estimates = counting.run_count(target, t_true, 64, seed=seed, reps=reps)
+        else:
+            estimates = carmichael.count_carmichaels_quantum(target, 64, seed=seed, reps=reps).estimates
+        header = ["rep", "l", "f_tilde", "theta_tilde", "t_tilde", "bound", "in_ansatz"]
+        rows = [
+            [i, e.measured_l, e.f_tilde, e.theta_tilde, e.t_tilde, e.error_bound, e.in_ansatz]
+            for i, e in enumerate(estimates)
+        ]
+        lines = [
+            f"  rep {i}: l={e.measured_l} t_tilde={e.t_tilde} bound={e.error_bound} in_ansatz={e.in_ansatz}"
+            for i, e in enumerate(estimates)
+        ]
+        distinct = len({id(e) for e in estimates})
+    assert distinct < reps / 10  # the payload repeats its records
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([str(v) for v in row] for row in [header, *rows])
+    return lines, buf.getvalue()
+
+
+SHARED_RECORD_COMMANDS = [
+    ["certify", "403", "--P", "8", "--R", "2", "--mode", "exact"],
+    ["certify", "403", "--P", "8", "--R", "2", "--mode", "sample"],
+    ["count-bases", "25001", "--P", "64"],
+    ["count-carmichael", "65000", "--Q", "64"],
+]
+
+
+@pytest.mark.parametrize("seed", [0, 2**100 + 7])
+@pytest.mark.parametrize("args", SHARED_RECORD_COMMANDS, ids=[" ".join(a) for a in SHARED_RECORD_COMMANDS])
+def test_shared_rep_texts_equal_per_rep_formatting(args, seed, capsys):
+    lines, table = _per_rep_outputs(args, seed, 400)
+    common = ["--seed", str(seed), "--reps", "400", "--output"]
+    code, out, _ = run_cli(args + common + ["csv"], capsys)
+    assert code == 0 and out == table
+    code, out, _ = run_cli(args + common + ["text"], capsys)
+    rep_lines = [line for line in out.splitlines() if line.startswith("  rep ")]
+    assert code == 0 and rep_lines == lines
+
+
 def test_csv_quotes_a_field_holding_a_comma():
-    record = cli.Record(table=lambda: (["name", "value", "flag"], [["6,9", None, True], ["x", 1.5, False]]))
+    rows = [["name", "value", "flag"], ["6,9", None, True], ["x", 1.5, False]]
+    record = cli.Record(table=lambda: [cli.csv_line(row) for row in rows])
     assert cli.render("csv", record) == 'name,value,flag\n"6,9",None,True\nx,1.5,False\n'
 
 
@@ -321,10 +397,23 @@ def test_bad_seed_and_counter_size_exit_cleanly(args, code, prefix, capsys):
     assert err.startswith(prefix) and "Traceback" not in err
 
 
-def test_commands_that_draw_nothing_never_import_numpy_random():
-    # importing numpy.random adds start-up time and memory to a process;
-    # only qsim.rep_streams loads it
-    check = "import sys; from carmsim import cli; cli.main(['facts', '561']); print('numpy.random' in sys.modules)"
+#: every command, the drawing ones with each of their draw paths
+ALL_COMMANDS = [
+    ["certify", "561", "--mode", "exact"],
+    ["certify", "561", "--mode", "sample"],
+    ["count-bases", "561"],
+    ["count-carmichael", "5000", "--Q", "64"],
+    ["psw", "10000"],
+    ["facts", "561"],
+    ["bounds", "1000"],
+    ["enumerate", "10000"],
+]
+
+
+def test_no_command_imports_numpy_random():
+    # importing numpy.random adds start-up time and memory to a process; the
+    # rep streams are qsim's own PCG64
+    check = f"import sys; from carmsim import cli; [cli.main(c) for c in {ALL_COMMANDS}]; print('numpy.random' in sys.modules)"
     proc = run_process(["-c", check])
     assert proc.returncode == 0 and proc.stdout.splitlines()[-1] == "False"
 

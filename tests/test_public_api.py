@@ -6,9 +6,8 @@ when any file reaches it through the imported module (`numtheory.factorize`).
 A method or property counts as called when any attribute access outside its
 definition uses its name.
 
-The same parse checks that the random streams have one constructor: every
-call of `default_rng`, `SeedSequence`, `PCG64` or `Generator` in the
-package sits inside `qsim.rep_streams`.
+The same parse checks that no module of the package names numpy.random:
+the rep streams are qsim's own PCG64, and numpy's is only the tests' oracle.
 """
 
 import ast
@@ -21,10 +20,6 @@ MODULES = ("numtheory", "qsim", "counting", "carmichael", "cli")
 #: the dense statevector route, kept in the package as the oracle that the
 #: two-plane production route is checked against
 DENSE_ORACLES = {"controlled_grover_powers", "count_distribution_dense"}
-
-#: methods whose caller is numpy: PCG64 reads its seed words through
-#: ISeedSequence.generate_state, which no parsed file names
-NUMPY_CALLBACKS = {"qsim._SeedWords.generate_state"}
 
 
 def _public_definitions(tree: ast.Module):
@@ -80,35 +75,59 @@ def test_every_public_function_has_a_caller():
                 # a bare name is owned by the file that reads it
                 return kind == "attribute" if is_method else owner == module
 
-            if name in DENSE_ORACLES or f"{module}.{qualname}" in NUMPY_CALLBACKS:
+            if name in DENSE_ORACLES:
                 continue
             if not any(calls(ref) for ref in refs):
                 uncalled.append(f"{module}.{qualname}")
     assert uncalled == []
 
 
-#: numpy's stream constructors; a name used as an annotation is no call
-STREAM_CONSTRUCTORS = {"default_rng", "SeedSequence", "PCG64", "Generator"}
+def _numpy_random_names(tree: ast.Module) -> list[int]:
+    """Lines that import numpy.random or read the attribute `random` of an imported numpy."""
+    numpy_names = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name == "numpy"
+    }
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            named = any(alias.name.startswith("numpy.random") for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            named = module.startswith("numpy.random") or (
+                module == "numpy" and any(alias.name == "random" for alias in node.names)
+            )
+        else:
+            named = (
+                isinstance(node, ast.Attribute)
+                and node.attr == "random"
+                and isinstance(node.value, ast.Name)
+                and node.value.id in numpy_names
+            )
+        if named:
+            lines.append(node.lineno)
+    return lines
 
 
-def _constructor_calls(tree: ast.AST, owner: str = "") -> list[str]:
-    """The innermost enclosing function ("" at module level) of each call to a stream constructor."""
-    if isinstance(tree, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        owner = tree.name
-    found = []
-    if isinstance(tree, ast.Call):
-        func = tree.func
-        called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-        if called in STREAM_CONSTRUCTORS:
-            found.append(owner)
-    for child in ast.iter_child_nodes(tree):
-        found += _constructor_calls(child, owner)
-    return found
-
-
-def test_rep_streams_is_the_only_stream_constructor():
-    users = set()
+def test_no_module_names_numpy_random():
+    named = {}
     for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-        users |= {f"{path.stem}.{owner}" for owner in _constructor_calls(tree)}
-    assert users == {"qsim.rep_streams"}
+        lines = _numpy_random_names(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if lines:
+            named[path.name] = lines
+    assert named == {}
+
+
+def test_the_guard_sees_each_way_of_naming_numpy_random():
+    for source in (
+        "import numpy as np\nnp.random.default_rng(0)",
+        "import numpy\nx: numpy.random.Generator",
+        "import numpy.random",
+        "from numpy import random",
+        "from numpy.random import PCG64",
+    ):
+        assert _numpy_random_names(ast.parse(source)) != [], source
+    assert _numpy_random_names(ast.parse("import numpy as np\nrandom = 1\nnp.fft.ifft([1])")) == []

@@ -348,18 +348,22 @@ def test_sample_outcomes_reject_a_table_without_mass():
 
 # ---------------------------------------------------------------- rep streams
 
-#: seeds of 1, 2, 3 and 4 words: with the rep index they pad the 4-word pool
-#: (one and two), fill it exactly (three) and reach the extra-entropy loop (four)
-STREAM_SEEDS = (0, 1, 42, 2**32 - 1, 2**32, 2**64 + 5, 2**100 + 7)
+#: seeds of 1 to 5 words: with the rep index they pad the 4-word pool (one
+#: and two), fill it exactly (three) and reach the extra-entropy loop (four, five)
+STREAM_SEEDS = (0, 1, 42, 2**32 - 1, 2**32, 2**64 + 5, 2**100 + 7, 2**130 - 1)
+
+#: successive draws compared per rep
+STREAM_DRAWS = 64
 
 
 def assert_streams_are_default_rng(seed, reps):
     words = qsim._seed_words(seed, reps)
     streams = qsim.rep_streams(seed, reps)
-    assert words.shape == (reps, 4) and len(streams) == reps
-    for i, stream in enumerate(streams):
+    assert words.shape == (reps, 4) and streams.reps == reps
+    draws = np.stack([streams.random() for _ in range(STREAM_DRAWS)], axis=1)
+    for i in range(reps):
         assert np.array_equal(words[i], np.random.SeedSequence([seed, i]).generate_state(4, np.uint64))
-        assert np.array_equal(stream.random(8), np.random.default_rng([seed, i]).random(8))
+        assert np.array_equal(draws[i], np.random.default_rng([seed, i]).random(STREAM_DRAWS))
 
 
 @pytest.mark.parametrize("reps", [1, 1000])
@@ -371,6 +375,51 @@ def test_rep_streams_are_default_rng_bit_for_bit(seed, reps):
 @given(st.integers(0, 2**130 - 1), st.integers(1, 64))
 def test_rep_streams_are_default_rng_for_any_seed(seed, reps):
     assert_streams_are_default_rng(seed, reps)
+
+
+@given(st.integers(0, 2**130 - 1), st.integers(1, 40), st.integers(0, 3), st.integers(1, 80))
+def test_block_draws_equal_sequential_draws(seed, reps, skip, n):
+    # the jump-ahead block from any state, against n single steps
+    streams, twin = qsim.rep_streams(seed, reps), qsim.rep_streams(seed, reps)
+    for _ in range(skip):
+        streams.random(), twin.random()
+    block = qsim._uniform(*streams._block(n, slice(None)))
+    assert np.array_equal(block, np.stack([twin.random() for _ in range(n)], axis=1))
+    assert np.array_equal(qsim._uniform(*streams._block(n, slice(1, 3))), block[1:3])
+
+
+def test_chunked_draws_equal_one_chunk(monkeypatch):
+    def draws():
+        streams = qsim.rep_streams(7, 100)
+        return [streams.random() for _ in range(3)] + list(streams.flag_rounds(0.3))
+
+    expected = draws()
+    monkeypatch.setattr(qsim, "_BLOCK_ELEMENTS", 7)
+    assert all(map(np.array_equal, draws(), expected))
+
+
+def test_flag_round_blocks_stay_within_the_chunk_size(monkeypatch):
+    # at accept 0.001 the tail asks for 6929 rounds; the block stops at
+    # _BLOCK_ELEMENTS of them and the reps past it draw on alone
+    sizes = []
+    block = qsim.RepStreams._block
+    monkeypatch.setattr(qsim.RepStreams, "_block", lambda self, n, rows: sizes.append(n) or block(self, n, rows))
+    monkeypatch.setattr(qsim, "_BLOCK_ELEMENTS", 64)
+    rounds, readings = qsim.rep_streams(3, 5).flag_rounds(0.001)
+    assert max(sizes) == 65
+    for i in range(5):
+        twin = np.random.default_rng([3, i])
+        assert rounds[i] == oracles.draw_flag_rounds(0.001, twin) and readings[i] == twin.random()
+
+
+def test_rep_streams_hold_at_most_64_bytes_per_rep():
+    tracemalloc.start()
+    try:
+        streams = qsim.rep_streams(0, 10**6)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert streams.reps == 10**6 and held <= 64 * 10**6
 
 
 def test_rep_streams_refuse_reps_past_one_seed_word_before_allocating():
