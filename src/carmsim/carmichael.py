@@ -254,8 +254,11 @@ def perturbation_bounds(n: int, p: int) -> PerturbationBounds:
     Every composite k = 2..n over the limit is reported in beta_violations
     rather than masked.  The angles and both kernels are evaluated in
     chunks of _KERNEL_CHUNK values of k into the preallocated beta and
-    alpha, so their temporaries stay small; the sums run over the whole
-    arrays once the sieve's counts are freed, so the sieve sets the peak.
+    alpha, so their temporaries stay small.  The sums run over whole arrays
+    (chunked sums would round differently), but their terms are gathered
+    for the selected k only and multiplied in place, in the order of the
+    formula, once the sieve's counts are freed: about 42 bytes per k at the
+    peak.
     """
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
@@ -264,14 +267,13 @@ def perturbation_bounds(n: int, p: int) -> PerturbationBounds:
     if n > SWEEP_BOUND:
         raise CapacityError(f"bound sweep capped at {SWEEP_BOUND}")
     phi, fermat, strong = numtheory.liar_sieve(n)
-    k = np.arange(n + 1)
-    ks = k.astype(np.float64)
+    k = np.arange(n + 1, dtype=np.int32)  # the sieve's dtype
     composite = phi != k - 1  # phi(k) = k - 1 exactly for primes
     composite[:2] = False
     witness = np.where(composite, k - 1 - strong, 0)
     t_gap = np.where(composite, phi - fermat, 0)
     carmichael = composite & (t_gap == 0)
-    del k, fermat, strong  # the sums below peak above the sieve unless freed
+    del fermat, strong  # the sums below peak above the sieve unless freed
 
     # elementwise, so chunking leaves every entry bit-identical; k = 0, 1
     # carry no witnesses and no gap, so their angles are 0
@@ -279,23 +281,32 @@ def perturbation_bounds(n: int, p: int) -> PerturbationBounds:
     alpha = np.empty(n + 1)
     for lo in range(0, n + 1, _KERNEL_CHUNK):
         chunk = slice(lo, lo + _KERNEL_CHUNK)
-        size = np.maximum(ks[chunk], 1.0)
+        size = np.maximum(k[chunk], 1.0)
         g = p * np.arcsin(np.sqrt(witness[chunk] / size)) / math.pi
         f_peak = p * np.arcsin(np.sqrt(t_gap[chunk] / size)) / math.pi
         beta[chunk] = counting.dirichlet_kernel(g, p)
         alpha[chunk] = counting.dirichlet_kernel(f_peak, p)
     del witness, t_gap
 
+    phi_norm_value = float((phi[1:] / k[1:]).mean())
+    # phi(k)/k over the selected composites (k >= 4) only; the noncarm
+    # terms ratio * (1 - beta^2) * alpha^2 are formed in place, left to right
+    carm_sum = float((phi[carmichael] / k[carmichael] * beta[carmichael] ** 2).sum())
     noncarm = composite & ~carmichael
-    ratio = phi / np.maximum(ks, 1.0)
-    correction = 4.0 / n * (
-        float((ratio[carmichael] * beta[carmichael] ** 2).sum())
-        + float((ratio[noncarm] * (1.0 - beta[noncarm] ** 2) * alpha[noncarm] ** 2).sum())
-    )
+    terms = phi[noncarm].astype(np.float64)
+    terms /= k[noncarm]
+    del phi, k
+    factor = beta[noncarm]
+    np.square(factor, out=factor)
+    np.subtract(1.0, factor, out=factor)
+    terms *= factor
+    factor = alpha[noncarm]
+    np.square(factor, out=factor)
+    terms *= factor
+    correction = 4.0 / n * (carm_sum + float(terms.sum()))
     bound = 4.0 * math.pi**2 / (3.0 * p * p)
     beta_limit = 2.0 / (math.sqrt(3.0) * p)
-    violating = np.flatnonzero(composite & (np.abs(beta) > beta_limit))
-    phi_norm_value = float((phi[1:] / ks[1:]).mean())
+    violating = np.flatnonzero(composite & ((beta > beta_limit) | (beta < -beta_limit)))
     return PerturbationBounds(
         n=n,
         p=p,

@@ -45,23 +45,33 @@ def dirichlet_kernel(x, p: int):
     """sin(pi x) / (P sin(pi x / P)) with removable singularities resolved.
 
     At x = j P both factors vanish; the limit is (-1)^(j (P - 1)).  The
-    computation range-reduces x by the nearest multiple of P, which keeps
-    both sines well conditioned arbitrarily close to the singular points.
-    Accepts scalars or arrays.
+    computation range-reduces x by the nearest multiple j P, d = x - j P,
+    which keeps both sines well conditioned arbitrarily close to the
+    singular points: sin(pi x) = (-1)^(j P) sin(pi d) and
+    P sin(pi x / P) = (-1)^j P sin(pi d / P), so the kernel is
+    (-1)^(j (P - 1)) sin(pi d) / (P sin(pi d / P)).  Negating a float is
+    exact, so the sign is applied once to the quotient, and only for even P
+    (for odd P it is always 1).  When every |x| <= P/2, every j is 0: x is
+    used as d, with no rounding, no reduction and no sign, and the result
+    is the same to the bit.  Accepts scalars or arrays.
     """
     if p < 2:
         raise DomainError(f"kernel size must be >= 2, got {p}")
     arr = np.asarray(x, dtype=float)
-    j = np.rint(arr / p)
-    d = arr - j * p
-    j_int = j.astype(np.int64)
-    num_sign = np.where((j_int * p) & 1, -1.0, 1.0)
-    den_sign = np.where(j_int & 1, -1.0, 1.0)
-    den_core = np.sin(np.pi * d / p)
-    small = np.abs(den_core) < KERNEL_SINGULARITY_TOL
-    num = num_sign * np.sin(np.pi * d)
-    den = den_sign * p * den_core
-    out = np.where(small, num_sign * den_sign, np.divide(num, den, out=np.ones_like(num), where=~small))
+    flip = None
+    if np.abs(arr).max(initial=0.0) <= p / 2:
+        d = arr  # rint(x / P) = 0 throughout
+    else:
+        j = np.rint(arr / p)
+        d = arr - j * p
+        if p % 2 == 0:
+            flip = j % 2 != 0
+    den = np.sin(np.pi * d / p)
+    small = np.abs(den) < KERNEL_SINGULARITY_TOL
+    den *= p
+    out = np.divide(np.sin(np.pi * d), den, out=np.ones_like(den), where=~small)
+    if flip is not None:
+        np.negative(out, out=out, where=flip)
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out)
     return out

@@ -50,7 +50,7 @@ from .errors import CapacityError, DomainError
 FACTOR_BOUND = 1 << 50
 
 #: Carmichael enumeration sieve refuses above this
-ENUMERATION_BOUND = 10**9
+ENUMERATION_BOUND = 10**10
 
 # Deterministic Miller-Rabin bases: correct for all n < 3.3 * 10**24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -298,10 +298,11 @@ def prime_sieve(n: int) -> np.ndarray:
 
 
 class LiarCounts(NamedTuple):
-    """phi(k), F(k) and the strong-liar count for every k = 0..n (int64).
+    """phi(k), F(k) and the strong-liar count for every k = 0..n (int32).
 
     Entries 0 and 1 count no bases (phi[1] = 1).  For a prime k the Fermat
-    and strong counts are k - 1: every base is a liar.
+    and strong counts are k - 1: every base is a liar.  Every count is
+    below k, and liar_sieve takes only n < 2^31, so int32 holds them exactly.
     """
 
     phi: np.ndarray
@@ -309,69 +310,104 @@ class LiarCounts(NamedTuple):
     strong: np.ndarray
 
 
+#: liar_sieve refuses n at or above this: its counts are int32
+LIAR_SIEVE_BOUND = 1 << 31
+
+
 def liar_sieve(n: int) -> LiarCounts:
     """phi, F and the strong-liar count of every k <= n in one pass over the primes.
 
-    Each prime p <= sqrt(n) updates its multiples p::p in place: phi, the
-    product F = prod gcd(p - 1, k - 1), the distinct-prime count omega and
-    the lowest set bit 2^nu of every p - 1 (nu = min v2(p - 1)); the slices
-    p^j::p^j divide p out of a cofactor.  The gcd needs no per-multiple
-    call: on k = p m, gcd(p m - 1, p - 1) = gcd(m - 1, p - 1) has period
-    p - 1 in m, so one table of gcd(j, p - 1), j < p - 1, is tiled over the
-    multiples.  What remains of the cofactor is 1 or the one prime factor
-    above sqrt(n), handled in one vectorized step.  The
-    strong count is strong_liar_count's formula: with k - 1 = 2^s d and
+    Each prime p <= sqrt(n) updates its multiples p::p in place: phi and
+    the product F = prod gcd(p - 1, k - 1); the slices p^j::p^j divide p
+    out of a cofactor.  The gcd needs no per-multiple call: on k = p m,
+    gcd(p m - 1, p - 1) = gcd(m - 1, p - 1) has period p - 1 in m, so one
+    row of gcd(j, p - 1), j < p - 1, multiplies the multiples viewed
+    as rows of p - 1.  For the odd k only, an odd prime also counts itself
+    in omega (distinct primes) and lowers nu = min v2(p - 1).  What remains
+    of the cofactor is q = 1 or the one prime factor q above sqrt(n); a
+    final pass in chunks of _LIAR_CHUNK values of k applies it to every k at
+    once, q = 1 as an exact no-op: phi becomes phi / q * max(q - 1, 1) and
+    F gains gcd(k/q - 1, max(q - 1, 1)), the same identity.  The strong
+    count is strong_liar_count's formula: with k - 1 = 2^s d and
     p - 1 = 2^{s_p} d_p, gcd(p - 1, k - 1) = 2^min(s_p, s) gcd(d_p, d), so
-    prod gcd(d, d_p) is the odd part of F, and (2^(nu*omega) - 1)/(2^omega - 1)
-    is summed as sum_{j < nu} 2^(omega j).  Every term is below k (each
-    p | k exceeds 2^nu), so int64 cannot overflow.
+    prod gcd(d, d_p) is the odd part of F, times
+    1 + (2^(nu omega) - 1)/(2^omega - 1).
+
+    Every count, partial product and power 2^(nu omega) is below k (each
+    p | k exceeds 2^nu), so the arrays are int32 and LiarCounts returns
+    int32; omega and nu are int8 over the odd k.  The sieve holds 13 bytes
+    per k (the strong counts overwrite the cofactors), and n must stay
+    below LIAR_SIEVE_BOUND = 2^31: a larger n raises CapacityError before
+    any array is allocated.
     """
     if n < 1:
         raise DomainError(f"liar sieve requires n >= 1, got {n}")
-    phi = np.arange(n + 1, dtype=np.int64)
+    if n >= LIAR_SIEVE_BOUND:
+        raise CapacityError(f"liar sieve bound is {LIAR_SIEVE_BOUND - 1}, got {n}")
+    phi = np.arange(n + 1, dtype=np.int32)
     rest = phi.copy()
-    fermat = np.ones(n + 1, dtype=np.int64)
-    omega = np.zeros(n + 1, dtype=np.int64)
-    low = np.full(n + 1, 1 << 62, dtype=np.int64)
+    rest[0] = 1  # k = 0 counts nothing; a cofactor of 1 keeps it a no-op below
+    fermat = np.ones(n + 1, dtype=np.int32)
+    # omega and nu of the odd k = 2i + 1 only, at index i; even k need neither.
+    # nu starts above every v2(p - 1), and every odd k >= 3 has an odd prime
+    omega = np.zeros((n + 1) // 2, dtype=np.int8)
+    nu = np.full((n + 1) // 2, 127, dtype=np.int8)
     for p in np.flatnonzero(prime_sieve(math.isqrt(n))).tolist():
-        multiples = n // p
-        period = np.gcd(np.arange(p - 1), p - 1)
-        # period tiled over the multiples: np.tile without its per-call overhead
-        tiles = period[None].repeat(-(-multiples // (p - 1)), axis=0).ravel()
         phi[p::p] -= phi[p::p] // p
-        fermat[p::p] *= tiles[:multiples]
-        omega[p::p] += 1
-        np.minimum(low[p::p], (p - 1) & (1 - p), out=low[p::p])
         power = p
         while power <= n:
             rest[power::power] //= p
             power *= p
-    big = np.flatnonzero(rest > 1)
-    q = rest[big]
-    phi[big] -= phi[big] // q
-    fermat[big] *= np.gcd(big - 1, q - 1)
-    omega[big] += 1
-    low[big] = np.minimum(low[big], (q - 1) & (1 - q))
-
-    # odd k: strong = odd part of F times (1 + sum_{j < nu} 2^(omega j));
-    # even k: strong = F, leaving out a^(k-1) = -1 (the module's convention)
-    odd = slice(3, None, 2)
-    f_odd, omega, low = fermat[odd], omega[odd], low[odd]
-    geo = np.ones(f_odd.size, dtype=np.int64)
-    live = np.flatnonzero(low > 1)
-    j = 0
-    while live.size:
-        geo[live] += np.left_shift(1, omega[live] * j)
-        j += 1
-        live = live[low[live] > 1 << j]
-    strong = fermat.copy()
-    strong[odd] = f_odd // (f_odd & -f_odd) * geo
+        if p == 2:
+            continue  # gcd(1, k - 1) = 1, and 2 divides no odd k
+        # gcd(j, p - 1) for j < p - 1 over the rows of the multiples
+        multiples = fermat[p::p]
+        full = multiples.size - multiples.size % (p - 1)
+        period = np.gcd(np.arange(p - 1, dtype=np.int32), p - 1)
+        rows = multiples[:full].reshape(-1, p - 1)  # a view: the slice has one stride
+        np.multiply(rows, period, out=rows)
+        multiples[full:] *= period[: multiples.size - full]
+        omega[p // 2 :: p] += 1  # the odd multiples p (2j + 1)
+        np.minimum(nu[p // 2 :: p], ((p - 1) & (1 - p)).bit_length() - 1, out=nu[p // 2 :: p])
+    # k = 1 has no prime factor: a finite geo below (its counts are set to 0)
+    omega[0], nu[0] = 1, 0
+    # the rest: rest = q > 1, the one prime factor above sqrt(n), or 1, in
+    # chunks of k whose temporaries stay small; strong is written over rest
+    strong = rest
+    for lo in range(0, n + 1, _LIAR_CHUNK):
+        hi = min(lo + _LIAR_CHUNK, n + 1)
+        q = rest[lo:hi]
+        q1 = np.maximum(q - 1, 1)  # a factor of 1 where q = 1
+        ph, f = phi[lo:hi], fermat[lo:hi]
+        ph //= q
+        ph *= q1
+        f *= np.gcd(np.arange(lo, hi, dtype=np.int32) // q - 1, q1)
+        # odd k (lo is even): omega and nu; v2(x | 2^30) = min(v2(x), 30)
+        q, f_odd = q[1::2], f[1::2]
+        w, v = omega[lo // 2 : lo // 2 + q.size], nu[lo // 2 : lo // 2 + q.size]
+        w += q > 1
+        low = (q - 1) | 1 << 30
+        np.minimum(v, np.frexp(low & -low)[1] - 1, out=v)
+        # odd k: strong = odd part of F times (2^(nu omega) - 1)/(2^omega - 1) + 1;
+        # even k: strong = F, leaving out a^(k-1) = -1 (the module's convention)
+        geo = (np.left_shift(np.int32(1), w * v) - 1) // (np.left_shift(np.int32(1), w) - 1) + 1
+        s = strong[lo:hi]
+        s[0::2] = f[0::2]
+        s[1::2] = f_odd // (f_odd & -f_odd) * geo
     fermat[:2] = strong[:2] = 0
     return LiarCounts(phi, fermat, strong)
 
 
+#: k values per chunk of liar_sieve's final pass (even, so each chunk starts at an even k)
+_LIAR_CHUNK = 1 << 16
+
+
 #: odd values of k per block of the Carmichael sieve (4 MiB of int32)
 _BLOCK = 1 << 20
+
+#: primes below this keep one strided slice each in the Carmichael sieve;
+#: the larger ones hit a block at most 2^21 / (37 * 36) = 1574 times each
+_STRIDED_BELOW = 32
 
 
 def enumerate_carmichaels(n: int) -> list[int]:
@@ -386,10 +422,16 @@ def enumerate_carmichaels(n: int) -> list[int]:
     class, a square factor or a prime factor above sqrt(n) leaves
     prod[k] < k, and a prime k has prod[k] = 1, its own progression
     starting at k^2.  k runs in blocks of _BLOCK odd values k = lo + 2i,
-    and no array of the k themselves is built: prod[i] divides k and no
-    Carmichael number is below 561, so only the few entries with
-    prod[i] >= max(lo, 561) are candidates, each tested exactly against
-    lo + 2i.  The test is integer-only.
+    all in one buffer that is refilled with 1s for each block.  A prime
+    below _STRIDED_BELOW multiplies its progression as one strided slice;
+    the larger primes step at least p(p - 1)/2 >= 666 entries and hit a
+    block a few times each, so all their hits in a block are applied at
+    once, with one index array and one np.multiply.at.  No entry can
+    overflow and the order of the products does not matter: prod[i] is a
+    product of distinct primes dividing k.  No array of the k themselves
+    is built: prod[i] divides k and no Carmichael number is below 561, so
+    only the few entries with prod[i] >= max(lo, 561) are candidates, each
+    tested exactly against lo + 2i.  The test is integer-only.
     """
     if n < 2:
         raise DomainError(f"enumeration requires n >= 2, got {n}")
@@ -398,15 +440,26 @@ def enumerate_carmichaels(n: int) -> list[int]:
     primes = np.flatnonzero(prime_sieve(math.isqrt(n - 1)))[1:]
     squares = primes * primes
     moduli = primes * (primes - 1)
+    steps = moduli // 2
+    strided = int(np.searchsorted(primes, _STRIDED_BELOW))
     dtype = np.int32 if n <= 1 << 31 else np.int64  # prod[k] divides k < n
+    factors = primes[strided:].astype(dtype)
+    buffer = np.empty(min(_BLOCK, n // 2), dtype=dtype)
     found: list[int] = []
     for lo in range(3, n, 2 * _BLOCK):
         size = (min(lo + 2 * _BLOCK, n) - lo + 1) // 2
-        prod = np.ones(size, dtype=dtype)
+        prod = buffer[:size]
+        prod.fill(1)
         first = (np.maximum(squares, lo + (primes - lo) % moduli) - lo) // 2
-        live = first < size
-        for p, i, step in zip(primes[live].tolist(), first[live].tolist(), (moduli[live] // 2).tolist()):
+        for p, i, step in zip(primes[:strided].tolist(), first[:strided].tolist(), steps[:strided].tolist()):
             prod[i::step] *= p
+        live = np.flatnonzero(first[strided:] < size)
+        start, step = first[strided:][live], steps[strided:][live]
+        hits = (size - 1 - start) // step + 1
+        # hit h of prime j sits at start_j + (h - offset_j) step_j
+        offsets = np.repeat(hits.cumsum() - hits, hits)
+        at = np.repeat(start, hits) + (np.arange(offsets.size) - offsets) * np.repeat(step, hits)
+        np.multiply.at(prod, at, np.repeat(factors[live], hits))
         cand = np.flatnonzero(prod >= max(lo, 561))
         ks = lo + 2 * cand
         found += ks[prod[cand] == ks].tolist()

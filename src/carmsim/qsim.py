@@ -27,9 +27,9 @@ to outcomes with one search, so a command with many reps pays for one CDF;
 the caller draws the uniforms from `rep_streams`, the one stream builder.
 Rep i draws numpy's PCG64 sequence of np.random.default_rng([seed, i]), bit
 for bit, reproduced in-package: the SeedSequence hash of the seed words
-runs for all reps in one numpy uint32 pass, and `RepStreams` seeds and
-steps every rep's 128-bit LCG as uint64 array arithmetic, a block of steps
-by jump-ahead.  No command imports numpy.random, which the tests use as
+runs for a whole chunk of reps in one numpy uint32 pass, and `RepStreams`
+seeds and steps every rep's 128-bit LCG as uint64 array arithmetic, a
+block of steps by jump-ahead.  No command imports numpy.random, which the tests use as
 the oracle for these streams.
 """
 
@@ -230,8 +230,8 @@ def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
     return np.array(consts, dtype=np.uint32)[:, None]
 
 
-def _seed_words(seed: int, reps: int) -> np.ndarray:
-    """SeedSequence([seed, i]).generate_state(4, np.uint64) as row i, for every i < reps at once.
+def _seed_words(seed: int, reps: int, start: int = 0) -> np.ndarray:
+    """SeedSequence([seed, i]).generate_state(4, np.uint64) as row i - start, for all reps i from start at once.
 
     The entropy words are those of seed, least significant first ([0] for
     0), then i.  SeedSequence's hash constant advances the same way for
@@ -247,7 +247,7 @@ def _seed_words(seed: int, reps: int) -> np.ndarray:
     # zero rows pad the pool to 4 words; rows past 4 are the extra entropy
     entropy = np.zeros((max(len(words) + 1, 4), reps), dtype=np.uint32)
     entropy[: len(words)] = np.array(words, dtype=np.uint32)[:, None]
-    entropy[len(words)] = np.arange(reps, dtype=np.uint32)
+    entropy[len(words)] = np.arange(start, start + reps, dtype=np.uint32)
     # 4 pool words, 4 x 3 pool mixes, 4 mixes per extra word: 4 hashes per entropy row
     consts = _hash_consts(_INIT_A, _MULT_A, 4 * len(entropy))
     used = 0
@@ -290,6 +290,9 @@ _MASK128 = (1 << 128) - 1
 
 #: uniforms per chunk of a block draw, so that its uint64 temporaries stay a few MiB
 _BLOCK_ELEMENTS = 1 << 16
+
+#: reps per chunk of the seeding, whose temporaries take about 100 bytes per rep
+_SEED_CHUNK = 1 << 13
 
 #: a block of flag rounds leaves a rep still drawing with at most this probability
 _FLAG_TAIL = 2.0**-10
@@ -372,17 +375,24 @@ class RepStreams:
     all reps are (high, low) uint64 arrays, 32 bytes per rep, and a step of
     every rep is a few whole-array operations.  A block of n draws comes
     from the jump-ahead s_j = a^j s + c (a^j - 1) / (a - 1), j = 1..n,
-    evaluated for all reps and all j at once.  Both run in chunks of reps.
+    evaluated for all reps and all j at once.  The seeding, the steps and
+    the blocks all run in chunks of reps, so that beyond the 32 bytes per
+    rep only one chunk's temporaries are live.
     """
 
-    def __init__(self, words: np.ndarray) -> None:
-        # PCG64's seeding from generate_state(4, np.uint64): words 0-1 are the
-        # initial state and 2-3 the sequence, high word first; state = 0,
-        # inc = 2 sequence + 1, step, state += initial state, step
-        inc = ((words[:, 2] << 1) | (words[:, 3] >> 63), (words[:, 3] << 1) | 1)
-        state = _add128(*inc, words[:, 0], words[:, 1])
-        self.inc = np.stack(inc)
-        self.state = np.stack(_add128(*_mul128(*state, *_MULT_WORDS), *inc))
+    def __init__(self, seed: int, reps: int) -> None:
+        self.inc = np.empty((2, reps), dtype=np.uint64)
+        self.state = np.empty((2, reps), dtype=np.uint64)
+        for lo in range(0, reps, _SEED_CHUNK):
+            rows = slice(lo, min(lo + _SEED_CHUNK, reps))
+            words = _seed_words(seed, rows.stop - lo, lo)
+            # PCG64's seeding from generate_state(4, np.uint64): words 0-1 are the
+            # initial state and 2-3 the sequence, high word first; state = 0,
+            # inc = 2 sequence + 1, step, state += initial state, step
+            inc = ((words[:, 2] << 1) | (words[:, 3] >> 63), (words[:, 3] << 1) | 1)
+            state = _add128(*inc, words[:, 0], words[:, 1])
+            self.inc[:, rows] = inc
+            self.state[:, rows] = _add128(*_mul128(*state, *_MULT_WORDS), *inc)
 
     @property
     def reps(self) -> int:
@@ -449,9 +459,10 @@ class RepStreams:
 def rep_streams(seed: int, reps: int) -> RepStreams:
     """The streams np.random.default_rng([seed, i]) of reps i < reps, each fixed by (seed, i) alone.
 
-    The draws are numpy's, bit for bit: one pass hashes the seed words of
-    every rep as SeedSequence([seed, i]) would (_seed_words), and RepStreams
-    seeds and steps every rep's PCG64 as numpy does.  Beyond MAX_REPS a rep
+    The draws are numpy's, bit for bit: RepStreams hashes the seed words of
+    each chunk of _SEED_CHUNK reps in one pass, as SeedSequence([seed, i])
+    would (_seed_words), and seeds and steps every rep's PCG64 as numpy
+    does.  Beyond MAX_REPS a rep
     index would no longer be one entropy word, so more reps are refused.
     """
     if seed < 0:  # np.random.default_rng takes no negative seed
@@ -460,4 +471,4 @@ def rep_streams(seed: int, reps: int) -> RepStreams:
         raise DomainError(f"reps must be >= 1, got {reps}")
     if reps > MAX_REPS:
         raise CapacityError(f"{reps} reps exceed cap {MAX_REPS}")
-    return RepStreams(_seed_words(seed, reps))
+    return RepStreams(seed, reps)

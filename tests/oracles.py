@@ -12,7 +12,10 @@ iteration), post-selection on one register, the analytic per-state
 amplitudes on the rotation plane, the amplitude version of the closed-form
 counting law, the all-zeros probability of the certification law, and the
 certification variant that reads the coprimality flag after the
-iterations.  draw_flag_rounds is the flag post-selection loop on one
+iterations.  dirichlet_kernel_reference is the normalized Dirichlet
+kernel as the library computed it before its sign and range-reduction
+shortcuts: the bitwise reference for counting.dirichlet_kernel.
+draw_flag_rounds is the flag post-selection loop on one
 numpy Generator, the scalar route that qsim.RepStreams.flag_rounds runs for
 all reps at once.  peak_traced_bytes measures a call's peak heap for the
 memory guards.
@@ -32,6 +35,26 @@ from carmsim.counting import dirichlet_kernel, peak_position
 from carmsim.errors import CapacityError, DomainError, NormalizationError
 from carmsim.numtheory import factorize
 from carmsim.qsim import RegisterLayout, StateVector, _finish
+
+
+def dirichlet_kernel_reference(x, p: int) -> np.ndarray:
+    """sin(pi x) / (P sin(pi x / P)), range-reduced by the nearest multiple j P of every x.
+
+    Both sines take d = x - j P, and the two signs (-1)^(j P) and (-1)^j
+    are built as arrays and applied to numerator and denominator apart;
+    at x = j P the limit (-1)^(j (P - 1)) is returned.
+    """
+    arr = np.asarray(x, dtype=float)
+    j = np.rint(arr / p)
+    d = arr - j * p
+    j_int = j.astype(np.int64)
+    num_sign = np.where((j_int * p) & 1, -1.0, 1.0)
+    den_sign = np.where(j_int & 1, -1.0, 1.0)
+    den_core = np.sin(np.pi * d / p)
+    small = np.abs(den_core) < 1e-12
+    num = num_sign * np.sin(np.pi * d)
+    den = den_sign * p * den_core
+    return np.where(small, num_sign * den_sign, np.divide(num, den, out=np.ones_like(num), where=~small))
 
 
 def vec_pow_mod(bases: np.ndarray, e: int, m: int) -> np.ndarray:

@@ -312,6 +312,8 @@ def test_perturbation_bounds_chunks_match_one_shot_kernel(n):
     bounds = cm.perturbation_bounds(n, 64)
     assert np.array_equal(bounds.beta, counting.dirichlet_kernel(g, 64))
     assert np.array_equal(bounds.alpha, counting.dirichlet_kernel(f_peak, 64))
+    assert np.array_equal(bounds.beta, oracles.dirichlet_kernel_reference(g, 64))
+    assert np.array_equal(bounds.alpha, oracles.dirichlet_kernel_reference(f_peak, 64))
 
 
 def test_perturbation_bounds_stay_in_bounded_memory():

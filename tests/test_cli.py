@@ -100,7 +100,7 @@ def test_two_plane_reach_beyond_dense_limits(capsys):
 
 
 def test_capacity_exits_3(capsys):
-    for args in (["enumerate", "1000000001"], ["bounds", "10000001"]):
+    for args in (["enumerate", "10000000001"], ["bounds", "10000001"]):
         code, _, err = run_cli(args, capsys)
         assert code == 3
         assert "capacity" in err.lower()
@@ -228,6 +228,9 @@ PINNED_STDOUT = [
     (["count-bases", "25001", "--P", "64"], "b7f2a921fb5c3a6cff90127c3a7a0038a005fa2421ad9a99cfa16375082874dd"),
     (["count-carmichael", "65000", "--Q", "64"], "99f9a719e6f9cd574796d49721e95ef015cefda8e199b88235eb501775cebd4c"),
     (["psw", "10000", "--reps", "5"], "eb4f4f648c5a50ec82ceba3d2cb9a269678e8c3eef2380667224ea2f4929244a"),
+    # bounds draws nothing; its digest pins the sieve and kernel floats
+    (["bounds", "31000", "--P", "64"], "52af1a4a5c8bdaae0690ace2d98073dc033f41292ebcd72d0148fd48ac5b00c8"),
+    (["bounds", "100000", "--P", "16"], "c139109c5e65fe7c8e90796b726c256fe05cfcc0853b858575328f66461915d8"),
 ]
 
 
@@ -533,7 +536,7 @@ SCRIPT_BAD_INPUTS = {
     "psw-seed": ("psw_table.py", ["--seed", "-1"], 2),
     "psw-N10": ("psw_table.py", ["--N", "10"], 2),
     "counting-Q2": ("counting_success_experiment.py", ["--Q", "2"], 2),
-    "counting-N-past-enumeration": ("counting_success_experiment.py", ["--N", "2000000000"], 3),
+    "counting-N-past-enumeration": ("counting_success_experiment.py", ["--N", "20000000000"], 3),
     "sweep-P2": ("certify_error_sweep.py", ["--P", "2"], 2),
     "sweep-R0": ("certify_error_sweep.py", ["--R", "0"], 2),
 }

@@ -63,6 +63,34 @@ def test_kernel_matches_raw_formula_away_from_singularities(p, f, l):
     assert counting.dirichlet_kernel(x, p) == pytest.approx(raw, abs=1e-10)
 
 
+def kernel_arguments(p):
+    """Arguments in [-3P, 3P]: multiples of P, half-integers, points within 1e-12 of j P, and any float."""
+    near = st.builds(lambda j, e: j * p + e, st.integers(-3, 3), st.floats(-1e-12, 1e-12))
+    return st.lists(
+        st.one_of(
+            st.integers(-3, 3).map(lambda j: float(j * p)),
+            st.integers(-6 * p, 6 * p).map(lambda h: h / 2),
+            near,
+            st.floats(-3.0 * p, 3.0 * p),
+        ),
+        min_size=1,
+        max_size=40,
+    )
+
+
+@given(st.integers(2, 1024).flatmap(lambda p: st.tuples(st.just(p), kernel_arguments(p))))
+def test_kernel_equals_the_reference_bit_for_bit(case):
+    # the kernel skips the sign and range-reduction work where it is exact
+    # to skip; the result must not move by one bit, even or odd P
+    p, xs = case
+    x = np.array(xs)
+    expected = oracles.dirichlet_kernel_reference(x, p)
+    got = counting.dirichlet_kernel(x, p)
+    assert np.array_equal(got, expected)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+    assert counting.dirichlet_kernel(xs[0], p) == float(expected[0])
+
+
 # ---------------------------------------------------------------- closed-form law
 
 def test_distribution_no_marks():

@@ -1,5 +1,6 @@
 import bisect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,7 +174,7 @@ def test_enumerate_matches_pointwise():
 
 
 def test_enumerate_errors():
-    assert nt.ENUMERATION_BOUND == 10**9
+    assert nt.ENUMERATION_BOUND == 10**10
     with pytest.raises(DomainError):
         nt.enumerate_carmichaels(1)
     with pytest.raises(CapacityError):
@@ -245,6 +246,35 @@ def test_liar_sieve_matches_censuses():
         assert strong[k] == liars, k
     with pytest.raises(DomainError):
         nt.liar_sieve(0)
+
+
+def liar_sieve_checkpoints(n):
+    """A seeded sample of 2000 k <= n, the primorial 510510, n, and the powers of 2 and 3 up to n."""
+    sample = np.random.default_rng(1509).integers(2, n + 1, 2000).tolist()
+    powers = [b**e for b in (2, 3) for e in range(1, int(math.log(n, b)) + 1) if b**e <= n]
+    return sorted(set(sample + powers + [510510, n]))
+
+
+def test_int32_liar_sieve_matches_number_facts_at_scale():
+    n = 10**6
+    counts = nt.liar_sieve(n)
+    assert all(a.dtype == np.int32 and a.shape == (n + 1,) for a in counts)
+    ks = liar_sieve_checkpoints(n)
+    phi, fermat, strong = (a[ks].tolist() for a in counts)
+    for i, k in enumerate(ks):
+        facts = nt.number_facts(k)
+        assert (phi[i], fermat[i], strong[i]) == (facts.phi, facts.f_count, k - 1 - facts.mr_witnesses), k
+
+
+def test_liar_sieve_refuses_two_to_the_31_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="liar sieve bound"):
+            nt.liar_sieve(2**31)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
 
 
 # ---------------------------------------------------------------- density scales

@@ -422,6 +422,34 @@ def test_rep_streams_hold_at_most_64_bytes_per_rep():
     assert streams.reps == 10**6 and held <= 64 * 10**6
 
 
+def test_rep_streams_seed_in_chunks_within_40_bytes_per_rep():
+    # the streams hold 32 B per rep; seeding in chunks keeps the peak near it
+    tracemalloc.start()
+    try:
+        streams = qsim.rep_streams(2**100 + 7, 10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert streams.reps == 10**6 and peak <= 40 * 10**6
+
+
+def test_a_100_rep_command_seeds_in_one_chunk(monkeypatch):
+    calls = []
+    seed_words = qsim._seed_words
+    monkeypatch.setattr(qsim, "_seed_words", lambda *args: calls.append(args) or seed_words(*args))
+    qsim.rep_streams(42, 100)
+    assert calls == [(42, 100, 0)]
+
+
+@pytest.mark.parametrize("seed", [0, 2**100 + 7])
+def test_chunked_seeding_equals_default_rng_across_chunk_edges(seed, monkeypatch):
+    monkeypatch.setattr(qsim, "_SEED_CHUNK", 7)
+    streams = qsim.rep_streams(seed, 23)
+    draws = np.stack([streams.random() for _ in range(3)], axis=1)
+    for i in range(23):
+        assert np.array_equal(draws[i], np.random.default_rng([seed, i]).random(3))
+
+
 def test_rep_streams_refuse_reps_past_one_seed_word_before_allocating():
     tracemalloc.start()
     try:
