@@ -12,15 +12,14 @@ Routes.  Certification and both counting pipelines run on the two-plane
 register (counting.count_distribution), fed the marked count from the
 factorization or the enumeration; no O(k) base mask is built, so k is
 bounded only by factorization (2^50), and qsim.AMPLITUDE_CAP binds the
-counters alone.  The dense route over all k base values
-(qsim.controlled_grover_powers over a Fermat-failure mask, the mask built in
-tests/oracles.py) is a test oracle.  A command's reps share one law:
-certify_reps reads the composite's facts and builds the law once, draws
-every rep's uniforms at once from qsim.rep_streams, where rep i draws
-numpy's PCG64 sequence of default_rng([seed, i]) reproduced in-package, and
-maps every rep's reading uniform to a counter reading in one
-qsim.sample_outcomes call.  numpy.random itself is only the tests' oracle
-for the streams.
+counters alone.  The dense route over all k base values, fed a
+Fermat-failure mask, is a test oracle in tests/oracles.py.  A command's
+reps share one law: certify_reps reads the composite's facts and builds
+the law once, draws every rep's uniforms at once from qsim.rep_streams,
+where rep i draws numpy's PCG64 sequence of default_rng([seed, i])
+reproduced in-package, and maps every rep's reading uniform to a counter
+reading in one qsim.sample_outcomes call.  numpy.random itself is only the
+tests' oracle for the streams.
 
 Flag convention.  The coprimality flag is post-selected on the *prepared*
 uniform superposition, where its acceptance probability is exactly phi(k)/k
@@ -145,24 +144,25 @@ def certify_reps(k: int, p: int, r: int, mode: str, seed: int, reps: int) -> lis
 
     The reps share the composite's facts and one law, built by
     ancilla_distribution.  Rep i owns stream i of qsim.rep_streams(seed,
-    reps), built once mode and k have passed their checks, so a rejected
-    input pays for no stream: in sample mode it first draws its geometric
-    flag retries, then one uniform (RepStreams.flag_rounds draws both for
-    all reps), and its counter reading is the first outcome of the joint
-    law whose cumulative mass exceeds that uniform (qsim.sample_outcomes
-    maps all reps at once).  Exact mode resolves the flag analytically
-    (flag_retries = 0) and attaches the exact all-zeros probability; sample
-    mode reports the gap-based worst-case error bound, which does not
-    presume knowledge of t(k).  A Verdict depends only on its rep's
-    (reading, flag rounds), so reps with the same pair share one frozen
-    Verdict, built and checked once.
+    reps), built once mode, k and the law (P, R and the amplitude cap) have
+    passed their checks, so a rejected input pays for no stream: in sample
+    mode it first draws its geometric flag retries, then one uniform
+    (RepStreams.flag_rounds draws both for all reps), and its counter
+    reading is the first outcome of the joint law whose cumulative mass
+    exceeds that uniform (qsim.sample_outcomes maps all reps at once).
+    Exact mode resolves the flag analytically (flag_retries = 0) and
+    attaches the exact all-zeros probability; sample mode reports the
+    gap-based worst-case error bound, which does not presume knowledge of
+    t(k).  A Verdict depends only on its rep's (reading, flag rounds), so
+    reps with the same pair share one frozen Verdict, built and checked
+    once.
     """
     if mode not in ("exact", "sample"):
         raise DomainError(f"mode must be 'exact' or 'sample', got {mode}")
     facts = composite_facts(k)
-    streams = qsim.rep_streams(seed, reps)
     accept = facts.phi / k
     dist = ancilla_distribution(k, p, r)
+    streams = qsim.rep_streams(seed, reps)
     allzero = float(dist[(0,) * r])
     if mode == "exact":
         carmichael_bound = 0.0 if facts.t_k == 0 else allzero

@@ -19,12 +19,11 @@ t~ = D sin^2(pi f~ / P), with the guarantee |t~ - t| <= pi (D/Q)(pi/Q +
 2 sqrt(t/D)) whenever l lands on one of the four integers bracketing the
 peaks.
 
-The production route, `count_distribution`, simulates the counters on the
-two-plane register (qsim.two_plane_grover_powers) and needs only the marked
-count t, never a mask over the D base values.  `count_distribution_dense`
-simulates all D amplitudes from a boolean mask over the base values; it and
-the closed-form law are the test oracles for the production route (the
-closed form's amplitude version lives in tests/oracles.py).
+`count_distribution` simulates the counters on the two-plane register
+(qsim.two_plane_grover_powers) and needs only the marked count t, never a
+mask over the D base values.  The closed-form law checks it here; the
+dense simulation of all D amplitudes and the closed form's amplitude
+version live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -185,8 +184,8 @@ def median_t_tilde(estimates: list[CountEstimate]) -> float:
 def count_distribution(dimension: int, marked: int, p: int, registers: int = 1) -> np.ndarray:
     """Outcome law over `registers` counters of size P, shape (P,)*R.
 
-    Production route: controlled powers on the two-plane (P,)*R + (2,)
-    layout, a Fourier transform on each counter, the exact marginal.  It
+    Controlled powers on the two-plane (P,)*R + (2,) layout, a Fourier
+    transform on each counter, the base plane summed out.  It
     builds every sampled law, so it owns the rules P >= 4 and R >= 1.
     """
     if p < 4:
@@ -196,18 +195,7 @@ def count_distribution(dimension: int, marked: int, p: int, registers: int = 1) 
     state = qsim.two_plane_grover_powers((p,) * registers, dimension, marked)
     for axis in range(registers):
         state = qsim.qft(state, axis)
-    return qsim.exact_distribution(state, list(range(registers)))
-
-
-def count_distribution_dense(marked_mask: np.ndarray, p: int) -> np.ndarray:
-    """Outcome law via full statevector simulation over D = marked_mask.size.
-
-    Builds the controlled-power state on a (P, D) layout, Fourier-transforms
-    the counter, and reads the exact marginal.  Needs P*D amplitudes; test
-    oracle for count_distribution.
-    """
-    state = qsim.controlled_grover_powers((p,), marked_mask)
-    return qsim.exact_distribution(qsim.qft(state, 0), [0])
+    return qsim.exact_distribution(state)
 
 
 def run_count(dimension: int, marked: int, p: int, seed: int, reps: int) -> list[CountEstimate]:

@@ -1,25 +1,24 @@
-"""Exact statevector simulation over mixed-radix register layouts.
+"""Exact statevector simulation of the counter registers on the base register's plane.
 
 A state lives on registers with sizes (d_1, ..., d_R); the flat index of
 the basis state |v_1, ..., v_R> is (((v_1 * d_2 + v_2) * d_3 + ...)), the
 leftmost register most significant.  Register sizes are arbitrary (not
 powers of two): the search iteration uses the exact reflection about the
-uniform state in the register's own dimension, and the Fourier transform
-is the dense size-P unitary F|a> = sum_b exp(+2 pi i a b / P) |b> / sqrt(P).
+uniform state, and the Fourier transform is the dense size-P unitary
+F|a> = sum_b exp(+2 pi i a b / P) |b> / sqrt(P).
 
 All operations are pure (a new state is returned) and re-verify the norm
 to 1e-10 afterwards; nothing renormalizes silently.
 
-Counter-controlled search powers come in two routes.  The production route,
-`two_plane_grover_powers`, keeps the base register in the plane spanned by
-its uniform-marked and uniform-unmarked states, which the search iterate
-never leaves from the uniform start: the layout is (P_1, ..., P_R, 2) and
-only the marked count t enters, so the base dimension D may be as large as
-an integer allows.  `controlled_grover_powers` builds all D base amplitudes
-from a boolean mask over the base values; it is the dense test oracle for
-the reduced route.  The single gates that both routes are checked against
-(uniform preparation, phase flip, diffusion) and post-selection live in
-tests/oracles.py.
+Counter-controlled search powers, `two_plane_grover_powers`, keep the base
+register in the plane spanned by its uniform-marked and uniform-unmarked
+states, which the search iterate never leaves from the uniform start: the
+layout is (P_1, ..., P_R, 2) and only the marked count t enters, so the
+base dimension D may be as large as an integer allows.  `exact_distribution`
+sums that plane out.  The dense route over all D base values, the single
+gates (uniform preparation, phase flip, diffusion), the marginal over any
+registers and post-selection live in tests/oracles.py, on the power table
+and the layout kept here.
 
 Measurement is sampled from an exact marginal table.  `sample_outcomes`
 builds the table's CDF once and maps a whole vector of uniforms in [0, 1)
@@ -72,10 +71,6 @@ class RegisterLayout:
     def dimension(self) -> int:
         return math.prod(self.dims)
 
-    def check_register(self, index: int) -> None:
-        if not 0 <= index < len(self.dims):
-            raise DomainError(f"register index {index} outside layout {self.dims}")
-
 
 @dataclass(frozen=True)
 class StateVector:
@@ -83,10 +78,6 @@ class StateVector:
 
     layout: RegisterLayout
     amplitudes: np.ndarray
-
-    def grid(self) -> np.ndarray:
-        """Amplitudes reshaped to one axis per register (a view)."""
-        return self.amplitudes.reshape(self.layout.dims)
 
 
 def _finish(layout: RegisterLayout, amplitudes: np.ndarray) -> StateVector:
@@ -99,9 +90,8 @@ def _finish(layout: RegisterLayout, amplitudes: np.ndarray) -> StateVector:
 
 def qft(state: StateVector, register: int) -> StateVector:
     """Size-P Fourier transform on one register (+2 pi i convention)."""
-    state.layout.check_register(register)
-    p = state.layout.dims[register]
-    return _finish(state.layout, np.fft.ifft(state.grid(), axis=register) * math.sqrt(p))
+    grid = state.amplitudes.reshape(state.layout.dims)
+    return _finish(state.layout, np.fft.ifft(grid, axis=register) * math.sqrt(grid.shape[register]))
 
 
 def _grover_power_table(start: np.ndarray, mask: np.ndarray, max_power: int) -> np.ndarray:
@@ -138,27 +128,13 @@ def _controlled_powers(ancilla_dims: Sequence[int], start: np.ndarray, mask: np.
     return _finish(layout, out)
 
 
-def controlled_grover_powers(ancilla_dims: Sequence[int], marked_mask: np.ndarray) -> StateVector:
-    """Superposed iteration counts: sum_m |m_1..m_R> G^(m_1+..+m_R)|u> / P^(R/2).
-
-    Dense route: every one of the D = marked_mask.size base amplitudes is
-    simulated, with the exact inversion-about-average as the diffusion.
-    Test oracle for two_plane_grover_powers.
-    """
-    mask = np.asarray(marked_mask, dtype=bool)
-    if mask.ndim != 1 or mask.size < 1:
-        raise DomainError(f"marked mask must be 1-d and non-empty, got shape {mask.shape}")
-    uniform = np.full(mask.size, 1.0 / math.sqrt(mask.size))
-    return _controlled_powers(ancilla_dims, uniform, mask)
-
-
 def two_plane_grover_powers(ancilla_dims: Sequence[int], dimension: int, marked: int) -> StateVector:
-    """controlled_grover_powers on the invariant plane of the base register.
+    """Superposed iteration counts sum_m |m_1..m_R> G^(m_1+..+m_R)|u> / P^(R/2) on the base plane.
 
     The base axis has two entries: the coefficients c_M, c_U of the
     uniform-marked and uniform-unmarked states, so a marked base value holds
-    c_M / sqrt(t) and an unmarked one c_U / sqrt(D - t).  The gates are the
-    same, applied one at a time: the phase flip is diag(-1, 1) and the
+    c_M / sqrt(t) and an unmarked one c_U / sqrt(D - t).  On this plane the
+    search gates are 2 x 2: the phase flip is diag(-1, 1) and the
     diffusion is the reflection about u = (sqrt(t/D), sqrt((D-t)/D)), the
     uniform state.  Only the layout ancilla_dims + (2,) counts against
     AMPLITUDE_CAP.
@@ -171,20 +147,9 @@ def two_plane_grover_powers(ancilla_dims: Sequence[int], dimension: int, marked:
     return _controlled_powers(ancilla_dims, uniform, np.array([True, False]))
 
 
-def exact_distribution(state: StateVector, registers: Sequence[int]) -> np.ndarray:
-    """Marginal probability table over the chosen registers (in given order)."""
-    regs = list(registers)
-    if len(set(regs)) != len(regs):
-        raise DomainError(f"duplicate register indices: {regs}")
-    for r in regs:
-        state.layout.check_register(r)
-    probs = np.abs(state.grid()) ** 2
-    other = tuple(i for i in range(len(state.layout.dims)) if i not in regs)
-    marg = probs.sum(axis=other) if other else probs
-    if len(regs) > 1:
-        # after the sum the surviving axes sit in ascending register order;
-        # permute them into the caller's order
-        marg = np.transpose(marg, np.argsort(np.argsort(regs)))
+def exact_distribution(state: StateVector) -> np.ndarray:
+    """Counter law of a (P,)*R + (2,) state: the base plane, its last register, summed out."""
+    marg = (np.abs(state.amplitudes.reshape(state.layout.dims)) ** 2).sum(axis=-1)
     total = float(marg.sum())
     if not abs(total - 1.0) <= NORM_TOL:  # written so that NaN fails too
         raise NormalizationError(f"marginal mass {total} != 1")
@@ -335,19 +300,6 @@ def _uniform(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     return (x >> 11) * (1.0 / (1 << 53))
 
 
-def _step_int(state: int, inc: int) -> int:
-    """One PCG64 step of a state held as an int."""
-    return (state * _PCG_MULT + inc) & _MASK128
-
-
-def _uniform_int(state: int) -> float:
-    """_uniform of one state held as an int."""
-    x = ((state >> 64) ^ state) & _MASK64
-    rot = state >> 122
-    x = (x >> rot | x << (64 - rot)) & _MASK64
-    return (x >> 11) * (1.0 / (1 << 53))
-
-
 #: the multiplier as (high, low) uint64 arrays
 _MULT_WORDS = _hi_lo([_PCG_MULT])
 
@@ -403,8 +355,8 @@ class RepStreams:
         step = max(1, _BLOCK_ELEMENTS // n)
         return (slice(lo, lo + step) for lo in range(0, self.reps, step))
 
-    def _block(self, n: int, rows: slice) -> tuple[np.ndarray, np.ndarray]:
-        """The states 1..n steps past the current ones of the reps in rows, (high, low) of shape (rows, n)."""
+    def _block(self, n: int, rows: slice | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The states 1..n steps past the current ones of the reps in rows (a slice or indices), (high, low) of shape (rows, n)."""
         a_hi, a_lo, g_hi, g_lo = _jumps(n)
         (s_hi, s_lo), (c_hi, c_lo) = self.state[:, rows, None], self.inc[:, rows, None]
         return _add128(*_mul128(s_hi, s_lo, a_hi, a_lo), *_mul128(c_hi, c_lo, g_hi, g_lo))
@@ -422,37 +374,37 @@ class RepStreams:
     def flag_rounds(self, accept: float) -> tuple[np.ndarray, np.ndarray]:
         """Every rep's flag rounds until acceptance (geometric, >= 1), and the uniform after them.
 
-        A round draws one uniform and accepts when it is below accept.  All
-        reps draw one block of rounds + 1 uniforms, with enough rounds that a
-        rep has not accepted within them with probability at most _FLAG_TAIL
-        (at most _BLOCK_ELEMENTS rounds); such a rep draws on alone in int
-        arithmetic.  Each stream is left after the uniform it returned.
+        A round draws one uniform and accepts when it is below accept.  The
+        reps draw blocks of rounds + 1 uniforms, with enough rounds that a
+        rep has not accepted within a block with probability at most
+        _FLAG_TAIL (at most _BLOCK_ELEMENTS rounds); such a rep draws a further
+        block from the state of its last round, until every rep has accepted.
+        Each stream is left after the uniform it returned.
         """
         if not 0.0 < accept <= 1.0:
             raise DomainError(f"acceptance probability {accept} outside (0, 1]")
         flags = 1 if accept == 1.0 else math.ceil(math.log(_FLAG_TAIL) / math.log1p(-accept))
         flags = min(max(flags, 1), _BLOCK_ELEMENTS)
-        rounds = np.empty(self.reps, dtype=np.int64)
+        rounds = np.zeros(self.reps, dtype=np.int64)
         readings = np.empty(self.reps)
         for rows in self._chunks(flags + 1):
-            hi, lo = self._block(flags + 1, rows)
-            draws = _uniform(hi, lo)
-            accepted = draws[:, :flags] < accept
-            first = accepted.argmax(axis=1)
-            at = np.arange(len(first)), first + 1
-            rounds[rows], readings[rows] = first + 1, draws[at]
-            self.state[:, rows] = hi[at], lo[at]
-            for i in np.flatnonzero(~accepted.any(axis=1)):
-                # on from the state of the block's last flag round
-                rep = rows.start + int(i)
-                inc = int(self.inc[0, rep]) << 64 | int(self.inc[1, rep])
-                state = _step_int(int(hi[i, flags - 1]) << 64 | int(lo[i, flags - 1]), inc)
-                n_rounds = flags + 1
-                while _uniform_int(state) >= accept:
-                    n_rounds, state = n_rounds + 1, _step_int(state, inc)
-                state = _step_int(state, inc)
-                rounds[rep], readings[rep] = n_rounds, _uniform_int(state)
-                self.state[:, rep] = state >> 64, state & _MASK64
+            pending = rows
+            while True:
+                hi, lo = self._block(flags + 1, pending)
+                draws = _uniform(hi, lo)
+                accepted = draws[:, :flags] < accept
+                missed = ~accepted.any(axis=1)
+                used = np.where(missed, flags, accepted.argmax(axis=1) + 1)
+                # an accepting rep keeps the state of its reading, a missing one that of its last round
+                at = np.arange(len(used)), used - missed
+                rounds[pending] += used
+                readings[pending] = draws[at]
+                self.state[:, pending] = hi[at], lo[at]
+                if not missed.any():
+                    break
+                # the reps that missed, as indices: pending is the chunk's slice at first
+                ids = np.flatnonzero(missed)
+                pending = rows.start + ids if pending is rows else pending[ids]
         return rounds, readings
 
 

@@ -6,13 +6,16 @@ closed formulas and sieves used by the library; the Korselt test checks
 the Carmichael property from a factorization, a smallest-prime-factor
 table gives the tests a factorization of every k below a limit, and a
 Fermat-failure mask over the bases of k feeds the dense certification
-route.  The simulation references are the single search gates on a full
-statevector (uniform preparation, phase flip, diffusion, one Grover
-iteration), post-selection on one register, the analytic per-state
-amplitudes on the rotation plane, the amplitude version of the closed-form
-counting law, the all-zeros probability of the certification law, and the
-certification variant that reads the coprimality flag after the
-iterations.  dirichlet_kernel_reference is the normalized Dirichlet
+route.  The simulation references are the dense route over all D base
+values (the controlled search powers from a boolean mask, built on qsim's
+power table, and the counting law they give), the marginal over any
+registers in any order, the one-axis-per-register view of a state, the
+single search gates on a full statevector (uniform preparation, phase
+flip, diffusion, one Grover iteration), post-selection on one register,
+the analytic per-state amplitudes on the rotation plane, the amplitude
+version of the closed-form counting law, the all-zeros probability of the
+certification law, and the certification variant that reads the
+coprimality flag after the iterations.  dirichlet_kernel_reference is the normalized Dirichlet
 kernel as the library computed it before its sign and range-reduction
 shortcuts: the bitwise reference for counting.dirichlet_kernel.
 draw_flag_rounds is the flag post-selection loop on one
@@ -34,7 +37,7 @@ from carmsim.carmichael import ancilla_distribution, composite_facts
 from carmsim.counting import dirichlet_kernel, peak_position
 from carmsim.errors import CapacityError, DomainError, NormalizationError
 from carmsim.numtheory import factorize
-from carmsim.qsim import RegisterLayout, StateVector, _finish
+from carmsim.qsim import NORM_TOL, RegisterLayout, StateVector, _controlled_powers, _finish
 
 
 def dirichlet_kernel_reference(x, p: int) -> np.ndarray:
@@ -175,6 +178,60 @@ def strong_witness_scalar(k: int, a: int) -> bool:
     return True
 
 
+def grid(state: StateVector) -> np.ndarray:
+    """Amplitudes reshaped to one axis per register (a view)."""
+    return state.amplitudes.reshape(state.layout.dims)
+
+
+def check_register(layout: RegisterLayout, index: int) -> None:
+    if not 0 <= index < len(layout.dims):
+        raise DomainError(f"register index {index} outside layout {layout.dims}")
+
+
+def controlled_grover_powers(ancilla_dims, marked_mask: np.ndarray) -> StateVector:
+    """Superposed iteration counts: sum_m |m_1..m_R> G^(m_1+..+m_R)|u> / P^(R/2).
+
+    Dense route: every one of the D = marked_mask.size base amplitudes is
+    simulated, with the exact inversion-about-average as the diffusion.
+    Oracle for qsim.two_plane_grover_powers.
+    """
+    mask = np.asarray(marked_mask, dtype=bool)
+    if mask.ndim != 1 or mask.size < 1:
+        raise DomainError(f"marked mask must be 1-d and non-empty, got shape {mask.shape}")
+    uniform = np.full(mask.size, 1.0 / math.sqrt(mask.size))
+    return _controlled_powers(ancilla_dims, uniform, mask)
+
+
+def marginal(state: StateVector, registers) -> np.ndarray:
+    """Marginal probability table over the chosen registers (in given order)."""
+    regs = list(registers)
+    if len(set(regs)) != len(regs):
+        raise DomainError(f"duplicate register indices: {regs}")
+    for r in regs:
+        check_register(state.layout, r)
+    probs = np.abs(grid(state)) ** 2
+    other = tuple(i for i in range(len(state.layout.dims)) if i not in regs)
+    marg = probs.sum(axis=other) if other else probs
+    if len(regs) > 1:
+        # after the sum the surviving axes sit in ascending register order;
+        # permute them into the caller's order
+        marg = np.transpose(marg, np.argsort(np.argsort(regs)))
+    total = float(marg.sum())
+    if not abs(total - 1.0) <= NORM_TOL:  # written so that NaN fails too
+        raise NormalizationError(f"marginal mass {total} != 1")
+    return marg
+
+
+def count_distribution_dense(marked_mask: np.ndarray, p: int) -> np.ndarray:
+    """Outcome law via full statevector simulation over D = marked_mask.size.
+
+    Builds the controlled-power state on a (P, D) layout, Fourier-transforms
+    the counter, and reads the exact marginal.  Needs P*D amplitudes; oracle
+    for counting.count_distribution.
+    """
+    return marginal(qsim.qft(controlled_grover_powers((p,), marked_mask), 0), [0])
+
+
 def uniform_state(layout: RegisterLayout) -> StateVector:
     """All amplitudes 1/sqrt(D)."""
     d = layout.dimension
@@ -183,12 +240,12 @@ def uniform_state(layout: RegisterLayout) -> StateVector:
 
 def phase_flip(state: StateVector, register: int, marked_mask: np.ndarray) -> StateVector:
     """Negate amplitudes whose register value is marked in the (dims[register],) mask."""
-    state.layout.check_register(register)
+    check_register(state.layout, register)
     size = state.layout.dims[register]
     mask = np.asarray(marked_mask, dtype=bool)
     if mask.shape != (size,):
         raise DomainError(f"marked mask shape {mask.shape} does not match register size {size}")
-    out = state.grid().copy()
+    out = grid(state).copy()
     moved = np.moveaxis(out, register, 0)
     moved[mask] *= -1.0
     return _finish(state.layout, out)
@@ -201,8 +258,8 @@ def diffusion(state: StateVector, register: int) -> StateVector:
     amplitudes are replaced by twice their mean minus themselves.  This is
     the exact inversion-about-average in the register's own dimension.
     """
-    state.layout.check_register(register)
-    out = state.grid().copy()
+    check_register(state.layout, register)
+    out = grid(state).copy()
     moved = np.moveaxis(out, register, 0)
     moved[...] = 2.0 * moved.mean(axis=0, keepdims=True) - moved
     return _finish(state.layout, out)
@@ -225,16 +282,16 @@ def postselect(state: StateVector, register: int, value: int) -> tuple[StateVect
     """Condition on one register reading `value`; returns (state, probability).
 
     The register is kept in the layout (its other values are zeroed)."""
-    state.layout.check_register(register)
+    check_register(state.layout, register)
     size = state.layout.dims[register]
     if not 0 <= value < size:
         raise DomainError(f"value {value} outside register of size {size}")
-    grid = state.grid()
-    moved = np.moveaxis(grid, register, 0)
+    amplitudes = grid(state)
+    moved = np.moveaxis(amplitudes, register, 0)
     prob = float(np.sum(np.abs(moved[value]) ** 2))
     if prob < 1e-15:
         raise ZeroProbabilityError(f"register {register} value {value} has zero mass")
-    out = np.zeros_like(grid)
+    out = np.zeros_like(amplitudes)
     np.moveaxis(out, register, 0)[value] = moved[value] / math.sqrt(prob)
     return _finish(state.layout, out), prob
 
@@ -328,18 +385,18 @@ def allzero_probability_flag_conditioned(k: int, p: int, r: int) -> FlagConditio
     non-coprime amplitudes before the flag is read.
     """
     composite_facts(k)
-    state = qsim.controlled_grover_powers((p,) * r, fermat_failure_mask(k))
+    state = controlled_grover_powers((p,) * r, fermat_failure_mask(k))
     coprime = (np.gcd(np.arange(k, dtype=np.int64), k) == 1).astype(np.int64)
-    grid = state.grid()
-    flagged = np.zeros(grid.shape + (2,), dtype=complex)
+    amplitudes = grid(state)
+    flagged = np.zeros(amplitudes.shape + (2,), dtype=complex)
     base_values = np.arange(k)
-    flagged[..., base_values, coprime] = grid
+    flagged[..., base_values, coprime] = amplitudes
     layout = RegisterLayout((p,) * r + (k, 2))
     flag_state = StateVector(layout, flagged.reshape(-1))
     flag_state, flag_mass = postselect(flag_state, r + 1, 1)
     for axis in range(r):
         flag_state = qsim.qft(flag_state, axis)
-    table = qsim.exact_distribution(flag_state, list(range(r)))
+    table = marginal(flag_state, range(r))
     conditional = float(table[(0,) * r])
     return FlagConditionedAllZeros(
         joint=conditional * flag_mass, conditional=conditional, flag_mass=float(flag_mass)

@@ -77,10 +77,10 @@ def test_criterion_2_carmichael_exactness():
 
 def _dense_allzero(k: int, p: int, r: int) -> float:
     """All-zeros mass from the dense oracle: every base value of k simulated."""
-    state = qsim.controlled_grover_powers((p,) * r, oracles.fermat_failure_mask(k))
+    state = oracles.controlled_grover_powers((p,) * r, oracles.fermat_failure_mask(k))
     for axis in range(r):
         state = qsim.qft(state, axis)
-    return float(qsim.exact_distribution(state, list(range(r)))[(0,) * r])
+    return float(oracles.marginal(state, list(range(r)))[(0,) * r])
 
 
 def test_criterion_3_non_carmichael_bound():
@@ -157,14 +157,14 @@ def test_criterion_5_spectral_law_grid():
         for dimension in range(1, 201):
             for t in range(dimension + 1):
                 closed = counting.exact_count_joint(dimension, t, p, 1)
-                dense = counting.count_distribution_dense(np.arange(dimension) < t, p)
+                dense = oracles.count_distribution_dense(np.arange(dimension) < t, p)
                 plane = counting.count_distribution(dimension, t, p)
                 worst["dense"] = max(worst["dense"], float(np.abs(closed - dense).max()))
                 worst["two-plane"] = max(worst["two-plane"], float(np.abs(closed - plane).max()))
     half_peaks_ok = True
     for p in (4, 8, 16, 32):
         for dimension in (2, 16, 50, 200):
-            dense = counting.count_distribution_dense(np.arange(dimension) < dimension // 2, p)
+            dense = oracles.count_distribution_dense(np.arange(dimension) < dimension // 2, p)
             plane = counting.count_distribution(dimension, dimension // 2, p)
             for law in (dense, plane):
                 if abs(law[p // 4] - 0.5) > 1e-10 or abs(law[3 * p // 4] - 0.5) > 1e-10:

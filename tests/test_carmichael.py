@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -216,7 +217,7 @@ def test_reps_with_one_outcome_share_one_record(command, seed):
 def test_sample_mode_draws_match_default_rng(monkeypatch):
     # the sample-mode path of a rep: geometric flag rounds, then one uniform,
     # from one block draw of all reps; a tail of 1/2 sends up to half of the
-    # reps past the block, into the int fallback, and 64 uniforms per chunk
+    # reps past the block, into further blocks, and 64 uniforms per chunk
     # split the reps into many chunks
     for tail, elements in ((qsim._FLAG_TAIL, qsim._BLOCK_ELEMENTS), (0.5, 64)):
         monkeypatch.setattr(qsim, "_FLAG_TAIL", tail)
@@ -241,6 +242,19 @@ def test_certify_rejects_mode_and_prime_before_building_streams(monkeypatch):
     with pytest.raises(DomainError, match="mode must be"):
         cm.certify_reps(15, 16, 2, mode="other", seed=0, reps=100)
     assert built == []
+
+
+@pytest.mark.parametrize("p,r,error", [(2, 1, DomainError), (16, 0, DomainError), (1024, 3, CapacityError)])
+def test_certify_rejects_p_r_and_the_cap_before_seeding_streams(p, r, error):
+    # a million reps' streams take 32 MiB; a rejected law must seed none
+    tracemalloc.start()
+    try:
+        with pytest.raises(error):
+            cm.certify_reps(15, p, r, mode="exact", seed=0, reps=10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_verdict_validation():

@@ -141,16 +141,16 @@ def test_closed_form_law_rejects_nan(monkeypatch):
 ])
 def test_distribution_matches_dense(dimension, marked, p):
     closed = counting.exact_count_joint(dimension, marked, p, 1)
-    dense = counting.count_distribution_dense(np.arange(dimension) < marked, p)
+    dense = oracles.count_distribution_dense(np.arange(dimension) < marked, p)
     assert np.abs(closed - dense).max() < 1e-10
 
 
 def test_joint_matches_dense_r2():
     dimension, marked, p = 15, 4, 8
     closed = counting.exact_count_joint(dimension, marked, p, 2)
-    state = qsim.controlled_grover_powers((p, p), np.arange(dimension) < marked)
+    state = oracles.controlled_grover_powers((p, p), np.arange(dimension) < marked)
     state = qsim.qft(qsim.qft(state, 0), 1)
-    dense = qsim.exact_distribution(state, [0, 1])
+    dense = oracles.marginal(state, [0, 1])
     assert np.abs(closed - dense).max() < 1e-10
 
 
@@ -158,10 +158,10 @@ def test_closed_form_state_matches_dense_amplitudes():
     rng = np.random.default_rng(5)
     for dimension, p in ((15, 8), (40, 16), (9, 4)):
         mask = rng.random(dimension) < 0.3
-        state = qsim.controlled_grover_powers((p,), mask)
+        state = oracles.controlled_grover_powers((p,), mask)
         state = qsim.qft(state, 0)
         predicted = oracles.closed_form_state(mask, p)
-        assert np.abs(state.grid() - predicted).max() < 1e-10
+        assert np.abs(oracles.grid(state) - predicted).max() < 1e-10
 
 
 def _expand_plane(plane: np.ndarray, dimension: int, marked: int) -> np.ndarray:
@@ -182,13 +182,13 @@ def test_two_plane_matches_dense_and_closed_form(dimension, data, p_r):
     p, r = p_r
     marked = data.draw(st.integers(0, dimension))
     plane = qsim.two_plane_grover_powers((p,) * r, dimension, marked)
-    dense = qsim.controlled_grover_powers((p,) * r, np.arange(dimension) < marked)
+    dense = oracles.controlled_grover_powers((p,) * r, np.arange(dimension) < marked)
     assert plane.layout.dims == (p,) * r + (2,)
-    assert np.abs(_expand_plane(plane.grid(), dimension, marked) - dense.grid()).max() < 1e-10
+    assert np.abs(_expand_plane(oracles.grid(plane), dimension, marked) - oracles.grid(dense)).max() < 1e-10
     for axis in range(r):
         plane = qsim.qft(plane, axis)
         dense = qsim.qft(dense, axis)
-    assert np.abs(_expand_plane(plane.grid(), dimension, marked) - dense.grid()).max() < 1e-10
+    assert np.abs(_expand_plane(oracles.grid(plane), dimension, marked) - oracles.grid(dense)).max() < 1e-10
     law = counting.count_distribution(dimension, marked, p, r)
     assert np.abs(law - counting.exact_count_joint(dimension, marked, p, r)).max() < 1e-10
 
@@ -272,7 +272,7 @@ def test_run_count_seed_determinism():
 
 def test_run_count_capacity():
     with pytest.raises(CapacityError):
-        counting.count_distribution_dense(np.zeros(10**6, bool), 256)
+        oracles.count_distribution_dense(np.zeros(10**6, bool), 256)
     with pytest.raises(DomainError):
         counting.run_count(50, 0, 16, seed=0, reps=0)
     with pytest.raises(DomainError):

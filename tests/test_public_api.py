@@ -17,10 +17,6 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "carmsim"
 MODULES = ("numtheory", "qsim", "counting", "carmichael", "cli")
 
-#: the dense statevector route, kept in the package as the oracle that the
-#: two-plane production route is checked against
-DENSE_ORACLES = {"controlled_grover_powers", "count_distribution_dense"}
-
 
 def _public_definitions(tree: ast.Module):
     """(qualified name, node) of each public function and public method."""
@@ -75,8 +71,6 @@ def test_every_public_function_has_a_caller():
                 # a bare name is owned by the file that reads it
                 return kind == "attribute" if is_method else owner == module
 
-            if name in DENSE_ORACLES:
-                continue
             if not any(calls(ref) for ref in refs):
                 uncalled.append(f"{module}.{qualname}")
     assert uncalled == []

@@ -90,9 +90,9 @@ def test_diffusion_acts_blockwise():
     # with two registers, diffusion on one register averages within blocks
     state = random_state((3, 4), 7)
     out = oracles.diffusion(state, 1)
-    grid = state.grid()
+    grid = oracles.grid(state)
     expected = 2 * grid.mean(axis=1, keepdims=True) - grid
-    assert np.allclose(out.grid(), expected)
+    assert np.allclose(oracles.grid(out), expected)
 
 
 # ---------------------------------------------------------------- grover iterate
@@ -175,8 +175,8 @@ def test_qft_squared_reverses_indices(seed, p):
 # ---------------------------------------------------------------- controlled powers
 
 def test_controlled_powers_no_marks_factorizes():
-    state = qsim.controlled_grover_powers((4, 4), np.zeros(15, bool))
-    grid = state.grid()
+    state = oracles.controlled_grover_powers((4, 4), np.zeros(15, bool))
+    grid = oracles.grid(state)
     base = np.full(15, 1 / math.sqrt(15))
     for m1 in range(4):
         for m2 in range(4):
@@ -185,8 +185,8 @@ def test_controlled_powers_no_marks_factorizes():
 
 def test_controlled_powers_single_register_structure():
     marked = np.arange(15) < 4
-    state = qsim.controlled_grover_powers((8,), marked)
-    grid = state.grid()
+    state = oracles.controlled_grover_powers((8,), marked)
+    grid = oracles.grid(state)
     cursor = oracles.uniform_state(qsim.RegisterLayout((15,)))
     for m in range(8):
         assert np.allclose(grid[m], cursor.amplitudes / math.sqrt(8), atol=1e-12)
@@ -196,8 +196,8 @@ def test_controlled_powers_single_register_structure():
 def test_controlled_powers_matches_two_plane_reconstruction():
     dimension, marked_count, p, r = 15, 4, 8, 2
     angles = oracles.GroverAngles.from_counts(dimension, marked_count)
-    state = qsim.controlled_grover_powers((p,) * r, np.arange(dimension) < marked_count)
-    grid = state.grid()
+    state = oracles.controlled_grover_powers((p,) * r, np.arange(dimension) < marked_count)
+    grid = oracles.grid(state)
     scale = 1 / math.sqrt(p**r)
     for m1 in range(p):
         for m2 in range(p):
@@ -209,15 +209,15 @@ def test_controlled_powers_matches_two_plane_reconstruction():
 
 def test_controlled_powers_validation():
     with pytest.raises(DomainError):
-        qsim.controlled_grover_powers((1,), np.zeros(4, bool))
+        oracles.controlled_grover_powers((1,), np.zeros(4, bool))
     with pytest.raises(CapacityError):
-        qsim.controlled_grover_powers((1024,), np.zeros(10**6, bool))
+        oracles.controlled_grover_powers((1024,), np.zeros(10**6, bool))
 
 
 def test_controlled_powers_mask_shape():
     for bad in (np.zeros(0, bool), np.zeros((), bool), np.zeros((3, 5), bool)):
         with pytest.raises(DomainError):
-            qsim.controlled_grover_powers((4,), bad)
+            oracles.controlled_grover_powers((4,), bad)
 
 
 # ---------------------------------------------------------------- postselect
@@ -246,7 +246,7 @@ def test_postselect_renormalizes_and_zero_mass():
     state = random_state((3, 4), 11)
     post, prob = oracles.postselect(state, 0, 1)
     assert np.linalg.norm(post.amplitudes) ** 2 == pytest.approx(1.0, abs=1e-12)
-    grid = post.grid()
+    grid = oracles.grid(post)
     assert np.allclose(grid[0], 0) and np.allclose(grid[2], 0)
     hole = np.zeros(4, complex)
     hole[1] = 1.0
@@ -259,31 +259,42 @@ def test_postselect_renormalizes_and_zero_mass():
 
 def test_exact_distribution_uniform():
     state = oracles.uniform_state(qsim.RegisterLayout((4,)))
-    assert np.allclose(qsim.exact_distribution(state, [0]), 0.25)
+    assert np.allclose(oracles.marginal(state, [0]), 0.25)
 
 
 def test_exact_distribution_product_factorizes():
     a = random_state((3,), 1).amplitudes
     b = random_state((5,), 2).amplitudes
     joint = qsim.StateVector(qsim.RegisterLayout((3, 5)), np.kron(a, b))
-    table = qsim.exact_distribution(joint, [0, 1])
+    table = oracles.marginal(joint, [0, 1])
     outer = np.outer(np.abs(a) ** 2, np.abs(b) ** 2)
     assert np.allclose(table, outer, atol=1e-12)
 
 
 def test_exact_distribution_register_order():
     state = random_state((3, 5), 9)
-    fwd = qsim.exact_distribution(state, [0, 1])
-    rev = qsim.exact_distribution(state, [1, 0])
+    fwd = oracles.marginal(state, [0, 1])
+    rev = oracles.marginal(state, [1, 0])
     assert np.allclose(rev, fwd.T)
     with pytest.raises(DomainError):
-        qsim.exact_distribution(state, [0, 0])
+        oracles.marginal(state, [0, 0])
 
 
 def test_exact_distribution_sums_to_one():
     state = random_state((4, 7, 3), 21)
-    table = qsim.exact_distribution(state, [2, 0])
+    table = oracles.marginal(state, [2, 0])
     assert table.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_exact_distribution_sums_out_the_base_plane(r):
+    # the counter law of a (P,)*R + (2,) state is the general marginal over
+    # the counters 0..R-1, bit for bit
+    for seed, p in ((r, 4), (10 + r, 5), (20 + r, 8)):
+        state = random_state((p,) * r + (2,), seed)
+        table = qsim.exact_distribution(state)
+        assert table.shape == (p,) * r
+        assert np.array_equal(table, oracles.marginal(state, range(r)))
 
 
 # ---------------------------------------------------------------- sampling
@@ -292,14 +303,14 @@ def test_sample_deterministic_distribution():
     sure = np.zeros(6, complex)
     sure[4] = 1.0
     state = qsim.StateVector(qsim.RegisterLayout((6,)), sure)
-    draws = qsim.sample_outcomes(qsim.exact_distribution(state, [0]), np.random.default_rng(5).random(50))
+    draws = qsim.sample_outcomes(oracles.marginal(state, [0]), np.random.default_rng(5).random(50))
     assert draws.shape == (50, 1)
     assert (draws == 4).all()
 
 
 def test_sample_seed_reproducibility():
     state = random_state((8, 3), 13)
-    table = qsim.exact_distribution(state, [0, 1])
+    table = oracles.marginal(state, [0, 1])
     a = qsim.sample_outcomes(table, np.random.default_rng(99).random(200))
     b = qsim.sample_outcomes(table, np.random.default_rng(99).random(200))
     assert (a == b).all()
@@ -309,7 +320,7 @@ def test_sample_seed_reproducibility():
 
 def test_sample_frequencies_match_distribution():
     state = random_state((10,), 3)
-    table = qsim.exact_distribution(state, [0])
+    table = oracles.marginal(state, [0])
     n = 10**5
     draws = qsim.sample_outcomes(table, np.random.default_rng(17).random(n))[:, 0]
     counts = np.bincount(draws, minlength=10) / n
@@ -400,7 +411,7 @@ def test_chunked_draws_equal_one_chunk(monkeypatch):
 
 def test_flag_round_blocks_stay_within_the_chunk_size(monkeypatch):
     # at accept 0.001 the tail asks for 6929 rounds; the block stops at
-    # _BLOCK_ELEMENTS of them and the reps past it draw on alone
+    # _BLOCK_ELEMENTS of them and the reps past it draw further blocks
     sizes = []
     block = qsim.RepStreams._block
     monkeypatch.setattr(qsim.RepStreams, "_block", lambda self, n, rows: sizes.append(n) or block(self, n, rows))
@@ -410,6 +421,29 @@ def test_flag_round_blocks_stay_within_the_chunk_size(monkeypatch):
     for i in range(5):
         twin = np.random.default_rng([3, i])
         assert rounds[i] == oracles.draw_flag_rounds(0.001, twin) and readings[i] == twin.random()
+
+
+def test_pending_reps_draw_further_blocks(monkeypatch):
+    # at accept 0.001 and a tail of 1/2 a block holds 693 rounds, 5 reps to a
+    # chunk of 2^12 uniforms; about half the reps miss each block, so some
+    # need three or more blocks and the pending reps of a chunk are not adjacent
+    blocks = []
+    block = qsim.RepStreams._block
+    monkeypatch.setattr(qsim.RepStreams, "_block", lambda self, n, rows: blocks.append((n, rows)) or block(self, n, rows))
+    monkeypatch.setattr(qsim, "_FLAG_TAIL", 0.5)
+    monkeypatch.setattr(qsim, "_BLOCK_ELEMENTS", 1 << 12)
+    for seed in (3, 2**100 + 7):
+        blocks.clear()
+        streams = qsim.rep_streams(seed, 20)
+        rounds, readings = streams.flag_rounds(0.001)
+        after = streams.random()
+        assert (rounds > 2 * (blocks[0][0] - 1)).any()
+        assert any(isinstance(rows, np.ndarray) and (np.diff(rows) > 1).any() for _, rows in blocks)
+        for i in range(20):
+            twin = np.random.default_rng([seed, i])
+            assert rounds[i] == oracles.draw_flag_rounds(0.001, twin)
+            assert readings[i] == twin.random()
+            assert after[i] == twin.random()
 
 
 def test_rep_streams_hold_at_most_64_bytes_per_rep():
@@ -494,6 +528,6 @@ def test_finish_rejects_nan_amplitudes():
 
 
 def test_exact_distribution_rejects_nan_state():
-    nan_state = qsim.StateVector(qsim.RegisterLayout((4,)), np.full(4, np.nan, complex))
+    nan_state = qsim.StateVector(qsim.RegisterLayout((4, 2)), np.full(8, np.nan, complex))
     with pytest.raises(NormalizationError):
-        qsim.exact_distribution(nan_state, [0])
+        qsim.exact_distribution(nan_state)
