@@ -12,14 +12,9 @@ Routes.  Certification and both counting pipelines run on the two-plane
 register (counting.count_distribution), fed the marked count from the
 factorization or the enumeration; no O(k) base mask is built, so k is
 bounded only by factorization (2^50), and qsim.AMPLITUDE_CAP binds the
-counters alone.  The dense route over all k base values, fed a
-Fermat-failure mask, is a test oracle in tests/oracles.py.  A command's
-reps share one law: certify_reps reads the composite's facts and builds
-the law once, draws every rep's uniforms at once from qsim.rep_streams,
-where rep i draws numpy's PCG64 sequence of default_rng([seed, i])
-reproduced in-package, and maps every rep's reading uniform to a counter
-reading in one qsim.sample_outcomes call.  numpy.random itself is only the
-tests' oracle for the streams.
+counters alone.  The dense route over all k base values is a test oracle
+in tests/oracles.py.  A command's reps share one law and draw from
+qsim.rep_streams (see certify_reps).
 
 Flag convention.  The coprimality flag is post-selected on the *prepared*
 uniform superposition, where its acceptance probability is exactly phi(k)/k
@@ -34,14 +29,15 @@ the independent convention.
 The counting pipeline runs the same counter construction over the register
 k = 1..N with the Carmichael indicator as the mark (restricted to k < N so
 the marked count always equals the enumeration ground truth), and budgets
-the non-ideal-oracle corrections analytically: per-k leakage factors beta_k
-(witness-count angle) and alpha_k (Fermat-failure angle) aggregate to
+the non-ideal-oracle corrections analytically: leakage gives the per-k
+factors beta_k (witness-count angle) and alpha_k (Fermat-failure angle),
+and perturbation_bounds aggregates them to
 
     (4/N) [ sum_carm (phi/k) beta^2 + sum_noncarm (phi/k)(1-beta^2) alpha^2 ]
         <= 4 pi^2 / (3 P^2),
 
-with beta = 1 exactly for primes.  The nested correction states themselves
-are never simulated; only these scalar norms enter.
+with beta = 1 exactly for primes.  The correction states are never
+simulated; only these scalar norms enter.
 """
 
 from __future__ import annotations
@@ -50,6 +46,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,12 +68,10 @@ class Verdict:
     probability that a non-Carmichael k would have produced the same
     all-zeros reading: the exact alpha^(2R) in exact mode (0 when t = 0 is
     known), and in sampling mode the worst case over the guaranteed gap
-    t >= phi(k)/2, namely (1 / (P sin theta_gap))^(2R) with
-    theta_gap = arcsin sqrt(phi/(2k)).
+    t >= phi(k)/2 (gap_error_bound).
 
-    flag_retries counts flag post-selection rounds including the accepting
-    one (sampling mode; expected value k/phi(k)).  grover_applications is
-    the total number of search iterations spent, R (P-1) per round.
+    flag_retries counts flag rounds, the accepting one included (sampling
+    mode; mean k/phi(k)); grover_applications, R (P-1) per round.
     """
 
     kind: VerdictKind
@@ -117,22 +112,16 @@ def composite_facts(k: int) -> numtheory.NumberFacts:
 
 
 def ancilla_distribution(k: int, p: int, r: int) -> np.ndarray:
-    """Exact joint law of the R counter registers of composite k, shape (P,)*R.
-
-    Two-plane route with t(k) from the factorization of k: controlled powers
-    on the (P,)*R + (2,) layout, Fourier transform on each counter, marginal
-    over the base plane.
-    """
+    """Exact joint law of the R counter registers of composite k, shape (P,)*R,
+    on the two-plane route with t(k) from the factorization of k."""
     return counting.count_distribution(k, composite_facts(k).t_k, p, r)
 
 
 def gap_error_bound(k: int, phi: int, p: int, r: int) -> float:
     """Worst-case all-zeros leakage over the guaranteed gap t >= phi/2.
 
-    sup over t' >= phi/2 of alpha(t')^(2R) is bounded by the kernel envelope
-    1/(P sin theta) at theta_gap = arcsin sqrt(phi/(2k)); the kernel's
-    numerator oscillates, so the envelope (not the kernel value at the gap)
-    is the defensible bound.
+    The kernel's numerator oscillates, so sup alpha(t')^(2R) is bounded by
+    the envelope 1/(P sin theta) at theta_gap = arcsin sqrt(phi/(2k)).
     """
     theta_gap = math.asin(math.sqrt(phi / (2.0 * k)))
     envelope = 1.0 / (p * math.sin(theta_gap))
@@ -144,18 +133,16 @@ def certify_reps(k: int, p: int, r: int, mode: str, seed: int, reps: int) -> lis
 
     The reps share the composite's facts and one law, built by
     ancilla_distribution.  Rep i owns stream i of qsim.rep_streams(seed,
-    reps), built once mode, k and the law (P, R and the amplitude cap) have
-    passed their checks, so a rejected input pays for no stream: in sample
-    mode it first draws its geometric flag retries, then one uniform
-    (RepStreams.flag_rounds draws both for all reps), and its counter
-    reading is the first outcome of the joint law whose cumulative mass
-    exceeds that uniform (qsim.sample_outcomes maps all reps at once).
-    Exact mode resolves the flag analytically (flag_retries = 0) and
-    attaches the exact all-zeros probability; sample mode reports the
-    gap-based worst-case error bound, which does not presume knowledge of
-    t(k).  A Verdict depends only on its rep's (reading, flag rounds), so
-    reps with the same pair share one frozen Verdict, built and checked
-    once.
+    reps), built once mode, k and the law have passed their checks, so a
+    rejected input pays for no stream.  In sample mode a rep draws its
+    geometric flag retries, then one uniform (RepStreams.flag_rounds), and
+    its reading is the first outcome whose cumulative mass exceeds that
+    uniform (qsim.sample_outcomes maps all reps at once).  Exact mode
+    resolves the flag analytically (flag_retries = 0) and attaches the
+    exact all-zeros probability; sample mode reports the gap-based
+    worst-case error bound, which does not presume knowledge of t(k).  A
+    Verdict depends only on its rep's (reading, flag rounds), so reps with
+    the same pair share one frozen Verdict, built and checked once.
     """
     if mode not in ("exact", "sample"):
         raise DomainError(f"mode must be 'exact' or 'sample', got {mode}")
@@ -195,23 +182,16 @@ def certify_reps(k: int, p: int, r: int, mode: str, seed: int, reps: int) -> lis
 
 @dataclass(frozen=True)
 class PerturbationBounds:
-    """Per-integer leakage factors and the aggregated correction budget.
+    """The correction budget over k = 1..n.
 
-    Arrays are indexed by k = 1..n (entry 0 unused).  beta is the kernel at
-    the witness-count angle (1 exactly for primes and k = 1), alpha the
-    kernel at the Fermat-failure angle, carmichael_phase the Carmichael
-    indicator.  correction_norm_sq is the (4/N)-weighted composite sum
-    bounded by 4 pi^2 / (3 P^2); phi_norm is the mean of phi(k)/k over
-    k = 1..n, which converges to 6/pi^2 = 0.60793 (not pi^2/6: the harmonic
-    constant sometimes quoted for this mean is its reciprocal-series cousin
-    and does not apply).
+    correction_norm_sq is the (4/N)-weighted composite sum bounded by
+    4 pi^2 / (3 P^2).  phi_norm, the mean of phi(k)/k, tends to 6/pi^2 (not
+    to pi^2/6, the reciprocal-series constant sometimes quoted for it).
+    beta_violations lists the composites over 2/(sqrt(3) P) (see leakage).
     """
 
     n: int
     p: int
-    beta: np.ndarray
-    alpha: np.ndarray
-    carmichael_phase: np.ndarray
     correction_norm_sq: float
     correction_norm_bound: float
     phi_norm: float
@@ -231,34 +211,54 @@ class PerturbationBounds:
         }
 
 
+class Leakage(NamedTuple):
+    """Per-k masks and leakage factors of one range of k (see leakage)."""
+
+    composite: np.ndarray
+    carmichael: np.ndarray
+    beta: np.ndarray
+    alpha: np.ndarray
+
+
+def leakage(counts: numtheory.LiarCounts, p: int, lo: int, hi: int) -> Leakage:
+    """Composite and Carmichael masks, beta and alpha for k = lo..hi-1.
+
+    counts is liar_sieve(n)'s output; hi clips at n + 1.  beta is the
+    Dirichlet kernel at g = P arcsin(sqrt(w/k)) / pi, w = k - 1 - strong
+    liars (for even k, the bases that are not Fermat liars), alpha the
+    kernel at the angle of t = phi - F; both are 1 off the composites.
+    A composite whose witness ratio is at least 3/4 has
+    pi/3 <= pi g / P <= pi/2, so its beta stays under 2/(sqrt(3) P).  Only
+    k = 4 (ratio 1/2) and k = 6, 9 (ratio 2/3) fall below 3/4.  k = 4 has
+    g = P/4: beta is 0 when 4 | P and over the limit when P = 2 mod 4.
+    k = 6 and 9 exceed it at some P only; among the powers of two
+    P = 4..1024, at P = 8 and P = 64.  Entries depend on their own k only.
+    """
+    phi, fermat, strong = (c[lo:hi] for c in counts)
+    k = np.arange(lo, lo + len(phi), dtype=np.int32)  # the sieve's dtype
+    composite = (phi != k - 1) & (k > 1)  # phi(k) = k - 1 exactly for primes
+    witness = np.where(composite, k - 1 - strong, 0)
+    t_gap = np.where(composite, phi - fermat, 0)
+    size = np.maximum(k, 1.0)
+    beta = counting.dirichlet_kernel(p * np.arcsin(np.sqrt(witness / size)) / math.pi, p)
+    alpha = counting.dirichlet_kernel(p * np.arcsin(np.sqrt(t_gap / size)) / math.pi, p)
+    return Leakage(composite, composite & (t_gap == 0), beta, alpha)
+
+
 #: perturbation_bounds refuses n above this
 SWEEP_BOUND = 10**7
 
-#: k values per chunk of perturbation_bounds' angle and kernel evaluation
+#: k values per leakage call of perturbation_bounds
 _KERNEL_CHUNK = 1 << 14
 
 
 def perturbation_bounds(n: int, p: int) -> PerturbationBounds:
-    """Leakage factors and correction budget for every k = 1..n.
+    """Correction budget, phi_norm and beta violations for k = 1..n.
 
-    The witness count feeding beta uses the exact strong-liar formula,
-    evaluated for every k at once by numtheory.liar_sieve (for even
-    composites, by numtheory's convention, every base that is not a Fermat
-    liar counts as a witness, a^(k-1) = -1 included); the census route is
-    equivalent and cross-validated in the test suite.  A composite whose witness ratio is
-    at least 3/4 has pi/3 <= pi g / P <= pi/2, so its beta stays under
-    2/(sqrt(3) P).  Only k = 4 (ratio 1/2) and k = 6, 9 (ratio 2/3) fall
-    below 3/4.  For k = 4, g = P/4: its beta is 0 whenever 4 | P and
-    exceeds the limit whenever P = 2 mod 4.  k = 6 and 9 exceed it at some
-    P only; among the powers of two P = 4..1024, at P = 8 and P = 64.
-    Every composite k = 2..n over the limit is reported in beta_violations
-    rather than masked.  The angles and both kernels are evaluated in
-    chunks of _KERNEL_CHUNK values of k into the preallocated beta and
-    alpha, so their temporaries stay small.  The sums run over whole arrays
-    (chunked sums would round differently), but their terms are gathered
-    for the selected k only and multiplied in place, in the order of the
-    formula, once the sieve's counts are freed: about 42 bytes per k at the
-    peak.
+    One liar_sieve pass feeds leakage in chunks of _KERNEL_CHUNK values of
+    k.  Each group of terms is summed as one whole array in k order
+    (chunked sums would round differently); the non-Carmichael terms are
+    packed into the front of the phi(k)/k array once its mean is taken.
     """
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
@@ -266,57 +266,30 @@ def perturbation_bounds(n: int, p: int) -> PerturbationBounds:
         raise DomainError(f"counter size must be >= 4, got {p}")
     if n > SWEEP_BOUND:
         raise CapacityError(f"bound sweep capped at {SWEEP_BOUND}")
-    phi, fermat, strong = numtheory.liar_sieve(n)
-    k = np.arange(n + 1, dtype=np.int32)  # the sieve's dtype
-    composite = phi != k - 1  # phi(k) = k - 1 exactly for primes
-    composite[:2] = False
-    witness = np.where(composite, k - 1 - strong, 0)
-    t_gap = np.where(composite, phi - fermat, 0)
-    carmichael = composite & (t_gap == 0)
-    del fermat, strong  # the sums below peak above the sieve unless freed
-
-    # elementwise, so chunking leaves every entry bit-identical; k = 0, 1
-    # carry no witnesses and no gap, so their angles are 0
-    beta = np.empty(n + 1)
-    alpha = np.empty(n + 1)
-    for lo in range(0, n + 1, _KERNEL_CHUNK):
-        chunk = slice(lo, lo + _KERNEL_CHUNK)
-        size = np.maximum(k[chunk], 1.0)
-        g = p * np.arcsin(np.sqrt(witness[chunk] / size)) / math.pi
-        f_peak = p * np.arcsin(np.sqrt(t_gap[chunk] / size)) / math.pi
-        beta[chunk] = counting.dirichlet_kernel(g, p)
-        alpha[chunk] = counting.dirichlet_kernel(f_peak, p)
-    del witness, t_gap
-
-    phi_norm_value = float((phi[1:] / k[1:]).mean())
-    # phi(k)/k over the selected composites (k >= 4) only; the noncarm
-    # terms ratio * (1 - beta^2) * alpha^2 are formed in place, left to right
-    carm_sum = float((phi[carmichael] / k[carmichael] * beta[carmichael] ** 2).sum())
-    noncarm = composite & ~carmichael
-    terms = phi[noncarm].astype(np.float64)
-    terms /= k[noncarm]
-    del phi, k
-    factor = beta[noncarm]
-    np.square(factor, out=factor)
-    np.subtract(1.0, factor, out=factor)
-    terms *= factor
-    factor = alpha[noncarm]
-    np.square(factor, out=factor)
-    terms *= factor
-    correction = 4.0 / n * (carm_sum + float(terms.sum()))
-    bound = 4.0 * math.pi**2 / (3.0 * p * p)
+    counts = numtheory.liar_sieve(n)
+    ratio = np.arange(1.0, n + 1)  # entry k - 1 holds phi(k)/k
+    np.divide(counts.phi[1:], ratio, out=ratio)
+    phi_norm = float(ratio.mean())
     beta_limit = 2.0 / (math.sqrt(3.0) * p)
-    violating = np.flatnonzero(composite & ((beta > beta_limit) | (beta < -beta_limit)))
+    carm_terms, violations, filled = [], [], 0
+    for lo in range(1, n + 1, _KERNEL_CHUNK):
+        composite, carmichael, beta, alpha = leakage(counts, p, lo, lo + _KERNEL_CHUNK)
+        part = ratio[lo - 1 : lo - 1 + len(beta)]
+        carm_terms.append(part[carmichael] * beta[carmichael] ** 2)
+        noncarm = composite & ~carmichael
+        terms = part[noncarm] * (1.0 - beta[noncarm] ** 2) * alpha[noncarm] ** 2
+        # fewer such k than k - 1 so far: later chunks' entries stay intact
+        ratio[filled : filled + len(terms)] = terms
+        filled += len(terms)
+        violations.append(lo + np.flatnonzero(composite & (np.abs(beta) > beta_limit)))
+    carm_sum = float(np.concatenate(carm_terms).sum())
     return PerturbationBounds(
         n=n,
         p=p,
-        beta=beta,
-        alpha=alpha,
-        carmichael_phase=carmichael,
-        correction_norm_sq=correction,
-        correction_norm_bound=bound,
-        phi_norm=phi_norm_value,
-        beta_violations=tuple(int(v) for v in violating),
+        correction_norm_sq=4.0 / n * (carm_sum + float(ratio[:filled].sum())),
+        correction_norm_bound=4.0 * math.pi**2 / (3.0 * p * p),
+        phi_norm=phi_norm,
+        beta_violations=tuple(np.concatenate(violations).tolist()),
     )
 
 
@@ -342,9 +315,8 @@ def count_carmichaels_quantum(n: int, q: int, seed: int, reps: int) -> Carmichae
     """Count Carmichael numbers below n on the k = 1..n register.
 
     The mark is the ideal Carmichael indicator restricted to k < n, so the
-    marked count equals len(enumerate_carmichaels(n)) by construction; the
-    perturbed-oracle corrections are budgeted by perturbation_bounds, not
-    simulated.
+    marked count equals len(enumerate_carmichaels(n)); the perturbed-oracle
+    corrections are budgeted by perturbation_bounds, not simulated.
     """
     carmichaels = numtheory.enumerate_carmichaels(n)
     t_n = len(carmichaels)
@@ -362,8 +334,7 @@ def count_carmichaels_quantum(n: int, q: int, seed: int, reps: int) -> Carmichae
 
 @dataclass(frozen=True)
 class PswReport:
-    """One comparison row of measured counting accuracy against the
-    conjectured density envelopes.
+    """Measured counting accuracy against the conjectured density envelopes.
 
     dt_exp is the peak-outcome estimate bound pi (N/Q)(pi/Q + 2 sqrt(t/N));
     dt_th the accuracy target N * l(N)^-(2+eps+delta); psw_lower/upper the

@@ -20,8 +20,9 @@ kernel as the library computed it before its sign and range-reduction
 shortcuts: the bitwise reference for counting.dirichlet_kernel.
 draw_flag_rounds is the flag post-selection loop on one
 numpy Generator, the scalar route that qsim.RepStreams.flag_rounds runs for
-all reps at once.  peak_traced_bytes measures a call's peak heap for the
-memory guards.
+all reps at once.  perturbation_sums is carmichael.perturbation_bounds'
+aggregates from whole arrays over k = 0..n, the reference for its chunked
+pass.  peak_traced_bytes measures a call's peak heap for the memory guards.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from carmsim import qsim
 from carmsim.carmichael import ancilla_distribution, composite_facts
 from carmsim.counting import dirichlet_kernel, peak_position
 from carmsim.errors import CapacityError, DomainError, NormalizationError
-from carmsim.numtheory import factorize
+from carmsim.numtheory import factorize, liar_sieve
 from carmsim.qsim import NORM_TOL, RegisterLayout, StateVector, _controlled_powers, _finish
 
 
@@ -411,6 +412,29 @@ def draw_flag_rounds(accept_probability: float, rng: np.random.Generator) -> int
     while rng.random() >= accept_probability:
         rounds += 1
     return rounds
+
+
+def perturbation_sums(n: int, p: int) -> tuple[float, float, tuple[int, ...]]:
+    """(correction_norm_sq, phi_norm, beta_violations) of perturbation_bounds
+    from whole arrays: both kernels on every k at once, each group of terms
+    gathered by its mask and summed in one call."""
+    phi, fermat, strong = liar_sieve(n)
+    k = np.arange(n + 1, dtype=np.int32)
+    composite = phi != k - 1
+    composite[:2] = False
+    witness = np.where(composite, k - 1 - strong, 0)
+    t_gap = np.where(composite, phi - fermat, 0)
+    size = np.maximum(k, 1.0)
+    beta = dirichlet_kernel(p * np.arcsin(np.sqrt(witness / size)) / math.pi, p)
+    alpha = dirichlet_kernel(p * np.arcsin(np.sqrt(t_gap / size)) / math.pi, p)
+    carm = composite & (t_gap == 0)
+    noncarm = composite & ~carm
+    carm_sum = float((phi[carm] / k[carm] * beta[carm] ** 2).sum())
+    terms = phi[noncarm] / k[noncarm] * (1.0 - beta[noncarm] ** 2) * alpha[noncarm] ** 2
+    limit = 2.0 / (math.sqrt(3.0) * p)
+    violating = np.flatnonzero(composite & ((beta > limit) | (beta < -limit)))
+    correction = 4.0 / n * (carm_sum + float(terms.sum()))
+    return correction, float((phi[1:] / k[1:]).mean()), tuple(int(v) for v in violating)
 
 
 def peak_traced_bytes(fn, *args) -> int:

@@ -206,10 +206,11 @@ LOW_WITNESS_RATIO = (4, 6, 9)
 def test_criterion_7_perturbation_budget():
     n, p = 10**4, 64
     bounds = cm.perturbation_bounds(n, p)
+    beta = cm.leakage(numtheory.liar_sieve(n), p, 0, n + 1).beta
     beta_limit = 2 / (math.sqrt(3) * p)
     correction_ok = bounds.correction_norm_sq <= bounds.correction_norm_bound
     prime = numtheory.prime_sieve(n)
-    beta_prime_ok = all(bounds.beta[k] == 1.0 for k in np.flatnonzero(prime))
+    beta_prime_ok = all(beta[k] == 1.0 for k in np.flatnonzero(prime))
     low_ratio, over_limit, exceeding = [], [], []
     for k in range(4, n + 1):
         if prime[k]:
@@ -218,7 +219,7 @@ def test_criterion_7_perturbation_budget():
         covered = 4 * (k - 1 - liars) >= 3 * k
         if not covered:
             low_ratio.append(k)
-        if abs(bounds.beta[k]) > beta_limit:
+        if abs(beta[k]) > beta_limit:
             exceeding.append(k)
             if covered:
                 over_limit.append(k)

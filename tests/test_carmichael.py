@@ -283,16 +283,17 @@ def test_gap_error_bound_envelope():
 
 def test_perturbation_bounds_small():
     bounds = cm.perturbation_bounds(500, 16)
+    leak = cm.leakage(numtheory.liar_sieve(500), 16, 0, 501)
     prime = numtheory.prime_sieve(500)
     for k in np.flatnonzero(prime):
-        assert bounds.beta[k] == 1.0
+        assert leak.beta[k] == 1.0
     assert bounds.correction_norm_sq <= bounds.correction_norm_bound
     assert bounds.beta_violations == ()
-    assert np.all(np.abs(bounds.beta) <= 1 + 1e-12)
-    assert np.all(np.abs(bounds.alpha) <= 1 + 1e-12)
+    assert np.all(np.abs(leak.beta) <= 1 + 1e-12)
+    assert np.all(np.abs(leak.alpha) <= 1 + 1e-12)
     carms = set(numtheory.enumerate_carmichaels(500))
     for k in range(2, 500):
-        assert bounds.carmichael_phase[k] == (k in carms)
+        assert leak.carmichael[k] == (k in carms)
 
 
 def test_perturbation_bounds_known_small_k_exceptions():
@@ -316,24 +317,44 @@ CHUNK = cm._KERNEL_CHUNK
 
 @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
 def test_perturbation_bounds_chunks_match_one_shot_kernel(n):
-    phi, fermat, strong = numtheory.liar_sieve(n)
+    counts = numtheory.liar_sieve(n)
+    phi, fermat, strong = counts
     k = np.arange(n + 1)
     composite = phi != k - 1
     composite[:2] = False
     size = np.maximum(k, 1).astype(np.float64)
     g = 64 * np.arcsin(np.sqrt(np.where(composite, k - 1 - strong, 0) / size)) / math.pi
     f_peak = 64 * np.arcsin(np.sqrt(np.where(composite, phi - fermat, 0) / size)) / math.pi
-    bounds = cm.perturbation_bounds(n, 64)
-    assert np.array_equal(bounds.beta, counting.dirichlet_kernel(g, 64))
-    assert np.array_equal(bounds.alpha, counting.dirichlet_kernel(f_peak, 64))
-    assert np.array_equal(bounds.beta, oracles.dirichlet_kernel_reference(g, 64))
-    assert np.array_equal(bounds.alpha, oracles.dirichlet_kernel_reference(f_peak, 64))
+    whole = cm.leakage(counts, 64, 0, n + 1)
+    chunks = [cm.leakage(counts, 64, lo, lo + CHUNK) for lo in range(0, n + 1, CHUNK)]
+    beta, alpha = (np.concatenate([getattr(c, name) for c in chunks]) for name in ("beta", "alpha"))
+    assert np.array_equal(beta, whole.beta)
+    assert np.array_equal(alpha, whole.alpha)
+    assert np.array_equal(beta, counting.dirichlet_kernel(g, 64))
+    assert np.array_equal(alpha, counting.dirichlet_kernel(f_peak, 64))
+    assert np.array_equal(beta, oracles.dirichlet_kernel_reference(g, 64))
+    assert np.array_equal(alpha, oracles.dirichlet_kernel_reference(f_peak, 64))
+    assert np.array_equal(whole.composite, composite)
+
+
+@pytest.mark.parametrize("p", [4, 5, 16, 64])  # P = 5: the odd-P kernel sign
+@pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+def test_perturbation_bounds_sums_match_whole_arrays(n, p):
+    bounds = cm.perturbation_bounds(n, p)
+    got = (bounds.correction_norm_sq, bounds.phi_norm, bounds.beta_violations)
+    assert got == oracles.perturbation_sums(n, p)
 
 
 def test_perturbation_bounds_stay_in_bounded_memory():
-    # the kernels run in chunks and the sieve's counts are freed before the
-    # sums: 6.8 MiB measured, 16.3 MiB with the kernels over whole arrays
+    # the kernels run in chunks: 3.3 MiB measured; whole-array factors and
+    # masks take 4.0 MiB
     assert oracles.peak_traced_bytes(cm.perturbation_bounds, 10**5, 64) < 10 * 2**20
+
+
+def test_perturbation_bounds_peak_heap_per_k():
+    # the sieve's 12 bytes per k, the phi(k)/k array's 8 and one chunk:
+    # 21.5 MB measured at 10^6; whole-array factors and masks take 41.1 MB
+    assert oracles.peak_traced_bytes(cm.perturbation_bounds, 10**6, 64) < 34 * 10**6
 
 
 def test_phi_norm():
