@@ -14,7 +14,7 @@ factorization or the enumeration; no O(k) base mask is built, so k is
 bounded only by factorization (2^50), and qsim.AMPLITUDE_CAP binds the
 counters alone.  The dense route over all k base values is a test oracle
 in tests/oracles.py.  A command's reps share one law and draw from
-qsim.rep_streams (see certify_reps).
+qsim.RepStreams (see certify_reps).
 
 Flag convention.  The coprimality flag is post-selected on the *prepared*
 uniform superposition, where its acceptance probability is exactly phi(k)/k
@@ -132,7 +132,7 @@ def certify_reps(k: int, p: int, r: int, mode: str, seed: int, reps: int) -> lis
     """reps certifications of composite k; any nonzero counter disproves Carmichael.
 
     The reps share the composite's facts and one law, built by
-    ancilla_distribution.  Rep i owns stream i of qsim.rep_streams(seed,
+    ancilla_distribution.  Rep i owns stream i of qsim.RepStreams(seed,
     reps), built once mode, k and the law have passed their checks, so a
     rejected input pays for no stream.  In sample mode a rep draws its
     geometric flag retries, then one uniform (RepStreams.flag_rounds), and
@@ -149,7 +149,7 @@ def certify_reps(k: int, p: int, r: int, mode: str, seed: int, reps: int) -> lis
     facts = composite_facts(k)
     accept = facts.phi / k
     dist = ancilla_distribution(k, p, r)
-    streams = qsim.rep_streams(seed, reps)
+    streams = qsim.RepStreams(seed, reps)
     allzero = float(dist[(0,) * r])
     if mode == "exact":
         carmichael_bound = 0.0 if facts.t_k == 0 else allzero
@@ -266,6 +266,8 @@ def perturbation_bounds(n: int, p: int) -> PerturbationBounds:
         raise DomainError(f"counter size must be >= 4, got {p}")
     if n > SWEEP_BOUND:
         raise CapacityError(f"bound sweep capped at {SWEEP_BOUND}")
+    if p > sys.float_info.max:  # the bounds and kernel angles scale P as a float
+        raise CapacityError("counter size P exceeds the float range")
     counts = numtheory.liar_sieve(n)
     ratio = np.arange(1.0, n + 1)  # entry k - 1 holds phi(k)/k
     np.divide(counts.phi[1:], ratio, out=ratio)

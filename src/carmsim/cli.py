@@ -2,7 +2,7 @@
 
 Subcommands: facts, certify, count-bases, count-carmichael, psw, bounds,
 enumerate.  Rep i of a command draws numpy's PCG64 sequence of
-np.random.default_rng([seed, i]), which qsim.rep_streams reproduces
+np.random.default_rng([seed, i]), which qsim.RepStreams reproduces
 in-package for all reps at once (no command imports numpy.random), so
 identical invocations are byte-identical; only the commands that draw check
 --seed and --reps.  Every command and script shares one renderer

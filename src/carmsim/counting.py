@@ -184,15 +184,17 @@ def median_t_tilde(estimates: list[CountEstimate]) -> float:
 def count_distribution(dimension: int, marked: int, p: int, registers: int = 1) -> np.ndarray:
     """Outcome law over `registers` counters of size P, shape (P,)*R.
 
-    Controlled powers on the two-plane (P,)*R + (2,) layout, a Fourier
+    Controlled powers on the two-plane (P,)*R + (2,) state, a Fourier
     transform on each counter, the base plane summed out.  It
-    builds every sampled law, so it owns the rules P >= 4 and R >= 1.
+    builds every sampled law, so it owns the rules P >= 4 and R >= 1.  The
+    sizes go to qsim lazily, so that any R, however large, meets the
+    amplitude cap before a tuple of R sizes is built.
     """
     if p < 4:
         raise DomainError(f"counter size must be >= 4, got {p}")
     if registers < 1:
         raise DomainError(f"need >= 1 counter registers, got {registers}")
-    state = qsim.two_plane_grover_powers((p,) * registers, dimension, marked)
+    state = qsim.two_plane_grover_powers((p for _ in range(registers)), dimension, marked)
     for axis in range(registers):
         state = qsim.qft(state, axis)
     return qsim.exact_distribution(state)
@@ -202,14 +204,14 @@ def run_count(dimension: int, marked: int, p: int, seed: int, reps: int) -> list
     """reps seeded measurements of the counter with decoded estimates.
 
     Sampling uses the exact law of count_distribution over the t = marked
-    values, built once, then one uniform per rep from qsim.rep_streams, drawn
+    values, built once, then one uniform per rep from qsim.RepStreams, drawn
     for all reps at once: rep i's uniform is the first draw of numpy's PCG64
     sequence of default_rng([seed, i]), reproduced in-package, and its
     outcome is the first l whose cumulative mass exceeds it, so runs are
     reproducible and reps can be regenerated in isolation.
     """
     table = count_distribution(dimension, marked, p)
-    uniforms = qsim.rep_streams(seed, reps).random()
+    uniforms = qsim.RepStreams(seed, reps).random()
     return decode_outcomes(qsim.sample_outcomes(table, uniforms)[:, 0], dimension, p, t_ref=marked)
 
 

@@ -1,29 +1,27 @@
 """Exact statevector simulation of the counter registers on the base register's plane.
 
-A state lives on registers with sizes (d_1, ..., d_R); the flat index of
-the basis state |v_1, ..., v_R> is (((v_1 * d_2 + v_2) * d_3 + ...)), the
-leftmost register most significant.  Register sizes are arbitrary (not
-powers of two): the search iteration uses the exact reflection about the
-uniform state, and the Fourier transform is the dense size-P unitary
-F|a> = sum_b exp(+2 pi i a b / P) |b> / sqrt(P).
-
-All operations are pure (a new state is returned) and re-verify the norm
-to 1e-10 afterwards; nothing renormalizes silently.
+A StateVector holds its amplitudes with one axis per register, shape
+(d_1, ..., d_R), and checks its norm to 1e-10 when it is built; nothing
+renormalizes silently.  Register sizes are arbitrary (not powers of two):
+the search iteration uses the exact reflection about the uniform state,
+and the Fourier transform is the dense size-P unitary
+F|a> = sum_b exp(+2 pi i a b / P) |b> / sqrt(P).  Operations are pure (a
+new state is returned).
 
 Counter-controlled search powers, `two_plane_grover_powers`, keep the base
 register in the plane spanned by its uniform-marked and uniform-unmarked
 states, which the search iterate never leaves from the uniform start: the
-layout is (P_1, ..., P_R, 2) and only the marked count t enters, so the
+shape is (P_1, ..., P_R, 2) and only the marked count t enters, so the
 base dimension D may be as large as an integer allows.  `exact_distribution`
 sums that plane out.  The dense route over all D base values, the single
 gates (uniform preparation, phase flip, diffusion), the marginal over any
 registers and post-selection live in tests/oracles.py, on the power table
-and the layout kept here.
+and the StateVector kept here.
 
 Measurement is sampled from an exact marginal table.  `sample_outcomes`
 builds the table's CDF once and maps a whole vector of uniforms in [0, 1)
 to outcomes with one search, so a command with many reps pays for one CDF;
-the caller draws the uniforms from `rep_streams`, the one stream builder.
+the caller draws the uniforms from `RepStreams`, the one stream builder.
 Rep i draws numpy's PCG64 sequence of np.random.default_rng([seed, i]), bit
 for bit, reproduced in-package: the SeedSequence hash of the seed words
 runs for a whole chunk of reps in one numpy uint32 pass, and `RepStreams`
@@ -37,13 +35,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import CapacityError, DomainError, NormalizationError
 
-#: cap on the number of amplitudes a layout may hold
+#: cap on the number of amplitudes a state may hold
 AMPLITUDE_CAP = 1 << 26
 
 NORM_TOL = 1e-10
@@ -53,45 +51,21 @@ SAMPLE_CLIP = 1e-13
 
 
 @dataclass(frozen=True)
-class RegisterLayout:
-    """Register sizes, leftmost most significant; product at most AMPLITUDE_CAP."""
-
-    dims: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        if not self.dims:
-            raise DomainError("layout needs at least one register")
-        if any(d < 1 for d in self.dims):
-            raise DomainError(f"register sizes must be >= 1, got {self.dims}")
-        if self.dimension > AMPLITUDE_CAP:
-            raise CapacityError(f"{self.dimension} amplitudes exceed cap {AMPLITUDE_CAP}")
-
-    @property
-    def dimension(self) -> int:
-        return math.prod(self.dims)
-
-
-@dataclass(frozen=True)
 class StateVector:
-    """Normalized amplitudes over a layout (flat, complex128)."""
+    """Amplitudes with one axis per register, shape (d_1, ..., d_R); norm^2 within NORM_TOL of 1."""
 
-    layout: RegisterLayout
     amplitudes: np.ndarray
 
-
-def _finish(layout: RegisterLayout, amplitudes: np.ndarray) -> StateVector:
-    flat = np.ascontiguousarray(amplitudes.reshape(-1))
-    norm_sq = float(np.vdot(flat, flat).real)
-    if not abs(norm_sq - 1.0) <= NORM_TOL:  # written so that NaN fails too
-        raise NormalizationError(f"norm^2 drifted to {norm_sq}")
-    return StateVector(layout, flat)
+    def __post_init__(self) -> None:
+        norm_sq = float(np.vdot(self.amplitudes, self.amplitudes).real)
+        if not abs(norm_sq - 1.0) <= NORM_TOL:  # written so that NaN fails too
+            raise NormalizationError(f"norm^2 drifted to {norm_sq}")
 
 
 def qft(state: StateVector, register: int) -> StateVector:
     """Size-P Fourier transform on one register (+2 pi i convention)."""
-    grid = state.amplitudes.reshape(state.layout.dims)
-    return _finish(state.layout, np.fft.ifft(grid, axis=register) * math.sqrt(grid.shape[register]))
+    size = state.amplitudes.shape[register]
+    return StateVector(np.fft.ifft(state.amplitudes, axis=register) * math.sqrt(size))
 
 
 def _grover_power_table(start: np.ndarray, mask: np.ndarray, max_power: int) -> np.ndarray:
@@ -110,25 +84,31 @@ def _grover_power_table(start: np.ndarray, mask: np.ndarray, max_power: int) -> 
     return table
 
 
-def _controlled_powers(ancilla_dims: Sequence[int], start: np.ndarray, mask: np.ndarray) -> StateVector:
-    """sum_m |m_1..m_R> G^(m_1+..+m_R)|start> / P^(R/2) on ancilla_dims + (len(start),).
+def _controlled_powers(ancilla_dims: Iterable[int], start: np.ndarray, mask: np.ndarray) -> StateVector:
+    """sum_m |m_1..m_R> G^(m_1+..+m_R)|start> / P^(R/2), shape ancilla_dims + (len(start),).
 
     G^s|start> is computed once per total power s (the distinct sums are
     few) and branches are assembled by multiplicity, so the cost is
-    O(R P n + P^R n) for an n-entry base instead of O(P^R * P * n).
+    O(R P n + P^R n) for an n-entry base instead of O(P^R * P * n).  The
+    sizes are read lazily and the cap checked after each, before any array.
     """
-    ancilla_dims = tuple(int(d) for d in ancilla_dims)
-    if not ancilla_dims or any(d < 2 for d in ancilla_dims):
-        raise DomainError(f"ancilla register sizes must be >= 2, got {ancilla_dims}")
-    layout = RegisterLayout(ancilla_dims + (start.size,))
-    max_power = sum(d - 1 for d in ancilla_dims)
-    table = _grover_power_table(start, mask, max_power).astype(complex)
-    power_grid = np.indices(ancilla_dims).sum(axis=0)
-    out = table[power_grid] / math.sqrt(math.prod(ancilla_dims))
-    return _finish(layout, out)
+    dims, size = [], start.size
+    for d in map(int, ancilla_dims):
+        if d < 2:
+            raise DomainError(f"ancilla register sizes must be >= 2, got {d}")
+        size *= d
+        if size > AMPLITUDE_CAP:
+            # no size in the text: a product of 4300 digits or more cannot be printed
+            raise CapacityError(f"counter registers exceed the cap of {AMPLITUDE_CAP} amplitudes")
+        dims.append(d)
+    if not dims:
+        raise DomainError("need at least one ancilla register")
+    table = _grover_power_table(start, mask, sum(d - 1 for d in dims)).astype(complex)
+    power_grid = np.indices(dims).sum(axis=0)
+    return StateVector(table[power_grid] / math.sqrt(math.prod(dims)))
 
 
-def two_plane_grover_powers(ancilla_dims: Sequence[int], dimension: int, marked: int) -> StateVector:
+def two_plane_grover_powers(ancilla_dims: Iterable[int], dimension: int, marked: int) -> StateVector:
     """Superposed iteration counts sum_m |m_1..m_R> G^(m_1+..+m_R)|u> / P^(R/2) on the base plane.
 
     The base axis has two entries: the coefficients c_M, c_U of the
@@ -136,7 +116,7 @@ def two_plane_grover_powers(ancilla_dims: Sequence[int], dimension: int, marked:
     c_M / sqrt(t) and an unmarked one c_U / sqrt(D - t).  On this plane the
     search gates are 2 x 2: the phase flip is diag(-1, 1) and the
     diffusion is the reflection about u = (sqrt(t/D), sqrt((D-t)/D)), the
-    uniform state.  Only the layout ancilla_dims + (2,) counts against
+    uniform state.  Only the shape ancilla_dims + (2,) counts against
     AMPLITUDE_CAP.
     """
     if dimension < 1:
@@ -149,7 +129,7 @@ def two_plane_grover_powers(ancilla_dims: Sequence[int], dimension: int, marked:
 
 def exact_distribution(state: StateVector) -> np.ndarray:
     """Counter law of a (P,)*R + (2,) state: the base plane, its last register, summed out."""
-    marg = (np.abs(state.amplitudes.reshape(state.layout.dims)) ** 2).sum(axis=-1)
+    marg = (np.abs(state.amplitudes) ** 2).sum(axis=-1)
     total = float(marg.sum())
     if not abs(total - 1.0) <= NORM_TOL:  # written so that NaN fails too
         raise NormalizationError(f"marginal mass {total} != 1")
@@ -330,9 +310,21 @@ class RepStreams:
     evaluated for all reps and all j at once.  The seeding, the steps and
     the blocks all run in chunks of reps, so that beyond the 32 bytes per
     rep only one chunk's temporaries are live.
+
+    The draws are numpy's, bit for bit: the seed words of each chunk of
+    _SEED_CHUNK reps are hashed in one pass, as SeedSequence([seed, i])
+    would (_seed_words), and every rep's PCG64 is seeded and stepped as
+    numpy does.  Beyond MAX_REPS a rep index would no longer be one entropy
+    word, so more reps are refused, before anything is allocated.
     """
 
     def __init__(self, seed: int, reps: int) -> None:
+        if seed < 0:  # np.random.default_rng takes no negative seed
+            raise DomainError(f"seed must be >= 0, got {seed}")
+        if reps < 1:
+            raise DomainError(f"reps must be >= 1, got {reps}")
+        if reps > MAX_REPS:
+            raise CapacityError(f"{reps} reps exceed cap {MAX_REPS}")
         self.inc = np.empty((2, reps), dtype=np.uint64)
         self.state = np.empty((2, reps), dtype=np.uint64)
         for lo in range(0, reps, _SEED_CHUNK):
@@ -406,21 +398,3 @@ class RepStreams:
                 ids = np.flatnonzero(missed)
                 pending = rows.start + ids if pending is rows else pending[ids]
         return rounds, readings
-
-
-def rep_streams(seed: int, reps: int) -> RepStreams:
-    """The streams np.random.default_rng([seed, i]) of reps i < reps, each fixed by (seed, i) alone.
-
-    The draws are numpy's, bit for bit: RepStreams hashes the seed words of
-    each chunk of _SEED_CHUNK reps in one pass, as SeedSequence([seed, i])
-    would (_seed_words), and seeds and steps every rep's PCG64 as numpy
-    does.  Beyond MAX_REPS a rep
-    index would no longer be one entropy word, so more reps are refused.
-    """
-    if seed < 0:  # np.random.default_rng takes no negative seed
-        raise DomainError(f"seed must be >= 0, got {seed}")
-    if reps < 1:
-        raise DomainError(f"reps must be >= 1, got {reps}")
-    if reps > MAX_REPS:
-        raise CapacityError(f"{reps} reps exceed cap {MAX_REPS}")
-    return RepStreams(seed, reps)

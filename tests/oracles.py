@@ -9,13 +9,13 @@ Fermat-failure mask over the bases of k feeds the dense certification
 route.  The simulation references are the dense route over all D base
 values (the controlled search powers from a boolean mask, built on qsim's
 power table, and the counting law they give), the marginal over any
-registers in any order, the one-axis-per-register view of a state, the
-single search gates on a full statevector (uniform preparation, phase
-flip, diffusion, one Grover iteration), post-selection on one register,
-the analytic per-state amplitudes on the rotation plane, the amplitude
-version of the closed-form counting law, the all-zeros probability of the
-certification law, and the certification variant that reads the
-coprimality flag after the iterations.  dirichlet_kernel_reference is the normalized Dirichlet
+registers in any order, the single search gates on a full statevector
+(uniform preparation, phase flip, diffusion, one Grover iteration),
+post-selection on one register, the analytic per-state amplitudes on the
+rotation plane, the amplitude version of the closed-form counting law,
+the all-zeros probability of the certification law, and the
+certification variant that reads the coprimality flag after the
+iterations.  dirichlet_kernel_reference is the normalized Dirichlet
 kernel as the library computed it before its sign and range-reduction
 shortcuts: the bitwise reference for counting.dirichlet_kernel.
 draw_flag_rounds is the flag post-selection loop on one
@@ -38,7 +38,7 @@ from carmsim.carmichael import ancilla_distribution, composite_facts
 from carmsim.counting import dirichlet_kernel, peak_position
 from carmsim.errors import CapacityError, DomainError, NormalizationError
 from carmsim.numtheory import factorize, liar_sieve
-from carmsim.qsim import NORM_TOL, RegisterLayout, StateVector, _controlled_powers, _finish
+from carmsim.qsim import NORM_TOL, StateVector, _controlled_powers
 
 
 def dirichlet_kernel_reference(x, p: int) -> np.ndarray:
@@ -179,14 +179,9 @@ def strong_witness_scalar(k: int, a: int) -> bool:
     return True
 
 
-def grid(state: StateVector) -> np.ndarray:
-    """Amplitudes reshaped to one axis per register (a view)."""
-    return state.amplitudes.reshape(state.layout.dims)
-
-
-def check_register(layout: RegisterLayout, index: int) -> None:
-    if not 0 <= index < len(layout.dims):
-        raise DomainError(f"register index {index} outside layout {layout.dims}")
+def check_register(state: StateVector, index: int) -> None:
+    if not 0 <= index < state.amplitudes.ndim:
+        raise DomainError(f"register index {index} outside shape {state.amplitudes.shape}")
 
 
 def controlled_grover_powers(ancilla_dims, marked_mask: np.ndarray) -> StateVector:
@@ -209,9 +204,9 @@ def marginal(state: StateVector, registers) -> np.ndarray:
     if len(set(regs)) != len(regs):
         raise DomainError(f"duplicate register indices: {regs}")
     for r in regs:
-        check_register(state.layout, r)
-    probs = np.abs(grid(state)) ** 2
-    other = tuple(i for i in range(len(state.layout.dims)) if i not in regs)
+        check_register(state, r)
+    probs = np.abs(state.amplitudes) ** 2
+    other = tuple(i for i in range(probs.ndim) if i not in regs)
     marg = probs.sum(axis=other) if other else probs
     if len(regs) > 1:
         # after the sum the surviving axes sit in ascending register order;
@@ -226,30 +221,29 @@ def marginal(state: StateVector, registers) -> np.ndarray:
 def count_distribution_dense(marked_mask: np.ndarray, p: int) -> np.ndarray:
     """Outcome law via full statevector simulation over D = marked_mask.size.
 
-    Builds the controlled-power state on a (P, D) layout, Fourier-transforms
+    Builds the controlled-power state of shape (P, D), Fourier-transforms
     the counter, and reads the exact marginal.  Needs P*D amplitudes; oracle
     for counting.count_distribution.
     """
     return marginal(qsim.qft(controlled_grover_powers((p,), marked_mask), 0), [0])
 
 
-def uniform_state(layout: RegisterLayout) -> StateVector:
-    """All amplitudes 1/sqrt(D)."""
-    d = layout.dimension
-    return _finish(layout, np.full(d, 1.0 / math.sqrt(d), dtype=complex))
+def uniform_state(shape: tuple[int, ...]) -> StateVector:
+    """All amplitudes 1/sqrt(D), D the product of the register sizes in shape."""
+    return StateVector(np.full(shape, 1.0 / math.sqrt(math.prod(shape)), dtype=complex))
 
 
 def phase_flip(state: StateVector, register: int, marked_mask: np.ndarray) -> StateVector:
     """Negate amplitudes whose register value is marked in the (dims[register],) mask."""
-    check_register(state.layout, register)
-    size = state.layout.dims[register]
+    check_register(state, register)
+    size = state.amplitudes.shape[register]
     mask = np.asarray(marked_mask, dtype=bool)
     if mask.shape != (size,):
         raise DomainError(f"marked mask shape {mask.shape} does not match register size {size}")
-    out = grid(state).copy()
+    out = state.amplitudes.copy()
     moved = np.moveaxis(out, register, 0)
     moved[mask] *= -1.0
-    return _finish(state.layout, out)
+    return StateVector(out)
 
 
 def diffusion(state: StateVector, register: int) -> StateVector:
@@ -259,11 +253,11 @@ def diffusion(state: StateVector, register: int) -> StateVector:
     amplitudes are replaced by twice their mean minus themselves.  This is
     the exact inversion-about-average in the register's own dimension.
     """
-    check_register(state.layout, register)
-    out = grid(state).copy()
+    check_register(state, register)
+    out = state.amplitudes.copy()
     moved = np.moveaxis(out, register, 0)
     moved[...] = 2.0 * moved.mean(axis=0, keepdims=True) - moved
-    return _finish(state.layout, out)
+    return StateVector(out)
 
 
 def grover_iterate(state: StateVector, register: int, marked_mask: np.ndarray) -> StateVector:
@@ -282,19 +276,19 @@ class ZeroProbabilityError(DomainError):
 def postselect(state: StateVector, register: int, value: int) -> tuple[StateVector, float]:
     """Condition on one register reading `value`; returns (state, probability).
 
-    The register is kept in the layout (its other values are zeroed)."""
-    check_register(state.layout, register)
-    size = state.layout.dims[register]
+    The register is kept in the shape (its other values are zeroed)."""
+    check_register(state, register)
+    amplitudes = state.amplitudes
+    size = amplitudes.shape[register]
     if not 0 <= value < size:
         raise DomainError(f"value {value} outside register of size {size}")
-    amplitudes = grid(state)
     moved = np.moveaxis(amplitudes, register, 0)
     prob = float(np.sum(np.abs(moved[value]) ** 2))
     if prob < 1e-15:
         raise ZeroProbabilityError(f"register {register} value {value} has zero mass")
     out = np.zeros_like(amplitudes)
     np.moveaxis(out, register, 0)[value] = moved[value] / math.sqrt(prob)
-    return _finish(state.layout, out), prob
+    return StateVector(out), prob
 
 
 @dataclass(frozen=True)
@@ -388,13 +382,10 @@ def allzero_probability_flag_conditioned(k: int, p: int, r: int) -> FlagConditio
     composite_facts(k)
     state = controlled_grover_powers((p,) * r, fermat_failure_mask(k))
     coprime = (np.gcd(np.arange(k, dtype=np.int64), k) == 1).astype(np.int64)
-    amplitudes = grid(state)
-    flagged = np.zeros(amplitudes.shape + (2,), dtype=complex)
+    flagged = np.zeros(state.amplitudes.shape + (2,), dtype=complex)
     base_values = np.arange(k)
-    flagged[..., base_values, coprime] = amplitudes
-    layout = RegisterLayout((p,) * r + (k, 2))
-    flag_state = StateVector(layout, flagged.reshape(-1))
-    flag_state, flag_mass = postselect(flag_state, r + 1, 1)
+    flagged[..., base_values, coprime] = state.amplitudes
+    flag_state, flag_mass = postselect(StateVector(flagged), r + 1, 1)
     for axis in range(r):
         flag_state = qsim.qft(flag_state, axis)
     table = marginal(flag_state, range(r))

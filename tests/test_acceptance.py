@@ -122,7 +122,7 @@ def _flagged_uniform(k: int) -> qsim.StateVector:
     coprime = (np.gcd(np.arange(k), k) == 1).astype(np.int64)
     grid = np.zeros((k, 2), dtype=complex)
     grid[np.arange(k), coprime] = 1.0 / math.sqrt(k)
-    return qsim.StateVector(qsim.RegisterLayout((k, 2)), grid.reshape(-1))
+    return qsim.StateVector(grid)
 
 
 def test_criterion_4_flag_postselection():

@@ -26,7 +26,7 @@ def test_flag_probability_examples():
 
 def test_flag_probability_matches_simulator():
     for k in (15, 105, 561, 1105):
-        state = oracles.uniform_state(qsim.RegisterLayout((k,)))
+        state = oracles.uniform_state((k,))
         _, prob = oracles.postselect(_flagged(state, k), 1, 1)
         assert prob == pytest.approx(cm.certify_reps(k, 8, 1, mode="exact", seed=0, reps=1)[0].flag_probability, abs=1e-10)
 
@@ -35,7 +35,7 @@ def _flagged(state: qsim.StateVector, k: int) -> qsim.StateVector:
     coprime = (np.gcd(np.arange(k), k) == 1).astype(np.int64)
     grid = np.zeros((k, 2), dtype=complex)
     grid[np.arange(k), coprime] = state.amplitudes
-    return qsim.StateVector(qsim.RegisterLayout((k, 2)), grid.reshape(-1))
+    return qsim.StateVector(grid)
 
 
 def test_draw_flag_rounds_mean():
@@ -49,7 +49,7 @@ def test_draw_flag_rounds_mean():
         oracles.draw_flag_rounds(0.0, rng)
     for accept in (0.0, -0.5, 1.5, math.nan):
         with pytest.raises(DomainError, match="acceptance probability"):
-            qsim.rep_streams(0, 3).flag_rounds(accept)
+            qsim.RepStreams(0, 3).flag_rounds(accept)
 
 
 # ---------------------------------------------------------------- all-zeros law
@@ -224,7 +224,7 @@ def test_sample_mode_draws_match_default_rng(monkeypatch):
         monkeypatch.setattr(qsim, "_BLOCK_ELEMENTS", elements)
         for seed in (0, 42, 2**32, 2**100 + 7):
             for accept in (1.0, 8 / 15, 8 / 30, 0.05):
-                streams = qsim.rep_streams(seed, 200)
+                streams = qsim.RepStreams(seed, 200)
                 rounds, readings = streams.flag_rounds(accept)
                 after = streams.random()
                 for i in range(200):
@@ -236,7 +236,7 @@ def test_sample_mode_draws_match_default_rng(monkeypatch):
 
 def test_certify_rejects_mode_and_prime_before_building_streams(monkeypatch):
     built = []
-    monkeypatch.setattr(qsim, "rep_streams", lambda seed, reps: built.append(reps) or [])
+    monkeypatch.setattr(qsim, "RepStreams", lambda seed, reps: built.append(reps) or [])
     with pytest.raises(DomainError, match="is prime"):
         cm.certify_reps(1009, 16, 2, mode="exact", seed=0, reps=100)
     with pytest.raises(DomainError, match="mode must be"):

@@ -380,6 +380,8 @@ def test_csv_quotes_a_field_holding_a_comma():
     assert cli.render("csv", record) == 'name,value,flag\n"6,9",None,True\nx,1.5,False\n'
 
 
+AMPLITUDE_CAP_LINE = "capacity error: counter registers exceed the cap of 67108864 amplitudes"
+
 BAD_INPUTS = {
     "certify-seed": (["certify", "15", "--seed", "-1"], 2, "error: seed must be >= 0"),
     "count-bases-seed": (["count-bases", "15", "--seed", "-1"], 2, "error: seed must be >= 0"),
@@ -390,6 +392,14 @@ BAD_INPUTS = {
     "count-bases-P2": (["count-bases", "15", "--P", "2"], 2, "error: counter size must be >= 4"),
     "count-bases-P1": (["count-bases", "15", "--P", "1"], 2, "error: counter size must be >= 4"),
     "count-carmichael-Q3": (["count-carmichael", "600", "--Q", "3"], 2, "error: counter size must be >= 4"),
+    # counter sizes whose amplitude count, or R itself, is too large to build, index or print
+    "certify-R-past-index": (["certify", "15", "--R", str(10**30)], 3, AMPLITUDE_CAP_LINE),
+    "certify-R7200": (["certify", "15", "--P", "4", "--R", "7200"], 3, AMPLITUDE_CAP_LINE),
+    "count-bases-P-4300-digits": (["count-bases", "15", "--P", "9" * 4300], 3, AMPLITUDE_CAP_LINE),
+    "count-carmichael-Q-4300-digits": (["count-carmichael", "600", "--Q", "9" * 4300], 3, AMPLITUDE_CAP_LINE),
+    "psw-Q-4300-digits": (["psw", "1000", "--Q", "9" * 4300], 3, AMPLITUDE_CAP_LINE),
+    "certify-P-4300-digits": (["certify", "15", "--P", "9" * 4300], 3, AMPLITUDE_CAP_LINE),
+    "bounds-P-past-float": (["bounds", "100", "--P", str(2**1024)], 3, "capacity error: counter size P exceeds the float range"),
 }
 
 
@@ -398,6 +408,16 @@ def test_bad_seed_and_counter_size_exit_cleanly(args, code, prefix, capsys):
     got, out, err = run_cli(args + ["--reps", "2"], capsys)
     assert (got, out) == (code, "")
     assert err.startswith(prefix) and "Traceback" not in err
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_a_million_counter_registers_exit_3_at_once():
+    # the cap stops the read of the register sizes at the first one past it;
+    # no tuple of the R sizes and no product of them is ever built
+    args = ["certify", "15", "--P", "4", "--R", "1000000", "--reps", "1"]
+    proc = run_process(["-m", "carmsim.cli", *args])
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == AMPLITUDE_CAP_LINE + "\n"
 
 
 #: every command, the drawing ones with each of their draw paths

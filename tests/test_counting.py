@@ -161,7 +161,7 @@ def test_closed_form_state_matches_dense_amplitudes():
         state = oracles.controlled_grover_powers((p,), mask)
         state = qsim.qft(state, 0)
         predicted = oracles.closed_form_state(mask, p)
-        assert np.abs(oracles.grid(state) - predicted).max() < 1e-10
+        assert np.abs(state.amplitudes - predicted).max() < 1e-10
 
 
 def _expand_plane(plane: np.ndarray, dimension: int, marked: int) -> np.ndarray:
@@ -183,12 +183,12 @@ def test_two_plane_matches_dense_and_closed_form(dimension, data, p_r):
     marked = data.draw(st.integers(0, dimension))
     plane = qsim.two_plane_grover_powers((p,) * r, dimension, marked)
     dense = oracles.controlled_grover_powers((p,) * r, np.arange(dimension) < marked)
-    assert plane.layout.dims == (p,) * r + (2,)
-    assert np.abs(_expand_plane(oracles.grid(plane), dimension, marked) - oracles.grid(dense)).max() < 1e-10
+    assert plane.amplitudes.shape == (p,) * r + (2,)
+    assert np.abs(_expand_plane(plane.amplitudes, dimension, marked) - dense.amplitudes).max() < 1e-10
     for axis in range(r):
         plane = qsim.qft(plane, axis)
         dense = qsim.qft(dense, axis)
-    assert np.abs(_expand_plane(oracles.grid(plane), dimension, marked) - oracles.grid(dense)).max() < 1e-10
+    assert np.abs(_expand_plane(plane.amplitudes, dimension, marked) - dense.amplitudes).max() < 1e-10
     law = counting.count_distribution(dimension, marked, p, r)
     assert np.abs(law - counting.exact_count_joint(dimension, marked, p, r)).max() < 1e-10
 
