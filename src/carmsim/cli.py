@@ -7,8 +7,9 @@ in-package for all reps at once (no command imports numpy.random), so
 identical invocations are byte-identical; only the commands that draw check
 --seed and --reps.  Every command and script shares one renderer
 (`render`), one writer (`write`) and one error boundary (`run`): exit 0 on
-success, 2 on a domain/precondition error, 3 on a capacity error or when
-memory runs out.
+success, 2 on a domain/precondition error, 3 on a capacity error, when
+memory runs out or when a state drifts off its norm (a counter so large
+that the rounding of its power table passes the norm tolerance).
 
 JSON output equals json.dumps(payload, indent=2) byte for byte.  Reps with
 the same outcome share one record, so a payload holds each distinct
@@ -32,7 +33,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import carmichael, counting, numtheory
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, NormalizationError
 
 
 class Record(NamedTuple):
@@ -141,13 +142,13 @@ def write(text: str, out_path: str | None = None) -> int:
 
 
 def run(build: Callable[[], str], out_path: str | None = None) -> int:
-    """write(build()), or 2 on a DomainError and 3 on a CapacityError or MemoryError after one stderr line."""
+    """write(build()), or 2 on a DomainError and 3 on a CapacityError, MemoryError or NormalizationError after one stderr line."""
     try:
         text = build()
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CapacityError, MemoryError) as exc:
+    except (CapacityError, MemoryError, NormalizationError) as exc:
         print(f"capacity error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     return write(text, out_path)

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: DomainError exits 2, CapacityError
-exits 3.
+and NormalizationError exit 3.
 """
 
 

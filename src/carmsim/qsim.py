@@ -12,11 +12,15 @@ Counter-controlled search powers, `two_plane_grover_powers`, keep the base
 register in the plane spanned by its uniform-marked and uniform-unmarked
 states, which the search iterate never leaves from the uniform start: the
 shape is (P_1, ..., P_R, 2) and only the marked count t enters, so the
-base dimension D may be as large as an integer allows.  `exact_distribution`
-sums that plane out.  The dense route over all D base values, the single
-gates (uniform preparation, phase flip, diffusion), the marginal over any
-registers and post-selection live in tests/oracles.py, on the power table
-and the StateVector kept here.
+base dimension D may be as large as an integer allows.  Its power table,
+`_plane_power_table`, is a scalar recurrence: the phase flip and the
+reflection about the uniform state applied gate by gate in plain Python
+floats, with no BLAS call, so seeded output is the same on every BLAS
+kernel.  `exact_distribution` sums the plane out.  The dense route over
+all D base values (with its own numpy power table), the single gates
+(uniform preparation, phase flip, diffusion), the marginal over any
+registers and post-selection live in tests/oracles.py, on the
+`_controlled_powers` assembly and the StateVector kept here.
 
 Measurement is sampled from an exact marginal table.  `sample_outcomes`
 builds the table's CDF once and maps a whole vector of uniforms in [0, 1)
@@ -35,7 +39,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -68,31 +72,41 @@ def qft(state: StateVector, register: int) -> StateVector:
     return StateVector(np.fft.ifft(state.amplitudes, axis=register) * math.sqrt(size))
 
 
-def _grover_power_table(start: np.ndarray, mask: np.ndarray, max_power: int) -> np.ndarray:
-    """G^s |start> for s = 0..max_power as a (max_power+1, len(start)) array.
+def _plane_power_table(u_marked: float, u_unmarked: float, max_power: int) -> np.ndarray:
+    """G^s |u> for s = 0..max_power on the base plane, a (max_power+1, 2) array.
 
-    G flips the sign of the masked entries, then reflects about the real
-    unit vector |start>: w -> 2 <start|w> start - w.  Both gates are real,
-    so the table is computed in real arithmetic.
+    G flips the sign of the marked coefficient, then reflects about the
+    real unit vector u = (u_M, u_U): w -> 2 <u|w> u - w.  The two gates are
+    applied in plain Python floats, one multiply or add at a time in a fixed
+    order, so the table does not depend on which BLAS kernel the host runs.
     """
-    table = np.empty((max_power + 1, start.size))
-    flip = np.where(mask, -1.0, 1.0)
-    table[0] = start
-    for s in range(1, max_power + 1):
-        w = table[s - 1] * flip
-        np.subtract(2.0 * np.dot(start, w) * start, w, out=table[s])
-    return table
+    def coefficients():
+        a, b = u_marked, u_unmarked
+        yield a
+        yield b
+        for _ in range(max_power):
+            w0, w1 = -a, b  # the phase flip
+            c = 2.0 * (u_marked * w0 + u_unmarked * w1)
+            a, b = c * u_marked - w0, c * u_unmarked - w1  # the reflection about u
+            yield a
+            yield b
+
+    return np.fromiter(coefficients(), float, 2 * max_power + 2).reshape(-1, 2)
 
 
-def _controlled_powers(ancilla_dims: Iterable[int], start: np.ndarray, mask: np.ndarray) -> StateVector:
-    """sum_m |m_1..m_R> G^(m_1+..+m_R)|start> / P^(R/2), shape ancilla_dims + (len(start),).
+def _controlled_powers(
+    ancilla_dims: Iterable[int], width: int, power_table: Callable[[int], np.ndarray]
+) -> StateVector:
+    """sum_m |m_1..m_R> G^(m_1+..+m_R)|start> / P^(R/2), shape ancilla_dims + (width,).
 
-    G^s|start> is computed once per total power s (the distinct sums are
-    few) and branches are assembled by multiplicity, so the cost is
-    O(R P n + P^R n) for an n-entry base instead of O(P^R * P * n).  The
-    sizes are read lazily and the cap checked after each, before any array.
+    power_table(s_max) gives G^s|start> for s = 0..s_max as an
+    (s_max+1, width) array; it is called once, for s_max = sum(m_i - 1),
+    and branches are assembled by multiplicity, so the cost is
+    O(R P width + P^R width) instead of O(P^R * P * width).  The sizes are
+    read lazily and the cap checked after each, before the table or any
+    other array.
     """
-    dims, size = [], start.size
+    dims, size = [], width
     for d in map(int, ancilla_dims):
         if d < 2:
             raise DomainError(f"ancilla register sizes must be >= 2, got {d}")
@@ -103,9 +117,11 @@ def _controlled_powers(ancilla_dims: Iterable[int], start: np.ndarray, mask: np.
         dims.append(d)
     if not dims:
         raise DomainError("need at least one ancilla register")
-    table = _grover_power_table(start, mask, sum(d - 1 for d in dims)).astype(complex)
-    power_grid = np.indices(dims).sum(axis=0)
-    return StateVector(table[power_grid] / math.sqrt(math.prod(dims)))
+    # scaled before the gather: one row per total power, not one per branch
+    table = power_table(sum(d - 1 for d in dims)).astype(complex) / math.sqrt(math.prod(dims))
+    # m_1 + .. + m_R on the counter grid, an outer sum of one arange per register
+    power_grid = functools.reduce(np.add.outer, (np.arange(d) for d in dims))
+    return StateVector(table[power_grid])
 
 
 def two_plane_grover_powers(ancilla_dims: Iterable[int], dimension: int, marked: int) -> StateVector:
@@ -116,15 +132,15 @@ def two_plane_grover_powers(ancilla_dims: Iterable[int], dimension: int, marked:
     c_M / sqrt(t) and an unmarked one c_U / sqrt(D - t).  On this plane the
     search gates are 2 x 2: the phase flip is diag(-1, 1) and the
     diffusion is the reflection about u = (sqrt(t/D), sqrt((D-t)/D)), the
-    uniform state.  Only the shape ancilla_dims + (2,) counts against
-    AMPLITUDE_CAP.
+    uniform state; _plane_power_table applies them gate by gate.  Only the
+    shape ancilla_dims + (2,) counts against AMPLITUDE_CAP.
     """
     if dimension < 1:
         raise DomainError(f"base dimension must be >= 1, got {dimension}")
     if not 0 <= marked <= dimension:
         raise DomainError(f"marked count {marked} outside [0, {dimension}]")
-    uniform = np.array([math.sqrt(marked / dimension), math.sqrt((dimension - marked) / dimension)])
-    return _controlled_powers(ancilla_dims, uniform, np.array([True, False]))
+    u_marked, u_unmarked = math.sqrt(marked / dimension), math.sqrt((dimension - marked) / dimension)
+    return _controlled_powers(ancilla_dims, 2, functools.partial(_plane_power_table, u_marked, u_unmarked))
 
 
 def exact_distribution(state: StateVector) -> np.ndarray:

@@ -7,8 +7,9 @@ the Carmichael property from a factorization, a smallest-prime-factor
 table gives the tests a factorization of every k below a limit, and a
 Fermat-failure mask over the bases of k feeds the dense certification
 route.  The simulation references are the dense route over all D base
-values (the controlled search powers from a boolean mask, built on qsim's
-power table, and the counting law they give), the marginal over any
+values (the controlled search powers from a boolean mask, on its own
+numpy power table and qsim's assembly of the counter grid, and the
+counting law they give), the marginal over any
 registers in any order, the single search gates on a full statevector
 (uniform preparation, phase flip, diffusion, one Grover iteration),
 post-selection on one register, the analytic per-state amplitudes on the
@@ -27,6 +28,7 @@ pass.  peak_traced_bytes measures a call's peak heap for the memory guards.
 
 from __future__ import annotations
 
+import functools
 import math
 import tracemalloc
 from dataclasses import dataclass
@@ -184,6 +186,23 @@ def check_register(state: StateVector, index: int) -> None:
         raise DomainError(f"register index {index} outside shape {state.amplitudes.shape}")
 
 
+def dense_power_table(start: np.ndarray, mask: np.ndarray, max_power: int) -> np.ndarray:
+    """G^s |start> for s = 0..max_power as a (max_power+1, len(start)) array.
+
+    G flips the sign of the masked entries, then reflects about the real
+    unit vector |start>: w -> 2 <start|w> start - w.  Both gates are real,
+    so the table is computed in real arithmetic, one whole-vector step per
+    power.  The dense route's table; qsim's two-plane route has its own.
+    """
+    table = np.empty((max_power + 1, start.size))
+    flip = np.where(mask, -1.0, 1.0)
+    table[0] = start
+    for s in range(1, max_power + 1):
+        w = table[s - 1] * flip
+        np.subtract(2.0 * np.dot(start, w) * start, w, out=table[s])
+    return table
+
+
 def controlled_grover_powers(ancilla_dims, marked_mask: np.ndarray) -> StateVector:
     """Superposed iteration counts: sum_m |m_1..m_R> G^(m_1+..+m_R)|u> / P^(R/2).
 
@@ -195,7 +214,7 @@ def controlled_grover_powers(ancilla_dims, marked_mask: np.ndarray) -> StateVect
     if mask.ndim != 1 or mask.size < 1:
         raise DomainError(f"marked mask must be 1-d and non-empty, got shape {mask.shape}")
     uniform = np.full(mask.size, 1.0 / math.sqrt(mask.size))
-    return _controlled_powers(ancilla_dims, uniform, mask)
+    return _controlled_powers(ancilla_dims, mask.size, functools.partial(dense_power_table, uniform, mask))
 
 
 def marginal(state: StateVector, registers) -> np.ndarray:

@@ -223,7 +223,7 @@ def test_byte_identical_outputs(tmp_path):
 PINNED_STDOUT = [
     (["certify", "561", "--mode", "exact"], "839330a8950435e31bce2f2fba5c9b796f9b952c6c1aa4ff9071136dea51a971"),
     (["certify", "561", "--mode", "sample"], "e443be509221342fceb6e877c3f7cee047bf530a85d3f81b1b4a57eb6c5decbb"),
-    (["certify", "15", "--mode", "exact"], "2d51e4a17158a9711aa8acc38b9ceea6a934f1b657c2532033bf95499aba86fc"),
+    (["certify", "15", "--mode", "exact"], "a5a6037abfacef5eb1a68785675017409254dc7827f9a893ddab9ec4e8d257eb"),
     (["certify", "15", "--mode", "sample"], "adb2f2cdb8e934ecb9a8281e82d358c0edbefe46f7b68e8c2be91202559cdcff"),
     (["count-bases", "25001", "--P", "64"], "b7f2a921fb5c3a6cff90127c3a7a0038a005fa2421ad9a99cfa16375082874dd"),
     (["count-carmichael", "65000", "--Q", "64"], "99f9a719e6f9cd574796d49721e95ef015cefda8e199b88235eb501775cebd4c"),
@@ -239,6 +239,42 @@ def test_seeded_stdout_is_pinned(args, digest, capsys):
     code, out, _ = run_cli(args + ["--seed", "42", "--output", "json"], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+#: prints the stdout sha256 of every pinned command, one per line
+PINNED_DIGEST_SCRIPT = """
+import contextlib, hashlib, io, sys
+from carmsim import cli
+for args in ARGS:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(args + ["--seed", "42", "--output", "json"])
+    print(hashlib.sha256(out.getvalue().encode()).hexdigest())
+"""
+
+
+def test_seeded_stdout_does_not_depend_on_the_blas_kernel():
+    # Prescott is OpenBLAS's SSE3 kernel, which every x86-64 CPU runs; a
+    # BLAS build other than OpenBLAS ignores the variable
+    script = f"ARGS = {[args for args, _ in PINNED_STDOUT]!r}\n{PINNED_DIGEST_SCRIPT}"
+    digests = []
+    for coretype in (None, "Prescott"):
+        env = {key: val for key, val in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = str(ROOT / "src")
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        digests.append(proc.stdout.split())
+    assert digests[0] == digests[1] == [digest for _, digest in PINNED_STDOUT]
+
+
+def test_norm_drift_exits_3_with_one_line(capsys):
+    # a counter of 2^19 drifts past the norm tolerance in its power table
+    code, out, err = run_cli(["count-bases", "15", "--P", "524288"], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("capacity error: norm^2 drifted to ")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_different_seed_changes_sampled_output(tmp_path):

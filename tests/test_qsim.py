@@ -219,6 +219,34 @@ def test_controlled_powers_mask_shape():
             oracles.controlled_grover_powers((4,), bad)
 
 
+@pytest.mark.parametrize("dimension,marked", [(15, 4), (561, 0), (561, 561), (10**15, 7), (1, 1)])
+def test_plane_power_table_matches_dense_table(dimension, marked):
+    u = np.array([math.sqrt(marked / dimension), math.sqrt((dimension - marked) / dimension)])
+    table = qsim._plane_power_table(*u, 300)
+    assert table.shape == (301, 2) and table.dtype == np.float64
+    assert np.array_equal(table[0], u)
+    # the dense route's numpy table on the same two entries; BLAS may fuse its dot
+    dense = oracles.dense_power_table(u, np.array([True, False]), 300)
+    assert np.abs(table - dense).max() < 1e-12
+
+
+def test_controlled_powers_checks_the_cap_before_the_table():
+    def power_table(max_power):
+        raise AssertionError("the table was built")
+
+    with pytest.raises(CapacityError):
+        qsim._controlled_powers((4,) * 13, 4, power_table)
+    with pytest.raises(DomainError):
+        qsim._controlled_powers((), 2, power_table)
+
+
+def test_two_plane_powers_peak_stays_near_the_state():
+    # (4,)*10 + (2,) complex amplitudes: a 32 MiB state
+    state_bytes = 4**10 * 2 * 16
+    peak = oracles.peak_traced_bytes(qsim.two_plane_grover_powers, (4,) * 10, 15, 4)
+    assert peak <= 1.5 * state_bytes
+
+
 # ---------------------------------------------------------------- postselect
 
 def test_postselect_examples():
