@@ -39,6 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -291,9 +292,10 @@ def prime_sieve(n: int) -> np.ndarray:
     """Boolean primality table for 0..n."""
     s = np.ones(n + 1, dtype=bool)
     s[:2] = False
-    for i in range(2, math.isqrt(n) + 1):
+    s[4::2] = False
+    for i in range(3, math.isqrt(n) + 1, 2):
         if s[i]:
-            s[i * i :: i] = False
+            s[i * i :: 2 * i] = False
     return s
 
 
@@ -405,6 +407,10 @@ _LIAR_CHUNK = 1 << 16
 #: odd values of k per block of the Carmichael sieve (4 MiB of int32)
 _BLOCK = 1 << 20
 
+#: odd values of k per period of the wheel primes 3, 5, 7, 11, 13 in the
+#: Carmichael sieve: lcm(3, 10, 21, 55, 78), the lcm of their steps p(p - 1)/2
+_PERIOD = 30030
+
 #: primes below this keep one strided slice each in the Carmichael sieve;
 #: the larger ones hit a block at most 2^21 / (37 * 36) = 1574 times each
 _STRIDED_BELOW = 32
@@ -422,16 +428,22 @@ def enumerate_carmichaels(n: int) -> list[int]:
     class, a square factor or a prime factor above sqrt(n) leaves
     prod[k] < k, and a prime k has prod[k] = 1, its own progression
     starting at k^2.  k runs in blocks of _BLOCK odd values k = lo + 2i,
-    all in one buffer that is refilled with 1s for each block.  A prime
-    below _STRIDED_BELOW multiplies its progression as one strided slice;
-    the larger primes step at least p(p - 1)/2 >= 666 entries and hit a
-    block a few times each, so all their hits in a block are applied at
-    once, with one index array and one np.multiply.at.  No entry can
-    overflow and the order of the products does not matter: prod[i] is a
-    product of distinct primes dividing k.  No array of the k themselves
-    is built: prod[i] divides k and no Carmichael number is below 561, so
-    only the few entries with prod[i] >= max(lo, 561) are candidates, each
-    tested exactly against lo + 2i.  The test is integer-only.
+    all in one buffer.  The progressions of the wheel primes 3..13 repeat
+    with period _PERIOD = 30030 odd values, the lcm of their steps
+    p(p - 1)/2, so each block sets only its first period (1s, then one
+    strided slice per wheel prime) and copies it over the rest of the
+    block by doubling.  These progressions start at k = p, not p^2; that
+    adds the factor p to prod[k] only at k = p itself, below 561, where no
+    k is ever a candidate.  Each other prime below _STRIDED_BELOW
+    multiplies its progression as one strided slice; the larger primes
+    step at least p(p - 1)/2 >= 666 entries and hit a block a few times
+    each, so all their hits in a block are applied at once, with one index
+    array and one np.multiply.at.  No entry can overflow and the order of
+    the products does not matter: prod[i] is a product of distinct primes
+    dividing k.  No array of the k themselves is built: prod[i] divides k
+    and no Carmichael number is below 561, so only the few entries with
+    prod[i] >= max(lo, 561) are candidates, each tested exactly against
+    lo + 2i.  The test is integer-only.
     """
     if n < 2:
         raise DomainError(f"enumeration requires n >= 2, got {n}")
@@ -449,12 +461,22 @@ def enumerate_carmichaels(n: int) -> list[int]:
     for lo in range(3, n, 2 * _BLOCK):
         size = (min(lo + 2 * _BLOCK, n) - lo + 1) // 2
         prod = buffer[:size]
-        prod.fill(1)
-        first = (np.maximum(squares, lo + (primes - lo) % moduli) - lo) // 2
-        for p, i, step in zip(primes[:strided].tolist(), first[:strided].tolist(), steps[:strided].tolist()):
+        first = np.maximum(squares - lo, (primes - lo) % moduli) // 2
+        small = zip(primes[:strided].tolist(), first[:strided].tolist(), steps[:strided].tolist())
+        head = prod[:_PERIOD]
+        head.fill(1)
+        for p, i, step in islice(small, 5):  # the wheel primes 3..13 with p^2 < n
+            head[i % step :: step] *= p
+        filled = head.size
+        while filled < size:
+            copied = min(filled, size - filled)
+            prod[filled : filled + copied] = prod[:copied]
+            filled += copied
+        for p, i, step in small:
             prod[i::step] *= p
-        live = np.flatnonzero(first[strided:] < size)
-        start, step = first[strided:][live], steps[strided:][live]
+        first = first[strided:]
+        live = np.flatnonzero(first < size)
+        start, step = first[live], steps[strided:][live]
         hits = (size - 1 - start) // step + 1
         # hit h of prime j sits at start_j + (h - offset_j) step_j
         offsets = np.repeat(hits.cumsum() - hits, hits)

@@ -63,7 +63,9 @@ class StateVector:
     def __post_init__(self) -> None:
         norm_sq = float(np.vdot(self.amplitudes, self.amplitudes).real)
         if not abs(norm_sq - 1.0) <= NORM_TOL:  # written so that NaN fails too
-            raise NormalizationError(f"norm^2 drifted to {norm_sq}")
+            raise NormalizationError(
+                f"norm^2 drifted to {norm_sq}, past NORM_TOL = {NORM_TOL} in a state of shape {self.amplitudes.shape}"
+            )
 
 
 def qft(state: StateVector, register: int) -> StateVector:

@@ -274,6 +274,7 @@ def test_norm_drift_exits_3_with_one_line(capsys):
     code, out, err = run_cli(["count-bases", "15", "--P", "524288"], capsys)
     assert (code, out) == (3, "")
     assert err.startswith("capacity error: norm^2 drifted to ")
+    assert "NORM_TOL = 1e-10" in err and "(524288, 2)" in err  # the limit and the counter size
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
@@ -562,7 +563,7 @@ SCRIPTS = [
     (
         "psw_table.py",
         ["--N", "1000", "--reps", "5"],
-        "N,t_N,t_tilde,dt_exp,dt_th,psw_lower,psw_upper,Q,epsilon,delta,meets_target",
+        "N,t_N,t_tilde,dt_exp,dt_th,psw_lower,psw_upper,Q,epsilon,delta,meets_target,e_exact,e_est,e_err",
     ),
 ]
 
@@ -574,6 +575,15 @@ def test_scripts_smoke(script, args, header):
     lines = proc.stdout.splitlines()
     assert lines[0] == header
     assert len(lines) >= 2
+
+
+def test_psw_table_exact_exponent(monkeypatch, capsys):
+    # e(N) = ln(N/C(N))/ln l(N) from Pinch's counts 7, 16 and 43; C(100) = 0
+    monkeypatch.setattr(sys, "argv", ["psw_table.py", "--N", "100", "10000", "100000", "1000000", "--reps", "1"])
+    assert runpy.run_path(str(ROOT / "scripts" / "psw_table.py"))["main"]() == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert (rows[0]["e_exact"], rows[0]["e_err"]) == ("inf", "inf")
+    assert [float(row["e_exact"]) for row in rows[1:]] == pytest.approx([2.1955, 2.0763, 1.9795], abs=1e-4)
 
 
 def test_error_sweep_factorizes_each_k_once(monkeypatch, capsys):

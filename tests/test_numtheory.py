@@ -205,15 +205,27 @@ def test_enumerate_reproduces_pinch_counts():
 
 
 BLOCK = nt._BLOCK
+PERIOD = nt._PERIOD
+PERIOD_EDGES = [3 + 2 * PERIOD * j + d for j in (1, 2, 35) for d in (-2, 0, 2)]
 
 
-@pytest.mark.parametrize("n", [2 * BLOCK + 1, 2 * BLOCK + 3, 2 * BLOCK + 5, 4 * BLOCK + 3])
+@pytest.mark.parametrize("n", [2 * BLOCK + 1, 2 * BLOCK + 3, 2 * BLOCK + 5, 4 * BLOCK + 3, *PERIOD_EDGES])
 def test_enumerate_at_block_edges(n):
     # block j holds the odd k in [3 + 2j BLOCK, 3 + 2(j + 1) BLOCK): n ends
-    # one short of a block, at its end, one k into the next, at two blocks
+    # one short of a block, at its end, one k into the next, at two blocks;
+    # likewise one short of, at and one past the end of wheel period j
     assert n <= 10**7
     values = nt.enumerate_carmichaels(10**7)
     assert nt.enumerate_carmichaels(n) == values[: bisect.bisect_left(values, n)]
+
+
+@pytest.mark.parametrize("block", [7919, PERIOD + 1, 3 * PERIOD + 1])
+def test_enumerate_with_blocks_across_wheel_periods(monkeypatch, block):
+    # blocks shorter than one wheel period, just over one, and several; each
+    # block starts at a different offset mod the period
+    values = nt.enumerate_carmichaels(10**7)
+    monkeypatch.setattr(nt, "_BLOCK", block)
+    assert nt.enumerate_carmichaels(2 * 10**6) == values[: bisect.bisect_left(values, 2 * 10**6)]
 
 
 def test_enumerate_stays_in_bounded_memory():
