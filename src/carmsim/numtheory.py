@@ -408,11 +408,14 @@ _LIAR_CHUNK = 1 << 16
 _BLOCK = 1 << 20
 
 #: odd values of k per period of the wheel primes 3, 5, 7, 11, 13 in the
-#: Carmichael sieve: lcm(3, 10, 21, 55, 78), the lcm of their steps p(p - 1)/2
+#: Carmichael sieve: lcm(3, 10, 21, 55, 78), the lcm of their steps p(p - 1)/2.
+#: The wheel stops below 17: no squarefree product of three or more of its
+#: primes is Carmichael, so only the progressions of the primes >= 17 are tested
 _PERIOD = 30030
 
-#: primes below this keep one strided slice each in the Carmichael sieve;
-#: the larger ones hit a block at most 2^21 / (37 * 36) = 1574 times each
+#: primes from 17 up to below this keep one strided slice each in the
+#: Carmichael sieve, and np.arange gives its indices for the test; the larger
+#: ones hit a block at most 2^21 / (37 * 36) = 1574 times each
 _STRIDED_BELOW = 32
 
 
@@ -433,17 +436,21 @@ def enumerate_carmichaels(n: int) -> list[int]:
     p(p - 1)/2, so each block sets only its first period (1s, then one
     strided slice per wheel prime) and copies it over the rest of the
     block by doubling.  These progressions start at k = p, not p^2; that
-    adds the factor p to prod[k] only at k = p itself, below 561, where no
-    k is ever a candidate.  Each other prime below _STRIDED_BELOW
+    adds the factor p to prod[k] only at k = p <= 13 itself, which is never
+    tested (below).  Each other prime below _STRIDED_BELOW
     multiplies its progression as one strided slice; the larger primes
     step at least p(p - 1)/2 >= 666 entries and hit a block a few times
     each, so all their hits in a block are applied at once, with one index
     array and one np.multiply.at.  No entry can overflow and the order of
     the products does not matter: prod[i] is a product of distinct primes
-    dividing k.  No array of the k themselves is built: prod[i] divides k
-    and no Carmichael number is below 561, so only the few entries with
-    prod[i] >= max(lo, 561) are candidates, each tested exactly against
-    lo + 2i.  The test is integer-only.
+    dividing k.  Only the k on the progression of a prime p >= 17 are
+    tested: a Carmichael k is a squarefree product of three or more odd
+    primes, and none of the 16 such products of the wheel primes 3..13 is
+    Carmichael, so k has a prime factor p >= 17 and sits on p's progression
+    from p^2.  Those indices are the strided slices' aranges and the large
+    primes' index array; prod is read there only, and tested exactly
+    against lo + 2i, integer-only.  A k with two prime factors >= 17 is hit
+    twice and listed once.
     """
     if n < 2:
         raise DomainError(f"enumeration requires n >= 2, got {n}")
@@ -456,13 +463,15 @@ def enumerate_carmichaels(n: int) -> list[int]:
     strided = int(np.searchsorted(primes, _STRIDED_BELOW))
     dtype = np.int32 if n <= 1 << 31 else np.int64  # prod[k] divides k < n
     factors = primes[strided:].astype(dtype)
+    small_primes, small_steps = primes[:strided].tolist(), steps[:strided].tolist()
+    large_steps = steps[strided:]
     buffer = np.empty(min(_BLOCK, n // 2), dtype=dtype)
     found: list[int] = []
     for lo in range(3, n, 2 * _BLOCK):
         size = (min(lo + 2 * _BLOCK, n) - lo + 1) // 2
         prod = buffer[:size]
         first = np.maximum(squares - lo, (primes - lo) % moduli) // 2
-        small = zip(primes[:strided].tolist(), first[:strided].tolist(), steps[:strided].tolist())
+        small = zip(small_primes, first[:strided].tolist(), small_steps)
         head = prod[:_PERIOD]
         head.fill(1)
         for p, i, step in islice(small, 5):  # the wheel primes 3..13 with p^2 < n
@@ -472,19 +481,21 @@ def enumerate_carmichaels(n: int) -> list[int]:
             copied = min(filled, size - filled)
             prod[filled : filled + copied] = prod[:copied]
             filled += copied
+        hit = []  # the indices on the progressions of the primes >= 17
         for p, i, step in small:
             prod[i::step] *= p
-        first = first[strided:]
-        live = np.flatnonzero(first < size)
-        start, step = first[live], steps[strided:][live]
-        hits = (size - 1 - start) // step + 1
+            hit.append(np.arange(i, size, step))
+        start = first[strided:]
+        hits = np.maximum((size - 1 - start) // large_steps + 1, 0)  # 0 past the block
         # hit h of prime j sits at start_j + (h - offset_j) step_j
         offsets = np.repeat(hits.cumsum() - hits, hits)
-        at = np.repeat(start, hits) + (np.arange(offsets.size) - offsets) * np.repeat(step, hits)
-        np.multiply.at(prod, at, np.repeat(factors[live], hits))
-        cand = np.flatnonzero(prod >= max(lo, 561))
-        ks = lo + 2 * cand
-        found += ks[prod[cand] == ks].tolist()
+        at = np.repeat(start, hits) + (np.arange(offsets.size) - offsets) * np.repeat(large_steps, hits)
+        np.multiply.at(prod, at, np.repeat(factors, hits))
+        hit.append(at)
+        idx = np.concatenate(hit)
+        ks = lo + 2 * idx
+        # a k with two prime factors >= 17 is hit twice
+        found += sorted(set(ks[prod[idx] == ks].tolist()))
     return found
 
 

@@ -1,4 +1,5 @@
 import bisect
+import itertools
 import math
 import tracemalloc
 
@@ -196,12 +197,17 @@ PINCH_COUNTS = {10**3: 1, 10**4: 7, 10**5: 16, 10**6: 43, 10**7: 105, 10**8: 255
 
 
 def test_enumerate_reproduces_pinch_counts():
-    # 10^9 spans about 480 sieve blocks; 10^8 ends inside a block
+    # 10^9 spans about 480 sieve blocks; 10^8 ends inside a block.  Every
+    # value Carmichael, strictly ascending and Pinch's count per decade:
+    # each list is exact, with no number listed twice (a k with two prime
+    # factors >= 17, such as 2465 = 5 * 17 * 29 or 75361 = 11 * 13 * 17 * 31,
+    # is found on both progressions)
     values = nt.enumerate_carmichaels(10**9)
+    assert all(a < b for a, b in zip(values, values[1:]))
+    assert all(oracles.is_carmichael(k) for k in values)
     for bound, count in PINCH_COUNTS.items():
         assert bisect.bisect_left(values, bound) == count, bound
     assert nt.enumerate_carmichaels(10**8) == values[:255]
-    assert all(oracles.is_carmichael(k) for k in values[::16])
 
 
 BLOCK = nt._BLOCK
@@ -209,23 +215,48 @@ PERIOD = nt._PERIOD
 PERIOD_EDGES = [3 + 2 * PERIOD * j + d for j in (1, 2, 35) for d in (-2, 0, 2)]
 
 
+def test_wheel_primes_hold_no_carmichael_product():
+    # the sieve tests only the progressions of the primes >= 17, which is
+    # exact because no squarefree product of 3 or more wheel primes passes
+    # Korselt's criterion; the wheel, the primes whose step p(p - 1)/2
+    # divides the period, must be 3..13: with 17 it would hold 561 = 3 * 11 * 17
+    wheel = [p for p in range(3, 1000, 2) if oracles.is_prime_naive(p) and PERIOD % (p * (p - 1) // 2) == 0]
+    assert wheel == [3, 5, 7, 11, 13]
+
+    def korselt_products(primes):
+        products = (math.prod(c) for r in range(3, len(primes) + 1) for c in itertools.combinations(primes, r))
+        return [k for k in products if all((k - 1) % (p - 1) == 0 for p in primes if k % p == 0)]
+
+    assert korselt_products(wheel) == []
+    assert korselt_products(wheel + [17]) == [561, 1105]  # 1105 = 5 * 13 * 17
+
+
+@pytest.fixture(scope="module")
+def below_10_7():
+    # the reference list of the edge tests, checked on its own first: 105
+    # Carmichael numbers (Pinch's count), strictly ascending
+    values = nt.enumerate_carmichaels(10**7)
+    assert len(values) == 105
+    assert all(a < b for a, b in zip(values, values[1:]))
+    assert all(oracles.is_carmichael(k) for k in values)
+    return values
+
+
 @pytest.mark.parametrize("n", [2 * BLOCK + 1, 2 * BLOCK + 3, 2 * BLOCK + 5, 4 * BLOCK + 3, *PERIOD_EDGES])
-def test_enumerate_at_block_edges(n):
+def test_enumerate_at_block_edges(below_10_7, n):
     # block j holds the odd k in [3 + 2j BLOCK, 3 + 2(j + 1) BLOCK): n ends
     # one short of a block, at its end, one k into the next, at two blocks;
     # likewise one short of, at and one past the end of wheel period j
     assert n <= 10**7
-    values = nt.enumerate_carmichaels(10**7)
-    assert nt.enumerate_carmichaels(n) == values[: bisect.bisect_left(values, n)]
+    assert nt.enumerate_carmichaels(n) == below_10_7[: bisect.bisect_left(below_10_7, n)]
 
 
 @pytest.mark.parametrize("block", [7919, PERIOD + 1, 3 * PERIOD + 1])
-def test_enumerate_with_blocks_across_wheel_periods(monkeypatch, block):
+def test_enumerate_with_blocks_across_wheel_periods(monkeypatch, below_10_7, block):
     # blocks shorter than one wheel period, just over one, and several; each
     # block starts at a different offset mod the period
-    values = nt.enumerate_carmichaels(10**7)
     monkeypatch.setattr(nt, "_BLOCK", block)
-    assert nt.enumerate_carmichaels(2 * 10**6) == values[: bisect.bisect_left(values, 2 * 10**6)]
+    assert nt.enumerate_carmichaels(2 * 10**6) == below_10_7[: bisect.bisect_left(below_10_7, 2 * 10**6)]
 
 
 def test_enumerate_stays_in_bounded_memory():
