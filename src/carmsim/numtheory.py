@@ -39,7 +39,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -404,19 +403,21 @@ def liar_sieve(n: int) -> LiarCounts:
 _LIAR_CHUNK = 1 << 16
 
 
-#: odd values of k per block of the Carmichael sieve (4 MiB of int32)
-_BLOCK = 1 << 20
-
 #: odd values of k per period of the wheel primes 3, 5, 7, 11, 13 in the
 #: Carmichael sieve: lcm(3, 10, 21, 55, 78), the lcm of their steps p(p - 1)/2.
 #: The wheel stops below 17: no squarefree product of three or more of its
 #: primes is Carmichael, so only the progressions of the primes >= 17 are tested
 _PERIOD = 30030
 
-#: primes from 17 up to below this keep one strided slice each in the
-#: Carmichael sieve, and np.arange gives its indices for the test; the larger
-#: ones hit a block at most 2^21 / (37 * 36) = 1574 times each
-_STRIDED_BELOW = 32
+#: the wheel over one period, k = 3 + 2i: entry i is the product of the
+#: wheel primes p with k = p (mod p(p - 1)), at most 3 * 5 * 7 * 11 * 13
+_WHEEL = np.ones(_PERIOD, dtype=np.uint32)
+for _p in (3, 5, 7, 11, 13):  # k = p + j p(p - 1) sits at i = (p - 3)/2 + j p(p - 1)/2
+    _WHEEL[(_p - 3) // 2 :: _p * (_p - 1) // 2] *= _p
+
+#: wheel periods per block of the Carmichael sieve: 1,051,050 odd values of
+#: k (4 MiB of uint32), so every block starts at wheel phase 0
+_BLOCK_PERIODS = 35
 
 
 def enumerate_carmichaels(n: int) -> list[int]:
@@ -430,72 +431,54 @@ def enumerate_carmichaels(n: int) -> list[int]:
     k is Carmichael exactly when prod[k] == k: a prime factor outside its
     class, a square factor or a prime factor above sqrt(n) leaves
     prod[k] < k, and a prime k has prod[k] = 1, its own progression
-    starting at k^2.  k runs in blocks of _BLOCK odd values k = lo + 2i,
-    all in one buffer.  The progressions of the wheel primes 3..13 repeat
-    with period _PERIOD = 30030 odd values, the lcm of their steps
-    p(p - 1)/2, so each block sets only its first period (1s, then one
-    strided slice per wheel prime) and copies it over the rest of the
-    block by doubling.  These progressions start at k = p, not p^2; that
-    adds the factor p to prod[k] only at k = p <= 13 itself, which is never
-    tested (below).  Each other prime below _STRIDED_BELOW
-    multiplies its progression as one strided slice; the larger primes
-    step at least p(p - 1)/2 >= 666 entries and hit a block a few times
-    each, so all their hits in a block are applied at once, with one index
-    array and one np.multiply.at.  No entry can overflow and the order of
-    the products does not matter: prod[i] is a product of distinct primes
-    dividing k.  Only the k on the progression of a prime p >= 17 are
-    tested: a Carmichael k is a squarefree product of three or more odd
-    primes, and none of the 16 such products of the wheel primes 3..13 is
-    Carmichael, so k has a prime factor p >= 17 and sits on p's progression
-    from p^2.  Those indices are the strided slices' aranges and the large
-    primes' index array; prod is read there only, and tested exactly
-    against lo + 2i, integer-only.  A k with two prime factors >= 17 is hit
-    twice and listed once.
+    starting at k^2.  k runs in blocks of _BLOCK_PERIODS wheel periods of
+    odd values k = lo + 2i, all in one (periods, _PERIOD) uint32 buffer.
+    The progressions of the wheel primes 3..13 repeat with period
+    _PERIOD = 30030 odd values, the lcm of their steps p(p - 1)/2, and
+    every block starts at phase 0, so each block starts as one broadcast
+    copy of the constant _WHEEL.  The wheel's progressions start at k = p,
+    not p^2, for every n; that adds the factor p to prod[k] only at
+    k = p <= 13 itself, which is never tested (below).  The primes >= 17
+    step at least p(p - 1)/2 = 136 entries, so all their hits in a block
+    are applied at once, with one index array and one np.multiply.at; the
+    order of the products does not matter.  Only the k on the progression of a prime
+    p >= 17 are tested: a Carmichael k is a squarefree product of three or
+    more odd primes, and none of the 16 such products of the wheel primes
+    3..13 is Carmichael, so k has a prime factor p >= 17 and sits on p's
+    progression from p^2.  prod is read at those indices only, and a k
+    with two prime factors >= 17 is hit twice and listed once.
+
+    prod[k], a product P of distinct primes dividing k, wraps mod 2^32 and
+    is compared with k mod 2^32, integer-only.  That is exact below
+    ENUMERATION_BOUND: a true Carmichael k always matches, and a false match
+    needs P < k with k/P = 1 (mod 2^32) and P >= 17 (k is on a progression
+    of a prime >= 17), so k >= 17 (2^32 + 1), about 7.3e10.
     """
     if n < 2:
         raise DomainError(f"enumeration requires n >= 2, got {n}")
     if n > ENUMERATION_BOUND:
         raise CapacityError(f"enumeration bound is {ENUMERATION_BOUND}, got {n}")
-    primes = np.flatnonzero(prime_sieve(math.isqrt(n - 1)))[1:]
+    primes = np.flatnonzero(prime_sieve(math.isqrt(n - 1)))[6:]  # 17 and up: k is odd and 3..13 are the wheel
     squares = primes * primes
     moduli = primes * (primes - 1)
     steps = moduli // 2
-    strided = int(np.searchsorted(primes, _STRIDED_BELOW))
-    dtype = np.int32 if n <= 1 << 31 else np.int64  # prod[k] divides k < n
-    factors = primes[strided:].astype(dtype)
-    small_primes, small_steps = primes[:strided].tolist(), steps[:strided].tolist()
-    large_steps = steps[strided:]
-    buffer = np.empty(min(_BLOCK, n // 2), dtype=dtype)
+    factors = primes.astype(np.uint32)
+    block = _BLOCK_PERIODS * _PERIOD
+    buffer = np.empty((min(_BLOCK_PERIODS, -(-n // (2 * _PERIOD))), _PERIOD), dtype=np.uint32)
+    prod = buffer.reshape(-1)
     found: list[int] = []
-    for lo in range(3, n, 2 * _BLOCK):
-        size = (min(lo + 2 * _BLOCK, n) - lo + 1) // 2
-        prod = buffer[:size]
-        first = np.maximum(squares - lo, (primes - lo) % moduli) // 2
-        small = zip(small_primes, first[:strided].tolist(), small_steps)
-        head = prod[:_PERIOD]
-        head.fill(1)
-        for p, i, step in islice(small, 5):  # the wheel primes 3..13 with p^2 < n
-            head[i % step :: step] *= p
-        filled = head.size
-        while filled < size:
-            copied = min(filled, size - filled)
-            prod[filled : filled + copied] = prod[:copied]
-            filled += copied
-        hit = []  # the indices on the progressions of the primes >= 17
-        for p, i, step in small:
-            prod[i::step] *= p
-            hit.append(np.arange(i, size, step))
-        start = first[strided:]
-        hits = np.maximum((size - 1 - start) // large_steps + 1, 0)  # 0 past the block
-        # hit h of prime j sits at start_j + (h - offset_j) step_j
-        offsets = np.repeat(hits.cumsum() - hits, hits)
-        at = np.repeat(start, hits) + (np.arange(offsets.size) - offsets) * np.repeat(large_steps, hits)
+    for lo in range(3, n, 2 * block):
+        size = (min(lo + 2 * block, n) - lo + 1) // 2
+        buffer[: -(-size // _PERIOD)] = _WHEEL
+        start = np.maximum(squares - lo, (primes - lo) % moduli) // 2
+        hits = np.maximum((size - 1 - start) // steps + 1, 0)  # 0 past the block
+        # hit h of prime j, counted over the block, sits at base_j + h step_j
+        base = start - (hits.cumsum() - hits) * steps
+        at = np.repeat(base, hits) + np.arange(hits.sum()) * np.repeat(steps, hits)
         np.multiply.at(prod, at, np.repeat(factors, hits))
-        hit.append(at)
-        idx = np.concatenate(hit)
-        ks = lo + 2 * idx
-        # a k with two prime factors >= 17 is hit twice
-        found += sorted(set(ks[prod[idx] == ks].tolist()))
+        ks = lo + 2 * at
+        # prod wraps mod 2^32; a k with two prime factors >= 17 is hit twice
+        found += sorted(set(ks[prod[at] == ks & 0xFFFFFFFF].tolist()))
     return found
 
 

@@ -197,22 +197,26 @@ PINCH_COUNTS = {10**3: 1, 10**4: 7, 10**5: 16, 10**6: 43, 10**7: 105, 10**8: 255
 
 
 def test_enumerate_reproduces_pinch_counts():
-    # 10^9 spans about 480 sieve blocks; 10^8 ends inside a block.  Every
+    # 2^31 + 5 * 10^7 spans about 1050 sieve blocks and ends past 2^31, so
+    # its last 4 Carmichael numbers need an unsigned 32-bit prod (the mod
+    # 2^32 wrap itself starts at 2^32); 10^8 ends inside a block.  Every
     # value Carmichael, strictly ascending and Pinch's count per decade:
     # each list is exact, with no number listed twice (a k with two prime
     # factors >= 17, such as 2465 = 5 * 17 * 29 or 75361 = 11 * 13 * 17 * 31,
     # is found on both progressions)
-    values = nt.enumerate_carmichaels(10**9)
+    values = nt.enumerate_carmichaels(2**31 + 5 * 10**7)
     assert all(a < b for a, b in zip(values, values[1:]))
     assert all(oracles.is_carmichael(k) for k in values)
     for bound, count in PINCH_COUNTS.items():
         assert bisect.bisect_left(values, bound) == count, bound
+    assert values[-4:] == [2159003281, 2170282969, 2176838049, 2178944461]
+    assert values[-5] < 2**31
     assert nt.enumerate_carmichaels(10**8) == values[:255]
 
 
-BLOCK = nt._BLOCK
+BLOCK = nt._BLOCK_PERIODS * nt._PERIOD
 PERIOD = nt._PERIOD
-PERIOD_EDGES = [3 + 2 * PERIOD * j + d for j in (1, 2, 35) for d in (-2, 0, 2)]
+PERIOD_EDGES = [3 + 2 * PERIOD * j + d for j in (1, 2, nt._BLOCK_PERIODS + 1) for d in (-2, 0, 2)]
 
 
 def test_wheel_primes_hold_no_carmichael_product():
@@ -229,6 +233,12 @@ def test_wheel_primes_hold_no_carmichael_product():
 
     assert korselt_products(wheel) == []
     assert korselt_products(wheel + [17]) == [561, 1105]  # 1105 = 5 * 13 * 17
+    # the constant wheel: at k = 3 + 2i, the product of the p in 3..13 whose
+    # Korselt class k = p (mod p(p - 1)) holds k
+    ks = [3 + 2 * i for i in range(PERIOD)]
+    expected = [math.prod(p for p in wheel if k % (p * (p - 1)) == p) for k in ks]
+    assert nt._WHEEL.dtype == np.uint32
+    assert nt._WHEEL.tolist() == expected
 
 
 @pytest.fixture(scope="module")
@@ -244,24 +254,26 @@ def below_10_7():
 
 @pytest.mark.parametrize("n", [2 * BLOCK + 1, 2 * BLOCK + 3, 2 * BLOCK + 5, 4 * BLOCK + 3, *PERIOD_EDGES])
 def test_enumerate_at_block_edges(below_10_7, n):
-    # block j holds the odd k in [3 + 2j BLOCK, 3 + 2(j + 1) BLOCK): n ends
-    # one short of a block, at its end, one k into the next, at two blocks;
-    # likewise one short of, at and one past the end of wheel period j
+    # block j holds the odd k in [3 + 2j BLOCK, 3 + 2(j + 1) BLOCK), whole
+    # wheel periods: n ends one short of a block, at its end, one k into the
+    # next, at two blocks; likewise one short of, at and one past the end of
+    # wheel period j: periods 1 and 2 in the first block, and the first
+    # period of the second
     assert n <= 10**7
     assert nt.enumerate_carmichaels(n) == below_10_7[: bisect.bisect_left(below_10_7, n)]
 
 
-@pytest.mark.parametrize("block", [7919, PERIOD + 1, 3 * PERIOD + 1])
-def test_enumerate_with_blocks_across_wheel_periods(monkeypatch, below_10_7, block):
-    # blocks shorter than one wheel period, just over one, and several; each
-    # block starts at a different offset mod the period
-    monkeypatch.setattr(nt, "_BLOCK", block)
+@pytest.mark.parametrize("periods", [1, 2, 3])
+def test_enumerate_with_blocks_across_wheel_periods(monkeypatch, below_10_7, periods):
+    # blocks of one, two and three wheel periods: every block starts at
+    # wheel phase 0, and 2 * 10^6 spans 34, 17 and 12 of them
+    monkeypatch.setattr(nt, "_BLOCK_PERIODS", periods)
     assert nt.enumerate_carmichaels(2 * 10**6) == below_10_7[: bisect.bisect_left(below_10_7, 2 * 10**6)]
 
 
 def test_enumerate_stays_in_bounded_memory():
     # the blocks of the Carmichael sieve hold no array of the k themselves:
-    # 8 MiB measured, 36 MiB with one
+    # 5.7 MiB measured, 36 MiB with one
     assert oracles.peak_traced_bytes(nt.enumerate_carmichaels, 10**7) < 12 * 2**20
 
 
