@@ -217,6 +217,8 @@ def test_enumerate_reproduces_pinch_counts():
 BLOCK = nt._BLOCK_PERIODS * nt._PERIOD
 PERIOD = nt._PERIOD
 PERIOD_EDGES = [3 + 2 * PERIOD * j + d for j in (1, 2, nt._BLOCK_PERIODS + 1) for d in (-2, 0, 2)]
+# n about 2^21, mid-block and mid-period: the edge of a power-of-two block
+POWER_OF_TWO_EDGES = [2**21 + 1, 2**21 + 3, 2**21 + 5]
 
 
 def test_wheel_primes_hold_no_carmichael_product():
@@ -252,7 +254,7 @@ def below_10_7():
     return values
 
 
-@pytest.mark.parametrize("n", [2 * BLOCK + 1, 2 * BLOCK + 3, 2 * BLOCK + 5, 4 * BLOCK + 3, *PERIOD_EDGES])
+@pytest.mark.parametrize("n", [2 * BLOCK + 1, 2 * BLOCK + 3, 2 * BLOCK + 5, 4 * BLOCK + 3, *PERIOD_EDGES, *POWER_OF_TWO_EDGES])
 def test_enumerate_at_block_edges(below_10_7, n):
     # block j holds the odd k in [3 + 2j BLOCK, 3 + 2(j + 1) BLOCK), whole
     # wheel periods: n ends one short of a block, at its end, one k into the
