@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -150,17 +150,15 @@ def certify_reps(k: int, p: int, r: int, mode: str, seed: int, reps: int) -> lis
     accept = facts.phi / k
     dist = ancilla_distribution(k, p, r)
     streams = qsim.RepStreams(seed, reps)
-    allzero = float(dist[(0,) * r])
     if mode == "exact":
-        carmichael_bound = 0.0 if facts.t_k == 0 else allzero
+        exact_allzero = float(dist[(0,) * r])
+        carmichael_bound = 0.0 if facts.t_k == 0 else exact_allzero
+        rounds, uniforms = [0] * reps, streams.random()
     else:
+        exact_allzero = None
         carmichael_bound = gap_error_bound(k, facts.phi, p, r)
-
-    if mode == "sample":
         rounds, uniforms = streams.flag_rounds(accept)
         rounds = rounds.tolist()
-    else:
-        rounds, uniforms = [0] * reps, streams.random()
     readings = qsim.sample_outcomes(dist, uniforms).tolist()
 
     def verdict(reading: tuple[int, ...], n_rounds: int) -> Verdict:
@@ -172,7 +170,7 @@ def certify_reps(k: int, p: int, r: int, mode: str, seed: int, reps: int) -> lis
             flag_retries=n_rounds,
             grover_applications=r * (p - 1) * max(n_rounds, 1),
             flag_probability=accept,
-            exact_allzero=allzero if mode == "exact" else None,
+            exact_allzero=exact_allzero,
         )
 
     outcomes = list(zip(map(tuple, readings), rounds))
@@ -360,18 +358,7 @@ class PswReport:
     CSV_HEADER = ("N", "t_N", "t_tilde", "dt_exp", "dt_th", "psw_lower", "psw_upper", "Q", "epsilon", "delta")
 
     def to_csv_row(self) -> tuple:
-        return (
-            self.n,
-            self.t_n,
-            self.t_tilde,
-            self.dt_exp,
-            self.dt_th,
-            self.psw_lower,
-            self.psw_upper,
-            self.q,
-            self.epsilon,
-            self.delta,
-        )
+        return astuple(self)[:-1]  # every field but meets_target, in CSV_HEADER's order
 
     def to_json_dict(self) -> dict:
         out = dict(zip(self.CSV_HEADER, self.to_csv_row()))

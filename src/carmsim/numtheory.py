@@ -113,9 +113,7 @@ class Factorization:
 
 
 def _pollard_rho(n: int) -> int:
-    """Brent-cycle rho with deterministic parameters; n odd composite."""
-    if n % 2 == 0:
-        return 2
+    """Pollard rho on x -> x^2 + c with Floyd's cycle check, c = 1, 2, ...; n odd composite."""
     for c in range(1, 64):
         x = 2
         y = 2
@@ -158,8 +156,6 @@ def factorize(k: int) -> Factorization:
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             add(m)
             continue

@@ -17,10 +17,10 @@ base dimension D may be as large as an integer allows.  Its power table,
 reflection about the uniform state applied gate by gate in plain Python
 floats, with no BLAS call, so seeded output is the same on every BLAS
 kernel.  `exact_distribution` sums the plane out.  The dense route over
-all D base values (with its own numpy power table), the single gates
-(uniform preparation, phase flip, diffusion), the marginal over any
-registers and post-selection live in tests/oracles.py, on the
-`_controlled_powers` assembly and the StateVector kept here.
+all D base values (with its own numpy power table, cap check and gather),
+the single gates (uniform preparation, phase flip, diffusion), the
+marginal over any registers and post-selection live in tests/oracles.py,
+on the StateVector kept here.
 
 Measurement is sampled from an exact marginal table.  `sample_outcomes`
 builds the table's CDF once and maps a whole vector of uniforms in [0, 1)
@@ -39,7 +39,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -96,19 +96,25 @@ def _plane_power_table(u_marked: float, u_unmarked: float, max_power: int) -> np
     return np.fromiter(coefficients(), float, 2 * max_power + 2).reshape(-1, 2)
 
 
-def _controlled_powers(
-    ancilla_dims: Iterable[int], width: int, power_table: Callable[[int], np.ndarray]
-) -> StateVector:
-    """sum_m |m_1..m_R> G^(m_1+..+m_R)|start> / P^(R/2), shape ancilla_dims + (width,).
+def two_plane_grover_powers(ancilla_dims: Iterable[int], dimension: int, marked: int) -> StateVector:
+    """Superposed iteration counts sum_m |m_1..m_R> G^(m_1+..+m_R)|u> / P^(R/2) on the base plane.
 
-    power_table(s_max) gives G^s|start> for s = 0..s_max as an
-    (s_max+1, width) array; it is called once, for s_max = sum(m_i - 1),
-    and branches are assembled by multiplicity, so the cost is
-    O(R P width + P^R width) instead of O(P^R * P * width).  The sizes are
-    read lazily and the cap checked after each, before the table or any
-    other array.
+    The base axis has two entries: the coefficients c_M, c_U of the
+    uniform-marked and uniform-unmarked states, so a marked base value holds
+    c_M / sqrt(t) and an unmarked one c_U / sqrt(D - t).  On this plane the
+    search gates are 2 x 2: the phase flip is diag(-1, 1) and the
+    diffusion is the reflection about u = (sqrt(t/D), sqrt((D-t)/D)), the
+    uniform state; _plane_power_table applies them gate by gate.  The table
+    is built once, for s = 0..sum(m_i - 1), and branches are gathered by
+    total power, so the cost is O(R P + P^R) instead of O(P^R * P).  The
+    counter sizes are read lazily and the shape ancilla_dims + (2,) checked
+    against AMPLITUDE_CAP after each, before the table or any other array.
     """
-    dims, size = [], width
+    if dimension < 1:
+        raise DomainError(f"base dimension must be >= 1, got {dimension}")
+    if not 0 <= marked <= dimension:
+        raise DomainError(f"marked count {marked} outside [0, {dimension}]")
+    dims, size = [], 2
     for d in map(int, ancilla_dims):
         if d < 2:
             raise DomainError(f"ancilla register sizes must be >= 2, got {d}")
@@ -119,30 +125,13 @@ def _controlled_powers(
         dims.append(d)
     if not dims:
         raise DomainError("need at least one ancilla register")
+    u_marked, u_unmarked = math.sqrt(marked / dimension), math.sqrt((dimension - marked) / dimension)
     # scaled before the gather: one row per total power, not one per branch
-    table = power_table(sum(d - 1 for d in dims)).astype(complex) / math.sqrt(math.prod(dims))
+    table = _plane_power_table(u_marked, u_unmarked, sum(d - 1 for d in dims)).astype(complex)
+    table /= math.sqrt(math.prod(dims))
     # m_1 + .. + m_R on the counter grid, an outer sum of one arange per register
     power_grid = functools.reduce(np.add.outer, (np.arange(d) for d in dims))
     return StateVector(table[power_grid])
-
-
-def two_plane_grover_powers(ancilla_dims: Iterable[int], dimension: int, marked: int) -> StateVector:
-    """Superposed iteration counts sum_m |m_1..m_R> G^(m_1+..+m_R)|u> / P^(R/2) on the base plane.
-
-    The base axis has two entries: the coefficients c_M, c_U of the
-    uniform-marked and uniform-unmarked states, so a marked base value holds
-    c_M / sqrt(t) and an unmarked one c_U / sqrt(D - t).  On this plane the
-    search gates are 2 x 2: the phase flip is diag(-1, 1) and the
-    diffusion is the reflection about u = (sqrt(t/D), sqrt((D-t)/D)), the
-    uniform state; _plane_power_table applies them gate by gate.  Only the
-    shape ancilla_dims + (2,) counts against AMPLITUDE_CAP.
-    """
-    if dimension < 1:
-        raise DomainError(f"base dimension must be >= 1, got {dimension}")
-    if not 0 <= marked <= dimension:
-        raise DomainError(f"marked count {marked} outside [0, {dimension}]")
-    u_marked, u_unmarked = math.sqrt(marked / dimension), math.sqrt((dimension - marked) / dimension)
-    return _controlled_powers(ancilla_dims, 2, functools.partial(_plane_power_table, u_marked, u_unmarked))
 
 
 def exact_distribution(state: StateVector) -> np.ndarray:

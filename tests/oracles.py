@@ -8,27 +8,27 @@ table gives the tests a factorization of every k below a limit, and a
 Fermat-failure mask over the bases of k feeds the dense certification
 route.  The simulation references are the dense route over all D base
 values (the controlled search powers from a boolean mask, on its own
-numpy power table and qsim's assembly of the counter grid, and the
-counting law they give), the marginal over any
-registers in any order, the single search gates on a full statevector
-(uniform preparation, phase flip, diffusion, one Grover iteration),
-post-selection on one register, the analytic per-state amplitudes on the
-rotation plane, the amplitude version of the closed-form counting law,
-the all-zeros probability of the certification law, and the
-certification variant that reads the coprimality flag after the
-iterations.  dirichlet_kernel_reference is the normalized Dirichlet
-kernel as the library computed it before its sign and range-reduction
-shortcuts: the bitwise reference for counting.dirichlet_kernel.
-draw_flag_rounds is the flag post-selection loop on one
-numpy Generator, the scalar route that qsim.RepStreams.flag_rounds runs for
-all reps at once.  perturbation_sums is carmichael.perturbation_bounds'
-aggregates from whole arrays over k = 0..n, the reference for its chunked
-pass.  peak_traced_bytes measures a call's peak heap for the memory guards.
+numpy power table, cap check and gather of the counter grid, sharing no
+code with qsim's two-plane assembly, and the counting law they give), the
+marginal over any registers in any order, the single search gates on a
+full statevector (uniform preparation, phase flip, diffusion, one Grover
+iteration), post-selection on one register, the analytic per-state
+amplitudes on the rotation plane, the amplitude version of the
+closed-form counting law, the all-zeros probability of the
+certification law, and the certification variant that reads the
+coprimality flag after the iterations.  dirichlet_kernel_reference is
+the normalized Dirichlet kernel as the library computed it before its
+sign and range-reduction shortcuts: the bitwise reference for
+counting.dirichlet_kernel.  draw_flag_rounds is the flag post-selection
+loop on one numpy Generator, the scalar route that
+qsim.RepStreams.flag_rounds runs for all reps at once.
+perturbation_sums is carmichael.perturbation_bounds' aggregates from
+whole arrays over k = 0..n, the reference for its chunked pass.
+peak_traced_bytes measures a call's peak heap for the memory guards.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import tracemalloc
 from dataclasses import dataclass
@@ -40,7 +40,7 @@ from carmsim.carmichael import ancilla_distribution, composite_facts
 from carmsim.counting import dirichlet_kernel, peak_position
 from carmsim.errors import CapacityError, DomainError, NormalizationError
 from carmsim.numtheory import factorize, liar_sieve
-from carmsim.qsim import NORM_TOL, StateVector, _controlled_powers
+from carmsim.qsim import NORM_TOL, StateVector
 
 
 def dirichlet_kernel_reference(x, p: int) -> np.ndarray:
@@ -213,8 +213,17 @@ def controlled_grover_powers(ancilla_dims, marked_mask: np.ndarray) -> StateVect
     mask = np.asarray(marked_mask, dtype=bool)
     if mask.ndim != 1 or mask.size < 1:
         raise DomainError(f"marked mask must be 1-d and non-empty, got shape {mask.shape}")
+    dims = tuple(map(int, ancilla_dims))
+    if not dims or min(dims) < 2:
+        raise DomainError(f"need one or more ancilla registers of size >= 2, got {dims}")
+    branches = math.prod(dims)
+    if branches * mask.size > qsim.AMPLITUDE_CAP:
+        raise CapacityError(f"{branches} x {mask.size} amplitudes exceed the cap")
     uniform = np.full(mask.size, 1.0 / math.sqrt(mask.size))
-    return _controlled_powers(ancilla_dims, mask.size, functools.partial(dense_power_table, uniform, mask))
+    table = dense_power_table(uniform, mask, sum(dims) - len(dims)).astype(complex) / math.sqrt(branches)
+    # m_1 + .. + m_R as one broadcast sum: register i's arange along axis i
+    power_grid = sum(np.arange(d).reshape((d,) + (1,) * (len(dims) - 1 - i)) for i, d in enumerate(dims))
+    return StateVector(table[power_grid])
 
 
 def marginal(state: StateVector, registers) -> np.ndarray:

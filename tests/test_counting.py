@@ -173,6 +173,15 @@ def _expand_plane(plane: np.ndarray, dimension: int, marked: int) -> np.ndarray:
     return plane[..., np.where(is_marked, 0, 1)] * scale
 
 
+@pytest.mark.parametrize("dims", [(3, 5), (5, 3), (2, 3, 4), (4, 2, 2, 3)])
+@pytest.mark.parametrize("dimension,marked", [(15, 4), (9, 0), (9, 9), (40, 13)])
+def test_two_plane_matches_dense_on_unequal_registers(dims, dimension, marked):
+    plane = qsim.two_plane_grover_powers(dims, dimension, marked)
+    dense = oracles.controlled_grover_powers(dims, np.arange(dimension) < marked)
+    assert plane.amplitudes.shape == dims + (2,)
+    assert np.abs(_expand_plane(plane.amplitudes, dimension, marked) - dense.amplitudes).max() <= 1e-10
+
+
 @given(
     st.integers(1, 200),
     st.data(),

@@ -230,14 +230,15 @@ def test_plane_power_table_matches_dense_table(dimension, marked):
     assert np.abs(table - dense).max() < 1e-12
 
 
-def test_controlled_powers_checks_the_cap_before_the_table():
-    def power_table(max_power):
+def test_controlled_powers_checks_the_cap_before_the_table(monkeypatch):
+    def power_table(*args):
         raise AssertionError("the table was built")
 
+    monkeypatch.setattr(qsim, "_plane_power_table", power_table)
     with pytest.raises(CapacityError):
-        qsim._controlled_powers((4,) * 13, 4, power_table)
+        qsim.two_plane_grover_powers((4,) * 13, 15, 4)
     with pytest.raises(DomainError):
-        qsim._controlled_powers((), 2, power_table)
+        qsim.two_plane_grover_powers((), 15, 4)
 
 
 def test_two_plane_powers_peak_stays_near_the_state():
