@@ -13,8 +13,8 @@ register (counting.count_distribution), fed the marked count from the
 factorization or the enumeration; no O(k) base mask is built, so k is
 bounded only by factorization (2^50), and qsim.AMPLITUDE_CAP binds the
 counters alone.  The dense route over all k base values is a test oracle
-in tests/oracles.py.  A command's reps share one law and draw from
-qsim.RepStreams (see certify_reps).
+in tests/oracles.py.  A command's reps share one law and draw their flag
+rounds and readings from one qsim.rep_draws call (see certify_reps).
 
 Flag convention.  The coprimality flag is post-selected on the *prepared*
 uniform superposition, where its acceptance probability is exactly phi(k)/k
@@ -132,10 +132,10 @@ def certify_reps(k: int, p: int, r: int, mode: str, seed: int, reps: int) -> lis
     """reps certifications of composite k; any nonzero counter disproves Carmichael.
 
     The reps share the composite's facts and one law, built by
-    ancilla_distribution.  Rep i owns stream i of qsim.RepStreams(seed,
-    reps), built once mode, k and the law have passed their checks, so a
-    rejected input pays for no stream.  In sample mode a rep draws its
-    geometric flag retries, then one uniform (RepStreams.flag_rounds), and
+    ancilla_distribution.  Rep i draws from default_rng([seed, i]) through
+    one qsim.rep_draws call, made once mode, k and the law have passed
+    their checks, so a rejected input pays for no draw.  In sample mode a
+    rep draws its geometric flag retries, then one uniform, and
     its reading is the first outcome whose cumulative mass exceeds that
     uniform (qsim.sample_outcomes maps all reps at once).  Exact mode
     resolves the flag analytically (flag_retries = 0) and attaches the
@@ -149,16 +149,13 @@ def certify_reps(k: int, p: int, r: int, mode: str, seed: int, reps: int) -> lis
     facts = composite_facts(k)
     accept = facts.phi / k
     dist = ancilla_distribution(k, p, r)
-    streams = qsim.RepStreams(seed, reps)
+    rounds, uniforms = qsim.rep_draws(seed, reps, accept if mode == "sample" else None)
     if mode == "exact":
         exact_allzero = float(dist[(0,) * r])
         carmichael_bound = 0.0 if facts.t_k == 0 else exact_allzero
-        rounds, uniforms = [0] * reps, streams.random()
     else:
         exact_allzero = None
         carmichael_bound = gap_error_bound(k, facts.phi, p, r)
-        rounds, uniforms = streams.flag_rounds(accept)
-        rounds = rounds.tolist()
     readings = qsim.sample_outcomes(dist, uniforms).tolist()
 
     def verdict(reading: tuple[int, ...], n_rounds: int) -> Verdict:
@@ -173,7 +170,7 @@ def certify_reps(k: int, p: int, r: int, mode: str, seed: int, reps: int) -> lis
             exact_allzero=exact_allzero,
         )
 
-    outcomes = list(zip(map(tuple, readings), rounds))
+    outcomes = list(zip(map(tuple, readings), rounds.tolist()))
     shared = {outcome: verdict(*outcome) for outcome in dict.fromkeys(outcomes)}
     return [shared[outcome] for outcome in outcomes]
 

@@ -2,8 +2,8 @@
 
 Subcommands: facts, certify, count-bases, count-carmichael, psw, bounds,
 enumerate.  Rep i of a command draws numpy's PCG64 sequence of
-np.random.default_rng([seed, i]), which qsim.RepStreams reproduces
-in-package for all reps at once (no command imports numpy.random), so
+np.random.default_rng([seed, i]), which qsim.rep_draws reproduces
+in-package for all reps in one call (no command imports numpy.random), so
 identical invocations are byte-identical; only the commands that draw check
 --seed and --reps.  Every command and script shares one renderer
 (`render`), one writer (`write`) and one error boundary (`run`): exit 0 on

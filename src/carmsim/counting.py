@@ -204,14 +204,14 @@ def run_count(dimension: int, marked: int, p: int, seed: int, reps: int) -> list
     """reps seeded measurements of the counter with decoded estimates.
 
     Sampling uses the exact law of count_distribution over the t = marked
-    values, built once, then one uniform per rep from qsim.RepStreams, drawn
-    for all reps at once: rep i's uniform is the first draw of numpy's PCG64
-    sequence of default_rng([seed, i]), reproduced in-package, and its
-    outcome is the first l whose cumulative mass exceeds it, so runs are
-    reproducible and reps can be regenerated in isolation.
+    values, built once, then one uniform per rep from qsim.rep_draws with no
+    flag, drawn for all reps at once: rep i's uniform is the first draw of
+    numpy's PCG64 sequence of default_rng([seed, i]), reproduced in-package,
+    and its outcome is the first l whose cumulative mass exceeds it, so runs
+    are reproducible and reps can be regenerated in isolation.
     """
     table = count_distribution(dimension, marked, p)
-    uniforms = qsim.RepStreams(seed, reps).random()
+    _, uniforms = qsim.rep_draws(seed, reps, None)
     return decode_outcomes(qsim.sample_outcomes(table, uniforms)[:, 0], dimension, p, t_ref=marked)
 
 

@@ -24,14 +24,14 @@ on the StateVector kept here.
 
 Measurement is sampled from an exact marginal table.  `sample_outcomes`
 builds the table's CDF once and maps a whole vector of uniforms in [0, 1)
-to outcomes with one search, so a command with many reps pays for one CDF;
-the caller draws the uniforms from `RepStreams`, the one stream builder.
-Rep i draws numpy's PCG64 sequence of np.random.default_rng([seed, i]), bit
-for bit, reproduced in-package: the SeedSequence hash of the seed words
-runs for a whole chunk of reps in one numpy uint32 pass, and `RepStreams`
-seeds and steps every rep's 128-bit LCG as uint64 array arithmetic, a
-block of steps by jump-ahead.  No command imports numpy.random, which the tests use as
-the oracle for these streams.
+to outcomes with one search, so a command with many reps pays for one CDF.
+`rep_draws` draws those uniforms, after the flag rounds if there is a flag,
+for all reps in one call.  Rep i draws numpy's PCG64 sequence of
+np.random.default_rng([seed, i]), bit for bit, reproduced in-package as
+uint64 array arithmetic over one chunk of reps at a time: the SeedSequence
+hash of the chunk's seed words in one uint32 pass, then its steps, a block
+of them by jump-ahead.  No command imports numpy.random, which the tests
+use as the oracle for these streams.
 """
 
 from __future__ import annotations
@@ -240,11 +240,8 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 
-#: uniforms per chunk of a block draw, so that its uint64 temporaries stay a few MiB
+#: uniforms per chunk of reps, so that a chunk's uint64 temporaries stay a few MiB
 _BLOCK_ELEMENTS = 1 << 16
-
-#: reps per chunk of the seeding, whose temporaries take about 100 bytes per rep
-_SEED_CHUNK = 1 << 13
 
 #: a block of flag rounds leaves a rep still drawing with at most this probability
 _FLAG_TAIL = 2.0**-10
@@ -305,103 +302,70 @@ def _jumps(n: int) -> tuple[np.ndarray, ...]:
     return (*_hi_lo(powers), *_hi_lo(sums))
 
 
-class RepStreams:
-    """numpy's PCG64 stream of every rep at once: rep i draws default_rng([seed, i]).
+def _seed_states(seed: int, reps: int, start: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """PCG64's seeded states and increments of reps start.., each (high, low), as numpy seeds them.
 
-    PCG64 is the LCG s -> a s + c mod 2^128, with an odd increment c of its
-    own per stream, and Generator.random() is the XSL-RR output of each
-    stepped state, its top 53 bits over 2^53.  The states and increments of
-    all reps are (high, low) uint64 arrays, 32 bytes per rep, and a step of
-    every rep is a few whole-array operations.  A block of n draws comes
-    from the jump-ahead s_j = a^j s + c (a^j - 1) / (a - 1), j = 1..n,
-    evaluated for all reps and all j at once.  The seeding, the steps and
-    the blocks all run in chunks of reps, so that beyond the 32 bytes per
-    rep only one chunk's temporaries are live.
-
-    The draws are numpy's, bit for bit: the seed words of each chunk of
-    _SEED_CHUNK reps are hashed in one pass, as SeedSequence([seed, i])
-    would (_seed_words), and every rep's PCG64 is seeded and stepped as
-    numpy does.  Beyond MAX_REPS a rep index would no longer be one entropy
-    word, so more reps are refused, before anything is allocated.
+    From SeedSequence([seed, i]).generate_state(4, np.uint64): inc = 2 w_23 + 1,
+    where w_23 is words 2-3 high first; state = inc + w_01, stepped once.
     """
+    words = _seed_words(seed, reps, start)
+    inc = ((words[:, 2] << 1) | (words[:, 3] >> 63), (words[:, 3] << 1) | 1)
+    state = _add128(*inc, words[:, 0], words[:, 1])
+    return _add128(*_mul128(*state, *_MULT_WORDS), *inc), inc
 
-    def __init__(self, seed: int, reps: int) -> None:
-        if seed < 0:  # np.random.default_rng takes no negative seed
-            raise DomainError(f"seed must be >= 0, got {seed}")
-        if reps < 1:
-            raise DomainError(f"reps must be >= 1, got {reps}")
-        if reps > MAX_REPS:
-            raise CapacityError(f"{reps} reps exceed cap {MAX_REPS}")
-        self.inc = np.empty((2, reps), dtype=np.uint64)
-        self.state = np.empty((2, reps), dtype=np.uint64)
-        for lo in range(0, reps, _SEED_CHUNK):
-            rows = slice(lo, min(lo + _SEED_CHUNK, reps))
-            words = _seed_words(seed, rows.stop - lo, lo)
-            # PCG64's seeding from generate_state(4, np.uint64): words 0-1 are the
-            # initial state and 2-3 the sequence, high word first; state = 0,
-            # inc = 2 sequence + 1, step, state += initial state, step
-            inc = ((words[:, 2] << 1) | (words[:, 3] >> 63), (words[:, 3] << 1) | 1)
-            state = _add128(*inc, words[:, 0], words[:, 1])
-            self.inc[:, rows] = inc
-            self.state[:, rows] = _add128(*_mul128(*state, *_MULT_WORDS), *inc)
 
-    @property
-    def reps(self) -> int:
-        return self.state.shape[1]
+def _block(state, inc, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The states 1..n steps past state by jump-ahead (_jumps), (high, low) of shape (reps, n)."""
+    a_hi, a_lo, g_hi, g_lo = _jumps(n)
+    (s_hi, s_lo), (c_hi, c_lo) = (w[:, None] for w in state), (w[:, None] for w in inc)
+    return _add128(*_mul128(s_hi, s_lo, a_hi, a_lo), *_mul128(c_hi, c_lo, g_hi, g_lo))
 
-    def _chunks(self, n: int):
-        """Slices of reps whose blocks of n draws hold about _BLOCK_ELEMENTS uniforms each."""
-        step = max(1, _BLOCK_ELEMENTS // n)
-        return (slice(lo, lo + step) for lo in range(0, self.reps, step))
 
-    def _block(self, n: int, rows: slice | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The states 1..n steps past the current ones of the reps in rows (a slice or indices), (high, low) of shape (rows, n)."""
-        a_hi, a_lo, g_hi, g_lo = _jumps(n)
-        (s_hi, s_lo), (c_hi, c_lo) = self.state[:, rows, None], self.inc[:, rows, None]
-        return _add128(*_mul128(s_hi, s_lo, a_hi, a_lo), *_mul128(c_hi, c_lo, g_hi, g_lo))
+def rep_draws(seed: int, reps: int, accept: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """Every rep's flag rounds and reading; rep i draws numpy's default_rng([seed, i]) bit for bit.
 
-    def random(self) -> np.ndarray:
-        """The next uniform of every rep, Generator.random() of its stream."""
-        out = np.empty(self.reps)
-        for rows in self._chunks(1):
-            (s_hi, s_lo), (c_hi, c_lo) = self.state[:, rows], self.inc[:, rows]
-            hi, lo = _add128(*_mul128(s_hi, s_lo, *_MULT_WORDS), c_hi, c_lo)
-            self.state[:, rows] = hi, lo
-            out[rows] = _uniform(hi, lo)
-        return out
-
-    def flag_rounds(self, accept: float) -> tuple[np.ndarray, np.ndarray]:
-        """Every rep's flag rounds until acceptance (geometric, >= 1), and the uniform after them.
-
-        A round draws one uniform and accepts when it is below accept.  The
-        reps draw blocks of rounds + 1 uniforms, with enough rounds that a
-        rep has not accepted within a block with probability at most
-        _FLAG_TAIL (at most _BLOCK_ELEMENTS rounds); such a rep draws a further
-        block from the state of its last round, until every rep has accepted.
-        Each stream is left after the uniform it returned.
-        """
-        if not 0.0 < accept <= 1.0:
-            raise DomainError(f"acceptance probability {accept} outside (0, 1]")
+    With accept None there is no flag: rounds are 0 and the reading is the
+    first uniform.  Otherwise a round accepts when its uniform is below
+    accept and the reading is the uniform after the rounds (geometric, >= 1).
+    A rep draws rounds + 1 uniforms in one block, enough rounds to miss them
+    all with probability at most _FLAG_TAIL, and a rep that misses draws a
+    further block from its last round's state.  Reps are seeded and drawn in
+    chunks of about _BLOCK_ELEMENTS uniforms.  Past MAX_REPS a rep index is
+    no longer one entropy word: more reps are refused before any allocation.
+    """
+    if seed < 0:  # np.random.default_rng takes no negative seed
+        raise DomainError(f"seed must be >= 0, got {seed}")
+    if reps < 1:
+        raise DomainError(f"reps must be >= 1, got {reps}")
+    if reps > MAX_REPS:
+        raise CapacityError(f"{reps} reps exceed cap {MAX_REPS}")
+    if accept is None:
+        flags = 0
+    elif not 0.0 < accept <= 1.0:
+        raise DomainError(f"acceptance probability {accept} outside (0, 1]")
+    else:
         flags = 1 if accept == 1.0 else math.ceil(math.log(_FLAG_TAIL) / math.log1p(-accept))
         flags = min(max(flags, 1), _BLOCK_ELEMENTS)
-        rounds = np.zeros(self.reps, dtype=np.int64)
-        readings = np.empty(self.reps)
-        for rows in self._chunks(flags + 1):
-            pending = rows
-            while True:
-                hi, lo = self._block(flags + 1, pending)
-                draws = _uniform(hi, lo)
-                accepted = draws[:, :flags] < accept
-                missed = ~accepted.any(axis=1)
-                used = np.where(missed, flags, accepted.argmax(axis=1) + 1)
-                # an accepting rep keeps the state of its reading, a missing one that of its last round
-                at = np.arange(len(used)), used - missed
-                rounds[pending] += used
-                readings[pending] = draws[at]
-                self.state[:, pending] = hi[at], lo[at]
-                if not missed.any():
-                    break
-                # the reps that missed, as indices: pending is the chunk's slice at first
-                ids = np.flatnonzero(missed)
-                pending = rows.start + ids if pending is rows else pending[ids]
-        return rounds, readings
+    rounds = np.zeros(reps, dtype=np.int64)
+    readings = np.empty(reps)
+    # a chunk holds about _BLOCK_ELEMENTS uniforms, a rep's seeding counting as two
+    step = max(1, _BLOCK_ELEMENTS // (flags + 3))
+    for start in range(0, reps, step):
+        pending = np.arange(start, min(start + step, reps))
+        state, inc = _seed_states(seed, len(pending), start)
+        if accept is None:  # one step, no block
+            readings[pending] = _uniform(*_add128(*_mul128(*state, *_MULT_WORDS), *inc))
+            continue
+        while len(pending):
+            hi, lo = _block(state, inc, flags + 1)
+            draws = _uniform(hi, lo)
+            accepted = draws[:, :flags] < accept
+            missed = ~accepted.any(axis=1)
+            used = np.where(missed, flags, accepted.argmax(axis=1) + 1)
+            rounds[pending] += used
+            readings[pending] = draws[np.arange(len(used)), used]
+            # a rep that missed goes on from the state of its last round
+            state = hi[missed, flags - 1], lo[missed, flags - 1]
+            inc = inc[0][missed], inc[1][missed]
+            pending = pending[missed]
+    return rounds, readings

@@ -20,8 +20,8 @@ coprimality flag after the iterations.  dirichlet_kernel_reference is
 the normalized Dirichlet kernel as the library computed it before its
 sign and range-reduction shortcuts: the bitwise reference for
 counting.dirichlet_kernel.  draw_flag_rounds is the flag post-selection
-loop on one numpy Generator, the scalar route that
-qsim.RepStreams.flag_rounds runs for all reps at once.
+loop on one numpy Generator, the scalar route that qsim.rep_draws runs
+for all reps at once.
 perturbation_sums is carmichael.perturbation_bounds' aggregates from
 whole arrays over k = 0..n, the reference for its chunked pass.
 peak_traced_bytes measures a call's peak heap for the memory guards.

@@ -49,7 +49,7 @@ def test_draw_flag_rounds_mean():
         oracles.draw_flag_rounds(0.0, rng)
     for accept in (0.0, -0.5, 1.5, math.nan):
         with pytest.raises(DomainError, match="acceptance probability"):
-            qsim.RepStreams(0, 3).flag_rounds(accept)
+            qsim.rep_draws(0, 3, accept)
 
 
 # ---------------------------------------------------------------- all-zeros law
@@ -224,19 +224,16 @@ def test_sample_mode_draws_match_default_rng(monkeypatch):
         monkeypatch.setattr(qsim, "_BLOCK_ELEMENTS", elements)
         for seed in (0, 42, 2**32, 2**100 + 7):
             for accept in (1.0, 8 / 15, 8 / 30, 0.05):
-                streams = qsim.RepStreams(seed, 200)
-                rounds, readings = streams.flag_rounds(accept)
-                after = streams.random()
+                rounds, readings = qsim.rep_draws(seed, 200, accept)
                 for i in range(200):
                     twin = np.random.default_rng([seed, i])
                     assert rounds[i] == oracles.draw_flag_rounds(accept, twin)
                     assert readings[i] == twin.random()
-                    assert after[i] == twin.random()
 
 
 def test_certify_rejects_mode_and_prime_before_building_streams(monkeypatch):
     built = []
-    monkeypatch.setattr(qsim, "RepStreams", lambda seed, reps: built.append(reps) or [])
+    monkeypatch.setattr(qsim, "rep_draws", lambda seed, reps, accept: built.append(reps) or ([], []))
     with pytest.raises(DomainError, match="is prime"):
         cm.certify_reps(1009, 16, 2, mode="exact", seed=0, reps=100)
     with pytest.raises(DomainError, match="mode must be"):
@@ -246,7 +243,7 @@ def test_certify_rejects_mode_and_prime_before_building_streams(monkeypatch):
 
 @pytest.mark.parametrize("p,r,error", [(2, 1, DomainError), (16, 0, DomainError), (1024, 3, CapacityError)])
 def test_certify_rejects_p_r_and_the_cap_before_seeding_streams(p, r, error):
-    # a million reps' streams take 32 MiB; a rejected law must seed none
+    # a million reps' draws peak near 20 MB; a rejected law must seed none
     tracemalloc.start()
     try:
         with pytest.raises(error):

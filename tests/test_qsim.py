@@ -397,9 +397,11 @@ STREAM_DRAWS = 64
 
 def assert_streams_are_default_rng(seed, reps):
     words = qsim._seed_words(seed, reps)
-    streams = qsim.RepStreams(seed, reps)
-    assert words.shape == (reps, 4) and streams.reps == reps
-    draws = np.stack([streams.random() for _ in range(STREAM_DRAWS)], axis=1)
+    state, inc = qsim._seed_states(seed, reps, 0)
+    assert words.shape == (reps, 4) and state[0].shape == (reps,)
+    draws = qsim._uniform(*qsim._block(state, inc, STREAM_DRAWS))
+    rounds, readings = qsim.rep_draws(seed, reps, None)
+    assert not rounds.any() and np.array_equal(readings, draws[:, 0])
     for i in range(reps):
         assert np.array_equal(words[i], np.random.SeedSequence([seed, i]).generate_state(4, np.uint64))
         assert np.array_equal(draws[i], np.random.default_rng([seed, i]).random(STREAM_DRAWS))
@@ -416,21 +418,30 @@ def test_rep_streams_are_default_rng_for_any_seed(seed, reps):
     assert_streams_are_default_rng(seed, reps)
 
 
+def step(state, inc):
+    """One PCG64 step of every rep: s -> a s + c."""
+    return qsim._add128(*qsim._mul128(*state, *qsim._MULT_WORDS), *inc)
+
+
 @given(st.integers(0, 2**130 - 1), st.integers(1, 40), st.integers(0, 3), st.integers(1, 80))
 def test_block_draws_equal_sequential_draws(seed, reps, skip, n):
     # the jump-ahead block from any state, against n single steps
-    streams, twin = qsim.RepStreams(seed, reps), qsim.RepStreams(seed, reps)
+    state, inc = qsim._seed_states(seed, reps, 0)
     for _ in range(skip):
-        streams.random(), twin.random()
-    block = qsim._uniform(*streams._block(n, slice(None)))
-    assert np.array_equal(block, np.stack([twin.random() for _ in range(n)], axis=1))
-    assert np.array_equal(qsim._uniform(*streams._block(n, slice(1, 3))), block[1:3])
+        state = step(state, inc)
+    block = qsim._uniform(*qsim._block(state, inc, n))
+    rows = tuple(w[1:3] for w in state), tuple(w[1:3] for w in inc)
+    sequential = []
+    for _ in range(n):
+        state = step(state, inc)
+        sequential.append(qsim._uniform(*state))
+    assert np.array_equal(block, np.stack(sequential, axis=1))
+    assert np.array_equal(qsim._uniform(*qsim._block(*rows, n)), block[1:3])
 
 
 def test_chunked_draws_equal_one_chunk(monkeypatch):
     def draws():
-        streams = qsim.RepStreams(7, 100)
-        return [streams.random() for _ in range(3)] + list(streams.flag_rounds(0.3))
+        return [*qsim.rep_draws(7, 100, None), *qsim.rep_draws(7, 100, 0.3)]
 
     expected = draws()
     monkeypatch.setattr(qsim, "_BLOCK_ELEMENTS", 7)
@@ -441,10 +452,10 @@ def test_flag_round_blocks_stay_within_the_chunk_size(monkeypatch):
     # at accept 0.001 the tail asks for 6929 rounds; the block stops at
     # _BLOCK_ELEMENTS of them and the reps past it draw further blocks
     sizes = []
-    block = qsim.RepStreams._block
-    monkeypatch.setattr(qsim.RepStreams, "_block", lambda self, n, rows: sizes.append(n) or block(self, n, rows))
+    block = qsim._block
+    monkeypatch.setattr(qsim, "_block", lambda state, inc, n: sizes.append(n) or block(state, inc, n))
     monkeypatch.setattr(qsim, "_BLOCK_ELEMENTS", 64)
-    rounds, readings = qsim.RepStreams(3, 5).flag_rounds(0.001)
+    rounds, readings = qsim.rep_draws(3, 5, 0.001)
     assert max(sizes) == 65
     for i in range(5):
         twin = np.random.default_rng([3, i])
@@ -456,67 +467,56 @@ def test_pending_reps_draw_further_blocks(monkeypatch):
     # chunk of 2^12 uniforms; about half the reps miss each block, so some
     # need three or more blocks and the pending reps of a chunk are not adjacent
     blocks = []
-    block = qsim.RepStreams._block
-    monkeypatch.setattr(qsim.RepStreams, "_block", lambda self, n, rows: blocks.append((n, rows)) or block(self, n, rows))
+    block = qsim._block
+    monkeypatch.setattr(qsim, "_block", lambda state, inc, n: blocks.append((n, len(state[0]))) or block(state, inc, n))
     monkeypatch.setattr(qsim, "_FLAG_TAIL", 0.5)
     monkeypatch.setattr(qsim, "_BLOCK_ELEMENTS", 1 << 12)
     for seed in (3, 2**100 + 7):
         blocks.clear()
-        streams = qsim.RepStreams(seed, 20)
-        rounds, readings = streams.flag_rounds(0.001)
-        after = streams.random()
-        assert (rounds > 2 * (blocks[0][0] - 1)).any()
-        assert any(isinstance(rows, np.ndarray) and (np.diff(rows) > 1).any() for _, rows in blocks)
+        rounds, readings = qsim.rep_draws(seed, 20, 0.001)
+        flags = blocks[0][0] - 1
+        assert (rounds > 2 * flags).any()
+        assert blocks[0][1] == 5 and any(0 < reps < 5 for _, reps in blocks)
+        further = [np.flatnonzero(rounds[lo : lo + 5] > flags) for lo in range(0, 20, 5)]
+        assert any((np.diff(ids) > 1).any() for ids in further)
         for i in range(20):
             twin = np.random.default_rng([seed, i])
             assert rounds[i] == oracles.draw_flag_rounds(0.001, twin)
             assert readings[i] == twin.random()
-            assert after[i] == twin.random()
 
 
-def test_rep_streams_hold_at_most_64_bytes_per_rep():
-    tracemalloc.start()
-    try:
-        streams = qsim.RepStreams(0, 10**6)
-        held, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert streams.reps == 10**6 and held <= 64 * 10**6
-
-
-def test_rep_streams_seed_in_chunks_within_40_bytes_per_rep():
-    # the streams hold 32 B per rep; seeding in chunks keeps the peak near it
-    tracemalloc.start()
-    try:
-        streams = qsim.RepStreams(2**100 + 7, 10**6)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert streams.reps == 10**6 and peak <= 40 * 10**6
+def test_rep_draws_peak_within_24_bytes_per_rep():
+    # the results take 16 B per rep; chunked seeding and drawing keep the peak near them
+    for accept in (None, 8 / 15):
+        assert oracles.peak_traced_bytes(qsim.rep_draws, 2**100 + 7, 10**6, accept) <= 24 * 10**6
 
 
 def test_a_100_rep_command_seeds_in_one_chunk(monkeypatch):
     calls = []
     seed_words = qsim._seed_words
     monkeypatch.setattr(qsim, "_seed_words", lambda *args: calls.append(args) or seed_words(*args))
-    qsim.RepStreams(42, 100)
-    assert calls == [(42, 100, 0)]
+    for accept in (None, 8 / 15):
+        qsim.rep_draws(42, 100, accept)
+    assert calls == [(42, 100, 0)] * 2
 
 
 @pytest.mark.parametrize("seed", [0, 2**100 + 7])
 def test_chunked_seeding_equals_default_rng_across_chunk_edges(seed, monkeypatch):
-    monkeypatch.setattr(qsim, "_SEED_CHUNK", 7)
-    streams = qsim.RepStreams(seed, 23)
-    draws = np.stack([streams.random() for _ in range(3)], axis=1)
+    # chunks of 7 reps without a flag, and of 5 at accept 1 (one round and the reading each)
+    monkeypatch.setattr(qsim, "_BLOCK_ELEMENTS", 21)
+    _, readings = qsim.rep_draws(seed, 23, None)
+    rounds, after_flag = qsim.rep_draws(seed, 23, 1.0)
+    assert (rounds == 1).all()
     for i in range(23):
-        assert np.array_equal(draws[i], np.random.default_rng([seed, i]).random(3))
+        draws = np.random.default_rng([seed, i]).random(2)
+        assert readings[i] == draws[0] and after_flag[i] == draws[1]
 
 
 def test_rep_streams_refuse_reps_past_one_seed_word_before_allocating():
     tracemalloc.start()
     try:
         with pytest.raises(CapacityError, match="reps exceed cap"):
-            qsim.RepStreams(0, qsim.MAX_REPS + 1)
+            qsim.rep_draws(0, qsim.MAX_REPS + 1, None)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -563,6 +563,6 @@ def test_exact_distribution_rejects_nan_state():
 
 def test_rep_streams_check_their_seed_and_reps():
     with pytest.raises(DomainError, match="reps must be >= 1"):
-        qsim.RepStreams(0, 0)
+        qsim.rep_draws(0, 0, None)
     with pytest.raises(DomainError, match="seed must be >= 0"):
-        qsim.RepStreams(-1, 3)
+        qsim.rep_draws(-1, 3, None)
