@@ -491,6 +491,23 @@ def test_rep_draws_peak_within_24_bytes_per_rep():
         assert oracles.peak_traced_bytes(qsim.rep_draws, 2**100 + 7, 10**6, accept) <= 24 * 10**6
 
 
+def test_rep_streams_hold_at_most_64_bytes_per_rep():
+    # once rep_draws returns, only its two result arrays stay allocated
+    tracemalloc.start()
+    try:
+        rounds, readings = qsim.rep_draws(0, 10**6, None)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rounds.shape == readings.shape == (10**6,) and held <= 64 * 10**6
+
+
+def test_rep_streams_seed_in_chunks_within_40_bytes_per_rep():
+    # at accept 0.27 a block holds 23 flag rounds, so about 400 chunks of
+    # about 2500 reps are seeded one by one; the peak stays near the 16 B/rep results
+    assert oracles.peak_traced_bytes(qsim.rep_draws, 2**100 + 7, 10**6, 0.27) <= 40 * 10**6
+
+
 def test_a_100_rep_command_seeds_in_one_chunk(monkeypatch):
     calls = []
     seed_words = qsim._seed_words
