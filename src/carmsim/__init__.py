@@ -34,6 +34,5 @@ from .numtheory import (
     psw_bounds,
     psw_scale,
 )
-from .qsim import StateVector
 
 __version__ = "0.1.0"

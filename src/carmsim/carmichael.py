@@ -8,12 +8,14 @@ identity, and the counters read all-zeros with certainty; non-Carmichael k
 leak all-zeros with probability exactly alpha^(2R), alpha the Dirichlet
 kernel at the peak position f = P arcsin(sqrt(t/k)) / pi.
 
-Routes.  Certification and both counting pipelines run on the two-plane
-register (counting.count_distribution), fed the marked count from the
-factorization or the enumeration; no O(k) base mask is built, so k is
-bounded only by factorization (2^50), and qsim.AMPLITUDE_CAP binds the
-counters alone.  The dense route over all k base values is a test oracle
-in tests/oracles.py.  A command's reps share one law and draw their flag
+Routes.  Certification and both counting pipelines read the counter law
+off the base register's plane (counting.count_distribution, a product of
+per-register factors in qsim.counter_law), fed the marked count from the
+factorization or the enumeration; no O(k) base mask and no counter state
+is built, so k is bounded only by factorization (2^50), and
+qsim.AMPLITUDE_CAP binds the counters alone.  The statevector routes, on
+the two-entry plane and over all k base values, are test oracles in
+tests/oracles.py.  A command's reps share one law and draw their flag
 rounds and readings from one qsim.rep_draws call (see certify_reps).
 
 Flag convention.  The coprimality flag is post-selected on the *prepared*

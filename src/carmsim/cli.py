@@ -8,8 +8,8 @@ identical invocations are byte-identical; only the commands that draw check
 --seed and --reps.  Every command and script shares one renderer
 (`render`), one writer (`write`) and one error boundary (`run`): exit 0 on
 success, 2 on a domain/precondition error, 3 on a capacity error, when
-memory runs out or when a state drifts off its norm (a counter so large
-that the rounding of its power table passes the norm tolerance).
+memory runs out or when a counter law drifts off its norm (a counter so
+large that the rounding of its power table passes the norm tolerance).
 
 JSON output equals json.dumps(payload, indent=2) byte for byte.  Reps with
 the same outcome share one record, so a payload holds each distinct

@@ -19,11 +19,12 @@ t~ = D sin^2(pi f~ / P), with the guarantee |t~ - t| <= pi (D/Q)(pi/Q +
 2 sqrt(t/D)) whenever l lands on one of the four integers bracketing the
 peaks.
 
-`count_distribution` simulates the counters on the two-plane register
-(qsim.two_plane_grover_powers) and needs only the marked count t, never a
-mask over the D base values.  The closed-form law checks it here; the
-dense simulation of all D amplitudes and the closed form's amplitude
-version live in tests/oracles.py.
+`count_distribution` builds the law from the base register's plane
+(qsim.counter_law: two length-P factors, one per eigenvalue of the plane's
+quarter turn) and needs only the marked count t, never a mask over the D
+base values.  The closed-form law checks it here; the statevector
+simulations, on the two-entry plane and on all D amplitudes, and the
+closed form's amplitude version live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -184,20 +185,17 @@ def median_t_tilde(estimates: list[CountEstimate]) -> float:
 def count_distribution(dimension: int, marked: int, p: int, registers: int = 1) -> np.ndarray:
     """Outcome law over `registers` counters of size P, shape (P,)*R.
 
-    Controlled powers on the two-plane (P,)*R + (2,) state, a Fourier
-    transform on each counter, the base plane summed out.  It
-    builds every sampled law, so it owns the rules P >= 4 and R >= 1.  The
-    sizes go to qsim lazily, so that any R, however large, meets the
-    amplitude cap before a tuple of R sizes is built.
+    Controlled powers on the base plane and a Fourier transform on each
+    counter, as qsim.counter_law's product of per-register factors.  It
+    builds every sampled law, so it owns the rules P >= 4 and R >= 1;
+    qsim checks the amplitude cap one register at a time, so any R, however
+    large, meets it before an array is built.
     """
     if p < 4:
         raise DomainError(f"counter size must be >= 4, got {p}")
     if registers < 1:
         raise DomainError(f"need >= 1 counter registers, got {registers}")
-    state = qsim.two_plane_grover_powers((p for _ in range(registers)), dimension, marked)
-    for axis in range(registers):
-        state = qsim.qft(state, axis)
-    return qsim.exact_distribution(state)
+    return qsim.counter_law(p, registers, dimension, marked)
 
 
 def run_count(dimension: int, marked: int, p: int, seed: int, reps: int) -> list[CountEstimate]:

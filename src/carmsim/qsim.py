@@ -1,26 +1,34 @@
-"""Exact statevector simulation of the counter registers on the base register's plane.
+"""Exact law of the counter registers, read off the base register's plane.
 
-A StateVector holds its amplitudes with one axis per register, shape
-(d_1, ..., d_R), and checks its norm to 1e-10 when it is built; nothing
-renormalizes silently.  Register sizes are arbitrary (not powers of two):
-the search iteration uses the exact reflection about the uniform state,
-and the Fourier transform is the dense size-P unitary
-F|a> = sum_b exp(+2 pi i a b / P) |b> / sqrt(P).  Operations are pure (a
-new state is returned).
+The base register stays in the plane spanned by its uniform-marked and
+uniform-unmarked states, which the search iterate G never leaves from the
+uniform start u, so only the marked count t enters and the base dimension D
+may be as large as an integer allows.  On that plane G is a rotation, so
+every power of it is
 
-Counter-controlled search powers, `two_plane_grover_powers`, keep the base
-register in the plane spanned by its uniform-marked and uniform-unmarked
-states, which the search iterate never leaves from the uniform start: the
-shape is (P_1, ..., P_R, 2) and only the marked count t enters, so the
-base dimension D may be as large as an integer allows.  Its power table,
+    G^m = c_m I + s_m J,    c_m = <u|G^m u>,  s_m = <Ju|G^m u>,
+
+with J the quarter turn of the plane.  The branch m_1..m_R of R counters
+of size P applies G^(m_1+..+m_R), the product of the G^(m_j).  On J's
+eigenvectors (u -+ i Ju) / sqrt(2), between which u splits evenly, J is +-i
+and G^m is c_m +- i s_m, so after the Fourier transform
+F|a> = sum_b exp(+2 pi i a b / P) |b> / sqrt(P) on each counter the joint
+law is
+
+    P(l_1..l_R) = 1/2 prod_j |a + i b|^2(l_j) + 1/2 prod_j |a - i b|^2(l_j),
+
+a = ifft(c) and b = ifft(s) over m = 0..P-1.  As c and s are real,
+|a - i b|^2 at l is |a + i b|^2 at -l mod P, so one inverse FFT, of c + i s,
+gives both factors.  `counter_law` builds the law from those two length-P
+vectors, with no (P,)*R counter state.  Its power table,
 `_plane_power_table`, is a scalar recurrence: the phase flip and the
 reflection about the uniform state applied gate by gate in plain Python
 floats, with no BLAS call, so seeded output is the same on every BLAS
-kernel.  `exact_distribution` sums the plane out.  The dense route over
-all D base values (with its own numpy power table, cap check and gather),
-the single gates (uniform preparation, phase flip, diffusion), the
-marginal over any registers and post-selection live in tests/oracles.py,
-on the StateVector kept here.
+kernel.  The statevector route (a StateVector with one axis per register,
+the two-plane gather, the Fourier transform and the base plane summed out),
+the dense route over all D base values, the single gates (uniform
+preparation, phase flip, diffusion), the marginal over any registers and
+post-selection live in tests/oracles.py.
 
 Measurement is sampled from an exact marginal table.  `sample_outcomes`
 builds the table's CDF once and maps a whole vector of uniforms in [0, 1)
@@ -38,8 +46,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -52,26 +59,6 @@ NORM_TOL = 1e-10
 
 #: probabilities below this are floating-point dust and never sampled
 SAMPLE_CLIP = 1e-13
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Amplitudes with one axis per register, shape (d_1, ..., d_R); norm^2 within NORM_TOL of 1."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        norm_sq = float(np.vdot(self.amplitudes, self.amplitudes).real)
-        if not abs(norm_sq - 1.0) <= NORM_TOL:  # written so that NaN fails too
-            raise NormalizationError(
-                f"norm^2 drifted to {norm_sq}, past NORM_TOL = {NORM_TOL} in a state of shape {self.amplitudes.shape}"
-            )
-
-
-def qft(state: StateVector, register: int) -> StateVector:
-    """Size-P Fourier transform on one register (+2 pi i convention)."""
-    size = state.amplitudes.shape[register]
-    return StateVector(np.fft.ifft(state.amplitudes, axis=register) * math.sqrt(size))
 
 
 def _plane_power_table(u_marked: float, u_unmarked: float, max_power: int) -> np.ndarray:
@@ -96,51 +83,46 @@ def _plane_power_table(u_marked: float, u_unmarked: float, max_power: int) -> np
     return np.fromiter(coefficients(), float, 2 * max_power + 2).reshape(-1, 2)
 
 
-def two_plane_grover_powers(ancilla_dims: Iterable[int], dimension: int, marked: int) -> StateVector:
-    """Superposed iteration counts sum_m |m_1..m_R> G^(m_1+..+m_R)|u> / P^(R/2) on the base plane.
+def counter_law(p: int, registers: int, dimension: int, marked: int) -> np.ndarray:
+    """Joint law of R counters of size P, shape (P,)*R, after the controlled powers and a QFT on each.
 
-    The base axis has two entries: the coefficients c_M, c_U of the
-    uniform-marked and uniform-unmarked states, so a marked base value holds
-    c_M / sqrt(t) and an unmarked one c_U / sqrt(D - t).  On this plane the
-    search gates are 2 x 2: the phase flip is diag(-1, 1) and the
-    diffusion is the reflection about u = (sqrt(t/D), sqrt((D-t)/D)), the
-    uniform state; _plane_power_table applies them gate by gate.  The table
-    is built once, for s = 0..sum(m_i - 1), and branches are gathered by
-    total power, so the cost is O(R P + P^R) instead of O(P^R * P).  The
-    counter sizes are read lazily and the shape ancilla_dims + (2,) checked
-    against AMPLITUDE_CAP after each, before the table or any other array.
+    The table runs over G^m |u> for m = 0..P-1, and c_m, s_m are its rows'
+    coordinates on u = (sqrt(t/D), sqrt((D-t)/D)) and Ju.  Each factor
+    |a +- i b|^2 sums to the table's mean row norm^2, so that is the one
+    value checked against NORM_TOL.  The cap is checked one register at a
+    time, 2 P^r against AMPLITUDE_CAP for r = 1..R, before the table or any
+    other array, so R may be any integer.  The law is built by outer
+    products of the two factors, the second added into the first in place.
     """
     if dimension < 1:
         raise DomainError(f"base dimension must be >= 1, got {dimension}")
     if not 0 <= marked <= dimension:
         raise DomainError(f"marked count {marked} outside [0, {dimension}]")
-    dims, size = [], 2
-    for d in map(int, ancilla_dims):
-        if d < 2:
-            raise DomainError(f"ancilla register sizes must be >= 2, got {d}")
-        size *= d
+    if p < 2:
+        raise DomainError(f"ancilla register sizes must be >= 2, got {p}")
+    if registers < 1:
+        raise DomainError("need at least one ancilla register")
+    size = 2
+    for _ in range(registers):
+        size *= p
         if size > AMPLITUDE_CAP:
             # no size in the text: a product of 4300 digits or more cannot be printed
             raise CapacityError(f"counter registers exceed the cap of {AMPLITUDE_CAP} amplitudes")
-        dims.append(d)
-    if not dims:
-        raise DomainError("need at least one ancilla register")
     u_marked, u_unmarked = math.sqrt(marked / dimension), math.sqrt((dimension - marked) / dimension)
-    # scaled before the gather: one row per total power, not one per branch
-    table = _plane_power_table(u_marked, u_unmarked, sum(d - 1 for d in dims)).astype(complex)
-    table /= math.sqrt(math.prod(dims))
-    # m_1 + .. + m_R on the counter grid, an outer sum of one arange per register
-    power_grid = functools.reduce(np.add.outer, (np.arange(d) for d in dims))
-    return StateVector(table[power_grid])
-
-
-def exact_distribution(state: StateVector) -> np.ndarray:
-    """Counter law of a (P,)*R + (2,) state: the base plane, its last register, summed out."""
-    marg = (np.abs(state.amplitudes) ** 2).sum(axis=-1)
-    total = float(marg.sum())
-    if not abs(total - 1.0) <= NORM_TOL:  # written so that NaN fails too
-        raise NormalizationError(f"marginal mass {total} != 1")
-    return marg
+    table = _plane_power_table(u_marked, u_unmarked, p - 1)
+    norm_sq = float(np.square(table).sum()) / p
+    if not abs(norm_sq - 1.0) <= NORM_TOL:  # written so that NaN fails too
+        raise NormalizationError(
+            f"norm^2 drifted to {norm_sq}, past NORM_TOL = {NORM_TOL} in a power table of shape {table.shape}"
+        )
+    c = u_marked * table[:, 0] + u_unmarked * table[:, 1]
+    s = u_marked * table[:, 1] - u_unmarked * table[:, 0]
+    plus = np.abs(np.fft.ifft(c + 1j * s)) ** 2
+    minus = plus[-np.arange(p)]  # read at -l mod P
+    law = functools.reduce(np.multiply.outer, [plus] * registers)
+    law += functools.reduce(np.multiply.outer, [minus] * registers)
+    law *= 0.5
+    return law
 
 
 def sample_outcomes(table: np.ndarray, uniforms: Sequence[float] | np.ndarray) -> np.ndarray:

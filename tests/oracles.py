@@ -6,15 +6,21 @@ closed formulas and sieves used by the library; the Korselt test checks
 the Carmichael property from a factorization, a smallest-prime-factor
 table gives the tests a factorization of every k below a limit, and a
 Fermat-failure mask over the bases of k feeds the dense certification
-route.  The simulation references are the dense route over all D base
-values (the controlled search powers from a boolean mask, on its own
-numpy power table, cap check and gather of the counter grid, sharing no
-code with qsim's two-plane assembly, and the counting law they give), the
-marginal over any registers in any order, the single search gates on a
-full statevector (uniform preparation, phase flip, diffusion, one Grover
-iteration), post-selection on one register, the analytic per-state
-amplitudes on the rotation plane, the amplitude version of the
-closed-form counting law, the all-zeros probability of the
+route.  The simulation references run on StateVector, amplitudes with one
+axis per register that check their norm to NORM_TOL when built, and on the
+dense size-P Fourier transform qft.  The two-plane statevector route
+gathers the controlled powers on the base register's plane into a
+(P_1, ..., P_R, 2) state from qsim's power table, and exact_distribution
+sums the plane out after the transforms: the reference for
+qsim.counter_law, which builds the same law from per-register factors.
+The dense route runs over all D base values (the controlled search powers
+from a boolean mask, on its own numpy power table, cap check and gather of
+the counter grid, sharing no code with qsim, and the counting law they
+give).  Then come the marginal over any registers in any order, the single
+search gates on a full statevector (uniform preparation, phase flip,
+diffusion, one Grover iteration), post-selection on one register, the
+analytic per-state amplitudes on the rotation plane, the amplitude version
+of the closed-form counting law, the all-zeros probability of the
 certification law, and the certification variant that reads the
 coprimality flag after the iterations.  dirichlet_kernel_reference is
 the normalized Dirichlet kernel as the library computed it before its
@@ -29,6 +35,7 @@ peak_traced_bytes measures a call's peak heap for the memory guards.
 
 from __future__ import annotations
 
+import functools
 import math
 import tracemalloc
 from dataclasses import dataclass
@@ -40,7 +47,7 @@ from carmsim.carmichael import ancilla_distribution, composite_facts
 from carmsim.counting import dirichlet_kernel, peak_position
 from carmsim.errors import CapacityError, DomainError, NormalizationError
 from carmsim.numtheory import factorize, liar_sieve
-from carmsim.qsim import NORM_TOL, StateVector
+from carmsim.qsim import NORM_TOL
 
 
 def dirichlet_kernel_reference(x, p: int) -> np.ndarray:
@@ -181,6 +188,69 @@ def strong_witness_scalar(k: int, a: int) -> bool:
     return True
 
 
+@dataclass(frozen=True)
+class StateVector:
+    """Amplitudes with one axis per register, shape (d_1, ..., d_R); norm^2 within NORM_TOL of 1."""
+
+    amplitudes: np.ndarray
+
+    def __post_init__(self) -> None:
+        norm_sq = float(np.vdot(self.amplitudes, self.amplitudes).real)
+        if not abs(norm_sq - 1.0) <= NORM_TOL:  # written so that NaN fails too
+            raise NormalizationError(
+                f"norm^2 drifted to {norm_sq}, past NORM_TOL = {NORM_TOL} in a state of shape {self.amplitudes.shape}"
+            )
+
+
+def qft(state: StateVector, register: int) -> StateVector:
+    """Size-P Fourier transform on one register (+2 pi i convention)."""
+    size = state.amplitudes.shape[register]
+    return StateVector(np.fft.ifft(state.amplitudes, axis=register) * math.sqrt(size))
+
+
+def two_plane_grover_powers(ancilla_dims, dimension: int, marked: int) -> StateVector:
+    """Superposed iteration counts sum_m |m_1..m_R> G^(m_1+..+m_R)|u> / P^(R/2) on the base plane.
+
+    The base axis has two entries: the coefficients c_M, c_U of the
+    uniform-marked and uniform-unmarked states, so a marked base value holds
+    c_M / sqrt(t) and an unmarked one c_U / sqrt(D - t).  qsim's power table
+    is built once, for s = 0..sum(m_i - 1), and branches are gathered by
+    total power.  The counter sizes are read lazily and the shape
+    ancilla_dims + (2,) checked against qsim.AMPLITUDE_CAP after each, before
+    the table or any other array.
+    """
+    if dimension < 1:
+        raise DomainError(f"base dimension must be >= 1, got {dimension}")
+    if not 0 <= marked <= dimension:
+        raise DomainError(f"marked count {marked} outside [0, {dimension}]")
+    dims, size = [], 2
+    for d in map(int, ancilla_dims):
+        if d < 2:
+            raise DomainError(f"ancilla register sizes must be >= 2, got {d}")
+        size *= d
+        if size > qsim.AMPLITUDE_CAP:
+            raise CapacityError(f"counter registers exceed the cap of {qsim.AMPLITUDE_CAP} amplitudes")
+        dims.append(d)
+    if not dims:
+        raise DomainError("need at least one ancilla register")
+    u_marked, u_unmarked = math.sqrt(marked / dimension), math.sqrt((dimension - marked) / dimension)
+    # scaled before the gather: one row per total power, not one per branch
+    table = qsim._plane_power_table(u_marked, u_unmarked, sum(d - 1 for d in dims)).astype(complex)
+    table /= math.sqrt(math.prod(dims))
+    # m_1 + .. + m_R on the counter grid, an outer sum of one arange per register
+    power_grid = functools.reduce(np.add.outer, (np.arange(d) for d in dims))
+    return StateVector(table[power_grid])
+
+
+def exact_distribution(state: StateVector) -> np.ndarray:
+    """Counter law of a (P,)*R + (2,) state: the base plane, its last register, summed out."""
+    marg = (np.abs(state.amplitudes) ** 2).sum(axis=-1)
+    total = float(marg.sum())
+    if not abs(total - 1.0) <= NORM_TOL:  # written so that NaN fails too
+        raise NormalizationError(f"marginal mass {total} != 1")
+    return marg
+
+
 def check_register(state: StateVector, index: int) -> None:
     if not 0 <= index < state.amplitudes.ndim:
         raise DomainError(f"register index {index} outside shape {state.amplitudes.shape}")
@@ -208,7 +278,7 @@ def controlled_grover_powers(ancilla_dims, marked_mask: np.ndarray) -> StateVect
 
     Dense route: every one of the D = marked_mask.size base amplitudes is
     simulated, with the exact inversion-about-average as the diffusion.
-    Oracle for qsim.two_plane_grover_powers.
+    Oracle for two_plane_grover_powers.
     """
     mask = np.asarray(marked_mask, dtype=bool)
     if mask.ndim != 1 or mask.size < 1:
@@ -253,7 +323,7 @@ def count_distribution_dense(marked_mask: np.ndarray, p: int) -> np.ndarray:
     the counter, and reads the exact marginal.  Needs P*D amplitudes; oracle
     for counting.count_distribution.
     """
-    return marginal(qsim.qft(controlled_grover_powers((p,), marked_mask), 0), [0])
+    return marginal(qft(controlled_grover_powers((p,), marked_mask), 0), [0])
 
 
 def uniform_state(shape: tuple[int, ...]) -> StateVector:
@@ -415,7 +485,7 @@ def allzero_probability_flag_conditioned(k: int, p: int, r: int) -> FlagConditio
     flagged[..., base_values, coprime] = state.amplitudes
     flag_state, flag_mass = postselect(StateVector(flagged), r + 1, 1)
     for axis in range(r):
-        flag_state = qsim.qft(flag_state, axis)
+        flag_state = qft(flag_state, axis)
     table = marginal(flag_state, range(r))
     conditional = float(table[(0,) * r])
     return FlagConditionedAllZeros(

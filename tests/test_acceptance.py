@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from carmsim import carmichael as cm
-from carmsim import cli, counting, numtheory, qsim
+from carmsim import cli, counting, numtheory
 
 import oracles
 
@@ -79,7 +79,7 @@ def _dense_allzero(k: int, p: int, r: int) -> float:
     """All-zeros mass from the dense oracle: every base value of k simulated."""
     state = oracles.controlled_grover_powers((p,) * r, oracles.fermat_failure_mask(k))
     for axis in range(r):
-        state = qsim.qft(state, axis)
+        state = oracles.qft(state, axis)
     return float(oracles.marginal(state, list(range(r)))[(0,) * r])
 
 
@@ -118,11 +118,11 @@ def test_criterion_3_non_carmichael_bound():
 
 # ------------------------------------------------------------------ 4
 
-def _flagged_uniform(k: int) -> qsim.StateVector:
+def _flagged_uniform(k: int) -> oracles.StateVector:
     coprime = (np.gcd(np.arange(k), k) == 1).astype(np.int64)
     grid = np.zeros((k, 2), dtype=complex)
     grid[np.arange(k), coprime] = 1.0 / math.sqrt(k)
-    return qsim.StateVector(grid)
+    return oracles.StateVector(grid)
 
 
 def test_criterion_4_flag_postselection():

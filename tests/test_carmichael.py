@@ -31,11 +31,11 @@ def test_flag_probability_matches_simulator():
         assert prob == pytest.approx(cm.certify_reps(k, 8, 1, mode="exact", seed=0, reps=1)[0].flag_probability, abs=1e-10)
 
 
-def _flagged(state: qsim.StateVector, k: int) -> qsim.StateVector:
+def _flagged(state: oracles.StateVector, k: int) -> oracles.StateVector:
     coprime = (np.gcd(np.arange(k), k) == 1).astype(np.int64)
     grid = np.zeros((k, 2), dtype=complex)
     grid[np.arange(k), coprime] = state.amplitudes
-    return qsim.StateVector(grid)
+    return oracles.StateVector(grid)
 
 
 def test_draw_flag_rounds_mean():

@@ -223,7 +223,7 @@ def test_byte_identical_outputs(tmp_path):
 PINNED_STDOUT = [
     (["certify", "561", "--mode", "exact"], "839330a8950435e31bce2f2fba5c9b796f9b952c6c1aa4ff9071136dea51a971"),
     (["certify", "561", "--mode", "sample"], "e443be509221342fceb6e877c3f7cee047bf530a85d3f81b1b4a57eb6c5decbb"),
-    (["certify", "15", "--mode", "exact"], "a5a6037abfacef5eb1a68785675017409254dc7827f9a893ddab9ec4e8d257eb"),
+    (["certify", "15", "--mode", "exact"], "f940082415d72ba6290c976d0e7da6b353c57fc7187911d2ccc62bcdaa1c64ed"),
     (["certify", "15", "--mode", "sample"], "adb2f2cdb8e934ecb9a8281e82d358c0edbefe46f7b68e8c2be91202559cdcff"),
     (["count-bases", "25001", "--P", "64"], "b7f2a921fb5c3a6cff90127c3a7a0038a005fa2421ad9a99cfa16375082874dd"),
     (["count-carmichael", "65000", "--Q", "64"], "99f9a719e6f9cd574796d49721e95ef015cefda8e199b88235eb501775cebd4c"),

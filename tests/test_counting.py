@@ -3,9 +3,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from carmsim import counting, qsim
+from carmsim import counting, numtheory
 from carmsim.errors import CapacityError, DomainError, NormalizationError
 
 import oracles
@@ -149,7 +149,7 @@ def test_joint_matches_dense_r2():
     dimension, marked, p = 15, 4, 8
     closed = counting.exact_count_joint(dimension, marked, p, 2)
     state = oracles.controlled_grover_powers((p, p), np.arange(dimension) < marked)
-    state = qsim.qft(qsim.qft(state, 0), 1)
+    state = oracles.qft(oracles.qft(state, 0), 1)
     dense = oracles.marginal(state, [0, 1])
     assert np.abs(closed - dense).max() < 1e-10
 
@@ -159,7 +159,7 @@ def test_closed_form_state_matches_dense_amplitudes():
     for dimension, p in ((15, 8), (40, 16), (9, 4)):
         mask = rng.random(dimension) < 0.3
         state = oracles.controlled_grover_powers((p,), mask)
-        state = qsim.qft(state, 0)
+        state = oracles.qft(state, 0)
         predicted = oracles.closed_form_state(mask, p)
         assert np.abs(state.amplitudes - predicted).max() < 1e-10
 
@@ -176,43 +176,61 @@ def _expand_plane(plane: np.ndarray, dimension: int, marked: int) -> np.ndarray:
 @pytest.mark.parametrize("dims", [(3, 5), (5, 3), (2, 3, 4), (4, 2, 2, 3)])
 @pytest.mark.parametrize("dimension,marked", [(15, 4), (9, 0), (9, 9), (40, 13)])
 def test_two_plane_matches_dense_on_unequal_registers(dims, dimension, marked):
-    plane = qsim.two_plane_grover_powers(dims, dimension, marked)
+    plane = oracles.two_plane_grover_powers(dims, dimension, marked)
     dense = oracles.controlled_grover_powers(dims, np.arange(dimension) < marked)
     assert plane.amplitudes.shape == dims + (2,)
     assert np.abs(_expand_plane(plane.amplitudes, dimension, marked) - dense.amplitudes).max() <= 1e-10
 
 
+#: the certify benchmark's special composites, at the CLI's default P = 16, R = 2
+BENCHMARK_SPECIALS = (15, 341, 561, 645, 1105, 1387)
+
+
+def _with_benchmark_specials(test):
+    for k in BENCHMARK_SPECIALS:
+        test = example((k, numtheory.number_facts(k).t_k), (16, 2))(test)
+    return test
+
+
 @given(
-    st.integers(1, 200),
-    st.data(),
+    st.integers(1, 200).flatmap(lambda d: st.tuples(st.just(d), st.integers(0, d))),
     st.sampled_from([(p, r) for p in (4, 8, 16) for r in (1, 2, 3) if p**r <= 512]),
 )
-def test_two_plane_matches_dense_and_closed_form(dimension, data, p_r):
-    p, r = p_r
-    marked = data.draw(st.integers(0, dimension))
-    plane = qsim.two_plane_grover_powers((p,) * r, dimension, marked)
+@example((15, 4), (64, 3))
+@_with_benchmark_specials
+def test_two_plane_matches_dense_and_closed_form(dimension_marked, p_r):
+    (dimension, marked), (p, r) = dimension_marked, p_r
+    plane = oracles.two_plane_grover_powers((p,) * r, dimension, marked)
     dense = oracles.controlled_grover_powers((p,) * r, np.arange(dimension) < marked)
     assert plane.amplitudes.shape == (p,) * r + (2,)
     assert np.abs(_expand_plane(plane.amplitudes, dimension, marked) - dense.amplitudes).max() < 1e-10
     for axis in range(r):
-        plane = qsim.qft(plane, axis)
-        dense = qsim.qft(dense, axis)
+        plane = oracles.qft(plane, axis)
+        dense = oracles.qft(dense, axis)
     assert np.abs(_expand_plane(plane.amplitudes, dimension, marked) - dense.amplitudes).max() < 1e-10
     law = counting.count_distribution(dimension, marked, p, r)
+    assert np.abs(law - oracles.exact_distribution(plane)).max() < 1e-10
     assert np.abs(law - counting.exact_count_joint(dimension, marked, p, r)).max() < 1e-10
 
 
 def test_two_plane_validation():
     with pytest.raises(DomainError):
-        qsim.two_plane_grover_powers((4,), 10, 11)
+        counting.count_distribution(10, 11, 4)
     with pytest.raises(DomainError):
-        qsim.two_plane_grover_powers((4,), 0, 0)
+        counting.count_distribution(0, 0, 4)
     with pytest.raises(DomainError):
         counting.count_distribution(10, 3, 4, registers=0)
     with pytest.raises(CapacityError):
-        qsim.two_plane_grover_powers((4096,) * 3, 15, 4)
+        counting.count_distribution(15, 4, 4096, 3)
     # the base dimension never counts against the cap
-    assert qsim.two_plane_grover_powers((256,), 10**15, 7).amplitudes.size == 512
+    assert counting.count_distribution(10**15, 7, 256).shape == (256,)
+
+
+def test_count_distribution_peak_within_24_bytes_per_cell():
+    # the law is 8 bytes a cell; the second factor's product is the only other table
+    cells = 64**3
+    peak = oracles.peak_traced_bytes(counting.count_distribution, 15, 4, 64, 3)
+    assert peak <= 24 * cells
 
 
 # ---------------------------------------------------------------- error bound

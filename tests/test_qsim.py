@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from carmsim import qsim
+from carmsim import counting, qsim
 from carmsim.errors import CapacityError, DomainError, NormalizationError
 
 import oracles
@@ -16,19 +16,27 @@ def random_state(dims, seed):
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=dims) + 1j * rng.normal(size=dims)
     amps /= np.linalg.norm(amps)
-    return qsim.StateVector(amps)
+    return oracles.StateVector(amps)
 
 
 # ---------------------------------------------------------------- layout
 
 def test_layout_validation():
     with pytest.raises(DomainError):
-        qsim.two_plane_grover_powers((), 10, 3)
+        qsim.counter_law(4, 0, 10, 3)
     with pytest.raises(DomainError):
-        qsim.two_plane_grover_powers((4, 0), 10, 3)
+        qsim.counter_law(1, 2, 10, 3)
     with pytest.raises(CapacityError):
-        qsim.two_plane_grover_powers((2,) * 26, 10, 3)
-    assert qsim.two_plane_grover_powers((3, 5), 10, 3).amplitudes.shape == (3, 5, 2)
+        qsim.counter_law(2, 26, 10, 3)
+    assert qsim.counter_law(3, 2, 10, 3).shape == (3, 3)
+    # the two-plane state oracle keeps the same rules, on unequal registers too
+    with pytest.raises(DomainError):
+        oracles.two_plane_grover_powers((), 10, 3)
+    with pytest.raises(DomainError):
+        oracles.two_plane_grover_powers((4, 0), 10, 3)
+    with pytest.raises(CapacityError):
+        oracles.two_plane_grover_powers((2,) * 26, 10, 3)
+    assert oracles.two_plane_grover_powers((3, 5), 10, 3).amplitudes.shape == (3, 5, 2)
 
 
 # ---------------------------------------------------------------- uniform
@@ -74,7 +82,7 @@ def test_phase_flip_mask_shape():
 def test_diffusion_examples():
     state = oracles.uniform_state((561,))
     assert np.allclose(oracles.diffusion(state, 0).amplitudes, state.amplitudes, atol=1e-14)
-    basis = qsim.StateVector(np.array([1.0, 0.0], complex))
+    basis = oracles.StateVector(np.array([1.0, 0.0], complex))
     assert np.allclose(oracles.diffusion(basis, 0).amplitudes, [0.0, 1.0])
 
 
@@ -139,8 +147,8 @@ def test_grover_optimal_iterations(dimension, marked):
 def test_qft_of_zero_is_uniform():
     basis = np.zeros(7, complex)
     basis[0] = 1.0
-    state = qsim.StateVector(basis)
-    out = qsim.qft(state, 0)
+    state = oracles.StateVector(basis)
+    out = oracles.qft(state, 0)
     assert np.allclose(out.amplitudes, 1 / math.sqrt(7), atol=1e-12)
 
 
@@ -150,7 +158,7 @@ def test_qft_inverse_roundtrip(seed, p):
     state = random_state((p,), seed)
     out = state
     for _ in range(4):
-        out = qsim.qft(out, 0)
+        out = oracles.qft(out, 0)
     assert np.allclose(out.amplitudes, state.amplitudes, atol=1e-12)
 
 
@@ -159,14 +167,14 @@ def test_qft_p2_is_hadamard():
         (np.array([1.0, 0.0], complex), np.array([1.0, 1.0]) / math.sqrt(2)),
         (np.array([0.0, 1.0], complex), np.array([1.0, -1.0]) / math.sqrt(2)),
     ]:
-        state = qsim.StateVector(basis_vec)
-        assert np.allclose(qsim.qft(state, 0).amplitudes, expected, atol=1e-14)
+        state = oracles.StateVector(basis_vec)
+        assert np.allclose(oracles.qft(state, 0).amplitudes, expected, atol=1e-14)
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from([3, 5, 8, 11]))
 def test_qft_squared_reverses_indices(seed, p):
     state = random_state((p,), seed)
-    twice = qsim.qft(qsim.qft(state, 0), 0)
+    twice = oracles.qft(oracles.qft(state, 0), 0)
     expected = state.amplitudes[(-np.arange(p)) % p]
     assert np.allclose(twice.amplitudes, expected, atol=1e-12)
 
@@ -235,16 +243,18 @@ def test_controlled_powers_checks_the_cap_before_the_table(monkeypatch):
         raise AssertionError("the table was built")
 
     monkeypatch.setattr(qsim, "_plane_power_table", power_table)
-    with pytest.raises(CapacityError):
-        qsim.two_plane_grover_powers((4,) * 13, 15, 4)
+    # 2 * 4^13 = 2^27 amplitudes, and R past any index, meet the cap register by register
+    for registers in (13, 10**30):
+        with pytest.raises(CapacityError):
+            counting.count_distribution(15, 4, 4, registers)
     with pytest.raises(DomainError):
-        qsim.two_plane_grover_powers((), 15, 4)
+        counting.count_distribution(15, 4, 4, 0)
 
 
 def test_two_plane_powers_peak_stays_near_the_state():
-    # (4,)*10 + (2,) complex amplitudes: a 32 MiB state
+    # (4,)*10 + (2,) complex amplitudes: a 32 MiB state in the oracle's gather
     state_bytes = 4**10 * 2 * 16
-    peak = oracles.peak_traced_bytes(qsim.two_plane_grover_powers, (4,) * 10, 15, 4)
+    peak = oracles.peak_traced_bytes(oracles.two_plane_grover_powers, (4,) * 10, 15, 4)
     assert peak <= 1.5 * state_bytes
 
 
@@ -264,7 +274,7 @@ def test_postselect_examples():
 
     sure = np.zeros(4, complex)
     sure[2] = 1.0
-    state = qsim.StateVector(sure)
+    state = oracles.StateVector(sure)
     post, prob = oracles.postselect(state, 0, 2)
     assert prob == pytest.approx(1.0, abs=1e-14)
     assert np.allclose(post.amplitudes, sure)
@@ -278,7 +288,7 @@ def test_postselect_renormalizes_and_zero_mass():
     assert np.allclose(grid[0], 0) and np.allclose(grid[2], 0)
     hole = np.zeros(4, complex)
     hole[1] = 1.0
-    state = qsim.StateVector(hole)
+    state = oracles.StateVector(hole)
     with pytest.raises(ZeroProbabilityError):
         oracles.postselect(state, 0, 3)
 
@@ -293,7 +303,7 @@ def test_exact_distribution_uniform():
 def test_exact_distribution_product_factorizes():
     a = random_state((3,), 1).amplitudes
     b = random_state((5,), 2).amplitudes
-    joint = qsim.StateVector(np.kron(a, b).reshape(3, 5))
+    joint = oracles.StateVector(np.kron(a, b).reshape(3, 5))
     table = oracles.marginal(joint, [0, 1])
     outer = np.outer(np.abs(a) ** 2, np.abs(b) ** 2)
     assert np.allclose(table, outer, atol=1e-12)
@@ -320,7 +330,7 @@ def test_exact_distribution_sums_out_the_base_plane(r):
     # the counters 0..R-1, bit for bit
     for seed, p in ((r, 4), (10 + r, 5), (20 + r, 8)):
         state = random_state((p,) * r + (2,), seed)
-        table = qsim.exact_distribution(state)
+        table = oracles.exact_distribution(state)
         assert table.shape == (p,) * r
         assert np.array_equal(table, oracles.marginal(state, range(r)))
 
@@ -330,7 +340,7 @@ def test_exact_distribution_sums_out_the_base_plane(r):
 def test_sample_deterministic_distribution():
     sure = np.zeros(6, complex)
     sure[4] = 1.0
-    state = qsim.StateVector(sure)
+    state = oracles.StateVector(sure)
     draws = qsim.sample_outcomes(oracles.marginal(state, [0]), np.random.default_rng(5).random(50))
     assert draws.shape == (50, 1)
     assert (draws == 4).all()
@@ -562,20 +572,29 @@ def test_grover_angles_consistency(dimension, data):
 def test_operations_reject_denormalized_states():
     # a state that is not normalized cannot be built, so no operation receives one
     with pytest.raises(NormalizationError):
-        qsim.StateVector(np.full(4, 0.4, complex))
+        oracles.StateVector(np.full(4, 0.4, complex))
 
 
 def test_finish_rejects_nan_amplitudes():
     with pytest.raises(NormalizationError):
-        qsim.StateVector(np.full(4, np.nan, complex))
+        oracles.StateVector(np.full(4, np.nan, complex))
+
+
+def test_counter_law_rejects_a_drifted_power_table(monkeypatch):
+    # the law's one norm check: the power table's mean row norm^2
+    table = qsim._plane_power_table
+    for bad in (lambda *args: table(*args) * (1 + 1e-9), lambda *args: np.full_like(table(*args), np.nan)):
+        monkeypatch.setattr(qsim, "_plane_power_table", bad)
+        with pytest.raises(NormalizationError, match=r"norm\^2 drifted to .*NORM_TOL = 1e-10.*\(8, 2\)"):
+            qsim.counter_law(8, 2, 15, 4)
 
 
 def test_exact_distribution_rejects_nan_state():
     # built past the constructor's check, so that exact_distribution's own check is what fails
-    nan_state = object.__new__(qsim.StateVector)
+    nan_state = object.__new__(oracles.StateVector)
     object.__setattr__(nan_state, "amplitudes", np.full((4, 2), np.nan, complex))
     with pytest.raises(NormalizationError):
-        qsim.exact_distribution(nan_state)
+        oracles.exact_distribution(nan_state)
 
 
 def test_rep_streams_check_their_seed_and_reps():
