@@ -9,7 +9,7 @@ case reported in sampling mode.  Output is CSV on stdout.
 import argparse
 import sys
 
-from carmsim import carmichael, cli, counting, numtheory
+from carmsim import carmichael, cli, counting, numtheory, qsim
 
 
 def main() -> int:
@@ -29,7 +29,7 @@ def main() -> int:
             for p in args.p_values:
                 alpha = counting.dirichlet_kernel(counting.peak_position(k, t, p), p)
                 for r in args.r_values:
-                    allzero = float(counting.count_distribution(k, t, p, r)[(0,) * r])
+                    allzero = float(qsim.counter_law(k, t, p, r)[(0,) * r])
                     gap = carmichael.gap_error_bound(k, phi, p, r)
                     rows.append([k, t, p, r, allzero, alpha ** (2 * r), gap])
         header = ["k", "t", "P", "R", "allzero", "alpha_pow", "gap_bound"]

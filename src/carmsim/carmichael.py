@@ -9,8 +9,8 @@ leak all-zeros with probability exactly alpha^(2R), alpha the Dirichlet
 kernel at the peak position f = P arcsin(sqrt(t/k)) / pi.
 
 Routes.  Certification and both counting pipelines read the counter law
-off the base register's plane (counting.count_distribution, a product of
-per-register factors in qsim.counter_law), fed the marked count from the
+off the base register's plane from one builder, qsim.counter_law (a
+product of per-register factors), fed the marked count from the
 factorization or the enumeration; no O(k) base mask and no counter state
 is built, so k is bounded only by factorization (2^50), and
 qsim.AMPLITUDE_CAP binds the counters alone.  The statevector routes, on
@@ -114,9 +114,12 @@ def composite_facts(k: int) -> numtheory.NumberFacts:
 
 
 def ancilla_distribution(k: int, p: int, r: int) -> np.ndarray:
-    """Exact joint law of the R counter registers of composite k, shape (P,)*R,
-    on the two-plane route with t(k) from the factorization of k."""
-    return counting.count_distribution(k, composite_facts(k).t_k, p, r)
+    """Exact joint law of the R counter registers of composite k, shape (P,)*R.
+
+    qsim.counter_law at t(k) from the factorization of k, kept for
+    perfbench's law oracle; the package calls qsim.counter_law directly.
+    """
+    return qsim.counter_law(k, composite_facts(k).t_k, p, r)
 
 
 def gap_error_bound(k: int, phi: int, p: int, r: int) -> float:
@@ -133,24 +136,25 @@ def gap_error_bound(k: int, phi: int, p: int, r: int) -> float:
 def certify_reps(k: int, p: int, r: int, mode: str, seed: int, reps: int) -> list[Verdict]:
     """reps certifications of composite k; any nonzero counter disproves Carmichael.
 
-    The reps share the composite's facts and one law, built by
-    ancilla_distribution.  Rep i draws from default_rng([seed, i]) through
-    one qsim.rep_draws call, made once mode, k and the law have passed
-    their checks, so a rejected input pays for no draw.  In sample mode a
-    rep draws its geometric flag retries, then one uniform, and
-    its reading is the first outcome whose cumulative mass exceeds that
-    uniform (qsim.sample_outcomes maps all reps at once).  Exact mode
-    resolves the flag analytically (flag_retries = 0) and attaches the
-    exact all-zeros probability; sample mode reports the gap-based
-    worst-case error bound, which does not presume knowledge of t(k).  A
-    Verdict depends only on its rep's (reading, flag rounds), so reps with
-    the same pair share one frozen Verdict, built and checked once.
+    The reps share the composite's facts and one law, which
+    qsim.counter_law builds from the facts' t(k), so k is factorized once.
+    Rep i draws from default_rng([seed, i]) through one qsim.rep_draws
+    call, made once mode, k and the law have passed their checks, so a
+    rejected input pays for no draw.  In sample mode a rep draws its
+    geometric flag retries, then one uniform, and its reading is the first
+    outcome whose cumulative mass exceeds that uniform
+    (qsim.sample_outcomes maps all reps at once).  Exact mode resolves the
+    flag analytically (flag_retries = 0) and attaches the exact all-zeros
+    probability; sample mode reports the gap-based worst-case error bound,
+    which does not presume knowledge of t(k).  A Verdict depends only on
+    its rep's (reading, flag rounds), so reps with the same pair share one
+    frozen Verdict, built and checked once.
     """
     if mode not in ("exact", "sample"):
         raise DomainError(f"mode must be 'exact' or 'sample', got {mode}")
     facts = composite_facts(k)
     accept = facts.phi / k
-    dist = ancilla_distribution(k, p, r)
+    dist = qsim.counter_law(k, facts.t_k, p, r)
     rounds, uniforms = qsim.rep_draws(seed, reps, accept if mode == "sample" else None)
     if mode == "exact":
         exact_allzero = float(dist[(0,) * r])

@@ -19,10 +19,10 @@ t~ = D sin^2(pi f~ / P), with the guarantee |t~ - t| <= pi (D/Q)(pi/Q +
 2 sqrt(t/D)) whenever l lands on one of the four integers bracketing the
 peaks.
 
-`count_distribution` builds the law from the base register's plane
-(qsim.counter_law: two length-P factors, one per eigenvalue of the plane's
-quarter turn) and needs only the marked count t, never a mask over the D
-base values.  The closed-form law checks it here; the statevector
+qsim.counter_law builds the law from the base register's plane (two
+length-P factors, one per eigenvalue of the plane's quarter turn) and needs
+only the marked count t, never a mask over the D base values; run_count
+samples it.  The closed-form law checks it here; the statevector
 simulations, on the two-entry plane and on all D amplitudes, and the
 closed form's amplitude version live in tests/oracles.py.
 """
@@ -182,33 +182,17 @@ def median_t_tilde(estimates: list[CountEstimate]) -> float:
     return (values[mid - 1] + values[mid]) / 2
 
 
-def count_distribution(dimension: int, marked: int, p: int, registers: int = 1) -> np.ndarray:
-    """Outcome law over `registers` counters of size P, shape (P,)*R.
-
-    Controlled powers on the base plane and a Fourier transform on each
-    counter, as qsim.counter_law's product of per-register factors.  It
-    builds every sampled law, so it owns the rules P >= 4 and R >= 1;
-    qsim checks the amplitude cap one register at a time, so any R, however
-    large, meets it before an array is built.
-    """
-    if p < 4:
-        raise DomainError(f"counter size must be >= 4, got {p}")
-    if registers < 1:
-        raise DomainError(f"need >= 1 counter registers, got {registers}")
-    return qsim.counter_law(p, registers, dimension, marked)
-
-
 def run_count(dimension: int, marked: int, p: int, seed: int, reps: int) -> list[CountEstimate]:
     """reps seeded measurements of the counter with decoded estimates.
 
-    Sampling uses the exact law of count_distribution over the t = marked
+    Sampling uses the exact law of qsim.counter_law over the t = marked
     values, built once, then one uniform per rep from qsim.rep_draws with no
     flag, drawn for all reps at once: rep i's uniform is the first draw of
     numpy's PCG64 sequence of default_rng([seed, i]), reproduced in-package,
     and its outcome is the first l whose cumulative mass exceeds it, so runs
     are reproducible and reps can be regenerated in isolation.
     """
-    table = count_distribution(dimension, marked, p)
+    table = qsim.counter_law(dimension, marked, p)
     _, uniforms = qsim.rep_draws(seed, reps, None)
     return decode_outcomes(qsim.sample_outcomes(table, uniforms)[:, 0], dimension, p, t_ref=marked)
 

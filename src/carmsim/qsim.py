@@ -20,7 +20,8 @@ law is
 a = ifft(c) and b = ifft(s) over m = 0..P-1.  As c and s are real,
 |a - i b|^2 at l is |a + i b|^2 at -l mod P, so one inverse FFT, of c + i s,
 gives both factors.  `counter_law` builds the law from those two length-P
-vectors, with no (P,)*R counter state.  Its power table,
+vectors, with no (P,)*R counter state; it is the package's one law
+builder, which certification and counting call directly.  Its power table,
 `_plane_power_table`, is a scalar recurrence: the phase flip and the
 reflection about the uniform state applied gate by gate in plain Python
 floats, with no BLAS call, so seeded output is the same on every BLAS
@@ -31,8 +32,9 @@ preparation, phase flip, diffusion), the marginal over any registers and
 post-selection live in tests/oracles.py.
 
 Measurement is sampled from an exact marginal table.  `sample_outcomes`
-builds the table's CDF once and maps a whole vector of uniforms in [0, 1)
-to outcomes with one search, so a command with many reps pays for one CDF.
+builds the table's CDF once, in one working copy of the table, and maps a
+whole vector of uniforms in [0, 1) to outcomes with one search, so a
+command with many reps pays for one CDF.
 `rep_draws` draws those uniforms, after the flag rounds if there is a flag,
 for all reps in one call.  Rep i draws numpy's PCG64 sequence of
 np.random.default_rng([seed, i]), bit for bit, reproduced in-package as
@@ -83,25 +85,27 @@ def _plane_power_table(u_marked: float, u_unmarked: float, max_power: int) -> np
     return np.fromiter(coefficients(), float, 2 * max_power + 2).reshape(-1, 2)
 
 
-def counter_law(p: int, registers: int, dimension: int, marked: int) -> np.ndarray:
+def counter_law(dimension: int, marked: int, p: int, registers: int = 1) -> np.ndarray:
     """Joint law of R counters of size P, shape (P,)*R, after the controlled powers and a QFT on each.
 
-    The table runs over G^m |u> for m = 0..P-1, and c_m, s_m are its rows'
-    coordinates on u = (sqrt(t/D), sqrt((D-t)/D)) and Ju.  Each factor
-    |a +- i b|^2 sums to the table's mean row norm^2, so that is the one
-    value checked against NORM_TOL.  The cap is checked one register at a
-    time, 2 P^r against AMPLITUDE_CAP for r = 1..R, before the table or any
-    other array, so R may be any integer.  The law is built by outer
-    products of the two factors, the second added into the first in place.
+    Every sampled law is built here: P >= 4 and R >= 1 are checked first,
+    then the (D, t) domain, then the cap one register at a time, 2 P^r
+    against AMPLITUDE_CAP for r = 1..R, before the table or any other
+    array, so R may be any integer.  The table runs over G^m |u> for
+    m = 0..P-1, and c_m, s_m are its rows' coordinates on
+    u = (sqrt(t/D), sqrt((D-t)/D)) and Ju.  Each factor |a +- i b|^2 sums
+    to the table's mean row norm^2, so that is the one value checked
+    against NORM_TOL.  The law is built by outer products of the two
+    factors, the second added into the first in place.
     """
+    if p < 4:
+        raise DomainError(f"counter size must be >= 4, got {p}")
+    if registers < 1:
+        raise DomainError(f"need >= 1 counter registers, got {registers}")
     if dimension < 1:
         raise DomainError(f"base dimension must be >= 1, got {dimension}")
     if not 0 <= marked <= dimension:
         raise DomainError(f"marked count {marked} outside [0, {dimension}]")
-    if p < 2:
-        raise DomainError(f"ancilla register sizes must be >= 2, got {p}")
-    if registers < 1:
-        raise DomainError("need at least one ancilla register")
     size = 2
     for _ in range(registers):
         size *= p
@@ -133,14 +137,16 @@ def sample_outcomes(table: np.ndarray, uniforms: Sequence[float] | np.ndarray) -
     once and each uniform u maps to the first flat index whose cumulative
     mass exceeds u.  These are the steps of numpy's Generator.choice with
     p = clipped table, so n uniforms from rng.random(n) give its n draws.
+    The clip, the renormalization and the CDF all work in one copy of the
+    table, so the caller's table is never written.
     """
-    flat = np.asarray(table, dtype=float).reshape(-1)
-    flat = np.where(flat < SAMPLE_CLIP, 0.0, flat)
-    total = float(flat.sum())
+    cdf = np.array(table, dtype=float, order="C").reshape(-1)
+    np.copyto(cdf, 0.0, where=cdf < SAMPLE_CLIP)
+    total = float(cdf.sum())
     if not 0.0 < total < math.inf:
         raise NormalizationError(f"sampled table carries mass {total}")
-    flat /= total
-    cdf = flat.cumsum()
+    cdf /= total
+    cdf.cumsum(out=cdf)
     cdf /= cdf[-1]
     draws = cdf.searchsorted(uniforms, side="right")
     return np.stack(np.unravel_index(draws, np.shape(table)), axis=1).astype(np.int64)

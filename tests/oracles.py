@@ -12,7 +12,8 @@ dense size-P Fourier transform qft.  The two-plane statevector route
 gathers the controlled powers on the base register's plane into a
 (P_1, ..., P_R, 2) state from qsim's power table, and exact_distribution
 sums the plane out after the transforms: the reference for
-qsim.counter_law, which builds the same law from per-register factors.
+qsim.counter_law, the package's one law builder, which builds the same law
+from per-register factors.
 The dense route runs over all D base values (the controlled search powers
 from a boolean mask, on its own numpy power table, cap check and gather of
 the counter grid, sharing no code with qsim, and the counting law they
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from carmsim import qsim
-from carmsim.carmichael import ancilla_distribution, composite_facts
+from carmsim.carmichael import composite_facts
 from carmsim.counting import dirichlet_kernel, peak_position
 from carmsim.errors import CapacityError, DomainError, NormalizationError
 from carmsim.numtheory import factorize, liar_sieve
@@ -321,7 +322,7 @@ def count_distribution_dense(marked_mask: np.ndarray, p: int) -> np.ndarray:
 
     Builds the controlled-power state of shape (P, D), Fourier-transforms
     the counter, and reads the exact marginal.  Needs P*D amplitudes; oracle
-    for counting.count_distribution.
+    for qsim.counter_law.
     """
     return marginal(qft(controlled_grover_powers((p,), marked_mask), 0), [0])
 
@@ -457,7 +458,7 @@ def allzero_probability(k: int, p: int, r: int) -> float:
     Equals alpha_k^(2R) with alpha_k = s(f_k), and exactly 1 iff k is
     Carmichael.
     """
-    return float(ancilla_distribution(k, p, r)[(0,) * r])
+    return float(qsim.counter_law(k, composite_facts(k).t_k, p, r)[(0,) * r])
 
 
 @dataclass(frozen=True)

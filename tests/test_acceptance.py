@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from carmsim import carmichael as cm
-from carmsim import cli, counting, numtheory
+from carmsim import cli, counting, numtheory, qsim
 
 import oracles
 
@@ -158,14 +158,14 @@ def test_criterion_5_spectral_law_grid():
             for t in range(dimension + 1):
                 closed = counting.exact_count_joint(dimension, t, p, 1)
                 dense = oracles.count_distribution_dense(np.arange(dimension) < t, p)
-                plane = counting.count_distribution(dimension, t, p)
+                plane = qsim.counter_law(dimension, t, p)
                 worst["dense"] = max(worst["dense"], float(np.abs(closed - dense).max()))
                 worst["two-plane"] = max(worst["two-plane"], float(np.abs(closed - plane).max()))
     half_peaks_ok = True
     for p in (4, 8, 16, 32):
         for dimension in (2, 16, 50, 200):
             dense = oracles.count_distribution_dense(np.arange(dimension) < dimension // 2, p)
-            plane = counting.count_distribution(dimension, dimension // 2, p)
+            plane = qsim.counter_law(dimension, dimension // 2, p)
             for law in (dense, plane):
                 if abs(law[p // 4] - 0.5) > 1e-10 or abs(law[3 * p // 4] - 0.5) > 1e-10:
                     half_peaks_ok = False

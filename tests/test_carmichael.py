@@ -135,11 +135,22 @@ def test_certify_determinism_and_validation():
         cm.certify_reps(15, 16, 2, mode="other", seed=0, reps=100)
 
 
+def test_certify_reps_factorize_once(monkeypatch):
+    # the facts certify_reps holds feed its law: one number_facts call per call
+    calls = []
+    number_facts = numtheory.number_facts
+    monkeypatch.setattr(numtheory, "number_facts", lambda k: calls.append(k) or number_facts(k))
+    for mode in ("exact", "sample"):
+        calls.clear()
+        cm.certify_reps(561, 16, 2, mode=mode, seed=0, reps=5)
+        assert calls == [561]
+
+
 def test_certify_reps_share_one_law_and_keep_streams():
     # rep i draws from default_rng([seed, i]) alone: a longer run extends a
     # shorter one, and each reading maps one uniform through the shared law
     for k in (15, 91, 561):
-        law = cm.ancilla_distribution(k, 8, 2)
+        law = qsim.counter_law(k, numtheory.number_facts(k).t_k, 8, 2)
         for mode in ("exact", "sample"):
             batch = cm.certify_reps(k, 8, 2, mode=mode, seed=4, reps=6)
             assert batch[:3] == cm.certify_reps(k, 8, 2, mode=mode, seed=4, reps=3)
@@ -156,7 +167,7 @@ def test_certify_reps_share_one_law_and_keep_streams():
 def _per_rep_verdicts(k: int, p: int, r: int, mode: str, seed: int, reps: int) -> list[cm.Verdict]:
     """One Verdict built per rep from its own default_rng([seed, i]) stream."""
     facts = numtheory.number_facts(k)
-    law = counting.count_distribution(k, facts.t_k, p, r)
+    law = qsim.counter_law(k, facts.t_k, p, r)
     allzero = float(law[(0,) * r])
     accept = facts.phi / k
     if mode == "exact":
@@ -183,7 +194,7 @@ def _per_rep_verdicts(k: int, p: int, r: int, mode: str, seed: int, reps: int) -
 
 def _per_rep_estimates(dimension: int, marked: int, p: int, seed: int, reps: int) -> list[counting.CountEstimate]:
     """One CountEstimate decoded per rep from its own default_rng([seed, i]) stream."""
-    table = counting.count_distribution(dimension, marked, p)
+    table = qsim.counter_law(dimension, marked, p)
     return [
         counting.decode_outcomes(
             qsim.sample_outcomes(table, [np.random.default_rng([seed, i]).random()])[:, 0], dimension, p, marked

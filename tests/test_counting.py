@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from carmsim import counting, numtheory
+from carmsim import counting, numtheory, qsim
 from carmsim.errors import CapacityError, DomainError, NormalizationError
 
 import oracles
@@ -208,28 +208,28 @@ def test_two_plane_matches_dense_and_closed_form(dimension_marked, p_r):
         plane = oracles.qft(plane, axis)
         dense = oracles.qft(dense, axis)
     assert np.abs(_expand_plane(plane.amplitudes, dimension, marked) - dense.amplitudes).max() < 1e-10
-    law = counting.count_distribution(dimension, marked, p, r)
+    law = qsim.counter_law(dimension, marked, p, r)
     assert np.abs(law - oracles.exact_distribution(plane)).max() < 1e-10
     assert np.abs(law - counting.exact_count_joint(dimension, marked, p, r)).max() < 1e-10
 
 
 def test_two_plane_validation():
     with pytest.raises(DomainError):
-        counting.count_distribution(10, 11, 4)
+        qsim.counter_law(10, 11, 4)
     with pytest.raises(DomainError):
-        counting.count_distribution(0, 0, 4)
+        qsim.counter_law(0, 0, 4)
     with pytest.raises(DomainError):
-        counting.count_distribution(10, 3, 4, registers=0)
+        qsim.counter_law(10, 3, 4, registers=0)
     with pytest.raises(CapacityError):
-        counting.count_distribution(15, 4, 4096, 3)
+        qsim.counter_law(15, 4, 4096, 3)
     # the base dimension never counts against the cap
-    assert counting.count_distribution(10**15, 7, 256).shape == (256,)
+    assert qsim.counter_law(10**15, 7, 256).shape == (256,)
 
 
 def test_count_distribution_peak_within_24_bytes_per_cell():
     # the law is 8 bytes a cell; the second factor's product is the only other table
     cells = 64**3
-    peak = oracles.peak_traced_bytes(counting.count_distribution, 15, 4, 64, 3)
+    peak = oracles.peak_traced_bytes(qsim.counter_law, 15, 4, 64, 3)
     assert peak <= 24 * cells
 
 

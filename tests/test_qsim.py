@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from carmsim import counting, qsim
+from carmsim import qsim
 from carmsim.errors import CapacityError, DomainError, NormalizationError
 
 import oracles
@@ -23,13 +23,15 @@ def random_state(dims, seed):
 
 def test_layout_validation():
     with pytest.raises(DomainError):
-        qsim.counter_law(4, 0, 10, 3)
+        qsim.counter_law(10, 3, 4, 0)
     with pytest.raises(DomainError):
-        qsim.counter_law(1, 2, 10, 3)
+        qsim.counter_law(10, 3, 1, 2)
+    with pytest.raises(DomainError):
+        qsim.counter_law(10, 3, 3, 2)
     with pytest.raises(CapacityError):
-        qsim.counter_law(2, 26, 10, 3)
-    assert qsim.counter_law(3, 2, 10, 3).shape == (3, 3)
-    # the two-plane state oracle keeps the same rules, on unequal registers too
+        qsim.counter_law(10, 3, 4, 13)
+    assert qsim.counter_law(10, 3, 4, 2).shape == (4, 4)
+    # the two-plane state oracle keeps its own rules (sizes >= 2), on unequal registers too
     with pytest.raises(DomainError):
         oracles.two_plane_grover_powers((), 10, 3)
     with pytest.raises(DomainError):
@@ -246,9 +248,9 @@ def test_controlled_powers_checks_the_cap_before_the_table(monkeypatch):
     # 2 * 4^13 = 2^27 amplitudes, and R past any index, meet the cap register by register
     for registers in (13, 10**30):
         with pytest.raises(CapacityError):
-            counting.count_distribution(15, 4, 4, registers)
+            qsim.counter_law(15, 4, 4, registers)
     with pytest.raises(DomainError):
-        counting.count_distribution(15, 4, 4, 0)
+        qsim.counter_law(15, 4, 4, 0)
 
 
 def test_two_plane_powers_peak_stays_near_the_state():
@@ -393,6 +395,18 @@ def test_sample_outcomes_reject_a_table_without_mass():
     for table in (np.zeros(4), np.full(4, np.nan), np.full(3, qsim.SAMPLE_CLIP / 2)):
         with pytest.raises(NormalizationError):
             qsim.sample_outcomes(table, [0.5])
+
+
+def test_sample_outcomes_peak_within_one_working_copy():
+    # a 16 MiB law with dust below the clip: one copy, clipped, renormalized
+    # and summed into its CDF in place, plus the clip's one-byte mask
+    law = qsim.counter_law(15, 4, 128, 3)
+    assert (law < qsim.SAMPLE_CLIP).any()
+    before = law.copy()
+    uniforms = np.random.default_rng(3).random(1000)
+    peak = oracles.peak_traced_bytes(qsim.sample_outcomes, law, uniforms)
+    assert peak <= 1.25 * law.nbytes
+    assert np.array_equal(law, before)
 
 
 # ---------------------------------------------------------------- rep streams
@@ -586,7 +600,7 @@ def test_counter_law_rejects_a_drifted_power_table(monkeypatch):
     for bad in (lambda *args: table(*args) * (1 + 1e-9), lambda *args: np.full_like(table(*args), np.nan)):
         monkeypatch.setattr(qsim, "_plane_power_table", bad)
         with pytest.raises(NormalizationError, match=r"norm\^2 drifted to .*NORM_TOL = 1e-10.*\(8, 2\)"):
-            qsim.counter_law(8, 2, 15, 4)
+            qsim.counter_law(15, 4, 8, 2)
 
 
 def test_exact_distribution_rejects_nan_state():
