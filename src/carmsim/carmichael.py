@@ -298,12 +298,12 @@ def perturbation_bounds(n: int, p: int) -> PerturbationBounds:
 
 @dataclass(frozen=True)
 class CarmichaelCountResult:
-    """Counting run over k = 1..n with the enumeration ground truth attached."""
+    """Counting run over k = 1..n; exact_count, the ground truth, is the
+    length of enumerate_carmichaels(n), whose list is not kept."""
 
     n: int
     q: int
     exact_count: int
-    carmichaels: tuple[int, ...]
     estimates: list[counting.CountEstimate]
     error_bound: float
     peak_probability: counting.PeakProbability
@@ -321,14 +321,12 @@ def count_carmichaels_quantum(n: int, q: int, seed: int, reps: int) -> Carmichae
     marked count equals len(enumerate_carmichaels(n)); the perturbed-oracle
     corrections are budgeted by perturbation_bounds, not simulated.
     """
-    carmichaels = numtheory.enumerate_carmichaels(n)
-    t_n = len(carmichaels)
+    t_n = len(numtheory.enumerate_carmichaels(n))
     estimates = counting.run_count(n, t_n, q, seed=seed, reps=reps)
     return CarmichaelCountResult(
         n=n,
         q=q,
         exact_count=t_n,
-        carmichaels=tuple(carmichaels),
         estimates=estimates,
         error_bound=counting.estimate_error_bound(n, q, t_n),
         peak_probability=counting.peak_success_probability(n, t_n, q),

@@ -77,14 +77,14 @@ def dirichlet_kernel(x, p: int):
     return out
 
 
-def peak_position(dimension: int, marked: int, p: int) -> float:
+def peak_position(dimension: int, marked: float, p: int) -> float:
     """f = P arcsin(sqrt(t/D)) / pi, the continuous peak location."""
     if dimension < 1 or not 0 <= marked <= dimension:
         raise DomainError(f"bad (D, t) = ({dimension}, {marked})")
     return p * math.asin(math.sqrt(marked / dimension)) / math.pi
 
 
-def exact_count_joint(dimension: int, marked: int, p: int, registers: int) -> np.ndarray:
+def exact_count_joint(dimension: int, marked: float, p: int, registers: int) -> np.ndarray:
     """Joint outcome law over `registers` counter registers, shape (P,)*R.
 
     P(l_1..l_R) = ( prod_i s(l_i + f)^2 + prod_i s(l_i - f)^2 ) / 2.

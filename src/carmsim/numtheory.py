@@ -26,8 +26,9 @@ Quantities attached to an integer k >= 2, used throughout the package:
                 criterion 7's exempt set {4, 6, 9}).
 
 Everything is deterministic and exact: primality uses a fixed Miller-Rabin
-base set valid far beyond the 2**50 factorization bound.  F(k) and the
-strong-liar count (Monier's formula) are closed forms over the
+base set valid far beyond the 2**50 factorization bound; factorize divides
+by the primes below _TRIAL_LIMIT, then splits the cofactor by Pollard rho.
+F(k) and the strong-liar count (Monier's formula) are closed forms over the
 factorization; the per-base censuses that check them are in tests/oracles.py.
 Two sieves cover every k below a bound at once: liar_sieve (phi, F and the
 strong-liar count, one pass over the primes up to sqrt(n)) and the Korselt
@@ -129,7 +130,8 @@ def _pollard_rho(n: int) -> int:
 
 
 def factorize(k: int) -> Factorization:
-    """Deterministic factorization: trial division, then rho on cofactors."""
+    """Deterministic factorization: trial division by _TRIAL_PRIMES, the
+    primes below _TRIAL_LIMIT, then Pollard rho on the cofactor."""
     if k < 2:
         raise DomainError(f"factorize requires k >= 2, got {k}")
     if k > FACTOR_BOUND:
@@ -140,19 +142,12 @@ def factorize(k: int) -> Factorization:
     def add(p: int) -> None:
         factors[p] = factors.get(p, 0) + 1
 
-    for p in (2, 3, 5):
+    for p in _TRIAL_PRIMES:
+        if p * p > n:
+            break
         while n % p == 0:
             add(p)
             n //= p
-    p = 7
-    wheel = (4, 2, 4, 2, 4, 6, 2, 6)
-    i = 0
-    while p <= _TRIAL_LIMIT and p * p <= n:
-        while n % p == 0:
-            add(p)
-            n //= p
-        p += wheel[i]
-        i = (i + 1) % 8
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
@@ -292,6 +287,10 @@ def prime_sieve(n: int) -> np.ndarray:
         if s[i]:
             s[i * i :: 2 * i] = False
     return s
+
+
+# factorize's trial divisors, as Python ints
+_TRIAL_PRIMES = tuple(np.flatnonzero(prime_sieve(_TRIAL_LIMIT)).tolist())
 
 
 class LiarCounts(NamedTuple):

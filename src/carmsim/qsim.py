@@ -85,7 +85,7 @@ def _plane_power_table(u_marked: float, u_unmarked: float, max_power: int) -> np
     return np.fromiter(coefficients(), float, 2 * max_power + 2).reshape(-1, 2)
 
 
-def counter_law(dimension: int, marked: int, p: int, registers: int = 1) -> np.ndarray:
+def counter_law(dimension: int, marked: float, p: int, registers: int = 1) -> np.ndarray:
     """Joint law of R counters of size P, shape (P,)*R, after the controlled powers and a QFT on each.
 
     Every sampled law is built here: P >= 4 and R >= 1 are checked first,
@@ -96,7 +96,8 @@ def counter_law(dimension: int, marked: int, p: int, registers: int = 1) -> np.n
     u = (sqrt(t/D), sqrt((D-t)/D)) and Ju.  Each factor |a +- i b|^2 sums
     to the table's mean row norm^2, so that is the one value checked
     against NORM_TOL.  The law is built by outer products of the two
-    factors, the second added into the first in place.
+    factors, the second added into the first in place.  The marked count t
+    need not be an integer: any t in [0, D], an effective count too, is taken.
     """
     if p < 4:
         raise DomainError(f"counter size must be >= 4, got {p}")

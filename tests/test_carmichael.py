@@ -376,7 +376,6 @@ def test_phi_norm():
 def test_count_carmichaels_600():
     result = cm.count_carmichaels_quantum(600, 64, seed=1, reps=60)
     assert result.exact_count == 1
-    assert result.carmichaels == (561,)
     assert result.success_fraction() >= 8 / math.pi**2
     assert result.error_bound == pytest.approx(counting.estimate_error_bound(600, 64, 1))
 

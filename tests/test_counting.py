@@ -213,6 +213,20 @@ def test_two_plane_matches_dense_and_closed_form(dimension_marked, p_r):
     assert np.abs(law - counting.exact_count_joint(dimension, marked, p, r)).max() < 1e-10
 
 
+@pytest.mark.parametrize(
+    "dimension, marked, p, r",
+    [(100, 7.5, 16, 1), (10**7, 56.7, 64, 1), (1000, 0.25, 8, 2), (15, 3.999, 16, 2)]
+    + [(100, marked, 16, 1) for marked in (math.nan, math.inf, -0.5, 100.5)],
+)
+def test_counter_law_takes_a_fractional_marked_count(dimension, marked, p, r):
+    if 0 <= marked <= dimension:
+        law = qsim.counter_law(dimension, marked, p, r)
+        assert np.abs(law - counting.exact_count_joint(dimension, marked, p, r)).max() < 1e-10
+    else:
+        with pytest.raises(DomainError):
+            qsim.counter_law(dimension, marked, p, r)
+
+
 def test_two_plane_validation():
     with pytest.raises(DomainError):
         qsim.counter_law(10, 11, 4)

@@ -30,8 +30,15 @@ def test_factorize_domain_and_capacity():
 
 
 def test_factorize_semiprime_above_trial_limit():
+    # 9973 is the largest trial prime (below _TRIAL_LIMIT), 10007 the smallest prime above it
     p, q = 1_000_003, 1_000_033
     assert nt.factorize(p * q).factors == ((p, 1), (q, 1))
+    assert nt.factorize(9973**2).factors == ((9973, 2),)
+    assert nt.factorize(9973 * 10007).factors == ((9973, 1), (10007, 1))
+    assert nt.factorize(10007**2).factors == ((10007, 2),)
+    assert nt.factorize(10007**3).factors == ((10007, 3),)
+    assert nt.factorize(2**10 * 9973).factors == ((2, 10), (9973, 1))
+    assert nt.factorize(2**50 - 27).factors == ((2**50 - 27, 1),)
 
 
 @given(st.integers(2, 10**7))

@@ -7,6 +7,10 @@ imported module (`numtheory.factorize`) or through the package
 (`carmsim.numtheory.factorize`).  A method or property counts as called
 when any attribute access outside its definition uses its name.
 
+The package's __init__.py may bind a name, by import or by assignment, only
+when some file reads it through the package (`carmsim.<name>` or
+`from carmsim import <name>`).
+
 The same parse checks that no module of the package names numpy.random:
 the rep streams are qsim's own PCG64, and numpy's is only the tests' oracle.
 """
@@ -30,11 +34,15 @@ def _public_definitions(tree: ast.Module):
                     yield f"{node.name}.{item.name}", item
 
 
+def _imports_from_package(node: ast.AST) -> bool:
+    return isinstance(node, ast.ImportFrom) and (node.module == "carmsim" or (node.level == 1 and node.module is None))
+
+
 def _module_aliases(tree: ast.Module) -> dict[str, str]:
     """Local name -> package module, for each module imported whole."""
     aliases = {}
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (node.module == "carmsim" or (node.level == 1 and node.module is None)):
+        if _imports_from_package(node):
             for alias in node.names:
                 aliases[alias.asname or alias.name] = alias.name
     return aliases
@@ -55,11 +63,14 @@ def _references(path: Path, tree: ast.Module):
             yield "attribute", owner, node.attr, node.lineno
 
 
-def test_every_public_function_has_a_caller():
+def _source_files() -> list[Path]:
     folders = (PACKAGE, ROOT / "scripts", ROOT / "perfbench")
-    files = [path for folder in folders for path in sorted(folder.glob("*.py"))]
+    return [path for folder in folders for path in sorted(folder.glob("*.py"))]
+
+
+def test_every_public_function_has_a_caller():
     refs = []
-    for path in files:
+    for path in _source_files():
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         refs += [(path, *ref) for ref in _references(path, tree)]
 
@@ -87,6 +98,47 @@ def test_the_guard_resolves_package_chains():
     refs = list(_references(Path("checks.py"), ast.parse(source)))
     assert ("attribute", "carmichael", "ancilla_distribution", 2) in refs
     assert ("attribute", None, "carmichael", 2) in refs
+
+
+def _bound_names(tree: ast.Module) -> set[str]:
+    """Names a module binds at its top level, by import or by assignment."""
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update(n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name))
+    return bound
+
+
+def _package_reads(tree: ast.Module) -> set[str]:
+    """Names one file reads through the package: carmsim.<name> or from carmsim import <name>."""
+    read = set()
+    for node in ast.walk(tree):
+        if _imports_from_package(node):
+            read.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "carmsim":
+            read.add(node.attr)
+    return read
+
+
+def test_every_name_the_package_init_binds_has_a_reader():
+    init = PACKAGE / "__init__.py"
+    read = set()
+    for path in _source_files():
+        if path != init:
+            read |= _package_reads(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    bound = _bound_names(ast.parse(init.read_text(encoding="utf-8")))
+    assert sorted(bound - read) == []
+
+
+def test_the_guard_sees_each_binding_and_read_of_the_package():
+    source = "from .numtheory import factorize as f, euler_phi\nimport os.path\n"
+    source += "__version__ = '0'\nx: int = 1\na, (b, c) = 1, (2, 3)\n"
+    assert sorted(_bound_names(ast.parse(source))) == ["__version__", "a", "b", "c", "euler_phi", "f", "os", "x"]
+    source = "import carmsim\nfrom carmsim import cli\nfrom . import qsim\ncarmsim.f\nother.carmsim.h\n"
+    assert _package_reads(ast.parse(source)) == {"cli", "qsim", "f"}
 
 
 def _numpy_random_names(tree: ast.Module) -> list[int]:
