@@ -11,11 +11,15 @@ success, 2 on a domain/precondition error, 3 on a capacity error, when
 memory runs out or when a counter law drifts off its norm (a counter so
 large that the rounding of its power table passes the norm tolerance).
 
-JSON output equals json.dumps(payload, indent=2) byte for byte.  Reps with
-the same outcome share one record, so a payload holds each distinct
-record's dict once, repeated, and the renderer encodes a list element that
-recurs once and reuses its text.  The text and CSV forms likewise format
-each distinct record once and prefix each rep's copy with its rep index.
+JSON output equals json.dumps(payload, indent=2) byte for byte.  The
+renderer writes strings, None, bools, ints, finite floats and non-empty
+lists, tuples and str-keyed dicts itself; json.dumps writes or refuses the
+rest (NaN and the infinities, empty containers, other keys and types).
+Reps with the same outcome share one record, so a payload holds each
+distinct record's dict once, repeated, and the renderer encodes a list
+element that recurs once and reuses its text.  The text and CSV forms
+likewise format each distinct record once and prefix each rep's copy with
+its rep index.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import argparse
 import csv
 import functools
 import io
+import json
 import math
 import os
 import sys
@@ -44,62 +49,39 @@ class Record(NamedTuple):
     lines: Callable[[], Iterable[str]] | None = None  # text lines
 
 
-def _json_float(value: float) -> str:
-    """A float as json writes it: NaN and the infinities by name, any other by float.__repr__."""
-    if value != value:
-        return "NaN"
-    if value == math.inf:
-        return "Infinity"
-    if value == -math.inf:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
-def _json_key(key) -> str:
-    """A dict key as json writes it: a str as is, an int, float, bool or None as its JSON text."""
-    if isinstance(key, str):
-        return key
-    if key is None or isinstance(key, (int, float)):
-        return _json_text(key, "")
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-
-
 def _json_text(value, indent: str) -> str:
     """value as json.dumps(value, indent=2) writes it, nested at the given indent.
 
-    A list element that recurs (the same object) is encoded once and its
-    text reused; a type json rejects raises json's TypeError.
+    A recurring list element (the same object) is encoded once and its text reused.
     """
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
         return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
+    if value is True or value is False:
+        return "true" if value else "false"
     if isinstance(value, int):
         return int.__repr__(value)
-    if isinstance(value, float):
-        return _json_float(value)
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
     inner = indent + "  "
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
+    if isinstance(value, (list, tuple)) and value:
         texts: dict[int, str] = {}
+        items = []
         for item in value:
-            if id(item) not in texts:
-                texts[id(item)] = _json_text(item, inner)
-        items = [texts[id(item)] for item in value]
+            text = texts.get(id(item))
+            if text is None:
+                text = texts[id(item)] = _json_text(item, inner)
+            items.append(text)
         return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [
-            f"{encode_basestring_ascii(_json_key(key))}: {_json_text(item, inner)}" for key, item in value.items()
-        ]
-        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
-    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+    if isinstance(value, dict) and value:
+        try:  # encode_basestring_ascii raises TypeError on a key that is not a str
+            items = [f"{encode_basestring_ascii(key)}: {_json_text(item, inner)}" for key, item in value.items()]
+            return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
+        except TypeError:  # json walks the dict in the same order, so fails on the same first bad item
+            pass
+    # json escapes every newline in a string, so its text re-indents exactly
+    return json.dumps(value, indent=2).replace("\n", "\n" + indent)
 
 
 def csv_line(fields: Iterable) -> str:

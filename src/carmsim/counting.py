@@ -29,6 +29,7 @@ closed form's amplitude version live in tests/oracles.py.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -93,13 +94,9 @@ def exact_count_joint(dimension: int, marked: float, p: int, registers: int) -> 
         raise DomainError(f"need >= 1 counter registers, got {registers}")
     f = peak_position(dimension, marked, p)
     l = np.arange(p)
-    sp2 = dirichlet_kernel(l + f, p) ** 2
-    sm2 = dirichlet_kernel(l - f, p) ** 2
-    plus, minus = sp2, sm2
-    for _ in range(registers - 1):
-        plus = np.multiply.outer(plus, sp2)
-        minus = np.multiply.outer(minus, sm2)
-    joint = 0.5 * (plus + minus)
+    joint = functools.reduce(np.multiply.outer, [dirichlet_kernel(l + f, p) ** 2] * registers)
+    joint += functools.reduce(np.multiply.outer, [dirichlet_kernel(l - f, p) ** 2] * registers)
+    joint *= 0.5
     if not abs(float(joint.sum()) - 1.0) <= 1e-10:  # written so that NaN fails too
         raise NormalizationError(f"closed-form law sums to {joint.sum()}")
     return joint

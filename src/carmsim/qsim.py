@@ -54,7 +54,7 @@ import numpy as np
 
 from .errors import CapacityError, DomainError, NormalizationError
 
-#: cap on the number of amplitudes a state may hold
+#: cap on 2 P^R, the cells of a counter law's two outer products while it is built
 AMPLITUDE_CAP = 1 << 26
 
 NORM_TOL = 1e-10

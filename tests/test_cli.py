@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from carmsim import carmichael, cli, counting, numtheory
 
@@ -238,6 +238,7 @@ PINNED_STDOUT = [
 def test_seeded_stdout_is_pinned(args, digest, capsys):
     code, out, _ = run_cli(args + ["--seed", "42", "--output", "json"], capsys)
     assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
@@ -519,6 +520,11 @@ def _render_json(payload: dict) -> str:
 
 
 @given(st.recursive(JSON_SCALARS, _json_containers, max_leaves=12))
+# where the renderer's own path meets json.dumps: a recurring dict with a
+# non-str key, empty containers under a non-str key, and recurring non-finite floats
+@example([{1: [math.nan]}] * 3)
+@example({"a": [[], {}], "b": {"c": {True: None}}})
+@example([math.inf, -math.inf, math.nan] * 2)
 def test_json_render_equals_json_dumps(value):
     assert _render_json({"value": value}) == json.dumps({"config": None, "value": value}, indent=2) + "\n"
 
@@ -535,6 +541,8 @@ JSON_REJECTED = {
     "tuple-key": {"a": 1, (1,): 2},
     "tuple-key-before-value": {(1,): object()},
     "frozenset-key": {frozenset(): 1},
+    "object-under-recurring-int-key": {"a": [{1: object()}] * 2},
+    "tuple-key-after-int-key": {"a": {1: 2, (1,): 3}},
 }
 
 
