@@ -61,7 +61,7 @@ class VerdictKind(Enum):
     PROBABLY_CARMICHAEL = "ProbablyCarmichael"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     """Certification outcome for one run.
 
@@ -85,8 +85,7 @@ class Verdict:
     exact_allzero: float | None = None
 
     def __post_init__(self) -> None:
-        nonzero = any(v != 0 for v in self.observed_ancillas)
-        if nonzero != (self.kind is VerdictKind.NOT_CARMICHAEL):
+        if any(self.observed_ancillas) != (self.kind is VerdictKind.NOT_CARMICHAEL):
             raise DomainError("verdict kind inconsistent with observed ancillas")
         if not 0.0 <= self.error_bound <= 1.0:
             raise DomainError(f"error bound {self.error_bound} outside [0, 1]")
@@ -127,8 +126,10 @@ def gap_error_bound(k: int, phi: int, p: int, r: int) -> float:
 
     The kernel's numerator oscillates, so sup alpha(t')^(2R) is bounded by
     the envelope 1/(P sin theta) at theta_gap = arcsin sqrt(phi/(2k)).
+    phi/(2k) is one correctly rounded int division, so k may pass the float
+    range; for k <= 2^50 it equals the float division to the bit.
     """
-    theta_gap = math.asin(math.sqrt(phi / (2.0 * k)))
+    theta_gap = math.asin(math.sqrt(phi / (2 * k)))
     envelope = 1.0 / (p * math.sin(theta_gap))
     return min(1.0, envelope) ** (2 * r)
 

@@ -17,9 +17,13 @@ lists, tuples and str-keyed dicts itself; json.dumps writes or refuses the
 rest (NaN and the infinities, empty containers, other keys and types).
 Reps with the same outcome share one record, so a payload holds each
 distinct record's dict once, repeated, and the renderer encodes a list
-element that recurs once and reuses its text.  The text and CSV forms
-likewise format each distinct record once and prefix each rep's copy with
-its rep index.
+element that recurs once and reuses its text.  Across the records of a
+list it also spells each dict key layout (the keys at one depth) once, as
+a % template, and encodes once each leaf that the records share (their
+kind, error bound, flag probability, small ints); these caches live for
+one render, and a dict outside every list is spelled out in place.  The
+text and CSV forms likewise format each distinct record once and prefix
+each rep's copy with its rep index.
 """
 
 from __future__ import annotations
@@ -49,37 +53,88 @@ class Record(NamedTuple):
     lines: Callable[[], Iterable[str]] | None = None  # text lines
 
 
-def _json_text(value, indent: str) -> str:
-    """value as json.dumps(value, indent=2) writes it, nested at the given indent.
+def _json_leaf(value) -> str | None:
+    """A str, None, bool, int or finite float as json.dumps writes it; None for any other value.
 
-    A recurring list element (the same object) is encoded once and its text reused.
+    The exact types are tested first, as the payloads' leaves are; a
+    subclass takes the isinstance tests, and json writes it as its base.
     """
-    if isinstance(value, str):
+    cls = type(value)
+    if cls is float:
+        return float.__repr__(value) if math.isfinite(value) else None
+    if cls is str:
         return encode_basestring_ascii(value)
+    if cls is int:
+        return int.__repr__(value)
     if value is None:
         return "null"
     if value is True or value is False:
         return "true" if value else "false"
+    if not isinstance(value, (str, int, float)):
+        return None
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
     if isinstance(value, int):
         return int.__repr__(value)
-    if isinstance(value, float) and math.isfinite(value):
-        return float.__repr__(value)
+    return float.__repr__(value) if math.isfinite(value) else None
+
+
+def _json_text(value, indent: str, memo: dict | None = None) -> str:
+    """A value that is not a leaf (_json_leaf) as json.dumps(value, indent=2) writes it, nested at indent.
+
+    A recurring list element (the same object) is encoded once per list.
+    Records recur as the elements of a list, so the outermost list opens
+    one memo that everything under it shares; it lives for this call, so
+    the ids in it stay those of live objects.  It maps a plain dict's key
+    layout at one depth, (indent, *keys), to a % template of the dict's
+    value texts, spelled once; and once a layout recurs, it maps each leaf
+    of its dicts, by id, to its text, so the leaves that records share are
+    encoded once.  A dict outside every list occurs once, where a template
+    costs more than it saves, so it is spelled out in place.
+    """
     inner = indent + "  "
     if isinstance(value, (list, tuple)) and value:
+        if memo is None:
+            memo = {}
         texts: dict[int, str] = {}
         items = []
         for item in value:
             text = texts.get(id(item))
             if text is None:
-                text = texts[id(item)] = _json_text(item, inner)
+                text = texts[id(item)] = _json_leaf(item) or _json_text(item, inner, memo)
             items.append(text)
         return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
-    if isinstance(value, dict) and value:
-        try:  # encode_basestring_ascii raises TypeError on a key that is not a str
-            items = [f"{encode_basestring_ascii(key)}: {_json_text(item, inner)}" for key, item in value.items()]
+    if type(value) is dict and value:
+        # encode_basestring_ascii raises TypeError on a key that is not a str; json
+        # walks the dict in the same order, so fails on the same first bad item
+        if memo is None:
+            try:
+                items = [f"{encode_basestring_ascii(key)}: {_json_leaf(item) or _json_text(item, inner)}"
+                         for key, item in value.items()]
+            except TypeError:
+                return json.dumps(value, indent=2).replace("\n", "\n" + indent)
             return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
-        except TypeError:  # json walks the dict in the same order, so fails on the same first bad item
-            pass
+        layout = (indent, *value)
+        template = memo.get(layout)
+        if template is not None:
+            items = []
+            for item in value.values():
+                text = memo.get(id(item))
+                if text is None:
+                    text = _json_leaf(item)
+                    if text is None:
+                        text = _json_text(item, inner, memo)
+                    else:
+                        memo[id(item)] = text
+                items.append(text)
+            return template % tuple(items)
+        try:
+            keys = "\n".join(map(encode_basestring_ascii, value))  # an encoded key holds no newline
+        except TypeError:
+            return json.dumps(value, indent=2).replace("\n", "\n" + indent)
+        keys = keys.replace("%", "%%").replace("\n", f": %s,\n{inner}")
+        memo[layout] = template = f"{{\n{inner}{keys}: %s\n{indent}}}"
+        return template % tuple([_json_leaf(item) or _json_text(item, inner, memo) for item in value.values()])
     # json escapes every newline in a string, so its text re-indents exactly
     return json.dumps(value, indent=2).replace("\n", "\n" + indent)
 

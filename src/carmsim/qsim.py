@@ -40,8 +40,16 @@ for all reps in one call.  Rep i draws numpy's PCG64 sequence of
 np.random.default_rng([seed, i]), bit for bit, reproduced in-package as
 uint64 array arithmetic over one chunk of reps at a time: the SeedSequence
 hash of the chunk's seed words in one uint32 pass, then its steps, a block
-of them by jump-ahead.  No command imports numpy.random, which the tests
-use as the oracle for these streams.
+of them by jump-ahead.  PCG64 seeds a rep from its words w_01 (words 0-1)
+and w_23 (words 2-3), read as 128-bit values: c = 2 w_23 + 1 and
+s_1 = a (c + w_01) + c, with a its multiplier, and a draw steps first,
+s -> a s + c, all mod 2^128.  The first draw's state is then one affine
+map of the words,
+
+    s_2 = a^2 w_01 + 2 (a^2 + a + 1) w_23 + (a^2 + a + 1),
+
+which a rep without a flag reaches in one step.  No command imports
+numpy.random, which the tests use as the oracle for these streams.
 """
 
 from __future__ import annotations
@@ -54,8 +62,13 @@ import numpy as np
 
 from .errors import CapacityError, DomainError, NormalizationError
 
-#: cap on 2 P^R, the cells of a counter law's two outer products while it is built
+#: cap on 2 P^R, the cells of a counter law's two outer products; counter_law adds the
+#: second in chunks, so a build holds fewer, but the cap fixes which inputs exit 3
 AMPLITUDE_CAP = 1 << 26
+
+#: cells per chunk of the second outer product that counter_law adds into the law
+#: (one leading row when a row holds more)
+_LAW_CHUNK = 1 << 16
 
 NORM_TOL = 1e-10
 
@@ -96,7 +109,10 @@ def counter_law(dimension: int, marked: float, p: int, registers: int = 1) -> np
     u = (sqrt(t/D), sqrt((D-t)/D)) and Ju.  Each factor |a +- i b|^2 sums
     to the table's mean row norm^2, so that is the one value checked
     against NORM_TOL.  The law is built by outer products of the two
-    factors, the second added into the first in place.  The marked count t
+    factors, the second added into the first in place, in chunks of at most
+    _LAW_CHUNK cells (or one leading row), so the build holds the law and
+    one chunk; every chunk keeps the full product's order of multiplication,
+    so the law is the same to the bit.  The marked count t
     need not be an integer: any t in [0, D], an effective count too, is taken.
     """
     if p < 4:
@@ -125,7 +141,11 @@ def counter_law(dimension: int, marked: float, p: int, registers: int = 1) -> np
     plus = np.abs(np.fft.ifft(c + 1j * s)) ** 2
     minus = plus[-np.arange(p)]  # read at -l mod P
     law = functools.reduce(np.multiply.outer, [plus] * registers)
-    law += functools.reduce(np.multiply.outer, [minus] * registers)
+    # the minus product joins in chunks of leading rows, each its own
+    # (m_i m_j) m_k product, so that no second (P,)*R table is held
+    rows = max(1, _LAW_CHUNK // p ** (registers - 1))
+    for lo in range(0, p, rows):
+        law[lo : lo + rows] += functools.reduce(np.multiply.outer, [minus] * (registers - 1), minus[lo : lo + rows])
     law *= 0.5
     return law
 
@@ -163,12 +183,31 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 MAX_REPS = 1 << 32
 
 
+@functools.cache
 def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
-    """init mult^t mod 2^32 for t = 0..n, a uint32 column."""
+    """init mult^t mod 2^32 for t = 0..n, a uint32 column; n grows only with the seed's words."""
     consts = [init]
     for _ in range(n):
         consts.append(consts[-1] * mult & _MASK32)
     return np.array(consts, dtype=np.uint32)[:, None]
+
+
+def _pool_stage_consts() -> tuple[np.ndarray, np.ndarray]:
+    """The xor and multiply constants of the pool's 4 mixing stages, each of shape (4, 4, 1).
+
+    Stage src hashes pool word src once for each other word d, in order,
+    with constant 4 + 3 src + (d - (d > src)) and the one after; row src,
+    whose word the stage keeps, takes the pair of position (src - 1) mod 3.
+    """
+    consts = _hash_consts(_INIT_A, _MULT_A, 16)
+    index = np.array([[4 + 3 * src + (d - (d >= src)) % 3 for d in range(4)] for src in range(4)])
+    return consts[index], consts[index + 1]
+
+
+_POOL_XOR, _POOL_MUL = _pool_stage_consts()
+#: the 8 output words hash pool words 0-3 twice, with constants 0..7 and 1..8, shaped (2, 4, 1)
+_OUT_XOR = _hash_consts(_INIT_B, _MULT_B, 8)[:8].reshape(2, 4, 1)
+_OUT_MUL = _hash_consts(_INIT_B, _MULT_B, 8)[1:].reshape(2, 4, 1)
 
 
 def _seed_words(seed: int, reps: int, start: int = 0) -> np.ndarray:
@@ -179,7 +218,8 @@ def _seed_words(seed: int, reps: int, start: int = 0) -> np.ndarray:
     every i, so the constants are computed once.  Each run of hashes that
     reads no result of another (the four pool words, the three pool words a
     source word mixes into, the four an extra entropy word mixes into, the
-    eight output words) is one whole-array step with a row per hash.
+    eight output words) is one whole-array step with a row per hash; a
+    source word's stage mixes into all four rows and then restores its own.
     """
     words = [seed & _MASK32]
     while seed >> 32:
@@ -191,15 +231,10 @@ def _seed_words(seed: int, reps: int, start: int = 0) -> np.ndarray:
     entropy[len(words)] = np.arange(start, start + reps, dtype=np.uint32)
     # 4 pool words, 4 x 3 pool mixes, 4 mixes per extra word: 4 hashes per entropy row
     consts = _hash_consts(_INIT_A, _MULT_A, 4 * len(entropy))
-    used = 0
 
-    def hashmix(values: np.ndarray, n: int) -> np.ndarray:
-        # n hashes of values (n rows, or one broadcast); hash t xors with
-        # constant t and multiplies by constant t + 1
-        nonlocal used
-        values = values ^ consts[used : used + n]
-        values *= consts[used + 1 : used + n + 1]
-        used += n
+    def hashmix(values: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+        values = values ^ xor
+        values *= mult
         values ^= values >> 16
         return values
 
@@ -209,18 +244,16 @@ def _seed_words(seed: int, reps: int, start: int = 0) -> np.ndarray:
         x ^= x >> 16
         return x
 
-    pool = hashmix(entropy[:4], 4)
+    pool = hashmix(entropy[:4], consts[:4], consts[1:5])
     for src in range(4):
-        dst = [d for d in range(4) if d != src]
-        pool[dst] = mix(pool[dst], hashmix(pool[src], 3))
-    for word in entropy[4:]:
-        pool = mix(pool, hashmix(word, 4))
-    out_consts = _hash_consts(_INIT_B, _MULT_B, 8)
-    out = pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ out_consts[:8]
-    out *= out_consts[1:]
-    out ^= out >> 16
+        mixed = mix(pool, hashmix(pool[src], _POOL_XOR[src], _POOL_MUL[src]))
+        mixed[src] = pool[src]
+        pool = mixed
+    for t, word in enumerate(entropy[4:], start=4):
+        pool = mix(pool, hashmix(word, consts[4 * t : 4 * t + 4], consts[4 * t + 1 : 4 * t + 5]))
+    out = hashmix(pool, _OUT_XOR, _OUT_MUL)
     state = np.empty((reps, 8), dtype="<u4")
-    state.T[...] = out
+    state.T[...] = out.reshape(8, reps)
     return state.view("<u8").astype(np.uint64, copy=False)
 
 
@@ -276,6 +309,11 @@ def _uniform(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
 #: the multiplier as (high, low) uint64 arrays
 _MULT_WORDS = _hi_lo([_PCG_MULT])
 
+#: a^2, 2 g and g with g = a^2 + a + 1, mod 2^128, as (high, low) arrays: a rep's state
+#: at its first draw is a^2 w_01 + 2 g w_23 + g (module docstring)
+_FIRST_DRAW = tuple(_hi_lo([c & _MASK128]) for c in (
+    _PCG_MULT**2, 2 * (_PCG_MULT**2 + _PCG_MULT + 1), _PCG_MULT**2 + _PCG_MULT + 1))
+
 
 @functools.cache
 def _jumps(n: int) -> tuple[np.ndarray, ...]:
@@ -314,7 +352,8 @@ def rep_draws(seed: int, reps: int, accept: float | None) -> tuple[np.ndarray, n
     """Every rep's flag rounds and reading; rep i draws numpy's default_rng([seed, i]) bit for bit.
 
     With accept None there is no flag: rounds are 0 and the reading is the
-    first uniform.  Otherwise a round accepts when its uniform is below
+    first uniform, whose state is one affine map of the seed words (module
+    docstring).  Otherwise a round accepts when its uniform is below
     accept and the reading is the uniform after the rounds (geometric, >= 1).
     A rep draws rounds + 1 uniforms in one block, enough rounds to miss them
     all with probability at most _FLAG_TAIL, and a rep that misses draws a
@@ -340,11 +379,15 @@ def rep_draws(seed: int, reps: int, accept: float | None) -> tuple[np.ndarray, n
     # a chunk holds about _BLOCK_ELEMENTS uniforms, a rep's seeding counting as two
     step = max(1, _BLOCK_ELEMENTS // (flags + 3))
     for start in range(0, reps, step):
-        pending = np.arange(start, min(start + step, reps))
-        state, inc = _seed_states(seed, len(pending), start)
-        if accept is None:  # one step, no block
-            readings[pending] = _uniform(*_add128(*_mul128(*state, *_MULT_WORDS), *inc))
+        stop = min(start + step, reps)
+        if accept is None:  # the first draw, in one affine step of the seed words
+            words = _seed_words(seed, stop - start, start)
+            first, second, const = _FIRST_DRAW
+            state = _add128(*_mul128(words[:, 0], words[:, 1], *first), *_mul128(words[:, 2], words[:, 3], *second))
+            readings[start:stop] = _uniform(*_add128(*state, *const))
             continue
+        pending = np.arange(start, stop)
+        state, inc = _seed_states(seed, len(pending), start)
         while len(pending):
             hi, lo = _block(state, inc, flags + 1)
             draws = _uniform(hi, lo)

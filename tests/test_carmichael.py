@@ -287,6 +287,25 @@ def test_gap_error_bound_envelope():
             assert counting.dirichlet_kernel(f, 16) ** 2 <= bound + 1e-12
 
 
+@pytest.mark.parametrize("k,phi,expected", [
+    (15, 8, ("0.00021457672119140639", "7.673861546209089e-10", "0.23437500000000008")),
+    (561, 320, ("0.00018758833408355719", "6.272617305569386e-10", "0.21914062500000003")),
+    (1387, 1296, ("6.990737258034352e-05", "1.4270018025524305e-10", "0.13377700617283952")),
+    (2**50 - 1, 656100000000000, ("0.0001797378537968923", "5.883007193346146e-10", "0.21450615509118715")),
+])
+def test_gap_error_bound_values_are_pinned(k, phi, expected):
+    # the float values of phi / (2.0 k), which the int division equals to the bit for k <= 2^50
+    assert numtheory.number_facts(k).phi == phi
+    got = tuple(repr(cm.gap_error_bound(k, phi, p, r)) for p, r in ((16, 2), (64, 3), (4, 1)))
+    assert got == expected
+
+
+def test_gap_error_bound_takes_k_past_the_float_range():
+    k = 10**399 + 1  # 400 digits; 2.0 * k would overflow
+    bound = cm.gap_error_bound(k, 10**399, 16, 2)
+    assert isinstance(bound, float) and 0.0 < bound <= 1.0
+
+
 # ---------------------------------------------------------------- perturbation budget
 
 def test_perturbation_bounds_small():

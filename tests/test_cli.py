@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import enum
 import hashlib
 import io
 import json
@@ -225,6 +226,9 @@ PINNED_STDOUT = [
     (["certify", "561", "--mode", "sample"], "e443be509221342fceb6e877c3f7cee047bf530a85d3f81b1b4a57eb6c5decbb"),
     (["certify", "15", "--mode", "exact"], "f940082415d72ba6290c976d0e7da6b353c57fc7187911d2ccc62bcdaa1c64ed"),
     (["certify", "15", "--mode", "sample"], "adb2f2cdb8e934ecb9a8281e82d358c0edbefe46f7b68e8c2be91202559cdcff"),
+    # 41 distinct records among 100 reps, and 36 with flag retries over several rounds
+    (["certify", "341", "--mode", "exact"], "c897f439b64996c93096503249a4663e0c239f369ee12513c2540058924264c8"),
+    (["certify", "645", "--mode", "sample"], "94d1a3ce78e5ec160d453bc60799af72f0467363250a666f27e9f8fa8b917df4"),
     (["count-bases", "25001", "--P", "64"], "b7f2a921fb5c3a6cff90127c3a7a0038a005fa2421ad9a99cfa16375082874dd"),
     (["count-carmichael", "65000", "--Q", "64"], "99f9a719e6f9cd574796d49721e95ef015cefda8e199b88235eb501775cebd4c"),
     (["psw", "10000", "--reps", "5"], "eb4f4f648c5a50ec82ceba3d2cb9a269678e8c3eef2380667224ea2f4929244a"),
@@ -519,12 +523,34 @@ def _render_json(payload: dict) -> str:
     return cli.render("json", cli.Record(table=lambda: ([], []), payload=lambda: payload))
 
 
+class _Str(str):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+class _Int(enum.IntEnum):
+    ONE = 1
+
+
+_SHARED_FLOAT = 0.1
+
+
 @given(st.recursive(JSON_SCALARS, _json_containers, max_leaves=12))
 # where the renderer's own path meets json.dumps: a recurring dict with a
 # non-str key, empty containers under a non-str key, and recurring non-finite floats
 @example([{1: [math.nan]}] * 3)
 @example({"a": [[], {}], "b": {"c": {True: None}}})
 @example([math.inf, -math.inf, math.nan] * 2)
+# the layout templates: keys that hold % or a % mapping key, in a layout that
+# recurs, and one key tuple at two depths
+@example([{"%": "%s", "%(x)s": 1, "%%": None}, {"%": 2, "%(x)s": "%(x)s", "%%": "%"}])
+@example({"a": {"a": 1}, "b": [{"a": {"a": 2}}, {"a": {"a": 3}}]})
+# the leaf memo: subclass leaves, and a NaN beside a float object that the records share
+@example([{"s": _Str("x"), "i": _Int.ONE, "f": _Float(1.5)}, {"s": _Str("y"), "i": _Int.ONE, "f": _Float(math.inf)}] * 2)
+@example([{"a": _SHARED_FLOAT, "b": math.nan}, {"a": _SHARED_FLOAT, "b": _SHARED_FLOAT}, {"a": math.nan, "b": 2.0}])
 def test_json_render_equals_json_dumps(value):
     assert _render_json({"value": value}) == json.dumps({"config": None, "value": value}, indent=2) + "\n"
 
@@ -543,6 +569,7 @@ JSON_REJECTED = {
     "frozenset-key": {frozenset(): 1},
     "object-under-recurring-int-key": {"a": [{1: object()}] * 2},
     "tuple-key-after-int-key": {"a": {1: 2, (1,): 3}},
+    "object-in-second-same-layout-dict": [{"a": 1, "b": 2}, {"a": 1, "b": object()}],
 }
 
 

@@ -240,11 +240,25 @@ def test_two_plane_validation():
     assert qsim.counter_law(10**15, 7, 256).shape == (256,)
 
 
-def test_count_distribution_peak_within_24_bytes_per_cell():
-    # the law is 8 bytes a cell; the second factor's product is the only other table
+@pytest.mark.parametrize("args", [(15, 4, 64, 3), (15, 4, 32, 4), (341, 200, 16, 2), (15, 4, 4, 12), (65000, 13, 256, 1)])
+def test_counter_law_chunks_equal_one_whole_product(args, monkeypatch):
+    # a chunk of one leading row, of 7 cells (one row) and the default, against
+    # a chunk that takes the whole second product at once
+    chunked = [qsim.counter_law(*args)]
+    for cells in (1, 7):
+        monkeypatch.setattr(qsim, "_LAW_CHUNK", cells)
+        chunked.append(qsim.counter_law(*args))
+    monkeypatch.setattr(qsim, "_LAW_CHUNK", 1 << 62)
+    whole = qsim.counter_law(*args)
+    assert all(law.tobytes() == whole.tobytes() for law in chunked)
+
+
+def test_count_distribution_peak_within_12_bytes_per_cell():
+    # the law is 8 bytes a cell; the second factor's product joins it in chunks
+    # of 2^16 cells (16 of the 64 leading rows), the only other table
     cells = 64**3
     peak = oracles.peak_traced_bytes(qsim.counter_law, 15, 4, 64, 3)
-    assert peak <= 24 * cells
+    assert peak <= 12 * cells
 
 
 # ---------------------------------------------------------------- error bound
