@@ -31,14 +31,16 @@ the independent convention.
 The counting pipeline runs the same counter construction over the register
 k = 1..N with the Carmichael indicator as the mark (restricted to k < N so
 the marked count always equals the enumeration ground truth), and budgets
-the non-ideal-oracle corrections analytically: leakage gives the per-k
-factors beta_k (witness-count angle) and alpha_k (Fermat-failure angle),
-and perturbation_bounds aggregates them to
+the non-ideal-oracle corrections analytically: leakage gives the
+composites of a range of k, with their factors beta_k (witness-count
+angle) and alpha_k (Fermat-failure angle), and perturbation_bounds
+aggregates them to
 
     (4/N) [ sum_carm (phi/k) beta^2 + sum_noncarm (phi/k)(1-beta^2) alpha^2 ]
-        <= 4 pi^2 / (3 P^2),
+        <= 4 pi^2 / (3 P^2).
 
-with beta = 1 exactly for primes.  The correction states are never
+Off the composites both factors are 1 by definition (beta = 1 exactly for
+primes) and leakage does not return them.  The correction states are never
 simulated; only these scalar norms enter.
 """
 
@@ -214,22 +216,24 @@ class PerturbationBounds:
 
 
 class Leakage(NamedTuple):
-    """Per-k masks and leakage factors of one range of k (see leakage)."""
+    """The composites of one range of k and their leakage factors (see leakage)."""
 
-    composite: np.ndarray
+    k: np.ndarray
     carmichael: np.ndarray
     beta: np.ndarray
     alpha: np.ndarray
 
 
 def leakage(counts: numtheory.LiarCounts, p: int, lo: int, hi: int) -> Leakage:
-    """Composite and Carmichael masks, beta and alpha for k = lo..hi-1.
+    """The composites k in lo..hi-1, their Carmichael mask, beta and alpha.
 
-    counts is liar_sieve(n)'s output; hi clips at n + 1.  beta is the
-    Dirichlet kernel at g = P arcsin(sqrt(w/k)) / pi, w = k - 1 - strong
-    liars (for even k, the bases that are not Fermat liars), alpha the
-    kernel at the angle of t = phi - F; both are 1 off the composites.
-    A composite whose witness ratio is at least 3/4 has
+    counts is liar_sieve(n)'s output; hi clips at n + 1.  Only composites
+    are returned, in increasing order: off them both factors are 1 by
+    definition (a prime has no witness and no Fermat failure), so the
+    kernels run on the composites alone.  beta is the Dirichlet kernel at
+    g = P arcsin(sqrt(w/k)) / pi, w = k - 1 - strong liars (for even k, the
+    bases that are not Fermat liars), alpha the kernel at the angle of
+    t = phi - F.  A composite whose witness ratio is at least 3/4 has
     pi/3 <= pi g / P <= pi/2, so its beta stays under 2/(sqrt(3) P).  Only
     k = 4 (ratio 1/2) and k = 6, 9 (ratio 2/3) fall below 3/4.  k = 4 has
     g = P/4: beta is 0 when 4 | P and over the limit when P = 2 mod 4.
@@ -238,13 +242,12 @@ def leakage(counts: numtheory.LiarCounts, p: int, lo: int, hi: int) -> Leakage:
     """
     phi, fermat, strong = (c[lo:hi] for c in counts)
     k = np.arange(lo, lo + len(phi), dtype=np.int32)  # the sieve's dtype
-    composite = (phi != k - 1) & (k > 1)  # phi(k) = k - 1 exactly for primes
-    witness = np.where(composite, k - 1 - strong, 0)
-    t_gap = np.where(composite, phi - fermat, 0)
-    size = np.maximum(k, 1.0)
-    beta = counting.dirichlet_kernel(p * np.arcsin(np.sqrt(witness / size)) / math.pi, p)
-    alpha = counting.dirichlet_kernel(p * np.arcsin(np.sqrt(t_gap / size)) / math.pi, p)
-    return Leakage(composite, composite & (t_gap == 0), beta, alpha)
+    at = np.flatnonzero((phi != k - 1) & (k > 1))  # phi(k) = k - 1 exactly for primes
+    k, phi, fermat, strong = k[at], phi[at], fermat[at], strong[at]
+    t_gap = phi - fermat
+    beta = counting.dirichlet_kernel(p * np.arcsin(np.sqrt((k - 1 - strong) / k)) / math.pi, p)
+    alpha = counting.dirichlet_kernel(p * np.arcsin(np.sqrt(t_gap / k)) / math.pi, p)
+    return Leakage(k, t_gap == 0, beta, alpha)
 
 
 #: perturbation_bounds refuses n above this
@@ -277,15 +280,15 @@ def perturbation_bounds(n: int, p: int) -> PerturbationBounds:
     beta_limit = 2.0 / (math.sqrt(3.0) * p)
     carm_terms, violations, filled = [], [], 0
     for lo in range(1, n + 1, _KERNEL_CHUNK):
-        composite, carmichael, beta, alpha = leakage(counts, p, lo, lo + _KERNEL_CHUNK)
-        part = ratio[lo - 1 : lo - 1 + len(beta)]
+        k, carmichael, beta, alpha = leakage(counts, p, lo, lo + _KERNEL_CHUNK)
+        part = ratio[k - 1]
         carm_terms.append(part[carmichael] * beta[carmichael] ** 2)
-        noncarm = composite & ~carmichael
+        noncarm = ~carmichael
         terms = part[noncarm] * (1.0 - beta[noncarm] ** 2) * alpha[noncarm] ** 2
         # fewer such k than k - 1 so far: later chunks' entries stay intact
         ratio[filled : filled + len(terms)] = terms
         filled += len(terms)
-        violations.append(lo + np.flatnonzero(composite & (np.abs(beta) > beta_limit)))
+        violations.append(k[np.abs(beta) > beta_limit])
     carm_sum = float(np.concatenate(carm_terms).sum())
     return PerturbationBounds(
         n=n,

@@ -67,10 +67,11 @@ def dirichlet_kernel(x, p: int):
         d = arr - j * p
         if p % 2 == 0:
             flip = j % 2 != 0
-    den = np.sin(np.pi * d / p)
+    angle = np.pi * d  # angle / p rounds as pi * d / p does: the product comes first
+    den = np.sin(angle / p)
     small = np.abs(den) < KERNEL_SINGULARITY_TOL
     den *= p
-    out = np.divide(np.sin(np.pi * d), den, out=np.ones_like(den), where=~small)
+    out = np.divide(np.sin(angle), den, out=np.ones_like(den), where=~small)
     if flip is not None:
         np.negative(out, out=out, where=flip)
     if np.isscalar(x) or np.ndim(x) == 0:

@@ -312,15 +312,13 @@ def test_perturbation_bounds_small():
     bounds = cm.perturbation_bounds(500, 16)
     leak = cm.leakage(numtheory.liar_sieve(500), 16, 0, 501)
     prime = numtheory.prime_sieve(500)
-    for k in np.flatnonzero(prime):
-        assert leak.beta[k] == 1.0
+    assert leak.k.tolist() == [k for k in range(4, 501) if not prime[k]]
     assert bounds.correction_norm_sq <= bounds.correction_norm_bound
     assert bounds.beta_violations == ()
     assert np.all(np.abs(leak.beta) <= 1 + 1e-12)
     assert np.all(np.abs(leak.alpha) <= 1 + 1e-12)
     carms = set(numtheory.enumerate_carmichaels(500))
-    for k in range(2, 500):
-        assert leak.carmichael[k] == (k in carms)
+    assert leak.carmichael.tolist() == [k in carms for k in leak.k.tolist()]
 
 
 def test_perturbation_bounds_known_small_k_exceptions():
@@ -354,18 +352,19 @@ def test_perturbation_bounds_chunks_match_one_shot_kernel(n):
     f_peak = 64 * np.arcsin(np.sqrt(np.where(composite, phi - fermat, 0) / size)) / math.pi
     whole = cm.leakage(counts, 64, 0, n + 1)
     chunks = [cm.leakage(counts, 64, lo, lo + CHUNK) for lo in range(0, n + 1, CHUNK)]
-    beta, alpha = (np.concatenate([getattr(c, name) for c in chunks]) for name in ("beta", "alpha"))
-    assert np.array_equal(beta, whole.beta)
-    assert np.array_equal(alpha, whole.alpha)
-    assert np.array_equal(beta, counting.dirichlet_kernel(g, 64))
-    assert np.array_equal(alpha, counting.dirichlet_kernel(f_peak, 64))
-    assert np.array_equal(beta, oracles.dirichlet_kernel_reference(g, 64))
-    assert np.array_equal(alpha, oracles.dirichlet_kernel_reference(f_peak, 64))
-    assert np.array_equal(whole.composite, composite)
+    for field in cm.Leakage._fields:
+        joined = np.concatenate([getattr(c, field) for c in chunks])
+        assert np.array_equal(joined, getattr(whole, field))
+    # the kernels on every k, gathered at the composites
+    assert np.array_equal(whole.k, np.flatnonzero(composite))
+    assert np.array_equal(whole.beta, counting.dirichlet_kernel(g, 64)[composite])
+    assert np.array_equal(whole.alpha, counting.dirichlet_kernel(f_peak, 64)[composite])
+    assert np.array_equal(whole.beta, oracles.dirichlet_kernel_reference(g, 64)[composite])
+    assert np.array_equal(whole.alpha, oracles.dirichlet_kernel_reference(f_peak, 64)[composite])
 
 
 @pytest.mark.parametrize("p", [4, 5, 16, 64])  # P = 5: the odd-P kernel sign
-@pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+@pytest.mark.parametrize("n", [2, 3, 4, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
 def test_perturbation_bounds_sums_match_whole_arrays(n, p):
     bounds = cm.perturbation_bounds(n, p)
     got = (bounds.correction_norm_sq, bounds.phi_norm, bounds.beta_violations)
@@ -373,14 +372,14 @@ def test_perturbation_bounds_sums_match_whole_arrays(n, p):
 
 
 def test_perturbation_bounds_stay_in_bounded_memory():
-    # the kernels run in chunks: 3.3 MiB measured; whole-array factors and
+    # the kernels run in chunks: 3.6 MiB measured; whole-array factors and
     # masks take 4.0 MiB
     assert oracles.peak_traced_bytes(cm.perturbation_bounds, 10**5, 64) < 10 * 2**20
 
 
 def test_perturbation_bounds_peak_heap_per_k():
     # the sieve's 12 bytes per k, the phi(k)/k array's 8 and one chunk:
-    # 21.5 MB measured at 10^6; whole-array factors and masks take 41.1 MB
+    # 21.8 MB measured at 10^6; whole-array factors and masks take 41.1 MB
     assert oracles.peak_traced_bytes(cm.perturbation_bounds, 10**6, 64) < 34 * 10**6
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from types import SimpleNamespace
 
@@ -251,6 +252,21 @@ def test_counter_law_chunks_equal_one_whole_product(args, monkeypatch):
     monkeypatch.setattr(qsim, "_LAW_CHUNK", 1 << 62)
     whole = qsim.counter_law(*args)
     assert all(law.tobytes() == whole.tobytes() for law in chunked)
+
+
+#: sha256 of counter_law(*args).tobytes(); at R >= 3 they fix the (m_i m_j) m_k
+#: order of the products, which the oracles only check to 1e-10
+PINNED_LAWS = {
+    (15, 4, 16, 3): "d844cfc6111a6455e2e32b0ff28b19576714783fb01f18b76cce8512a868cf56",
+    (341, 200, 8, 4): "afeebd3f1396019c22321de25ea6871370f5baed1b5e53892f337eab55731091",
+    (1387, 36, 16, 3): "36c92f947acf7245052ae367ba78483ae40f0226c5b505b9e36f7fdc6e1de5eb",
+    (15, 4, 64, 3): "bb9c42b45146d1e3c2d55736e3ba08ce4b82395a9fefe00dee2f9284d75fd0a8",
+}
+
+
+@pytest.mark.parametrize("args", list(PINNED_LAWS))
+def test_counter_law_bytes_are_pinned(args):
+    assert hashlib.sha256(qsim.counter_law(*args).tobytes()).hexdigest() == PINNED_LAWS[args]
 
 
 def test_count_distribution_peak_within_12_bytes_per_cell():
