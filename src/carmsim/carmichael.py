@@ -63,8 +63,17 @@ class VerdictKind(Enum):
     PROBABLY_CARMICHAEL = "ProbablyCarmichael"
 
 
-@dataclass(frozen=True, slots=True)
-class Verdict:
+class _VerdictFields(NamedTuple):
+    kind: VerdictKind
+    error_bound: float
+    observed_ancillas: tuple[int, ...]
+    flag_retries: int
+    grover_applications: int
+    flag_probability: float
+    exact_allzero: float | None = None
+
+
+class Verdict(_VerdictFields):
     """Certification outcome for one run.
 
     error_bound is 0 for NotCarmichael (a nonzero counter is impossible at
@@ -76,33 +85,43 @@ class Verdict:
 
     flag_retries counts flag rounds, the accepting one included (sampling
     mode; mean k/phi(k)); grover_applications, R (P-1) per round.
+
+    A tuple record: its fields cannot be reassigned, and records of equal
+    fields compare and hash equal.  The constructor checks the kind against
+    the ancillas and the error bound against [0, 1], and builds the tuple
+    directly, which costs less than a frozen dataclass's per-field setattr;
+    _make and _replace build through it.
     """
 
-    kind: VerdictKind
-    error_bound: float
-    observed_ancillas: tuple[int, ...]
-    flag_retries: int
-    grover_applications: int
-    flag_probability: float
-    exact_allzero: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if any(self.observed_ancillas) != (self.kind is VerdictKind.NOT_CARMICHAEL):
+    def __new__(cls, kind: VerdictKind, error_bound: float, observed_ancillas: tuple[int, ...],
+                flag_retries: int, grover_applications: int, flag_probability: float,
+                exact_allzero: float | None = None) -> Verdict:
+        if any(observed_ancillas) != (kind is VerdictKind.NOT_CARMICHAEL):
             raise DomainError("verdict kind inconsistent with observed ancillas")
-        if not 0.0 <= self.error_bound <= 1.0:
-            raise DomainError(f"error bound {self.error_bound} outside [0, 1]")
+        if not 0.0 <= error_bound <= 1.0:
+            raise DomainError(f"error bound {error_bound} outside [0, 1]")
+        return tuple.__new__(cls, (kind, error_bound, observed_ancillas, flag_retries, grover_applications,
+                                   flag_probability, exact_allzero))
+
+    @classmethod
+    def _make(cls, fields) -> Verdict:
+        """A Verdict from an iterable of its fields, checked as the constructor checks; _replace builds through it."""
+        return cls(*fields)
 
     def to_json_dict(self) -> dict:
+        kind, error_bound, ancillas, flag_retries, grover_applications, flag_probability, exact_allzero = self
         out = {
-            "kind": self.kind.value,
-            "error_bound": self.error_bound,
-            "observed_ancillas": list(self.observed_ancillas),
-            "flag_retries": self.flag_retries,
-            "grover_applications": self.grover_applications,
-            "flag_probability": self.flag_probability,
+            "kind": kind.value,
+            "error_bound": error_bound,
+            "observed_ancillas": list(ancillas),
+            "flag_retries": flag_retries,
+            "grover_applications": grover_applications,
+            "flag_probability": flag_probability,
         }
-        if self.exact_allzero is not None:
-            out["exact_allzero"] = self.exact_allzero
+        if exact_allzero is not None:
+            out["exact_allzero"] = exact_allzero
         return out
 
 
@@ -151,7 +170,7 @@ def certify_reps(k: int, p: int, r: int, mode: str, seed: int, reps: int) -> lis
     probability; sample mode reports the gap-based worst-case error bound,
     which does not presume knowledge of t(k).  A Verdict depends only on
     its rep's (reading, flag rounds), so reps with the same pair share one
-    frozen Verdict, built and checked once.
+    Verdict, built and checked once.
     """
     if mode not in ("exact", "sample"):
         raise DomainError(f"mode must be 'exact' or 'sample', got {mode}")
@@ -165,23 +184,19 @@ def certify_reps(k: int, p: int, r: int, mode: str, seed: int, reps: int) -> lis
     else:
         exact_allzero = None
         carmichael_bound = gap_error_bound(k, facts.phi, p, r)
-    readings = qsim.sample_outcomes(dist, uniforms).tolist()
-
-    def verdict(reading: tuple[int, ...], n_rounds: int) -> Verdict:
-        nonzero = any(reading)
-        return Verdict(
-            kind=VerdictKind.NOT_CARMICHAEL if nonzero else VerdictKind.PROBABLY_CARMICHAEL,
-            error_bound=0.0 if nonzero else carmichael_bound,
-            observed_ancillas=reading,
-            flag_retries=n_rounds,
-            grover_applications=r * (p - 1) * max(n_rounds, 1),
-            flag_probability=accept,
-            exact_allzero=exact_allzero,
+    readings = map(tuple, qsim.sample_outcomes(dist, uniforms).tolist())
+    outcomes = list(zip(readings, rounds.tolist()))
+    not_carmichael, carmichael = VerdictKind.NOT_CARMICHAEL, VerdictKind.PROBABLY_CARMICHAEL
+    grover = r * (p - 1)
+    shared = {
+        (reading, n_rounds): Verdict(
+            not_carmichael if (nonzero := any(reading)) else carmichael,
+            0.0 if nonzero else carmichael_bound,
+            reading, n_rounds, grover * (n_rounds or 1), accept, exact_allzero,
         )
-
-    outcomes = list(zip(map(tuple, readings), rounds.tolist()))
-    shared = {outcome: verdict(*outcome) for outcome in dict.fromkeys(outcomes)}
-    return [shared[outcome] for outcome in outcomes]
+        for reading, n_rounds in dict.fromkeys(outcomes)
+    }
+    return list(map(shared.__getitem__, outcomes))
 
 
 @dataclass(frozen=True)

@@ -90,7 +90,9 @@ def _json_text(value, indent: str, memo: dict | None = None) -> str:
     value texts, spelled once; and once a layout recurs, it maps each leaf
     of its dicts, by id, to its text, so the leaves that records share are
     encoded once.  A dict outside every list occurs once, where a template
-    costs more than it saves, so it is spelled out in place.
+    costs more than it saves, so it is spelled out in place.  A list's dict
+    elements and a templated dict's list values are never leaves, so they
+    skip the leaf tests (and the leaf memo) and go straight to their branch.
     """
     inner = indent + "  "
     if isinstance(value, (list, tuple)) and value:
@@ -101,7 +103,11 @@ def _json_text(value, indent: str, memo: dict | None = None) -> str:
         for item in value:
             text = texts.get(id(item))
             if text is None:
-                text = texts[id(item)] = _json_leaf(item) or _json_text(item, inner, memo)
+                if type(item) is dict:
+                    text = _json_text(item, inner, memo)
+                else:
+                    text = _json_leaf(item) or _json_text(item, inner, memo)
+                texts[id(item)] = text
             items.append(text)
         return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
     if type(value) is dict and value:
@@ -119,13 +125,16 @@ def _json_text(value, indent: str, memo: dict | None = None) -> str:
         if template is not None:
             items = []
             for item in value.values():
-                text = memo.get(id(item))
-                if text is None:
-                    text = _json_leaf(item)
+                if type(item) is list:
+                    text = _json_text(item, inner, memo)
+                else:
+                    text = memo.get(id(item))
                     if text is None:
-                        text = _json_text(item, inner, memo)
-                    else:
-                        memo[id(item)] = text
+                        text = _json_leaf(item)
+                        if text is None:
+                            text = _json_text(item, inner, memo)
+                        else:
+                            memo[id(item)] = text
                 items.append(text)
             return template % tuple(items)
         try:
@@ -197,11 +206,9 @@ def _shared(records: Sequence, build: Callable) -> list:
     Reps with the same outcome share one record, so their entries share one
     result: one JSON dict, which render then encodes once, or one text.
     """
-    built: dict[int, object] = {}
-    for record in records:
-        if id(record) not in built:
-            built[id(record)] = build(record)
-    return [built[id(record)] for record in records]
+    ids = list(map(id, records))
+    built = {key: build(record) for key, record in dict(zip(ids, records)).items()}
+    return list(map(built.__getitem__, ids))
 
 
 def _config(cfg: argparse.Namespace) -> dict:

@@ -32,6 +32,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,13 +91,17 @@ def exact_count_joint(dimension: int, marked: float, p: int, registers: int) -> 
     """Joint outcome law over `registers` counter registers, shape (P,)*R.
 
     P(l_1..l_R) = ( prod_i s(l_i + f)^2 + prod_i s(l_i - f)^2 ) / 2.
+
+    Both peaks' kernels come from one dirichlet_kernel call over the
+    stacked rows l + f and l - f; the kernel is elementwise, so each row is
+    the same to the bit as a call of its own.
     """
     if registers < 1:
         raise DomainError(f"need >= 1 counter registers, got {registers}")
     f = peak_position(dimension, marked, p)
-    l = np.arange(p)
-    joint = functools.reduce(np.multiply.outer, [dirichlet_kernel(l + f, p) ** 2] * registers)
-    joint += functools.reduce(np.multiply.outer, [dirichlet_kernel(l - f, p) ** 2] * registers)
+    plus, minus = dirichlet_kernel(np.arange(p) + np.array([[f], [-f]]), p) ** 2
+    joint = functools.reduce(np.multiply.outer, [plus] * registers)
+    joint += functools.reduce(np.multiply.outer, [minus] * registers)
     joint *= 0.5
     if not abs(float(joint.sum()) - 1.0) <= 1e-10:  # written so that NaN fails too
         raise NormalizationError(f"closed-form law sums to {joint.sum()}")
@@ -112,9 +117,12 @@ def estimate_error_bound(dimension: int, q: int, t: float) -> float:
     return math.pi * (dimension / q) * (math.pi / q + 2.0 * math.sqrt(t / dimension))
 
 
-@dataclass(frozen=True)
-class CountEstimate:
-    """Decoded counting outcome with its peak-outcome error guarantee."""
+class CountEstimate(NamedTuple):
+    """Decoded counting outcome with its peak-outcome error guarantee.
+
+    A tuple record, as carmichael.Verdict is: its fields cannot be
+    reassigned, and records of equal fields compare and hash equal.
+    """
 
     measured_l: int
     f_tilde: float
@@ -141,7 +149,7 @@ def decode_outcomes(outcomes, dimension: int, p: int, t_ref: float) -> list[Coun
     outcomes.  in_ansatz records whether the true peak sits in the window
     1 < f < P/2 - 1 where the four-peak success floor applies;
     out-of-window results are flagged, not rejected.  Outcomes with the
-    same l share one frozen CountEstimate, decoded and checked once.
+    same l share one CountEstimate, decoded and checked once.
     """
     bound = estimate_error_bound(dimension, p, t_ref)
     f_ref = peak_position(dimension, t_ref, p)
@@ -152,14 +160,7 @@ def decode_outcomes(outcomes, dimension: int, p: int, t_ref: float) -> list[Coun
             raise DomainError(f"outcome {l} outside [0, {p})")
         f_tilde = float(min(l, p - l))
         theta_tilde = math.pi * f_tilde / p
-        return CountEstimate(
-            measured_l=l,
-            f_tilde=f_tilde,
-            theta_tilde=theta_tilde,
-            t_tilde=dimension * math.sin(theta_tilde) ** 2,
-            error_bound=bound,
-            in_ansatz=in_ansatz,
-        )
+        return CountEstimate(l, f_tilde, theta_tilde, dimension * math.sin(theta_tilde) ** 2, bound, in_ansatz)
 
     ls = list(map(int, outcomes))
     shared = {l: estimate(l) for l in dict.fromkeys(ls)}

@@ -43,13 +43,19 @@ hash of the chunk's seed words in one uint32 pass, then its steps, a block
 of them by jump-ahead.  PCG64 seeds a rep from its words w_01 (words 0-1)
 and w_23 (words 2-3), read as 128-bit values: c = 2 w_23 + 1 and
 s_1 = a (c + w_01) + c, with a its multiplier, and a draw steps first,
-s -> a s + c, all mod 2^128.  The first draw's state is then one affine
-map of the words,
+s -> a s + c, all mod 2^128.  Draw j's state is then one affine map of the
+words,
+
+    s_(j+1) = a^(j+1) w_01 + g_(j+2) c,    g_m = (a^m - 1) / (a - 1),
+
+so a rep without a flag reaches its one draw,
 
     s_2 = a^2 w_01 + 2 (a^2 + a + 1) w_23 + (a^2 + a + 1),
 
-which a rep without a flag reaches in one step.  No command imports
-numpy.random, which the tests use as the oracle for these streams.
+and a rep with a flag the first block of its rounds and reading, the same
+way and with no seeding step; a rep that misses every round of a block
+jumps ahead from its last round's state, s -> a^j s + g_j c.  No command
+imports numpy.random, which the tests use as the oracle for these streams.
 """
 
 from __future__ import annotations
@@ -177,7 +183,7 @@ def sample_outcomes(table: np.ndarray, uniforms: Sequence[float] | np.ndarray) -
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MIX_MULT_L, _MIX_MULT_R, _16 = np.array([0xCA01F9DD, 0x4973F715, 16], dtype=np.uint32)
 
 #: rep indices are one uint32 entropy word each, as SeedSequence reads them
 MAX_REPS = 1 << 32
@@ -235,13 +241,13 @@ def _seed_words(seed: int, reps: int, start: int = 0) -> np.ndarray:
     def hashmix(values: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
         values = values ^ xor
         values *= mult
-        values ^= values >> 16
+        values ^= values >> _16
         return values
 
     def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         x = x * _MIX_MULT_L
         x -= y * _MIX_MULT_R
-        x ^= x >> 16
+        x ^= x >> _16
         return x
 
     pool = hashmix(entropy[:4], consts[:4], consts[1:5])
@@ -261,6 +267,8 @@ def _seed_words(seed: int, reps: int, start: int = 0) -> np.ndarray:
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
+#: uint64 operands of the 128-bit arithmetic, so that no op converts a Python int
+_LOW32, _11, _32, _58, _63, _64 = np.array([_MASK32, 11, 32, 58, 63, 64], dtype=np.uint64)
 
 #: uniforms per chunk of reps, so that a chunk's uint64 temporaries stay a few MiB
 _BLOCK_ELEMENTS = 1 << 16
@@ -280,86 +288,101 @@ def _mulhi(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     Neither partial sum can pass 2^64: (2^32 - 1)^2 + 2 (2^32 - 1) = 2^64 - 1.
     """
-    x0, x1 = x & _MASK32, x >> 32
-    y0, y1 = y & _MASK32, y >> 32
-    w1 = x1 * y0 + (x0 * y0 >> 32)
-    w2 = x0 * y1 + (w1 & _MASK32)
-    return x1 * y1 + (w1 >> 32) + (w2 >> 32)
+    x0, x1 = x & _LOW32, x >> _32
+    y0, y1 = y & _LOW32, y >> _32
+    w1 = x1 * y0
+    w1 += x0 * y0 >> _32
+    w2 = x0 * y1
+    w2 += w1 & _LOW32
+    hi = x1 * y1
+    hi += w1 >> _32
+    hi += w2 >> _32
+    return hi
 
 
 def _mul128(x_hi, x_lo, y_hi, y_lo) -> tuple[np.ndarray, np.ndarray]:
     """x * y mod 2^128 of (high, low) uint64 arrays; uint64 arithmetic wraps mod 2^64."""
-    return _mulhi(x_lo, y_lo) + x_lo * y_hi + x_hi * y_lo, x_lo * y_lo
+    hi = _mulhi(x_lo, y_lo)
+    hi += x_lo * y_hi
+    hi += x_hi * y_lo
+    return hi, x_lo * y_lo
 
 
 def _add128(x_hi, x_lo, y_hi, y_lo) -> tuple[np.ndarray, np.ndarray]:
     """x + y mod 2^128 of (high, low) uint64 arrays."""
     lo = x_lo + y_lo
-    return x_hi + y_hi + (lo < x_lo), lo
+    hi = x_hi + y_hi
+    hi += lo < x_lo
+    return hi, lo
 
 
 def _uniform(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     """Generator.random() of stepped PCG64 states: the XSL-RR output's top 53 bits over 2^53."""
     x = hi ^ lo
-    rot = hi >> 58
-    x = (x >> rot) | (x << ((64 - rot) & 63))
-    return (x >> 11) * (1.0 / (1 << 53))
-
-
-#: the multiplier as (high, low) uint64 arrays
-_MULT_WORDS = _hi_lo([_PCG_MULT])
-
-#: a^2, 2 g and g with g = a^2 + a + 1, mod 2^128, as (high, low) arrays: a rep's state
-#: at its first draw is a^2 w_01 + 2 g w_23 + g (module docstring)
-_FIRST_DRAW = tuple(_hi_lo([c & _MASK128]) for c in (
-    _PCG_MULT**2, 2 * (_PCG_MULT**2 + _PCG_MULT + 1), _PCG_MULT**2 + _PCG_MULT + 1))
+    rot = hi >> _58
+    left = x << ((_64 - rot) & _63)
+    x >>= rot
+    x |= left
+    x >>= _11
+    return x * (1.0 / (1 << 53))
 
 
 @functools.cache
 def _jumps(n: int) -> tuple[np.ndarray, ...]:
-    """a^j and (a^j - 1) / (a - 1) mod 2^128 for j = 1..n, each as (high, low) arrays.
+    """a^j and g_j = (a^j - 1) / (a - 1) mod 2^128 for j = 1..n, each as (high, low) columns of shape (n, 1).
 
-    j steps of the LCG s -> a s + c take s to a^j s + c (a^j - 1) / (a - 1);
-    the second factor is the sum of a^m over m < j.
+    j steps of the LCG s -> a s + c take s to a^j s + g_j c; g_j is the sum
+    of a^m over m < j.
     """
     powers, sums = [_PCG_MULT], [1]
     for _ in range(n - 1):
         powers.append(powers[-1] * _PCG_MULT & _MASK128)
         sums.append((sums[-1] * _PCG_MULT + 1) & _MASK128)
-    return (*_hi_lo(powers), *_hi_lo(sums))
+    return tuple(w[:, None] for w in (*_hi_lo(powers), *_hi_lo(sums)))
 
 
-def _seed_states(seed: int, reps: int, start: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """PCG64's seeded states and increments of reps start.., each (high, low), as numpy seeds them.
+@functools.cache
+def _first_jumps(n: int) -> tuple[np.ndarray, ...]:
+    """a^(j+1) and g_(j+2) for j = 1..n, as _jumps gives them: the factors of draws 1..n from the seed words."""
+    a_hi, a_lo, g_hi, g_lo = _jumps(n + 2)
+    return a_hi[1:-1], a_lo[1:-1], g_hi[2:], g_lo[2:]
 
-    From SeedSequence([seed, i]).generate_state(4, np.uint64): inc = 2 w_23 + 1,
-    where w_23 is words 2-3 high first; state = inc + w_01, stepped once.
+
+def _block(x, inc, jumps) -> tuple[np.ndarray, np.ndarray]:
+    """a_j x + g_j inc for each (a_j, g_j) of jumps (_jumps, _first_jumps), (high, low) of shape (n, reps).
+
+    With _jumps(n) and a state x these are the states 1..n steps past x;
+    with _first_jumps(n) and the seed words w_01 they are draws 1..n.  Row
+    j holds every rep's draw j, so the arithmetic runs along rows of reps.
     """
-    words = _seed_words(seed, reps, start)
-    inc = ((words[:, 2] << 1) | (words[:, 3] >> 63), (words[:, 3] << 1) | 1)
-    state = _add128(*inc, words[:, 0], words[:, 1])
-    return _add128(*_mul128(*state, *_MULT_WORDS), *inc), inc
+    a_hi, a_lo, g_hi, g_lo = jumps
+    return _add128(*_mul128(*x, a_hi, a_lo), *_mul128(*inc, g_hi, g_lo))
 
 
-def _block(state, inc, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The states 1..n steps past state by jump-ahead (_jumps), (high, low) of shape (reps, n)."""
-    a_hi, a_lo, g_hi, g_lo = _jumps(n)
-    (s_hi, s_lo), (c_hi, c_lo) = (w[:, None] for w in state), (w[:, None] for w in inc)
-    return _add128(*_mul128(s_hi, s_lo, a_hi, a_lo), *_mul128(c_hi, c_lo, g_hi, g_lo))
+def _first_block(words: np.ndarray, n: int) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Draws 1..n of the reps seeded by words (_seed_words) as _block gives them, and their increments.
+
+    PCG64 takes inc = 2 w_23 + 1, with w_23 words 2-3 high first, and the
+    draws are one affine map of w_01 and inc (module docstring), so no
+    seeding step comes first.
+    """
+    inc = (words[:, 2] << 1) | (words[:, 3] >> 63), (words[:, 3] << 1) | 1
+    return _block((words[:, 0], words[:, 1]), inc, _first_jumps(n)), inc
 
 
 def rep_draws(seed: int, reps: int, accept: float | None) -> tuple[np.ndarray, np.ndarray]:
     """Every rep's flag rounds and reading; rep i draws numpy's default_rng([seed, i]) bit for bit.
 
     With accept None there is no flag: rounds are 0 and the reading is the
-    first uniform, whose state is one affine map of the seed words (module
-    docstring).  Otherwise a round accepts when its uniform is below
+    first uniform.  Otherwise a round accepts when its uniform is below
     accept and the reading is the uniform after the rounds (geometric, >= 1).
     A rep draws rounds + 1 uniforms in one block, enough rounds to miss them
     all with probability at most _FLAG_TAIL, and a rep that misses draws a
-    further block from its last round's state.  Reps are seeded and drawn in
-    chunks of about _BLOCK_ELEMENTS uniforms.  Past MAX_REPS a rep index is
-    no longer one entropy word: more reps are refused before any allocation.
+    further block from its last round's state.  The first block, or the one
+    draw without a flag, is one affine map of the seed words (_first_block).
+    Reps are seeded and drawn in chunks of about _BLOCK_ELEMENTS uniforms.
+    Past MAX_REPS a rep index is no longer one entropy word: more reps are
+    refused before any allocation.
     """
     if seed < 0:  # np.random.default_rng takes no negative seed
         raise DomainError(f"seed must be >= 0, got {seed}")
@@ -380,24 +403,23 @@ def rep_draws(seed: int, reps: int, accept: float | None) -> tuple[np.ndarray, n
     step = max(1, _BLOCK_ELEMENTS // (flags + 3))
     for start in range(0, reps, step):
         stop = min(start + step, reps)
-        if accept is None:  # the first draw, in one affine step of the seed words
-            words = _seed_words(seed, stop - start, start)
-            first, second, const = _FIRST_DRAW
-            state = _add128(*_mul128(words[:, 0], words[:, 1], *first), *_mul128(words[:, 2], words[:, 3], *second))
-            readings[start:stop] = _uniform(*_add128(*state, *const))
+        (hi, lo), inc = _first_block(_seed_words(seed, stop - start, start), flags + 1)
+        if accept is None:
+            readings[start:stop] = _uniform(hi[0], lo[0])
             continue
         pending = np.arange(start, stop)
-        state, inc = _seed_states(seed, len(pending), start)
-        while len(pending):
-            hi, lo = _block(state, inc, flags + 1)
+        while True:
             draws = _uniform(hi, lo)
-            accepted = draws[:, :flags] < accept
-            missed = ~accepted.any(axis=1)
-            used = np.where(missed, flags, accepted.argmax(axis=1) + 1)
+            accepted = draws[:flags] < accept
+            missed = ~accepted.any(axis=0)
+            used = np.where(missed, flags, accepted.argmax(axis=0) + 1)
             rounds[pending] += used
-            readings[pending] = draws[np.arange(len(used)), used]
+            readings[pending] = draws[used, np.arange(len(used))]
+            if not missed.any():
+                break
             # a rep that missed goes on from the state of its last round
-            state = hi[missed, flags - 1], lo[missed, flags - 1]
+            state = hi[flags - 1, missed], lo[flags - 1, missed]
             inc = inc[0][missed], inc[1][missed]
             pending = pending[missed]
+            hi, lo = _block(state, inc, _jumps(flags + 1))
     return rounds, readings

@@ -28,7 +28,9 @@ the normalized Dirichlet kernel as the library computed it before its
 sign and range-reduction shortcuts: the bitwise reference for
 counting.dirichlet_kernel.  draw_flag_rounds is the flag post-selection
 loop on one numpy Generator, the scalar route that qsim.rep_draws runs
-for all reps at once.
+for all reps at once.  seed_states is PCG64's seeding of each rep, one
+step at a time (pcg_step), the reference for the first block that
+qsim.rep_draws reads off the seed words in one affine map.
 perturbation_sums is carmichael.perturbation_bounds' aggregates from
 whole arrays over k = 0..n, the reference for its chunked pass.
 peak_traced_bytes measures a call's peak heap for the memory guards.
@@ -502,6 +504,26 @@ def draw_flag_rounds(accept_probability: float, rng: np.random.Generator) -> int
     while rng.random() >= accept_probability:
         rounds += 1
     return rounds
+
+
+#: PCG64's multiplier as (high, low) uint64 arrays
+PCG_MULT_WORDS = qsim._hi_lo([qsim._PCG_MULT])
+
+
+def pcg_step(state, inc):
+    """One PCG64 step of every rep, s -> a s + c, of (high, low) uint64 arrays."""
+    return qsim._add128(*qsim._mul128(*state, *PCG_MULT_WORDS), *inc)
+
+
+def seed_states(seed: int, reps: int, start: int = 0):
+    """PCG64's seeded states and increments of reps start.., each (high, low), as numpy seeds them.
+
+    From SeedSequence([seed, i]).generate_state(4, np.uint64): inc = 2 w_23 + 1,
+    where w_23 is words 2-3 high first; state = inc + w_01, stepped once.
+    """
+    words = qsim._seed_words(seed, reps, start)
+    inc = ((words[:, 2] << 1) | (words[:, 3] >> 63), (words[:, 3] << 1) | 1)
+    return pcg_step(qsim._add128(*inc, words[:, 0], words[:, 1]), inc), inc
 
 
 def perturbation_sums(n: int, p: int) -> tuple[float, float, tuple[int, ...]]:

@@ -275,6 +275,29 @@ def test_verdict_validation():
             grover_applications=30,
             flag_probability=0.5,
         )
+    valid = cm.Verdict(cm.VerdictKind.PROBABLY_CARMICHAEL, 0.5, (0, 0), 1, 30, 0.5)
+    for bound in (-0.1, 1.5, math.nan):
+        with pytest.raises(DomainError, match="outside"):
+            cm.Verdict(cm.VerdictKind.PROBABLY_CARMICHAEL, bound, (0, 0), 1, 30, 0.5)
+        with pytest.raises(DomainError, match="outside"):
+            valid._replace(error_bound=bound)
+    with pytest.raises(DomainError, match="inconsistent"):
+        cm.Verdict._make([cm.VerdictKind.PROBABLY_CARMICHAEL, 0.0, (1, 0), 1, 30, 0.5, None])
+
+
+def test_records_are_immutable_values():
+    # certify_reps shares one Verdict per outcome and the per-rep rebuilds
+    # compare equal to it; neither holds if a record can change or compares by identity
+    fields = (cm.VerdictKind.NOT_CARMICHAEL, 0.0, (13, 12), 2, 60, 0.5, None)
+    verdict, twin = cm.Verdict(*fields), cm.Verdict(*fields)
+    assert verdict is not twin and verdict == twin and hash(verdict) == hash(twin)
+    assert verdict.observed_ancillas == (13, 12) and verdict.exact_allzero is None
+    with pytest.raises(AttributeError):
+        verdict.error_bound = 1.0
+    estimate = counting.CountEstimate(3, 3.0, 0.5, 100.0, 2.0, True)
+    assert estimate == counting.CountEstimate(3, 3.0, 0.5, 100.0, 2.0, True)
+    with pytest.raises(AttributeError):
+        estimate.t_tilde = 0.0
 
 
 def test_gap_error_bound_envelope():

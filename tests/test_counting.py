@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 from types import SimpleNamespace
@@ -153,6 +154,19 @@ def test_joint_matches_dense_r2():
     state = oracles.qft(oracles.qft(state, 0), 1)
     dense = oracles.marginal(state, [0, 1])
     assert np.abs(closed - dense).max() < 1e-10
+
+
+def test_joint_equals_one_kernel_call_per_peak():
+    # the stacked peaks' one kernel call, against a call per peak, bit for bit
+    for dimension in (1, 2, 15, 60, 119):
+        for marked in sorted({0, 1, dimension // 3, dimension // 2, dimension}):
+            for p, registers in ((4, 3), (5, 2), (8, 3), (16, 2), (32, 2)):
+                f = counting.peak_position(dimension, marked, p)
+                l = np.arange(p)
+                expected = functools.reduce(np.multiply.outer, [counting.dirichlet_kernel(l + f, p) ** 2] * registers)
+                expected += functools.reduce(np.multiply.outer, [counting.dirichlet_kernel(l - f, p) ** 2] * registers)
+                expected *= 0.5
+                assert counting.exact_count_joint(dimension, marked, p, registers).tobytes() == expected.tobytes()
 
 
 def test_closed_form_state_matches_dense_amplitudes():

@@ -421,14 +421,14 @@ STREAM_DRAWS = 64
 
 def assert_streams_are_default_rng(seed, reps):
     words = qsim._seed_words(seed, reps)
-    state, inc = qsim._seed_states(seed, reps, 0)
+    state, inc = oracles.seed_states(seed, reps)
     assert words.shape == (reps, 4) and state[0].shape == (reps,)
-    draws = qsim._uniform(*qsim._block(state, inc, STREAM_DRAWS))
+    draws = qsim._uniform(*qsim._block(state, inc, qsim._jumps(STREAM_DRAWS)))
     rounds, readings = qsim.rep_draws(seed, reps, None)
-    assert not rounds.any() and np.array_equal(readings, draws[:, 0])
+    assert not rounds.any() and np.array_equal(readings, draws[0])
     for i in range(reps):
         assert np.array_equal(words[i], np.random.SeedSequence([seed, i]).generate_state(4, np.uint64))
-        assert np.array_equal(draws[i], np.random.default_rng([seed, i]).random(STREAM_DRAWS))
+        assert np.array_equal(draws[:, i], np.random.default_rng([seed, i]).random(STREAM_DRAWS))
 
 
 @pytest.mark.parametrize("reps", [1, 1000])
@@ -442,25 +442,30 @@ def test_rep_streams_are_default_rng_for_any_seed(seed, reps):
     assert_streams_are_default_rng(seed, reps)
 
 
-def step(state, inc):
-    """One PCG64 step of every rep: s -> a s + c."""
-    return qsim._add128(*qsim._mul128(*state, *qsim._MULT_WORDS), *inc)
-
-
 @given(st.integers(0, 2**130 - 1), st.integers(1, 40), st.integers(0, 3), st.integers(1, 80))
 def test_block_draws_equal_sequential_draws(seed, reps, skip, n):
     # the jump-ahead block from any state, against n single steps
-    state, inc = qsim._seed_states(seed, reps, 0)
+    state, inc = oracles.seed_states(seed, reps)
     for _ in range(skip):
-        state = step(state, inc)
-    block = qsim._uniform(*qsim._block(state, inc, n))
+        state = oracles.pcg_step(state, inc)
+    block = qsim._uniform(*qsim._block(state, inc, qsim._jumps(n)))
     rows = tuple(w[1:3] for w in state), tuple(w[1:3] for w in inc)
     sequential = []
     for _ in range(n):
-        state = step(state, inc)
+        state = oracles.pcg_step(state, inc)
         sequential.append(qsim._uniform(*state))
-    assert np.array_equal(block, np.stack(sequential, axis=1))
-    assert np.array_equal(qsim._uniform(*qsim._block(*rows, n)), block[1:3])
+    assert np.array_equal(block, np.stack(sequential))
+    assert np.array_equal(qsim._uniform(*qsim._block(*rows, qsim._jumps(n))), block[:, 1:3])
+
+
+@given(st.integers(0, 2**130 - 1), st.integers(1, 40), st.integers(1, 80))
+def test_first_block_draws_equal_block_after_seeding(seed, reps, n):
+    # the first block, read off the seed words, against a block after numpy's seeding step
+    (hi, lo), inc = qsim._first_block(qsim._seed_words(seed, reps, 0), n)
+    state, seeded_inc = oracles.seed_states(seed, reps)
+    expected_hi, expected_lo = qsim._block(state, seeded_inc, qsim._jumps(n))
+    assert all(map(np.array_equal, inc, seeded_inc))
+    assert hi.shape == (n, reps) and np.array_equal(hi, expected_hi) and np.array_equal(lo, expected_lo)
 
 
 def test_chunked_draws_equal_one_chunk(monkeypatch):
@@ -475,9 +480,10 @@ def test_chunked_draws_equal_one_chunk(monkeypatch):
 def test_flag_round_blocks_stay_within_the_chunk_size(monkeypatch):
     # at accept 0.001 the tail asks for 6929 rounds; the block stops at
     # _BLOCK_ELEMENTS of them and the reps past it draw further blocks
+    # the first block and the further ones are each one _block call
     sizes = []
     block = qsim._block
-    monkeypatch.setattr(qsim, "_block", lambda state, inc, n: sizes.append(n) or block(state, inc, n))
+    monkeypatch.setattr(qsim, "_block", lambda x, inc, jumps: sizes.append(len(jumps[0])) or block(x, inc, jumps))
     monkeypatch.setattr(qsim, "_BLOCK_ELEMENTS", 64)
     rounds, readings = qsim.rep_draws(3, 5, 0.001)
     assert max(sizes) == 65
@@ -492,7 +498,7 @@ def test_pending_reps_draw_further_blocks(monkeypatch):
     # need three or more blocks and the pending reps of a chunk are not adjacent
     blocks = []
     block = qsim._block
-    monkeypatch.setattr(qsim, "_block", lambda state, inc, n: blocks.append((n, len(state[0]))) or block(state, inc, n))
+    monkeypatch.setattr(qsim, "_block", lambda x, inc, jumps: blocks.append((len(jumps[0]), len(x[0]))) or block(x, inc, jumps))
     monkeypatch.setattr(qsim, "_FLAG_TAIL", 0.5)
     monkeypatch.setattr(qsim, "_BLOCK_ELEMENTS", 1 << 12)
     for seed in (3, 2**100 + 7):
