@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import astuple, dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -86,11 +85,12 @@ class Verdict(_VerdictFields):
     flag_retries counts flag rounds, the accepting one included (sampling
     mode; mean k/phi(k)); grover_applications, R (P-1) per round.
 
-    A tuple record: its fields cannot be reassigned, and records of equal
-    fields compare and hash equal.  The constructor checks the kind against
-    the ancillas and the error bound against [0, 1], and builds the tuple
-    directly, which costs less than a frozen dataclass's per-field setattr;
-    _make and _replace build through it.
+    Every result record of the package is a NamedTuple, checked on
+    construction where its fields must agree: its fields cannot be
+    reassigned, and records of equal fields compare and hash equal.  The
+    constructor checks the kind against the ancillas and the error bound
+    against [0, 1] and builds the tuple directly; _make and _replace build
+    through it.
     """
 
     __slots__ = ()
@@ -199,8 +199,7 @@ def certify_reps(k: int, p: int, r: int, mode: str, seed: int, reps: int) -> lis
     return list(map(shared.__getitem__, outcomes))
 
 
-@dataclass(frozen=True)
-class PerturbationBounds:
+class PerturbationBounds(NamedTuple):
     """The correction budget over k = 1..n.
 
     correction_norm_sq is the (4/N)-weighted composite sum bounded by
@@ -315,8 +314,7 @@ def perturbation_bounds(n: int, p: int) -> PerturbationBounds:
     )
 
 
-@dataclass(frozen=True)
-class CarmichaelCountResult:
+class CarmichaelCountResult(NamedTuple):
     """Counting run over k = 1..n; exact_count, the ground truth, is the
     length of enumerate_carmichaels(n), whose list is not kept."""
 
@@ -329,7 +327,8 @@ class CarmichaelCountResult:
 
     def success_fraction(self) -> float:
         """Fraction of reps whose estimate lands within the peak-outcome bound."""
-        hits = sum(1 for e in self.estimates if abs(e.t_tilde - self.exact_count) <= self.error_bound)
+        exact, bound = self.exact_count, self.error_bound  # read once, not once per estimate
+        hits = sum(1 for e in self.estimates if abs(e.t_tilde - exact) <= bound)
         return hits / len(self.estimates)
 
 
@@ -352,8 +351,7 @@ def count_carmichaels_quantum(n: int, q: int, seed: int, reps: int) -> Carmichae
     )
 
 
-@dataclass(frozen=True)
-class PswReport:
+class PswReport(NamedTuple):
     """Measured counting accuracy against the conjectured density envelopes.
 
     dt_exp is the peak-outcome estimate bound pi (N/Q)(pi/Q + 2 sqrt(t/N));
@@ -378,7 +376,7 @@ class PswReport:
     CSV_HEADER = ("N", "t_N", "t_tilde", "dt_exp", "dt_th", "psw_lower", "psw_upper", "Q", "epsilon", "delta")
 
     def to_csv_row(self) -> tuple:
-        return astuple(self)[:-1]  # every field but meets_target, in CSV_HEADER's order
+        return self[:-1]  # every field but meets_target, in CSV_HEADER's order
 
     def to_json_dict(self) -> dict:
         out = dict(zip(self.CSV_HEADER, self.to_csv_row()))

@@ -29,7 +29,6 @@ each rep's copy with its rep index.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
@@ -152,8 +151,11 @@ def csv_line(fields: Iterable) -> str:
     """One CSV row as csv.writer writes it, without its line end.
 
     Fields go through str() first, so None and bools print as in text; the
-    writer quotes any field that holds a comma.
+    writer quotes any field that holds a comma.  csv is imported here, by
+    the only code that writes CSV, so that no other output pays for it.
     """
+    import csv
+
     buf = io.StringIO()
     csv.writer(buf, lineterminator="").writerow([str(v) for v in fields])
     return buf.getvalue()

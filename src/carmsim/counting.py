@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -196,8 +195,7 @@ def run_count(dimension: int, marked: int, p: int, seed: int, reps: int) -> list
     return decode_outcomes(qsim.sample_outcomes(table, uniforms)[:, 0], dimension, p, t_ref=marked)
 
 
-@dataclass(frozen=True)
-class PeakProbability:
+class PeakProbability(NamedTuple):
     """Total mass on the four integers bracketing the spectral peaks."""
 
     value: float

@@ -38,7 +38,6 @@ congruence sieve of enumerate_carmichaels (up to ENUMERATION_BOUND).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -84,12 +83,30 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Complete prime factorization of k, primes strictly increasing."""
-
+class _FactorizationFields(NamedTuple):
     k: int
     factors: tuple[tuple[int, int], ...]
+
+
+class Factorization(_FactorizationFields):
+    """Complete prime factorization of k, primes strictly increasing.
+
+    A checked tuple record, as carmichael.Verdict is: the constructor runs
+    __post_init__ (looked up on the class, so a wrapper set there runs
+    too), and _make and _replace build through the constructor.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, k: int, factors: tuple[tuple[int, int], ...]) -> Factorization:
+        self = tuple.__new__(cls, (k, factors))
+        self.__post_init__()
+        return self
+
+    @classmethod
+    def _make(cls, fields) -> Factorization:
+        """A Factorization from an iterable of its fields, checked as the constructor checks."""
+        return cls(*fields)
 
     def __post_init__(self) -> None:
         if self.k < 2:
@@ -220,14 +237,7 @@ class Classification(Enum):
     COMPOSITE_NON_CARMICHAEL = "CompositeNonCarmichael"
 
 
-@dataclass(frozen=True)
-class NumberFacts:
-    """Per-integer classical record tying the oracle quantities together.
-
-    mr_witnesses comes from the exact liar-count formula (validated against
-    the census in the test suite), so facts work at any k <= 2**50.
-    """
-
+class _NumberFactsFields(NamedTuple):
     k: int
     factorization: Factorization
     phi: int
@@ -235,6 +245,29 @@ class NumberFacts:
     t_k: int
     mr_witnesses: int
     classification: Classification
+
+
+class NumberFacts(_NumberFactsFields):
+    """Per-integer classical record tying the oracle quantities together.
+
+    mr_witnesses comes from the exact liar-count formula (validated against
+    the census in the test suite), so facts work at any k <= 2**50.  A
+    checked tuple record, as Factorization is: the constructor, _make and
+    _replace run __post_init__.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, k: int, factorization: Factorization, phi: int, f_count: int, t_k: int,
+                mr_witnesses: int, classification: Classification) -> NumberFacts:
+        self = tuple.__new__(cls, (k, factorization, phi, f_count, t_k, mr_witnesses, classification))
+        self.__post_init__()
+        return self
+
+    @classmethod
+    def _make(cls, fields) -> NumberFacts:
+        """A NumberFacts from an iterable of its fields, checked as the constructor checks."""
+        return cls(*fields)
 
     def __post_init__(self) -> None:
         if self.phi % self.f_count != 0:

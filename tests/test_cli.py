@@ -500,12 +500,19 @@ ALL_COMMANDS = [
 ]
 
 
-def test_no_command_imports_numpy_random():
-    # importing numpy.random adds start-up time and memory to a process; the
-    # rep streams are qsim's own PCG64
-    check = f"import sys; from carmsim import cli; [cli.main(c) for c in {ALL_COMMANDS}]; print('numpy.random' in sys.modules)"
-    proc = run_process(["-c", check])
-    assert proc.returncode == 0 and proc.stdout.splitlines()[-1] == "False"
+@pytest.mark.parametrize("module", ["numpy.random", "dataclasses", "csv"])
+def test_no_command_imports(module):
+    # each module adds start-up time to a process: the rep streams are qsim's
+    # own PCG64, the result records NamedTuples, and csv is imported by
+    # csv_line alone, so only a command run with --output csv loads it
+    runs = [[*argv, "--output", output] for output in ("text", "json") for argv in ALL_COMMANDS]
+    csv_runs = [[*argv, "--output", "csv"] for argv in ALL_COMMANDS]
+    probe = f"print({module!r} in sys.modules, file=sys.stderr)"
+    check = (f"import sys; from carmsim import cli; [cli.main(c) for c in {runs}]; {probe}; "
+             f"[cli.main(c) for c in {csv_runs}]; {probe}")
+    proc = run_process(["-c", check], stdout=subprocess.DEVNULL)
+    assert proc.returncode == 0
+    assert proc.stderr.split() == ["False", str(module == "csv")]
 
 
 def test_counting_commands_never_import_numpy_ma():

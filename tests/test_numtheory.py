@@ -50,13 +50,52 @@ def test_factorize_roundtrip(k):
     assert prod == k
 
 
+#: factor tuples that do not factorize 12
+BAD_FACTORS_OF_12 = (
+    ((3, 1), (2, 2)),  # out of order
+    ((2, 2), (4, 1)),  # 4 not prime
+    ((2, 1), (3, 1)),  # product mismatch
+)
+
+
 def test_factorization_validation():
+    for factors in BAD_FACTORS_OF_12:
+        with pytest.raises(DomainError):
+            nt.Factorization(12, factors)
+
+
+def test_record_checks_run_through_make_and_replace():
+    # a NamedTuple's stock _make builds the tuple without __new__; the
+    # checked records override it, and _replace builds through _make
+    valid = nt.factorize(12)
+    for factors in BAD_FACTORS_OF_12:
+        with pytest.raises(DomainError):
+            valid._replace(factors=factors)
+        with pytest.raises(DomainError):
+            nt.Factorization._make([12, factors])
+    facts = nt.number_facts(561)
+    with pytest.raises(DomainError, match="t_k must equal"):
+        facts._replace(t_k=facts.phi - facts.f_count + 1)
+    with pytest.raises(DomainError, match="t_k must equal"):
+        nt.NumberFacts._make([*facts[:4], 1, *facts[5:]])
+    assert facts._replace(t_k=0) == facts and nt.NumberFacts._make(facts) == facts
+
+
+def test_factorization_checks_run_through_a_wrapper(monkeypatch):
+    # the benchmark's tracer swaps __post_init__ on the class for a wrapper;
+    # the constructor looks it up there, so the wrapper and the checks run
+    calls = []
+    check = nt.Factorization.__post_init__
+
+    def wrapper(self):
+        calls.append(self.k)
+        return check(self)
+
+    monkeypatch.setattr(nt.Factorization, "__post_init__", wrapper)
+    assert nt.factorize(12).factors == ((2, 2), (3, 1))
     with pytest.raises(DomainError):
-        nt.Factorization(12, ((3, 1), (2, 2)))  # out of order
-    with pytest.raises(DomainError):
-        nt.Factorization(12, ((2, 2), (4, 1)))  # 4 not prime
-    with pytest.raises(DomainError):
-        nt.Factorization(12, ((2, 1), (3, 1)))  # product mismatch
+        nt.Factorization(12, BAD_FACTORS_OF_12[1])
+    assert calls == [12, 12]
 
 
 # ---------------------------------------------------------------- totient and liar counts
