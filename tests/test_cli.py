@@ -620,35 +620,68 @@ def test_reps_past_one_seed_word_exit_3(capsys):
     assert err == "capacity error: 4294967297 reps exceed cap 4294967296\n"
 
 
-SCRIPTS = [
-    ("certify_error_sweep.py", ["--kmax", "20"], "k,t,P,R,allzero,alpha_pow,gap_bound"),
+CLAIMS = str(ROOT / "scripts" / "claims.py")
+
+#: section, smoke arguments, CSV header, and the sha256 of its stdout as the
+#: per-claim script it replaced printed it
+SECTIONS = [
     (
-        "counting_success_experiment.py",
-        ["--N", "600", "--Q", "32", "--reps", "5"],
-        "N,Q,t_N,success_fraction,error_bound,peak_probability,in_ansatz",
+        "leakage",
+        ["--kmax", "20"],
+        "k,t,P,R,allzero,alpha_pow,gap_bound",
+        "fbbd9bc7d96c9b9044371e62e2988235392eb35899aae9af02cc17af302f2f58",
     ),
     (
-        "psw_table.py",
+        "counting",
+        ["--N", "600", "--Q", "32", "--reps", "5"],
+        "N,Q,t_N,success_fraction,error_bound,peak_probability,in_ansatz",
+        "93cff05c94f30feefefe46e2d94f00552a3aae04ddb2935522167f23df09f2b7",
+    ),
+    (
+        "psw",
         ["--N", "1000", "--reps", "5"],
         "N,t_N,t_tilde,dt_exp,dt_th,psw_lower,psw_upper,Q,epsilon,delta,meets_target,e_exact,e_est,e_err",
+        "d503e1404a1b8a11031718eea3522bd01c51a98cd2f86203a2aef98716a0fc10",
     ),
 ]
 
 
-@pytest.mark.parametrize("script,args,header", SCRIPTS)
-def test_scripts_smoke(script, args, header):
-    proc = run_process([str(ROOT / "scripts" / script), *args])
+def run_claims(argv, capsys) -> tuple[int, str]:
+    """claims.py's main in this process: its exit code and stdout."""
+    code = runpy.run_path(CLAIMS)["main"](argv)
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("section,args,header,digest", SECTIONS, ids=[entry[0] for entry in SECTIONS])
+def test_scripts_smoke(section, args, header, digest):
+    proc = run_process([CLAIMS, section, *args])
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == header
     assert len(lines) >= 2
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
 
-def test_psw_table_exact_exponent(monkeypatch, capsys):
+#: sha256 of each section's stdout at its defaults, as the per-claim script it replaced printed it
+DEFAULT_DIGESTS = {
+    "leakage": "0f97b61430bc240ea3e8339aa59eac008369e16124ee948717516fcdcd0eeeab",
+    "counting": "5cd74a6e4b27c3f0f9e5674c618bd4cca6d7b7e17444b232e2640fdd12a35aee",
+    "psw": "d86c1af53bd55d4b18e6b73ff5b952f9d3ee05cb8949f66a2b96515c8d2d96fc",
+}
+
+
+@pytest.mark.parametrize("section,digest", DEFAULT_DIGESTS.items(), ids=DEFAULT_DIGESTS.keys())
+def test_claims_sections_print_pinned_bytes(section, digest, capsys):
+    code, out = run_claims([section], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_psw_table_exact_exponent(capsys):
     # e(N) = ln(N/C(N))/ln l(N) from Pinch's counts 7, 16 and 43; C(100) = 0
-    monkeypatch.setattr(sys, "argv", ["psw_table.py", "--N", "100", "10000", "100000", "1000000", "--reps", "1"])
-    assert runpy.run_path(str(ROOT / "scripts" / "psw_table.py"))["main"]() == 0
-    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    code, out = run_claims(["psw", "--N", "100", "10000", "100000", "1000000", "--reps", "1"], capsys)
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
     assert (rows[0]["e_exact"], rows[0]["e_err"]) == ("inf", "inf")
     assert [float(row["e_exact"]) for row in rows[1:]] == pytest.approx([2.1955, 2.0763, 1.9795], abs=1e-4)
 
@@ -657,33 +690,35 @@ def test_error_sweep_factorizes_each_k_once(monkeypatch, capsys):
     calls = []
     factorize = numtheory.factorize
     monkeypatch.setattr(numtheory, "factorize", lambda k: calls.append(k) or factorize(k))
-    monkeypatch.setattr(sys, "argv", ["certify_error_sweep.py", "--kmax", "60"])
-    sweep = runpy.run_path(str(ROOT / "scripts" / "certify_error_sweep.py"))
-    assert sweep["main"]() == 0
-    assert capsys.readouterr().out.startswith("k,t,P,R,allzero,alpha_pow,gap_bound\n")
+    code, out = run_claims(["leakage", "--kmax", "60"], capsys)
+    assert code == 0
+    assert out.startswith("k,t,P,R,allzero,alpha_pow,gap_bound\n")
     assert calls == list(range(4, 61))
 
 
+#: argv after claims.py, exit code, and the start of the one stderr message
 SCRIPT_BAD_INPUTS = {
-    "psw-reps0": ("psw_table.py", ["--reps", "0"], 2),
-    "psw-seed": ("psw_table.py", ["--seed", "-1"], 2),
-    "psw-N10": ("psw_table.py", ["--N", "10"], 2),
-    "counting-Q2": ("counting_success_experiment.py", ["--Q", "2"], 2),
-    "counting-N-past-enumeration": ("counting_success_experiment.py", ["--N", "20000000000"], 3),
-    "sweep-P2": ("certify_error_sweep.py", ["--P", "2"], 2),
-    "sweep-R0": ("certify_error_sweep.py", ["--R", "0"], 2),
+    "psw-reps0": (["psw", "--reps", "0"], 2, "error: "),
+    "psw-seed": (["psw", "--seed", "-1"], 2, "error: "),
+    "psw-N10": (["psw", "--N", "10"], 2, "error: "),
+    "counting-Q2": (["counting", "--Q", "2"], 2, "error: "),
+    "counting-N-past-enumeration": (["counting", "--N", "20000000000"], 3, "capacity error: "),
+    "sweep-P2": (["leakage", "--P", "2"], 2, "error: "),
+    "sweep-R0": (["leakage", "--R", "0"], 2, "error: "),
+    "no-section": ([], 2, "usage: claims.py "),
+    "unknown-section": (["sweep"], 2, "usage: claims.py "),
 }
 
 
-@pytest.mark.parametrize("script,args,code", SCRIPT_BAD_INPUTS.values(), ids=SCRIPT_BAD_INPUTS.keys())
-def test_script_bad_inputs_exit_cleanly(script, args, code):
-    proc = run_process([str(ROOT / "scripts" / script), *args])
+@pytest.mark.parametrize("argv,code,prefix", SCRIPT_BAD_INPUTS.values(), ids=SCRIPT_BAD_INPUTS.keys())
+def test_script_bad_inputs_exit_cleanly(argv, code, prefix):
+    proc = run_process([CLAIMS, *argv])
     assert (proc.returncode, proc.stdout) == (code, "")
-    assert proc.stderr.startswith("error: " if code == 2 else "capacity error: ")
+    assert proc.stderr.startswith(prefix)
     assert "Traceback" not in proc.stderr
 
 
-CLOSED_STDOUT = {script: [str(ROOT / "scripts" / script), *args] for script, args, _ in SCRIPTS}
+CLOSED_STDOUT = {section: [CLAIMS, section, *args] for section, args, _, _ in SECTIONS}
 CLOSED_STDOUT["cli"] = ["-m", "carmsim.cli", "facts", "561"]
 
 
