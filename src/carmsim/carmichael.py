@@ -275,9 +275,14 @@ def perturbation_bounds(n: int, p: int) -> PerturbationBounds:
     """Correction budget, phi_norm and beta violations for k = 1..n.
 
     One liar_sieve pass feeds leakage in chunks of _KERNEL_CHUNK values of
-    k.  Each group of terms is summed as one whole array in k order
-    (chunked sums would round differently); the non-Carmichael terms are
-    packed into the front of the phi(k)/k array once its mean is taken.
+    k.  Each chunk's leakage call and its three arrays (the Carmichael
+    terms, the non-Carmichael terms and the beta violations) run on one of
+    numtheory._WORKERS threads, a wave of chunks at a time.  As each wave
+    returns, its non-Carmichael terms are packed in k order into the front
+    of the phi(k)/k array, whose mean is taken first, so at most one wave's
+    terms are held at once.  Each group of terms is summed as one whole
+    array in k order (chunked sums would round differently), so the result
+    does not depend on the thread count.
     """
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
@@ -292,17 +297,24 @@ def perturbation_bounds(n: int, p: int) -> PerturbationBounds:
     np.divide(counts.phi[1:], ratio, out=ratio)
     phi_norm = float(ratio.mean())
     beta_limit = 2.0 / (math.sqrt(3.0) * p)
-    carm_terms, violations, filled = [], [], 0
-    for lo in range(1, n + 1, _KERNEL_CHUNK):
+
+    def terms(lo: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The Carmichael terms, non-Carmichael terms and violations of k = lo..lo+_KERNEL_CHUNK-1."""
         k, carmichael, beta, alpha = leakage(counts, p, lo, lo + _KERNEL_CHUNK)
         part = ratio[k - 1]
-        carm_terms.append(part[carmichael] * beta[carmichael] ** 2)
         noncarm = ~carmichael
-        terms = part[noncarm] * (1.0 - beta[noncarm] ** 2) * alpha[noncarm] ** 2
-        # fewer such k than k - 1 so far: later chunks' entries stay intact
-        ratio[filled : filled + len(terms)] = terms
-        filled += len(terms)
-        violations.append(k[np.abs(beta) > beta_limit])
+        return (part[carmichael] * beta[carmichael] ** 2,
+                part[noncarm] * (1.0 - beta[noncarm] ** 2) * alpha[noncarm] ** 2,
+                k[np.abs(beta) > beta_limit])
+
+    carm_terms, violations, filled = [], [], 0
+    for carm, noncarm, violating in numtheory._map_chunks(terms, range(1, n + 1, _KERNEL_CHUNK)):
+        carm_terms.append(carm)
+        # fewer such k than k - 1 so far, and no chunk runs while the wave is
+        # packed: the entries of the chunks yet to run stay intact
+        ratio[filled : filled + len(noncarm)] = noncarm
+        filled += len(noncarm)
+        violations.append(violating)
     carm_sum = float(np.concatenate(carm_terms).sum())
     return PerturbationBounds(
         n=n,

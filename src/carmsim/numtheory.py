@@ -38,6 +38,7 @@ congruence sieve of enumerate_carmichaels (up to ENUMERATION_BOUND).
 from __future__ import annotations
 
 import math
+import os
 from enum import Enum
 from typing import NamedTuple
 
@@ -342,30 +343,77 @@ class LiarCounts(NamedTuple):
 #: liar_sieve refuses n at or above this: its counts are int32
 LIAR_SIEVE_BOUND = 1 << 31
 
+#: k values per chunk of liar_sieve's final pass (even, so each chunk starts at an even k)
+_LIAR_CHUNK = 1 << 14
+
+#: threads that run the chunked passes, the caller's included: the cores
+#: this process may use
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+#: the _WORKERS - 1 threads beside the caller's, started by the first wave that needs them
+_pool = None
+
+
+def _map_chunks(fn, chunks: range):
+    """fn(c) for each chunk c, yielded in chunk order, one wave of W chunks at a time.
+
+    W is _WORKERS capped at the number of chunks.  The calling thread runs
+    the first chunk of each wave and the pool's threads the others; a wave
+    is yielded once all its chunks are done, so no chunk runs while the
+    caller handles a result, and the next wave starts when the caller asks
+    for it.  A chunk that raises lets the rest of its wave finish, then
+    raises here, in its turn.  With W = 1 this is a plain loop: no thread
+    starts and concurrent.futures is not imported.
+    """
+    width = min(_WORKERS, len(chunks))
+    if width < 2:
+        yield from map(fn, chunks)
+        return
+    global _pool
+    if _pool is None:
+        from concurrent.futures import ThreadPoolExecutor
+
+        _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="carmsim-chunk")
+    for at in range(0, len(chunks), width):
+        wave = chunks[at : at + width]
+        others = [_pool.submit(fn, c) for c in wave[1:]]
+        try:
+            first = fn(wave[0])
+        finally:
+            for future in others:
+                future.exception()  # waits for the chunk; its error is raised below
+        yield first
+        for future in others:
+            yield future.result()
+
 
 def liar_sieve(n: int) -> LiarCounts:
     """phi, F and the strong-liar count of every k <= n in one pass over the primes.
 
-    Each prime p <= sqrt(n) updates its multiples p::p in place: phi and
-    the product F = prod gcd(p - 1, k - 1); the slices p^j::p^j divide p
-    out of a cofactor.  The gcd needs no per-multiple call: on k = p m,
+    Each prime p <= sqrt(n) multiplies its multiples in place, with no
+    division: phi[p::p] by p - 1 and phi[p^j::p^j] by p for j >= 2, the
+    totient of the sqrt(n)-smooth part of k, and smooth[p^j::p^j] by p for
+    j >= 1, that smooth part itself; and the product F = prod gcd(p - 1,
+    k - 1).  The gcd needs no per-multiple call: on k = p m,
     gcd(p m - 1, p - 1) = gcd(m - 1, p - 1) has period p - 1 in m, so one
     row of gcd(j, p - 1), j < p - 1, multiplies the multiples viewed
     as rows of p - 1.  For the odd k only, an odd prime also counts itself
-    in omega (distinct primes) and lowers nu = min v2(p - 1).  What remains
-    of the cofactor is q = 1 or the one prime factor q above sqrt(n); a
-    final pass in chunks of _LIAR_CHUNK values of k applies it to every k at
-    once, q = 1 as an exact no-op: phi becomes phi / q * max(q - 1, 1) and
-    F gains gcd(k/q - 1, max(q - 1, 1)), the same identity.  The strong
-    count is strong_liar_count's formula: with k - 1 = 2^s d and
-    p - 1 = 2^{s_p} d_p, gcd(p - 1, k - 1) = 2^min(s_p, s) gcd(d_p, d), so
-    prod gcd(d, d_p) is the odd part of F, times
-    1 + (2^(nu omega) - 1)/(2^omega - 1).
+    in omega (distinct primes) and lowers nu = min v2(p - 1).  What the
+    smooth part leaves is q = k // smooth, 1 or the one prime factor of k
+    above sqrt(n); a final pass in chunks of _LIAR_CHUNK values of k, one
+    division per k, applies it, q = 1 as an exact no-op: phi gains the
+    factor max(q - 1, 1) and F the factor gcd(smooth - 1, max(q - 1, 1)),
+    the same identity.  The chunks of the final pass write disjoint slices
+    and run on _WORKERS threads (_map_chunks), so the arrays do not depend
+    on the thread count.  The strong count is strong_liar_count's formula:
+    with k - 1 = 2^s d and p - 1 = 2^{s_p} d_p, gcd(p - 1, k - 1) =
+    2^min(s_p, s) gcd(d_p, d), so prod gcd(d, d_p) is the odd part of F,
+    times 1 + (2^(nu omega) - 1)/(2^omega - 1).
 
     Every count, partial product and power 2^(nu omega) is below k (each
     p | k exceeds 2^nu), so the arrays are int32 and LiarCounts returns
     int32; omega and nu are int8 over the odd k.  The sieve holds 13 bytes
-    per k (the strong counts overwrite the cofactors), and n must stay
+    per k (the strong counts overwrite the smooth parts), and n must stay
     below LIAR_SIEVE_BOUND = 2^31: a larger n raises CapacityError before
     any array is allocated.
     """
@@ -373,19 +421,22 @@ def liar_sieve(n: int) -> LiarCounts:
         raise DomainError(f"liar sieve requires n >= 1, got {n}")
     if n >= LIAR_SIEVE_BOUND:
         raise CapacityError(f"liar sieve bound is {LIAR_SIEVE_BOUND - 1}, got {n}")
-    phi = np.arange(n + 1, dtype=np.int32)
-    rest = phi.copy()
-    rest[0] = 1  # k = 0 counts nothing; a cofactor of 1 keeps it a no-op below
+    # the slices start at p, so k = 0 keeps phi = smooth = 1 (phi[0] is set to 0 last)
+    phi = np.ones(n + 1, dtype=np.int32)
+    smooth = np.ones(n + 1, dtype=np.int32)
     fermat = np.ones(n + 1, dtype=np.int32)
     # omega and nu of the odd k = 2i + 1 only, at index i; even k need neither.
     # nu starts above every v2(p - 1), and every odd k >= 3 has an odd prime
     omega = np.zeros((n + 1) // 2, dtype=np.int8)
     nu = np.full((n + 1) // 2, 127, dtype=np.int8)
     for p in np.flatnonzero(prime_sieve(math.isqrt(n))).tolist():
-        phi[p::p] -= phi[p::p] // p
-        power = p
+        if p > 2:
+            phi[p::p] *= p - 1
+        smooth[p::p] *= p
+        power = p * p
         while power <= n:
-            rest[power::power] //= p
+            phi[power::power] *= p
+            smooth[power::power] *= p
             power *= p
         if p == 2:
             continue  # gcd(1, k - 1) = 1, and 2 divides no odd k
@@ -400,17 +451,17 @@ def liar_sieve(n: int) -> LiarCounts:
         np.minimum(nu[p // 2 :: p], ((p - 1) & (1 - p)).bit_length() - 1, out=nu[p // 2 :: p])
     # k = 1 has no prime factor: a finite geo below (its counts are set to 0)
     omega[0], nu[0] = 1, 0
-    # the rest: rest = q > 1, the one prime factor above sqrt(n), or 1, in
-    # chunks of k whose temporaries stay small; strong is written over rest
-    strong = rest
-    for lo in range(0, n + 1, _LIAR_CHUNK):
+    strong = smooth  # each chunk writes its strong counts over its smooth parts
+
+    def finish(lo: int) -> None:
+        """The final pass over k = lo..hi-1: q = k // smooth, 1 or the prime factor above sqrt(n)."""
         hi = min(lo + _LIAR_CHUNK, n + 1)
-        q = rest[lo:hi]
-        q1 = np.maximum(q - 1, 1)  # a factor of 1 where q = 1
+        sm = smooth[lo:hi]
+        q = np.arange(lo, hi, dtype=np.int32) // sm
+        q1 = np.maximum(q - 1, 1)  # a factor of 1 where q = 1 (and at k = 0, q = 0)
         ph, f = phi[lo:hi], fermat[lo:hi]
-        ph //= q
         ph *= q1
-        f *= np.gcd(np.arange(lo, hi, dtype=np.int32) // q - 1, q1)
+        f *= np.gcd(sm - 1, q1)
         # odd k (lo is even): omega and nu; v2(x | 2^30) = min(v2(x), 30)
         q, f_odd = q[1::2], f[1::2]
         w, v = omega[lo // 2 : lo // 2 + q.size], nu[lo // 2 : lo // 2 + q.size]
@@ -423,12 +474,12 @@ def liar_sieve(n: int) -> LiarCounts:
         s = strong[lo:hi]
         s[0::2] = f[0::2]
         s[1::2] = f_odd // (f_odd & -f_odd) * geo
+
+    for _ in _map_chunks(finish, range(0, n + 1, _LIAR_CHUNK)):
+        pass
+    phi[0] = 0
     fermat[:2] = strong[:2] = 0
     return LiarCounts(phi, fermat, strong)
-
-
-#: k values per chunk of liar_sieve's final pass (even, so each chunk starts at an even k)
-_LIAR_CHUNK = 1 << 16
 
 
 #: odd values of k per period of the wheel primes 3, 5, 7, 11, 13 in the

@@ -26,18 +26,22 @@ certification law, and the certification variant that reads the
 coprimality flag after the iterations.  dirichlet_kernel_reference is
 the normalized Dirichlet kernel as the library computed it before its
 sign and range-reduction shortcuts: the bitwise reference for
-counting.dirichlet_kernel.  draw_flag_rounds is the flag post-selection
+counting.dirichlet_kernel.  liar_sieve_reference is the liar sieve
+with the divisions it used before its multiply-only loop: the reference
+for numtheory.liar_sieve, array for array.  draw_flag_rounds is the flag post-selection
 loop on one numpy Generator, the scalar route that qsim.rep_draws runs
 for all reps at once.  seed_states is PCG64's seeding of each rep, one
 step at a time (pcg_step), the reference for the first block that
 qsim.rep_draws reads off the seed words in one affine map.
 perturbation_sums is carmichael.perturbation_bounds' aggregates from
 whole arrays over k = 0..n, the reference for its chunked pass.
-peak_traced_bytes measures a call's peak heap for the memory guards.
+peak_traced_bytes measures a call's peak heap for the memory guards, and
+chunk_workers sets the thread count of numtheory's chunked passes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import tracemalloc
@@ -45,11 +49,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from carmsim import qsim
+from carmsim import numtheory, qsim
 from carmsim.carmichael import composite_facts
 from carmsim.counting import dirichlet_kernel, peak_position
 from carmsim.errors import CapacityError, DomainError, NormalizationError
-from carmsim.numtheory import factorize, liar_sieve
+from carmsim.numtheory import LiarCounts, factorize, liar_sieve, prime_sieve
 from carmsim.qsim import NORM_TOL
 
 
@@ -71,6 +75,57 @@ def dirichlet_kernel_reference(x, p: int) -> np.ndarray:
     num = num_sign * np.sin(np.pi * d)
     den = den_sign * p * den_core
     return np.where(small, num_sign * den_sign, np.divide(num, den, out=np.ones_like(num), where=~small))
+
+
+def liar_sieve_reference(n: int) -> LiarCounts:
+    """numtheory.liar_sieve as the package computed it before its multiply-only loop.
+
+    Each prime p <= sqrt(n) takes p out of phi by a division on p::p and
+    divides p out of a cofactor on each p^j::p^j; the cofactor left, 1 or
+    the prime factor above sqrt(n), then divides phi and k in one pass over
+    all k.  F, omega, nu and the strong count are built as liar_sieve
+    builds them.
+    """
+    if n < 1:
+        raise DomainError(f"liar sieve requires n >= 1, got {n}")
+    phi = np.arange(n + 1, dtype=np.int32)
+    rest = phi.copy()
+    rest[0] = 1
+    fermat = np.ones(n + 1, dtype=np.int32)
+    omega = np.zeros((n + 1) // 2, dtype=np.int8)
+    nu = np.full((n + 1) // 2, 127, dtype=np.int8)
+    for p in np.flatnonzero(prime_sieve(math.isqrt(n))).tolist():
+        phi[p::p] -= phi[p::p] // p
+        power = p
+        while power <= n:
+            rest[power::power] //= p
+            power *= p
+        if p == 2:
+            continue
+        multiples = fermat[p::p]
+        full = multiples.size - multiples.size % (p - 1)
+        period = np.gcd(np.arange(p - 1, dtype=np.int32), p - 1)
+        rows = multiples[:full].reshape(-1, p - 1)
+        np.multiply(rows, period, out=rows)
+        multiples[full:] *= period[: multiples.size - full]
+        omega[p // 2 :: p] += 1
+        np.minimum(nu[p // 2 :: p], ((p - 1) & (1 - p)).bit_length() - 1, out=nu[p // 2 :: p])
+    omega[0], nu[0] = 1, 0
+    q = rest
+    q1 = np.maximum(q - 1, 1)
+    phi //= q
+    phi *= q1
+    fermat *= np.gcd(np.arange(n + 1, dtype=np.int32) // q - 1, q1)
+    q, f_odd = q[1::2], fermat[1::2]
+    omega += q > 1
+    low = (q - 1) | 1 << 30
+    np.minimum(nu, np.frexp(low & -low)[1] - 1, out=nu)
+    geo = (np.left_shift(np.int32(1), omega * nu) - 1) // (np.left_shift(np.int32(1), omega) - 1) + 1
+    strong = np.empty_like(fermat)
+    strong[0::2] = fermat[0::2]
+    strong[1::2] = f_odd // (f_odd & -f_odd) * geo
+    fermat[:2] = strong[:2] = 0
+    return LiarCounts(phi, fermat, strong)
 
 
 def vec_pow_mod(bases: np.ndarray, e: int, m: int) -> np.ndarray:
@@ -557,3 +612,18 @@ def peak_traced_bytes(fn, *args) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@contextlib.contextmanager
+def chunk_workers(count: int):
+    """numtheory's chunked passes on count threads inside the block, with a
+    thread pool of their own that is shut down on leaving it."""
+    saved = numtheory._WORKERS, numtheory._pool
+    numtheory._WORKERS, numtheory._pool = count, None
+    try:
+        yield
+    finally:
+        pool = numtheory._pool
+        numtheory._WORKERS, numtheory._pool = saved
+        if pool is not None:
+            pool.shutdown()

@@ -389,9 +389,13 @@ def test_perturbation_bounds_chunks_match_one_shot_kernel(n):
 @pytest.mark.parametrize("p", [4, 5, 16, 64])  # P = 5: the odd-P kernel sign
 @pytest.mark.parametrize("n", [2, 3, 4, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
 def test_perturbation_bounds_sums_match_whole_arrays(n, p):
-    bounds = cm.perturbation_bounds(n, p)
-    got = (bounds.correction_norm_sq, bounds.phi_norm, bounds.beta_violations)
-    assert got == oracles.perturbation_sums(n, p)
+    # the same sums on 1, 2 and 3 threads
+    expected = oracles.perturbation_sums(n, p)
+    for workers in (1, 2, 3):
+        with oracles.chunk_workers(workers):
+            bounds = cm.perturbation_bounds(n, p)
+        got = (bounds.correction_norm_sq, bounds.phi_norm, bounds.beta_violations)
+        assert got == expected, workers
 
 
 def test_perturbation_bounds_stay_in_bounded_memory():

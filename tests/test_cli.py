@@ -9,6 +9,7 @@ import os
 import runpy
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from carmsim import carmichael, cli, counting, numtheory
+
+import oracles
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -120,6 +123,33 @@ def test_memory_error_exits_3(error, line, monkeypatch, capsys):
 
     monkeypatch.setattr(carmichael, "certify_reps", exhausted)
     assert run_cli(["certify", "561", "--reps", "10000000"], capsys) == (3, "", line)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_memory_error_in_a_chunk_exits_3(workers, monkeypatch, capsys):
+    # bounds 60000 runs leakage on the four chunks from k = 1, 16385, 32769
+    # and 49153; the second raises, and the chunks beside it in its wave
+    # finish before the command exits
+    started, finished = [], []
+    leakage = carmichael.leakage
+
+    def failing(counts, p, lo, hi):
+        started.append(lo)
+        try:
+            if lo == 1 + carmichael._KERNEL_CHUNK:
+                raise MemoryError()
+            if lo > 1 + carmichael._KERNEL_CHUNK:
+                time.sleep(0.2)  # still running when the second chunk has failed
+            return leakage(counts, p, lo, hi)
+        finally:
+            finished.append(lo)
+
+    monkeypatch.setattr(carmichael, "leakage", failing)
+    with oracles.chunk_workers(workers):
+        result = run_cli(["bounds", "60000", "--P", "16"], capsys)
+        done = sorted(finished)
+    assert result == (3, "", "capacity error: out of memory\n")
+    assert sorted(started) == done == [1 + i * carmichael._KERNEL_CHUNK for i in range(max(workers, 2))]
 
 
 def test_enumerate_output(capsys):
@@ -500,11 +530,12 @@ ALL_COMMANDS = [
 ]
 
 
-@pytest.mark.parametrize("module", ["numpy.random", "dataclasses", "csv"])
+@pytest.mark.parametrize("module", ["numpy.random", "dataclasses", "csv", "concurrent.futures"])
 def test_no_command_imports(module):
     # each module adds start-up time to a process: the rep streams are qsim's
-    # own PCG64, the result records NamedTuples, and csv is imported by
-    # csv_line alone, so only a command run with --output csv loads it
+    # own PCG64, the result records NamedTuples, csv is imported by csv_line
+    # alone, so only a command run with --output csv loads it, and a one-chunk
+    # bounds starts no thread
     runs = [[*argv, "--output", output] for output in ("text", "json") for argv in ALL_COMMANDS]
     csv_runs = [[*argv, "--output", "csv"] for argv in ALL_COMMANDS]
     probe = f"print({module!r} in sys.modules, file=sys.stderr)"

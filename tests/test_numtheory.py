@@ -369,6 +369,31 @@ def test_int32_liar_sieve_matches_number_facts_at_scale():
         assert (phi[i], fermat[i], strong[i]) == (facts.phi, facts.f_count, k - 1 - facts.mr_witnesses), k
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 2**14 - 1, 2**14, 2**14 + 1, 3 * 2**14 + 5, 10**5])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_liar_sieve_equals_the_division_reference(workers, n):
+    # the final pass runs in chunks of 2^14 on any number of threads
+    assert nt._LIAR_CHUNK == 2**14
+    with oracles.chunk_workers(workers):
+        counts = nt.liar_sieve(n)
+    for got, expected in zip(counts, oracles.liar_sieve_reference(n)):
+        assert got.dtype == expected.dtype == np.int32
+        assert np.array_equal(got, expected)
+
+
+def test_one_worker_or_one_chunk_starts_no_thread():
+    with oracles.chunk_workers(1):
+        nt.liar_sieve(10**5)
+        carmichael.perturbation_bounds(10**5, 16)
+        assert nt._pool is None
+    with oracles.chunk_workers(2):
+        # k = 0..2^14 - 1: one chunk of the sieve's final pass and one of leakage
+        carmichael.perturbation_bounds(2**14 - 1, 16)
+        assert nt._pool is None
+        nt.liar_sieve(2**14)
+        assert nt._pool is not None
+
+
 def test_liar_sieve_refuses_two_to_the_31_before_allocating():
     tracemalloc.start()
     try:
