@@ -267,15 +267,11 @@ def leakage(counts: numtheory.LiarCounts, p: int, lo: int, hi: int) -> Leakage:
 #: perturbation_bounds refuses n above this
 SWEEP_BOUND = 10**7
 
-#: k values per leakage call of perturbation_bounds
-_KERNEL_CHUNK = 1 << 14
-
-
 def perturbation_bounds(n: int, p: int) -> PerturbationBounds:
     """Correction budget, phi_norm and beta violations for k = 1..n.
 
-    One liar_sieve pass feeds leakage in chunks of _KERNEL_CHUNK values of
-    k.  Each chunk's leakage call and its three arrays (the Carmichael
+    One liar_sieve pass feeds leakage in chunks of numtheory._CHUNK values
+    of k.  Each chunk's leakage call and its three arrays (the Carmichael
     terms, the non-Carmichael terms and the beta violations) run on one of
     numtheory._WORKERS threads, a wave of chunks at a time.  As each wave
     returns, its non-Carmichael terms are packed in k order into the front
@@ -298,9 +294,9 @@ def perturbation_bounds(n: int, p: int) -> PerturbationBounds:
     phi_norm = float(ratio.mean())
     beta_limit = 2.0 / (math.sqrt(3.0) * p)
 
-    def terms(lo: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The Carmichael terms, non-Carmichael terms and violations of k = lo..lo+_KERNEL_CHUNK-1."""
-        k, carmichael, beta, alpha = leakage(counts, p, lo, lo + _KERNEL_CHUNK)
+    def terms(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The Carmichael terms, non-Carmichael terms and violations of k = lo..hi-1."""
+        k, carmichael, beta, alpha = leakage(counts, p, lo, hi)
         part = ratio[k - 1]
         noncarm = ~carmichael
         return (part[carmichael] * beta[carmichael] ** 2,
@@ -308,7 +304,7 @@ def perturbation_bounds(n: int, p: int) -> PerturbationBounds:
                 k[np.abs(beta) > beta_limit])
 
     carm_terms, violations, filled = [], [], 0
-    for carm, noncarm, violating in numtheory._map_chunks(terms, range(1, n + 1, _KERNEL_CHUNK)):
+    for carm, noncarm, violating in numtheory._map_chunks(terms, 1, n + 1):
         carm_terms.append(carm)
         # fewer such k than k - 1 so far, and no chunk runs while the wave is
         # packed: the entries of the chunks yet to run stay intact
@@ -349,8 +345,11 @@ def count_carmichaels_quantum(n: int, q: int, seed: int, reps: int) -> Carmichae
 
     The mark is the ideal Carmichael indicator restricted to k < n, so the
     marked count equals len(enumerate_carmichaels(n)); the perturbed-oracle
-    corrections are budgeted by perturbation_bounds, not simulated.
+    corrections are budgeted by perturbation_bounds, not simulated.  Q,
+    seed and reps are checked before the (slow) enumeration.
     """
+    qsim.check_counter(q)
+    qsim.check_reps(seed, reps)
     t_n = len(numtheory.enumerate_carmichaels(n))
     estimates = counting.run_count(n, t_n, q, seed=seed, reps=reps)
     return CarmichaelCountResult(

@@ -12,18 +12,17 @@ memory runs out or when a counter law drifts off its norm (a counter so
 large that the rounding of its power table passes the norm tolerance).
 
 JSON output equals json.dumps(payload, indent=2) byte for byte.  The
-renderer writes strings, None, bools, ints, finite floats and non-empty
-lists, tuples and str-keyed dicts itself; json.dumps writes or refuses the
-rest (NaN and the infinities, empty containers, other keys and types).
-Reps with the same outcome share one record, so a payload holds each
-distinct record's dict once, repeated, and the renderer encodes a list
-element that recurs once and reuses its text.  Across the records of a
-list it also spells each dict key layout (the keys at one depth) once, as
-a % template, and encodes once each leaf that the records share (their
+renderer writes strings, None, bools, ints, finite floats (the exact
+types, not subclasses) and non-empty lists, tuples and str-keyed dicts
+itself; json.dumps writes or refuses the rest (NaN and the infinities,
+empty containers, other keys and types).  Reps with the same outcome share
+one record, so a payload holds each distinct record's dict once, repeated,
+and the renderer encodes a list element that recurs once and reuses its
+text.  It also spells each dict key layout (the keys at one depth) once,
+as a % template, and encodes once each leaf that the records share (their
 kind, error bound, flag probability, small ints); these caches live for
-one render, and a dict outside every list is spelled out in place.  The
-text and CSV forms likewise format each distinct record once and prefix
-each rep's copy with its rep index.
+one render.  The text and CSV forms likewise format each distinct record
+once and prefix each rep's copy with its rep index.
 """
 
 from __future__ import annotations
@@ -37,8 +36,6 @@ import os
 import sys
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, NamedTuple, Sequence
-
-import numpy as np
 
 from . import carmichael, counting, numtheory
 from .errors import CapacityError, DomainError, NormalizationError
@@ -55,8 +52,8 @@ class Record(NamedTuple):
 def _json_leaf(value) -> str | None:
     """A str, None, bool, int or finite float as json.dumps writes it; None for any other value.
 
-    The exact types are tested first, as the payloads' leaves are; a
-    subclass takes the isinstance tests, and json writes it as its base.
+    Only the exact types are leaves: json writes a subclass of str, int or
+    float as its base, so it goes to json.dumps like any other value.
     """
     cls = type(value)
     if cls is float:
@@ -69,34 +66,23 @@ def _json_leaf(value) -> str | None:
         return "null"
     if value is True or value is False:
         return "true" if value else "false"
-    if not isinstance(value, (str, int, float)):
-        return None
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, int):
-        return int.__repr__(value)
-    return float.__repr__(value) if math.isfinite(value) else None
+    return None
 
 
-def _json_text(value, indent: str, memo: dict | None = None) -> str:
+def _json_text(value, indent: str, memo: dict) -> str:
     """A value that is not a leaf (_json_leaf) as json.dumps(value, indent=2) writes it, nested at indent.
 
     A recurring list element (the same object) is encoded once per list.
-    Records recur as the elements of a list, so the outermost list opens
-    one memo that everything under it shares; it lives for this call, so
-    the ids in it stay those of live objects.  It maps a plain dict's key
-    layout at one depth, (indent, *keys), to a % template of the dict's
-    value texts, spelled once; and once a layout recurs, it maps each leaf
-    of its dicts, by id, to its text, so the leaves that records share are
-    encoded once.  A dict outside every list occurs once, where a template
-    costs more than it saves, so it is spelled out in place.  A list's dict
-    elements and a templated dict's list values are never leaves, so they
-    skip the leaf tests (and the leaf memo) and go straight to their branch.
+    memo lives for one render, so the ids in it stay those of live objects.
+    It maps a plain dict's key layout at one depth, (indent, *keys), to a %
+    template of the dict's value texts, spelled once, and each leaf of a
+    dict, by id, to its text, so the leaves that records share are encoded
+    once.  A list's dict elements and a dict's list values are never
+    leaves, so they skip the leaf tests (and the leaf memo) and go straight
+    to their branch.
     """
     inner = indent + "  "
     if isinstance(value, (list, tuple)) and value:
-        if memo is None:
-            memo = {}
         texts: dict[int, str] = {}
         items = []
         for item in value:
@@ -110,39 +96,31 @@ def _json_text(value, indent: str, memo: dict | None = None) -> str:
             items.append(text)
         return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
     if type(value) is dict and value:
-        # encode_basestring_ascii raises TypeError on a key that is not a str; json
-        # walks the dict in the same order, so fails on the same first bad item
-        if memo is None:
-            try:
-                items = [f"{encode_basestring_ascii(key)}: {_json_leaf(item) or _json_text(item, inner)}"
-                         for key, item in value.items()]
-            except TypeError:
-                return json.dumps(value, indent=2).replace("\n", "\n" + indent)
-            return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
         layout = (indent, *value)
         template = memo.get(layout)
-        if template is not None:
-            items = []
-            for item in value.values():
-                if type(item) is list:
-                    text = _json_text(item, inner, memo)
-                else:
-                    text = memo.get(id(item))
+        if template is None:
+            # encode_basestring_ascii raises TypeError on a key that is not a str; json
+            # walks the dict in the same order, so fails on the same first bad item
+            try:
+                keys = "\n".join(map(encode_basestring_ascii, value))  # an encoded key holds no newline
+            except TypeError:
+                return json.dumps(value, indent=2).replace("\n", "\n" + indent)
+            keys = keys.replace("%", "%%").replace("\n", f": %s,\n{inner}")
+            memo[layout] = template = f"{{\n{inner}{keys}: %s\n{indent}}}"
+        items = []
+        for item in value.values():
+            if type(item) is list:
+                text = _json_text(item, inner, memo)
+            else:
+                text = memo.get(id(item))
+                if text is None:
+                    text = _json_leaf(item)
                     if text is None:
-                        text = _json_leaf(item)
-                        if text is None:
-                            text = _json_text(item, inner, memo)
-                        else:
-                            memo[id(item)] = text
-                items.append(text)
-            return template % tuple(items)
-        try:
-            keys = "\n".join(map(encode_basestring_ascii, value))  # an encoded key holds no newline
-        except TypeError:
-            return json.dumps(value, indent=2).replace("\n", "\n" + indent)
-        keys = keys.replace("%", "%%").replace("\n", f": %s,\n{inner}")
-        memo[layout] = template = f"{{\n{inner}{keys}: %s\n{indent}}}"
-        return template % tuple([_json_leaf(item) or _json_text(item, inner, memo) for item in value.values()])
+                        text = _json_text(item, inner, memo)
+                    else:
+                        memo[id(item)] = text
+            items.append(text)
+        return template % tuple(items)
     # json escapes every newline in a string, so its text re-indents exactly
     return json.dumps(value, indent=2).replace("\n", "\n" + indent)
 
@@ -164,7 +142,7 @@ def csv_line(fields: Iterable) -> str:
 def render(output: str, record: Record, config: dict | None = None) -> str:
     """The record as "text", "json" (config block first) or "csv"."""
     if output == "json":
-        return _json_text({"config": config, **record.payload()}, "") + "\n"
+        return _json_text({"config": config, **record.payload()}, "", {}) + "\n"
     return "\n".join(record.table() if output == "csv" else record.lines()) + "\n"
 
 
@@ -339,7 +317,7 @@ def _cmd_psw(cfg: argparse.Namespace) -> Record:
 
 def _cmd_bounds(cfg: argparse.Namespace) -> Record:
     bounds = carmichael.perturbation_bounds(cfg.target, cfg.p)
-    payload = {**bounds.to_json_dict(), "phi_norm_pi2_over_6": float(np.pi**2 / 6.0)}
+    payload = {**bounds.to_json_dict(), "phi_norm_pi2_over_6": math.pi**2 / 6.0}
     # the CSV joins the violation list with ";" so that the row keeps one field per column
     row = {**payload, "beta_violations": ";".join(str(k) for k in bounds.beta_violations)}
     return Record(

@@ -343,8 +343,8 @@ class LiarCounts(NamedTuple):
 #: liar_sieve refuses n at or above this: its counts are int32
 LIAR_SIEVE_BOUND = 1 << 31
 
-#: k values per chunk of liar_sieve's final pass (even, so each chunk starts at an even k)
-_LIAR_CHUNK = 1 << 14
+#: k values per chunk of the chunked passes (even, so liar_sieve's chunks start at even k)
+_CHUNK = 1 << 14
 
 #: threads that run the chunked passes, the caller's included: the cores
 #: this process may use
@@ -354,20 +354,22 @@ _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else
 _pool = None
 
 
-def _map_chunks(fn, chunks: range):
-    """fn(c) for each chunk c, yielded in chunk order, one wave of W chunks at a time.
+def _map_chunks(fn, start: int, stop: int):
+    """fn(lo, hi) for each chunk lo..hi-1 of _CHUNK values in start..stop-1, yielded in chunk order.
 
-    W is _WORKERS capped at the number of chunks.  The calling thread runs
-    the first chunk of each wave and the pool's threads the others; a wave
-    is yielded once all its chunks are done, so no chunk runs while the
-    caller handles a result, and the next wave starts when the caller asks
-    for it.  A chunk that raises lets the rest of its wave finish, then
-    raises here, in its turn.  With W = 1 this is a plain loop: no thread
-    starts and concurrent.futures is not imported.
+    The chunks run one wave of W at a time, W being _WORKERS capped at the
+    number of chunks.  The calling thread runs the first chunk of each wave
+    and the pool's threads the others; a wave is yielded once all its
+    chunks are done, so no chunk runs while the caller handles a result,
+    and the next wave starts when the caller asks for it.  A chunk that
+    raises lets the rest of its wave finish, then raises here, in its turn.
+    With W = 1 this is a plain loop: no thread starts and
+    concurrent.futures is not imported.
     """
+    chunks = [(lo, min(lo + _CHUNK, stop)) for lo in range(start, stop, _CHUNK)]
     width = min(_WORKERS, len(chunks))
     if width < 2:
-        yield from map(fn, chunks)
+        yield from (fn(lo, hi) for lo, hi in chunks)
         return
     global _pool
     if _pool is None:
@@ -376,9 +378,9 @@ def _map_chunks(fn, chunks: range):
         _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="carmsim-chunk")
     for at in range(0, len(chunks), width):
         wave = chunks[at : at + width]
-        others = [_pool.submit(fn, c) for c in wave[1:]]
+        others = [_pool.submit(fn, *c) for c in wave[1:]]
         try:
-            first = fn(wave[0])
+            first = fn(*wave[0])
         finally:
             for future in others:
                 future.exception()  # waits for the chunk; its error is raised below
@@ -400,7 +402,7 @@ def liar_sieve(n: int) -> LiarCounts:
     as rows of p - 1.  For the odd k only, an odd prime also counts itself
     in omega (distinct primes) and lowers nu = min v2(p - 1).  What the
     smooth part leaves is q = k // smooth, 1 or the one prime factor of k
-    above sqrt(n); a final pass in chunks of _LIAR_CHUNK values of k, one
+    above sqrt(n); a final pass in chunks of _CHUNK values of k, one
     division per k, applies it, q = 1 as an exact no-op: phi gains the
     factor max(q - 1, 1) and F the factor gcd(smooth - 1, max(q - 1, 1)),
     the same identity.  The chunks of the final pass write disjoint slices
@@ -453,9 +455,8 @@ def liar_sieve(n: int) -> LiarCounts:
     omega[0], nu[0] = 1, 0
     strong = smooth  # each chunk writes its strong counts over its smooth parts
 
-    def finish(lo: int) -> None:
+    def finish(lo: int, hi: int) -> None:
         """The final pass over k = lo..hi-1: q = k // smooth, 1 or the prime factor above sqrt(n)."""
-        hi = min(lo + _LIAR_CHUNK, n + 1)
         sm = smooth[lo:hi]
         q = np.arange(lo, hi, dtype=np.int32) // sm
         q1 = np.maximum(q - 1, 1)  # a factor of 1 where q = 1 (and at k = 0, q = 0)
@@ -475,7 +476,7 @@ def liar_sieve(n: int) -> LiarCounts:
         s[0::2] = f[0::2]
         s[1::2] = f_odd // (f_odd & -f_odd) * geo
 
-    for _ in _map_chunks(finish, range(0, n + 1, _LIAR_CHUNK)):
+    for _ in _map_chunks(finish, 0, n + 1):
         pass
     phi[0] = 0
     fermat[:2] = strong[:2] = 0

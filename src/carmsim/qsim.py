@@ -104,37 +104,40 @@ def _plane_power_table(u_marked: float, u_unmarked: float, max_power: int) -> np
     return np.fromiter(coefficients(), float, 2 * max_power + 2).reshape(-1, 2)
 
 
-def counter_law(dimension: int, marked: float, p: int, registers: int = 1) -> np.ndarray:
-    """Joint law of R counters of size P, shape (P,)*R, after the controlled powers and a QFT on each.
-
-    Every sampled law is built here: P >= 4 and R >= 1 are checked first,
-    then the (D, t) domain, then the cap one register at a time, 2 P^r
-    against AMPLITUDE_CAP for r = 1..R, before the table or any other
-    array, so R may be any integer.  The table runs over G^m |u> for
-    m = 0..P-1, and c_m, s_m are its rows' coordinates on
-    u = (sqrt(t/D), sqrt((D-t)/D)) and Ju.  Each factor |a +- i b|^2 sums
-    to the table's mean row norm^2, so that is the one value checked
-    against NORM_TOL.  The law is built by outer products of the two
-    factors, the second added into the first in place, in chunks of at most
-    _LAW_CHUNK cells (or one leading row), so the build holds the law and
-    one chunk; every chunk keeps the full product's order of multiplication,
-    so the law is the same to the bit.  The marked count t
-    need not be an integer: any t in [0, D], an effective count too, is taken.
-    """
+def check_counter(p: int, registers: int = 1) -> None:
+    """Raise unless P >= 4, R >= 1 and 2 P^r <= AMPLITUDE_CAP for r = 1..R in turn, so R may be any integer."""
     if p < 4:
         raise DomainError(f"counter size must be >= 4, got {p}")
     if registers < 1:
         raise DomainError(f"need >= 1 counter registers, got {registers}")
-    if dimension < 1:
-        raise DomainError(f"base dimension must be >= 1, got {dimension}")
-    if not 0 <= marked <= dimension:
-        raise DomainError(f"marked count {marked} outside [0, {dimension}]")
     size = 2
     for _ in range(registers):
         size *= p
         if size > AMPLITUDE_CAP:
             # no size in the text: a product of 4300 digits or more cannot be printed
             raise CapacityError(f"counter registers exceed the cap of {AMPLITUDE_CAP} amplitudes")
+
+
+def counter_law(dimension: int, marked: float, p: int, registers: int = 1) -> np.ndarray:
+    """Joint law of R counters of size P, shape (P,)*R, after the controlled powers and a QFT on each.
+
+    Every sampled law is built here: the counters are checked first
+    (check_counter), then the (D, t) domain, before the table or any other
+    array.  The table runs over G^m |u> for m = 0..P-1, and c_m, s_m are
+    its rows' coordinates on u = (sqrt(t/D), sqrt((D-t)/D)) and Ju.  Each
+    factor |a +- i b|^2 sums to the table's mean row norm^2, so that is the
+    one value checked against NORM_TOL.  The law is built by outer products of the two
+    factors, the second added into the first in place, in chunks of at most
+    _LAW_CHUNK cells (or one leading row), so the build holds the law and
+    one chunk; every chunk keeps the full product's order of multiplication,
+    so the law is the same to the bit.  The marked count t
+    need not be an integer: any t in [0, D], an effective count too, is taken.
+    """
+    check_counter(p, registers)
+    if dimension < 1:
+        raise DomainError(f"base dimension must be >= 1, got {dimension}")
+    if not 0 <= marked <= dimension:
+        raise DomainError(f"marked count {marked} outside [0, {dimension}]")
     u_marked, u_unmarked = math.sqrt(marked / dimension), math.sqrt((dimension - marked) / dimension)
     table = _plane_power_table(u_marked, u_unmarked, p - 1)
     norm_sq = float(np.square(table).sum()) / p
@@ -370,6 +373,16 @@ def _first_block(words: np.ndarray, n: int) -> tuple[tuple[np.ndarray, np.ndarra
     return _block((words[:, 0], words[:, 1]), inc, _first_jumps(n)), inc
 
 
+def check_reps(seed: int, reps: int) -> None:
+    """Raise unless seed >= 0 and 1 <= reps <= MAX_REPS, past which a rep index is not one entropy word."""
+    if seed < 0:  # np.random.default_rng takes no negative seed
+        raise DomainError(f"seed must be >= 0, got {seed}")
+    if reps < 1:
+        raise DomainError(f"reps must be >= 1, got {reps}")
+    if reps > MAX_REPS:
+        raise CapacityError(f"{reps} reps exceed cap {MAX_REPS}")
+
+
 def rep_draws(seed: int, reps: int, accept: float | None) -> tuple[np.ndarray, np.ndarray]:
     """Every rep's flag rounds and reading; rep i draws numpy's default_rng([seed, i]) bit for bit.
 
@@ -381,15 +394,9 @@ def rep_draws(seed: int, reps: int, accept: float | None) -> tuple[np.ndarray, n
     further block from its last round's state.  The first block, or the one
     draw without a flag, is one affine map of the seed words (_first_block).
     Reps are seeded and drawn in chunks of about _BLOCK_ELEMENTS uniforms.
-    Past MAX_REPS a rep index is no longer one entropy word: more reps are
-    refused before any allocation.
+    seed and reps are checked (check_reps) before any allocation.
     """
-    if seed < 0:  # np.random.default_rng takes no negative seed
-        raise DomainError(f"seed must be >= 0, got {seed}")
-    if reps < 1:
-        raise DomainError(f"reps must be >= 1, got {reps}")
-    if reps > MAX_REPS:
-        raise CapacityError(f"{reps} reps exceed cap {MAX_REPS}")
+    check_reps(seed, reps)
     if accept is None:
         flags = 0
     elif not 0.0 < accept <= 1.0:

@@ -360,7 +360,7 @@ def test_perturbation_bounds_hold_at_p16_full_range():
     assert bounds.correction_norm_sq <= bounds.correction_norm_bound
 
 
-CHUNK = cm._KERNEL_CHUNK
+CHUNK = numtheory._CHUNK
 
 
 @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])

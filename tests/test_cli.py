@@ -136,9 +136,9 @@ def test_memory_error_in_a_chunk_exits_3(workers, monkeypatch, capsys):
     def failing(counts, p, lo, hi):
         started.append(lo)
         try:
-            if lo == 1 + carmichael._KERNEL_CHUNK:
+            if lo == 1 + numtheory._CHUNK:
                 raise MemoryError()
-            if lo > 1 + carmichael._KERNEL_CHUNK:
+            if lo > 1 + numtheory._CHUNK:
                 time.sleep(0.2)  # still running when the second chunk has failed
             return leakage(counts, p, lo, hi)
         finally:
@@ -149,7 +149,7 @@ def test_memory_error_in_a_chunk_exits_3(workers, monkeypatch, capsys):
         result = run_cli(["bounds", "60000", "--P", "16"], capsys)
         done = sorted(finished)
     assert result == (3, "", "capacity error: out of memory\n")
-    assert sorted(started) == done == [1 + i * carmichael._KERNEL_CHUNK for i in range(max(workers, 2))]
+    assert sorted(started) == done == [1 + i * numtheory._CHUNK for i in range(max(workers, 2))]
 
 
 def test_enumerate_output(capsys):
@@ -530,6 +530,46 @@ ALL_COMMANDS = [
 ]
 
 
+def test_payload_leaves_are_exact_types():
+    # the renderer writes only the exact leaf types itself and sends a
+    # subclass to json.dumps, so every command's leaves are the exact types
+    leaf_types = {str, int, float, bool, type(None)}
+
+    def walk(value):
+        if type(value) is dict:
+            assert {type(key) for key in value} <= {str}
+            for item in value.values():
+                walk(item)
+        elif type(value) in (list, tuple):
+            for item in value:
+                walk(item)
+        else:
+            assert type(value) in leaf_types, (value, type(value))
+
+    for argv in ALL_COMMANDS:
+        cfg = cli.build_parser().parse_args(argv)
+        walk({"config": cli._config(cfg), **cfg.handler(cfg).payload()})
+
+
+#: counting runs at the enumeration bound whose options fail; the enumeration takes seconds there
+ENUMERATING_BAD_INPUTS = {
+    "Q2": (["count-carmichael", "10000000000", "--Q", "2"], 2, "error: counter size must be >= 4, got 2"),
+    "reps0": (["count-carmichael", "10000000000", "--reps", "0"], 2, "error: reps must be >= 1, got 0"),
+    "seed-1": (["count-carmichael", "10000000000", "--seed", "-1"], 2, "error: seed must be >= 0, got -1"),
+    "Q-past-cap": (["count-carmichael", "10000000000", "--Q", "1000000000"], 3, AMPLITUDE_CAP_LINE),
+    "psw-reps0": (["psw", "10000000000", "--reps", "0"], 2, "error: reps must be >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("args,code,line", ENUMERATING_BAD_INPUTS.values(), ids=ENUMERATING_BAD_INPUTS.keys())
+def test_counting_commands_check_options_before_enumerating(args, code, line, monkeypatch, capsys):
+    def enumerate_carmichaels(n):
+        raise AssertionError("enumerated before the options were checked")
+
+    monkeypatch.setattr(numtheory, "enumerate_carmichaels", enumerate_carmichaels)
+    assert run_cli(args, capsys) == (code, "", line + "\n")
+
+
 @pytest.mark.parametrize("module", ["numpy.random", "dataclasses", "csv", "concurrent.futures"])
 def test_no_command_imports(module):
     # each module adds start-up time to a process: the rep streams are qsim's
@@ -611,7 +651,7 @@ _SHARED_FLOAT = 0.1
 # recurs, and one key tuple at two depths
 @example([{"%": "%s", "%(x)s": 1, "%%": None}, {"%": 2, "%(x)s": "%(x)s", "%%": "%"}])
 @example({"a": {"a": 1}, "b": [{"a": {"a": 2}}, {"a": {"a": 3}}]})
-# the leaf memo: subclass leaves, and a NaN beside a float object that the records share
+# subclass leaves, which json.dumps writes, and a NaN beside a float object that the records share
 @example([{"s": _Str("x"), "i": _Int.ONE, "f": _Float(1.5)}, {"s": _Str("y"), "i": _Int.ONE, "f": _Float(math.inf)}] * 2)
 @example([{"a": _SHARED_FLOAT, "b": math.nan}, {"a": _SHARED_FLOAT, "b": _SHARED_FLOAT}, {"a": math.nan, "b": 2.0}])
 def test_json_render_equals_json_dumps(value):

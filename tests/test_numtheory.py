@@ -373,7 +373,7 @@ def test_int32_liar_sieve_matches_number_facts_at_scale():
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_liar_sieve_equals_the_division_reference(workers, n):
     # the final pass runs in chunks of 2^14 on any number of threads
-    assert nt._LIAR_CHUNK == 2**14
+    assert nt._CHUNK == 2**14
     with oracles.chunk_workers(workers):
         counts = nt.liar_sieve(n)
     for got, expected in zip(counts, oracles.liar_sieve_reference(n)):
