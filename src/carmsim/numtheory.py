@@ -495,9 +495,9 @@ _WHEEL = np.ones(_PERIOD, dtype=np.uint32)
 for _p in (3, 5, 7, 11, 13):  # k = p + j p(p - 1) sits at i = (p - 3)/2 + j p(p - 1)/2
     _WHEEL[(_p - 3) // 2 :: _p * (_p - 1) // 2] *= _p
 
-#: wheel periods per block of the Carmichael sieve: 1,051,050 odd values of
-#: k (4 MiB of uint32), so every block starts at wheel phase 0
-_BLOCK_PERIODS = 35
+#: wheel periods per block of the Carmichael sieve: 240,240 odd values of k
+#: (0.92 MiB of uint32, within a 2 MiB L2), so every block starts at phase 0
+_BLOCK_PERIODS = 8
 
 
 def enumerate_carmichaels(n: int) -> list[int]:
@@ -511,22 +511,20 @@ def enumerate_carmichaels(n: int) -> list[int]:
     k is Carmichael exactly when prod[k] == k: a prime factor outside its
     class, a square factor or a prime factor above sqrt(n) leaves
     prod[k] < k, and a prime k has prod[k] = 1, its own progression
-    starting at k^2.  k runs in blocks of _BLOCK_PERIODS wheel periods of
-    odd values k = lo + 2i, all in one (periods, _PERIOD) uint32 buffer.
-    The progressions of the wheel primes 3..13 repeat with period
-    _PERIOD = 30030 odd values, the lcm of their steps p(p - 1)/2, and
-    every block starts at phase 0, so each block starts as one broadcast
-    copy of the constant _WHEEL.  The wheel's progressions start at k = p,
-    not p^2, for every n; that adds the factor p to prod[k] only at
-    k = p <= 13 itself, which is never tested (below).  The primes >= 17
-    step at least p(p - 1)/2 = 136 entries, so all their hits in a block
-    are applied at once, with one index array and one np.multiply.at; the
-    order of the products does not matter.  Only the k on the progression of a prime
-    p >= 17 are tested: a Carmichael k is a squarefree product of three or
-    more odd primes, and none of the 16 such products of the wheel primes
-    3..13 is Carmichael, so k has a prime factor p >= 17 and sits on p's
-    progression from p^2.  prod is read at those indices only, and a k
-    with two prime factors >= 17 is hit twice and listed once.
+    starting at k^2.  The odd k = 3 + 2i run in blocks of _BLOCK_PERIODS
+    periods of the wheel primes 3..13, whose progressions repeat every
+    _PERIOD = 30030 odd values (the lcm of their steps p(p - 1)/2); every
+    block starts at phase 0, as one broadcast copy of the constant _WHEEL
+    into a (periods, _PERIOD) uint32 buffer.  The wheel's progressions
+    start at k = p, not p^2; that puts p into prod[k] only at k = p <= 13,
+    which is never tested.  Each prime p >= 17 keeps its next hit; a block
+    selects the primes whose next hit lies in it with one compare, applies
+    all their hits with one np.multiply.at (in any order) and moves their
+    next hits past it.  Only the k on those progressions are tested: a
+    Carmichael k is a squarefree product of three or more odd primes, none
+    of the 16 such products of 3..13 is Carmichael, so k has a prime
+    factor p >= 17 and sits on p's progression from p^2.  A k with two
+    prime factors >= 17 is hit twice and listed once.
 
     prod[k], a product P of distinct primes dividing k, wraps mod 2^32 and
     is compared with k mod 2^32, integer-only.  That is exact below
@@ -539,26 +537,28 @@ def enumerate_carmichaels(n: int) -> list[int]:
     if n > ENUMERATION_BOUND:
         raise CapacityError(f"enumeration bound is {ENUMERATION_BOUND}, got {n}")
     primes = np.flatnonzero(prime_sieve(math.isqrt(n - 1)))[6:]  # 17 and up: k is odd and 3..13 are the wheel
-    squares = primes * primes
-    moduli = primes * (primes - 1)
-    steps = moduli // 2
-    factors = primes.astype(np.uint32)
-    block = _BLOCK_PERIODS * _PERIOD
-    buffer = np.empty((min(_BLOCK_PERIODS, -(-n // (2 * _PERIOD))), _PERIOD), dtype=np.uint32)
+    steps, factors = primes * (primes - 1) // 2, primes.astype(np.uint32)
+    nxt = (primes * primes - 3) // 2  # each prime's next hit, as the index i of k = 3 + 2i
+    total, block = (n - 2) // 2, _BLOCK_PERIODS * _PERIOD  # total: the odd k in [3, n)
+    buffer = np.empty((min(_BLOCK_PERIODS, -(-total // _PERIOD)), _PERIOD), dtype=np.uint32)
     prod = buffer.reshape(-1)
     found: list[int] = []
-    for lo in range(3, n, 2 * block):
-        size = (min(lo + 2 * block, n) - lo + 1) // 2
+    for first in range(0, total, block):
+        size = min(block, total - first)
         buffer[: -(-size // _PERIOD)] = _WHEEL
-        start = np.maximum(squares - lo, (primes - lo) % moduli) // 2
-        hits = np.maximum((size - 1 - start) // steps + 1, 0)  # 0 past the block
-        # hit h of prime j, counted over the block, sits at base_j + h step_j
-        base = start - (hits.cumsum() - hits) * steps
-        at = np.repeat(base, hits) + np.arange(hits.sum()) * np.repeat(steps, hits)
-        np.multiply.at(prod, at, np.repeat(factors, hits))
-        ks = lo + 2 * at
-        # prod wraps mod 2^32; a k with two prime factors >= 17 is hit twice
-        found += sorted(set(ks[prod[at] == ks & 0xFFFFFFFF].tolist()))
+        sel = np.flatnonzero(nxt < first + size)
+        start, step = nxt[sel] - first, steps[sel]
+        hits = (size - 1 - start) // step + 1
+        nxt[sel] += hits * step
+        # hit h of selected prime j sits at start_j + h step_j; built in place to stay small
+        at = np.arange(hits.sum())
+        at *= np.repeat(step, hits)
+        at += np.repeat(start - (hits.cumsum() - hits) * step, hits)
+        np.multiply.at(prod, at, np.repeat(factors[sel], hits))
+        k32 = at.astype(np.uint32)  # k mod 2^32: prod wraps there
+        k32 *= 2
+        k32 += (3 + 2 * first) & 0xFFFFFFFF
+        found += sorted({3 + 2 * (first + i) for i in at[prod[at] == k32].tolist()})
     return found
 
 

@@ -243,7 +243,7 @@ PINCH_COUNTS = {10**3: 1, 10**4: 7, 10**5: 16, 10**6: 43, 10**7: 105, 10**8: 255
 
 
 def test_enumerate_reproduces_pinch_counts():
-    # 2^31 + 5 * 10^7 spans about 1050 sieve blocks and ends past 2^31, so
+    # 2^31 + 5 * 10^7 spans about 4,600 sieve blocks and ends past 2^31, so
     # its last 4 Carmichael numbers need an unsigned 32-bit prod (the mod
     # 2^32 wrap itself starts at 2^32); 10^8 ends inside a block.  Every
     # value Carmichael, strictly ascending and Pinch's count per decade:
@@ -262,7 +262,8 @@ def test_enumerate_reproduces_pinch_counts():
 
 BLOCK = nt._BLOCK_PERIODS * nt._PERIOD
 PERIOD = nt._PERIOD
-PERIOD_EDGES = [3 + 2 * PERIOD * j + d for j in (1, 2, nt._BLOCK_PERIODS + 1) for d in (-2, 0, 2)]
+# periods 35, 36 and 70 end mid-block, several blocks in
+PERIOD_EDGES = [3 + 2 * PERIOD * j + d for j in (1, 2, nt._BLOCK_PERIODS + 1, 35, 36, 70) for d in (-2, 0, 2)]
 # n about 2^21, mid-block and mid-period: the edge of a power-of-two block
 POWER_OF_TWO_EDGES = [2**21 + 1, 2**21 + 3, 2**21 + 5]
 
@@ -305,24 +306,32 @@ def test_enumerate_at_block_edges(below_10_7, n):
     # block j holds the odd k in [3 + 2j BLOCK, 3 + 2(j + 1) BLOCK), whole
     # wheel periods: n ends one short of a block, at its end, one k into the
     # next, at two blocks; likewise one short of, at and one past the end of
-    # wheel period j: periods 1 and 2 in the first block, and the first
-    # period of the second
+    # wheel period j: periods 1 and 2 in the first block, the first period
+    # of the second, and periods 35, 36 and 70 several blocks in
     assert n <= 10**7
     assert nt.enumerate_carmichaels(n) == below_10_7[: bisect.bisect_left(below_10_7, n)]
 
 
-@pytest.mark.parametrize("periods", [1, 2, 3])
-def test_enumerate_with_blocks_across_wheel_periods(monkeypatch, below_10_7, periods):
+@pytest.mark.parametrize(
+    ("periods", "n"), [(1, 2 * 10**6), (2, 2 * 10**6), (3, 2 * 10**6), (1, 10**7)], ids=["1", "2", "3", "1-10^7"]
+)
+def test_enumerate_with_blocks_across_wheel_periods(monkeypatch, below_10_7, periods, n):
     # blocks of one, two and three wheel periods: every block starts at
-    # wheel phase 0, and 2 * 10^6 spans 34, 17 and 12 of them
+    # wheel phase 0, and 2 * 10^6 spans 34, 17 and 12 of them.  10^7 spans
+    # 167 one-period blocks, and the primes below sqrt(10^7) carry their
+    # next hits over many blocks without a hit
     monkeypatch.setattr(nt, "_BLOCK_PERIODS", periods)
-    assert nt.enumerate_carmichaels(2 * 10**6) == below_10_7[: bisect.bisect_left(below_10_7, 2 * 10**6)]
+    assert nt.enumerate_carmichaels(n) == below_10_7[: bisect.bisect_left(below_10_7, n)]
 
 
 def test_enumerate_stays_in_bounded_memory():
-    # the blocks of the Carmichael sieve hold no array of the k themselves:
-    # 5.7 MiB measured, 36 MiB with one
-    assert oracles.peak_traced_bytes(nt.enumerate_carmichaels, 10**7) < 12 * 2**20
+    # the blocks of the Carmichael sieve hold no array of the k themselves
+    # (36 MiB with one), and the working set does not grow with n: about
+    # 1.1 MiB at both 10^7 and 10^8, the block buffer and its hits
+    peak_7 = oracles.peak_traced_bytes(nt.enumerate_carmichaels, 10**7)
+    peak_8 = oracles.peak_traced_bytes(nt.enumerate_carmichaels, 10**8)
+    assert peak_7 < 2 * 2**20
+    assert abs(peak_8 - peak_7) < 2**18
 
 
 def test_sieves_agree_with_scalars():
