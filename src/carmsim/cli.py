@@ -4,12 +4,15 @@ Subcommands: facts, certify, count-bases, count-carmichael, psw, bounds,
 enumerate.  Rep i of a command draws numpy's PCG64 sequence of
 np.random.default_rng([seed, i]), which qsim.rep_draws reproduces
 in-package for all reps in one call (no command imports numpy.random), so
-identical invocations are byte-identical; only the commands that draw check
---seed and --reps.  Every command and script shares one renderer
-(`render`), one writer (`write`) and one error boundary (`run`): exit 0 on
-success, 2 on a domain/precondition error, 3 on a capacity error, when
-memory runs out or when a counter law drifts off its norm (a counter so
-large that the rounding of its power table passes the norm tolerance).
+identical invocations are byte-identical.  Only the commands that draw
+(certify, count-bases, count-carmichael, psw) take --seed and --reps, and
+they check both; facts, bounds and enumerate reject either with argparse's
+usage, and their JSON "config" block prints the parser's defaults.  Every
+command and script shares one renderer (`render`), one writer (`write`)
+and one error boundary (`run`): exit 0 on success, 2 on a
+domain/precondition error, 3 on a capacity error, when memory runs out or
+when a counter law drifts off its norm (a counter so large that the
+rounding of its power table passes the norm tolerance).
 
 JSON output equals json.dumps(payload, indent=2) byte for byte.  The
 renderer writes strings, None, bools, ints, finite floats (the exact
@@ -364,14 +367,15 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(handler=handler)
         return sp
 
-    def common(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--reps", type=int)
+    def common(sp: argparse.ArgumentParser, draws: bool = True) -> None:
+        if draws:  # facts, bounds and enumerate draw nothing, so take neither option
+            sp.add_argument("--seed", type=int)
+            sp.add_argument("--reps", type=int)
         sp.add_argument("--output", choices=("text", "json", "csv"))
         sp.add_argument("--out", dest="out_path", help="write output to a file")
 
     sp = command("facts", "classical record for k", "k", _cmd_facts)
-    common(sp)
+    common(sp, draws=False)
 
     sp = command("certify", "certify whether composite k is Carmichael", "k", _cmd_certify)
     sp.add_argument("--P", dest="p", type=int)
@@ -395,10 +399,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = command("bounds", "perturbation budget and leakage factors below N", "n", _cmd_bounds)
     sp.add_argument("--P", dest="p", type=int, default=64)
-    common(sp)
+    common(sp, draws=False)
 
     sp = command("enumerate", "list Carmichael numbers below N", "n", _cmd_enumerate)
-    common(sp)
+    common(sp, draws=False)
 
     return parser
 

@@ -19,6 +19,7 @@ from hypothesis import example, given, strategies as st
 from carmsim import carmichael, cli, counting, numtheory
 
 import oracles
+import scale_checks
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -38,6 +39,14 @@ def run_process(args, stdout=subprocess.PIPE):
 
 
 CONFIG_KEYS = ["command", "target", "P", "R", "Q", "epsilon", "delta", "mode", "seed", "reps"]
+
+#: the commands that draw, the only ones that take --seed and --reps
+DRAWING = ("certify", "count-bases", "count-carmichael", "psw")
+
+
+def seeded(args):
+    """args with --seed 42 for a command that draws; the others take no --seed."""
+    return args + ["--seed", "42"] if args[0] in DRAWING else args
 
 
 def run_cli(args, capsys):
@@ -249,8 +258,9 @@ def test_byte_identical_outputs(tmp_path):
         assert first.read_bytes()  # nonempty
 
 
-#: sha256 of stdout with --seed 42 --output json; a shift in any rep's
-#: stream or in the map from its uniform to an outcome changes a digest
+#: sha256 of stdout with --output json, and --seed 42 where the command
+#: draws; a shift in any rep's stream or in the map from its uniform to an
+#: outcome changes a digest
 PINNED_STDOUT = [
     (["certify", "561", "--mode", "exact"], "839330a8950435e31bce2f2fba5c9b796f9b952c6c1aa4ff9071136dea51a971"),
     (["certify", "561", "--mode", "sample"], "e443be509221342fceb6e877c3f7cee047bf530a85d3f81b1b4a57eb6c5decbb"),
@@ -270,7 +280,7 @@ PINNED_STDOUT = [
 
 @pytest.mark.parametrize("args,digest", PINNED_STDOUT, ids=[" ".join(a) for a, _ in PINNED_STDOUT])
 def test_seeded_stdout_is_pinned(args, digest, capsys):
-    code, out, _ = run_cli(args + ["--seed", "42", "--output", "json"], capsys)
+    code, out, _ = run_cli(seeded(args) + ["--output", "json"], capsys)
     assert code == 0
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -293,13 +303,15 @@ PINNED_FORMS = [
 
 @pytest.mark.parametrize("args,digest", PINNED_FORMS, ids=[" ".join(a) for a, _ in PINNED_FORMS])
 def test_seeded_text_and_csv_are_pinned(args, digest, capsys):
-    code, out, _ = run_cli(args + ["--seed", "42"], capsys)
+    code, out, _ = run_cli(seeded(args), capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 #: every pinned command in full, and its digest
-PINNED_COMMANDS = [(args + ["--output", "json"], digest) for args, digest in PINNED_STDOUT] + PINNED_FORMS
+PINNED_COMMANDS = [(seeded(args) + ["--output", "json"], digest) for args, digest in PINNED_STDOUT] + [
+    (seeded(args), digest) for args, digest in PINNED_FORMS
+]
 
 #: prints the stdout sha256 of every pinned command, one per line
 PINNED_DIGEST_SCRIPT = """
@@ -308,7 +320,7 @@ from carmsim import cli
 for args in ARGS:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        cli.main(args + ["--seed", "42"])
+        cli.main(args)
     print(hashlib.sha256(out.getvalue().encode()).hexdigest())
 """
 
@@ -479,6 +491,9 @@ def test_csv_quotes_a_field_holding_a_comma():
 
 AMPLITUDE_CAP_LINE = "capacity error: counter registers exceed the cap of 67108864 amplitudes"
 
+#: an argument vector that argparse rejects: exit 2 after its usage
+USAGE = ("argparse", 2)
+
 BAD_INPUTS = {
     "certify-seed": (["certify", "15", "--seed", "-1"], 2, "error: seed must be >= 0"),
     "count-bases-seed": (["count-bases", "15", "--seed", "-1"], 2, "error: seed must be >= 0"),
@@ -497,15 +512,40 @@ BAD_INPUTS = {
     "psw-Q-4300-digits": (["psw", "1000", "--Q", "9" * 4300], 3, AMPLITUDE_CAP_LINE),
     "certify-P-4300-digits": (["certify", "15", "--P", "9" * 4300], 3, AMPLITUDE_CAP_LINE),
     "bounds-P-past-float": (["bounds", "100", "--P", str(2**1024)], 3, "capacity error: counter size P exceeds the float range"),
+    # the commands that draw nothing take neither --seed nor --reps
+    "facts-seed": (["facts", "561", "--seed", "1"], USAGE, "carmsim: error: unrecognized arguments: --seed 1"),
+    "facts-reps": (["facts", "561", "--reps", "2"], USAGE, "carmsim: error: unrecognized arguments: --reps 2"),
+    "bounds-seed": (["bounds", "100", "--seed", "1"], USAGE, "carmsim: error: unrecognized arguments: --seed 1"),
+    "bounds-reps": (["bounds", "100", "--reps", "2"], USAGE, "carmsim: error: unrecognized arguments: --reps 2"),
+    "enumerate-seed": (["enumerate", "100", "--seed", "-5"], USAGE, "carmsim: error: unrecognized arguments: --seed -5"),
+    "enumerate-reps": (["enumerate", "100", "--reps", "2"], USAGE, "carmsim: error: unrecognized arguments: --reps 2"),
 }
 
 
 @pytest.mark.parametrize("args,code,prefix", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
-def test_bad_seed_and_counter_size_exit_cleanly(args, code, prefix, capsys):
-    got, out, err = run_cli(args + ["--reps", "2"], capsys)
+def test_bad_seed_and_counter_size_exit_cleanly(args, code, prefix):
+    got, out, err = run_in_process(args + (["--reps", "2"] if args[0] in DRAWING else []))
     assert (got, out) == (code, "")
-    assert err.startswith(prefix) and "Traceback" not in err
-    assert err.count("\n") == 1 and err.endswith("\n")
+    *usage, line = err.splitlines()
+    assert line.startswith(prefix) and "Traceback" not in err and err.endswith("\n")
+    # the package's own errors are one line; argparse prints its usage before its error line
+    assert bool(usage) == (code == USAGE)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="the runner hashes with hashlib.file_digest")
+def test_scale_checks_report_only_the_wrong_rows(monkeypatch):
+    # the fresh-process table can fail: one run of facts 561 meets its true
+    # row and misses a wrong digest, a wrong exit code and a bound below its peak
+    monkeypatch.setenv("PYTHONPATH", str(ROOT / "src"))
+    result = scale_checks.run("facts 561")
+    row = ("facts 561", 0, "ab35cf557905daa4d4b0bfbac9a03d713fa2c16137943266a543a45e3400139c", 400)
+    assert scale_checks.problems(row, result) == []
+    wrong = [(*row[:2], "0" * 64, 400), (row[0], 2, *row[2:]), (*row[:3], result.mib - 1)]
+    assert [scale_checks.problems(w, result) for w in wrong] == [
+        [f"sha256 {row[2]}, expected {'0' * 64}"],
+        ["exit 0, expected 2"],
+        [f"peak {result.mib:.1f} MiB, bound {result.mib - 1}"],
+    ]
 
 
 def test_a_million_counter_registers_exit_3_at_once():
@@ -805,7 +845,7 @@ def test_closed_stdout_exits_2(args):
     assert proc.stderr.startswith("error: cannot write stdout") and "Traceback" not in proc.stderr
 
 
-#: the counter options each command takes (every command takes --reps and --seed)
+#: the counter options each command takes (the commands in DRAWING also take --reps and --seed)
 COUNTER_OPTIONS = {
     "facts": (),
     "certify": ("--P", "--R"),
@@ -838,7 +878,9 @@ def run_in_process(argv):
 )
 def test_fuzzed_arguments_exit_cleanly(command, target, counter, registers, reps, seed, output):
     # sizes stay small: at most 64^2 * 2 counter amplitudes and sieves over k <= 10^4
-    argv = [command, str(target), "--reps", str(reps), "--seed", str(seed), "--output", output]
+    argv = [command, str(target), "--output", output]
+    if command in DRAWING:
+        argv += ["--reps", str(reps), "--seed", str(seed)]
     for option in COUNTER_OPTIONS[command]:
         argv += [option, str(registers if option == "--R" else counter)]
     code, out, err = run_in_process(argv)
