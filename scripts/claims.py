@@ -77,9 +77,10 @@ TABLES = {"leakage": leakage_table, "counting": counting_table, "psw": psw_table
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = cli.one_line_errors(argparse.ArgumentParser(description=__doc__))
     sub = parser.add_subparsers(dest="section", required=True)
-    leakage, counts, psw = (sub.add_parser(name, description=table.__doc__) for name, table in TABLES.items())
+    leakage, counts, psw = (cli.one_line_errors(sub.add_parser(name, description=table.__doc__))
+                            for name, table in TABLES.items())
     leakage.add_argument("--kmax", type=int, default=120)
     leakage.add_argument("--P", dest="p_values", type=int, nargs="+", default=[8, 16, 32])
     leakage.add_argument("--R", dest="r_values", type=int, nargs="+", default=[1, 2])

@@ -155,22 +155,22 @@ def gap_error_bound(k: int, phi: int, p: int, r: int) -> float:
     return min(1.0, envelope) ** (2 * r)
 
 
-def certify_reps(k: int, p: int, r: int, mode: str, seed: int, reps: int) -> list[Verdict]:
-    """reps certifications of composite k; any nonzero counter disproves Carmichael.
+def certify_reps(k: int, p: int, r: int, mode: str, seed: int, reps: int) -> tuple[list[Verdict], np.ndarray]:
+    """reps certifications of composite k: (verdicts, index), rep i's Verdict being verdicts[index[i]].
 
-    The reps share the composite's facts and one law, which
-    qsim.counter_law builds from the facts' t(k), so k is factorized once.
-    Rep i draws from default_rng([seed, i]) through one qsim.rep_draws
-    call, made once mode, k and the law have passed their checks, so a
-    rejected input pays for no draw.  In sample mode a rep draws its
-    geometric flag retries, then one uniform, and its reading is the first
-    outcome whose cumulative mass exceeds that uniform
-    (qsim.sample_outcomes maps all reps at once).  Exact mode resolves the
-    flag analytically (flag_retries = 0) and attaches the exact all-zeros
+    Any nonzero counter disproves Carmichael.  The reps share the
+    composite's facts and one law (qsim.counter_law at the facts' t(k)), so
+    k is factorized once.  Rep i draws from default_rng([seed, i]) through
+    one qsim.rep_draws call, made once mode, k and the law have passed
+    their checks, so a rejected input pays for no draw.  In sample mode a
+    rep draws its geometric flag retries, then one uniform, which
+    qsim.sample_outcomes maps to its reading.  Exact mode resolves the flag
+    analytically (flag_retries = 0) and attaches the exact all-zeros
     probability; sample mode reports the gap-based worst-case error bound,
     which does not presume knowledge of t(k).  A Verdict depends only on
-    its rep's (reading, flag rounds), so reps with the same pair share one
-    Verdict, built and checked once.
+    its rep's (reading, flag rounds): one np.unique pass over draw * (max
+    rounds + 1) + rounds finds the distinct pairs, in increasing order, and
+    each Verdict is built and checked once, from the first rep that drew it.
     """
     if mode not in ("exact", "sample"):
         raise DomainError(f"mode must be 'exact' or 'sample', got {mode}")
@@ -184,19 +184,20 @@ def certify_reps(k: int, p: int, r: int, mode: str, seed: int, reps: int) -> lis
     else:
         exact_allzero = None
         carmichael_bound = gap_error_bound(k, facts.phi, p, r)
-    readings = map(tuple, qsim.sample_outcomes(dist, uniforms).tolist())
-    outcomes = list(zip(readings, rounds.tolist()))
+    draws = qsim.sample_outcomes(dist, uniforms)
+    # P^R <= AMPLITUDE_CAP keeps the packed int64 key far below 2^63
+    _, first, index = np.unique(draws * (int(rounds.max()) + 1) + rounds, return_index=True, return_inverse=True)
+    readings = np.stack(np.unravel_index(draws[first], dist.shape), axis=1).tolist()
     not_carmichael, carmichael = VerdictKind.NOT_CARMICHAEL, VerdictKind.PROBABLY_CARMICHAEL
     grover = r * (p - 1)
-    shared = {
-        (reading, n_rounds): Verdict(
+    return [
+        Verdict(
             not_carmichael if (nonzero := any(reading)) else carmichael,
             0.0 if nonzero else carmichael_bound,
-            reading, n_rounds, grover * (n_rounds or 1), accept, exact_allzero,
+            tuple(reading), n_rounds, grover * (n_rounds or 1), accept, exact_allzero,
         )
-        for reading, n_rounds in dict.fromkeys(outcomes)
-    }
-    return list(map(shared.__getitem__, outcomes))
+        for reading, n_rounds in zip(readings, rounds[first].tolist())
+    ], index
 
 
 class PerturbationBounds(NamedTuple):
@@ -323,21 +324,21 @@ def perturbation_bounds(n: int, p: int) -> PerturbationBounds:
 
 
 class CarmichaelCountResult(NamedTuple):
-    """Counting run over k = 1..n; exact_count, the ground truth, is the
-    length of enumerate_carmichaels(n), whose list is not kept."""
+    """Counting run over k = 1..n, rep i's estimate being estimates[index[i]]; exact_count,
+    the ground truth, is len(enumerate_carmichaels(n)), whose list is not kept."""
 
     n: int
     q: int
     exact_count: int
     estimates: list[counting.CountEstimate]
+    index: np.ndarray
     error_bound: float
     peak_probability: counting.PeakProbability
 
     def success_fraction(self) -> float:
         """Fraction of reps whose estimate lands within the peak-outcome bound."""
-        exact, bound = self.exact_count, self.error_bound  # read once, not once per estimate
-        hits = sum(1 for e in self.estimates if abs(e.t_tilde - exact) <= bound)
-        return hits / len(self.estimates)
+        hit = np.array([abs(e.t_tilde - self.exact_count) <= self.error_bound for e in self.estimates])
+        return int(np.count_nonzero(hit[self.index])) / len(self.index)
 
 
 def count_carmichaels_quantum(n: int, q: int, seed: int, reps: int) -> CarmichaelCountResult:
@@ -351,12 +352,13 @@ def count_carmichaels_quantum(n: int, q: int, seed: int, reps: int) -> Carmichae
     qsim.check_counter(q)
     qsim.check_reps(seed, reps)
     t_n = len(numtheory.enumerate_carmichaels(n))
-    estimates = counting.run_count(n, t_n, q, seed=seed, reps=reps)
+    estimates, index = counting.run_count(n, t_n, q, seed=seed, reps=reps)
     return CarmichaelCountResult(
         n=n,
         q=q,
         exact_count=t_n,
         estimates=estimates,
+        index=index,
         error_bound=counting.estimate_error_bound(n, q, t_n),
         peak_probability=counting.peak_success_probability(n, t_n, q),
     )
@@ -422,7 +424,7 @@ def psw_report(
             raise DomainError(f"{name} must be finite and > 0, got {value}")
     q_used = q if q is not None else choose_q(n, epsilon, delta)
     result = count_carmichaels_quantum(n, q_used, seed=seed, reps=reps)
-    t_est = counting.median_t_tilde(result.estimates)
+    t_est = counting.median_t_tilde(result.estimates, result.index)
     scale = numtheory.psw_scale(n)
     dt_exp = result.error_bound
     dt_th = n * scale ** (-(2.0 + epsilon + delta))

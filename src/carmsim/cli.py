@@ -6,26 +6,27 @@ np.random.default_rng([seed, i]), which qsim.rep_draws reproduces
 in-package for all reps in one call (no command imports numpy.random), so
 identical invocations are byte-identical.  Only the commands that draw
 (certify, count-bases, count-carmichael, psw) take --seed and --reps, and
-they check both; facts, bounds and enumerate reject either with argparse's
-usage, and their JSON "config" block prints the parser's defaults.  Every
-command and script shares one renderer (`render`), one writer (`write`)
-and one error boundary (`run`): exit 0 on success, 2 on a
-domain/precondition error, 3 on a capacity error, when memory runs out or
-when a counter law drifts off its norm (a counter so large that the
-rounding of its power table passes the norm tolerance).
+they check both; facts, bounds and enumerate reject either, and their JSON
+"config" block prints the parser's defaults.  Every command and script
+shares one renderer (`render`), one writer (`write`) and one error
+boundary (`run`): exit 0 on success, 2 on a domain/precondition error, 3
+on a capacity error, when memory runs out or when a counter law drifts off
+its norm (a counter so large that the rounding of its power table passes
+the norm tolerance).  An argument argparse rejects exits 2 after one line.
 
 JSON output equals json.dumps(payload, indent=2) byte for byte.  The
 renderer writes strings, None, bools, ints, finite floats (the exact
 types, not subclasses) and non-empty lists, tuples and str-keyed dicts
 itself; json.dumps writes or refuses the rest (NaN and the infinities,
-empty containers, other keys and types).  Reps with the same outcome share
-one record, so a payload holds each distinct record's dict once, repeated,
-and the renderer encodes a list element that recurs once and reuses its
-text.  It also spells each dict key layout (the keys at one depth) once,
+empty containers, other keys and types).  A command's reps come as their
+distinct records and an index (rep i's is records[index[i]]); each output
+form is built once per distinct record and listed per rep, so a payload
+repeats each distinct dict and the renderer encodes a list element that
+recurs once and reuses its text.  It also spells each dict key layout (the keys at one depth) once,
 as a % template, and encodes once each leaf that the records share (their
 kind, error bound, flag probability, small ints); these caches live for
 one render.  The text and CSV forms likewise format each distinct record
-once and prefix each rep's copy with its rep index.
+once and prefix each rep's copy with its rep number.
 """
 
 from __future__ import annotations
@@ -183,15 +184,11 @@ def run(build: Callable[[], str], out_path: str | None = None) -> int:
     return write(text, out_path)
 
 
-def _shared(records: Sequence, build: Callable) -> list:
-    """build(record) for each record, run once per distinct record object.
-
-    Reps with the same outcome share one record, so their entries share one
-    result: one JSON dict, which render then encodes once, or one text.
-    """
-    ids = list(map(id, records))
-    built = {key: build(record) for key, record in dict(zip(ids, records)).items()}
-    return list(map(built.__getitem__, ids))
+def one_line_errors(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """parser, printing an argument it rejects as one stderr line, error: <prog>: <message>, then exiting 2 (argparse
+    prints its usage first; --help still does).  Each subcommand's parser reports its own options: call it on each."""
+    parser.error = lambda message: parser.exit(2, f"error: {parser.prog}: {message}\n")
+    return parser
 
 
 def _config(cfg: argparse.Namespace) -> dict:
@@ -227,21 +224,29 @@ def _cmd_facts(cfg: argparse.Namespace) -> Record:
     )
 
 
+def _reps(records: Sequence, reps: list[int], header: list[str], row: Callable, line: Callable,
+          payload: Callable[[list[dict]], dict], head: list[str], tail: Sequence[str] = ()) -> Record:
+    """A command with one record per rep, rep i's being records[reps[i]]: the header and a CSV row per rep, head,
+    a text line per rep and tail, or payload(the per-rep JSON dicts).  Each form is built once per distinct record.
+    """
+
+    def listed(build: Callable) -> Iterable:
+        return map(list(map(build, records)).__getitem__, reps)
+
+    return Record(
+        table=lambda: [csv_line(header), *(f"{i},{text}" for i, text in enumerate(listed(row)))],
+        payload=lambda: payload(list(listed(lambda record: record.to_json_dict()))),
+        lines=lambda: [*head, *(f"  rep {i}: {text}" for i, text in enumerate(listed(line))), *tail],
+    )
+
+
 def _cmd_certify(cfg: argparse.Namespace) -> Record:
-    verdicts = carmichael.certify_reps(
+    verdicts, index = carmichael.certify_reps(
         cfg.target, cfg.p, cfg.r, mode=cfg.mode, seed=cfg.seed, reps=cfg.reps
     )
-    n_carm = sum(1 for v in verdicts if v.kind is carmichael.VerdictKind.PROBABLY_CARMICHAEL)
-    majority = (
-        carmichael.VerdictKind.PROBABLY_CARMICHAEL
-        if 2 * n_carm > len(verdicts)
-        else carmichael.VerdictKind.NOT_CARMICHAEL
-    )
-    header = ["rep", "kind", "error_bound", "observed_ancillas", "flag_retries", "grover_applications"]
-
-    def row(v: carmichael.Verdict) -> str:
-        ancillas = ";".join(str(a) for a in v.observed_ancillas)
-        return csv_line([v.kind.value, v.error_bound, ancillas, v.flag_retries, v.grover_applications])
+    kinds, reps = carmichael.VerdictKind, index.tolist()
+    n_carm = sum(map([v.kind is kinds.PROBABLY_CARMICHAEL for v in verdicts].__getitem__, reps))
+    majority = kinds.PROBABLY_CARMICHAEL if 2 * n_carm > len(reps) else kinds.NOT_CARMICHAEL
 
     def line(v: carmichael.Verdict) -> str:
         return (
@@ -249,39 +254,33 @@ def _cmd_certify(cfg: argparse.Namespace) -> Record:
             + (f" exact_allzero={v.exact_allzero}" if v.exact_allzero is not None else "")
         )
 
-    return Record(
-        table=lambda: [csv_line(header), *(f"{i},{text}" for i, text in enumerate(_shared(verdicts, row)))],
-        payload=lambda: {"verdicts": _shared(verdicts, carmichael.Verdict.to_json_dict), "majority": majority.value},
-        lines=lambda: [
-            f"certify k={cfg.target} P={cfg.p} R={cfg.r} mode={cfg.mode} seed={cfg.seed} reps={cfg.reps}",
-            *(f"  rep {i}: {text}" for i, text in enumerate(_shared(verdicts, line))),
-            f"majority: {majority.value} ({n_carm}/{len(verdicts)} ProbablyCarmichael)",
-        ],
+    return _reps(
+        verdicts, reps,
+        ["rep", "kind", "error_bound", "observed_ancillas", "flag_retries", "grover_applications"],
+        lambda v: csv_line([v.kind.value, v.error_bound, ";".join(map(str, v.observed_ancillas)), v.flag_retries,
+                            v.grover_applications]),
+        line,
+        payload=lambda dicts: {"verdicts": dicts, "majority": majority.value},
+        head=[f"certify k={cfg.target} P={cfg.p} R={cfg.r} mode={cfg.mode} seed={cfg.seed} reps={cfg.reps}"],
+        tail=[f"majority: {majority.value} ({n_carm}/{len(reps)} ProbablyCarmichael)"],
     )
 
 
-def _estimates(estimates: list[counting.CountEstimate], summary: dict, head: list[str]) -> Record:
+def _estimates(estimates: list[counting.CountEstimate], index, summary: dict, head: list[str]) -> Record:
     """A counting command: its summary and head lines, then a row and a line per rep."""
-    header = ["rep", "l", "f_tilde", "theta_tilde", "t_tilde", "bound", "in_ansatz"]
-
-    def row(e: counting.CountEstimate) -> str:
-        return csv_line([e.measured_l, e.f_tilde, e.theta_tilde, e.t_tilde, e.error_bound, e.in_ansatz])
-
-    def line(e: counting.CountEstimate) -> str:
-        return f"l={e.measured_l} t_tilde={e.t_tilde} bound={e.error_bound} in_ansatz={e.in_ansatz}"
-
-    return Record(
-        table=lambda: [csv_line(header), *(f"{i},{text}" for i, text in enumerate(_shared(estimates, row)))],
-        payload=lambda: {**summary, "estimates": _shared(estimates, counting.CountEstimate.to_json_dict)},
-        lines=lambda: head + [f"  rep {i}: {text}" for i, text in enumerate(_shared(estimates, line))],
+    return _reps(
+        estimates, index.tolist(), ["rep", "l", "f_tilde", "theta_tilde", "t_tilde", "bound", "in_ansatz"],
+        lambda e: csv_line([e.measured_l, e.f_tilde, e.theta_tilde, e.t_tilde, e.error_bound, e.in_ansatz]),
+        lambda e: f"l={e.measured_l} t_tilde={e.t_tilde} bound={e.error_bound} in_ansatz={e.in_ansatz}",
+        payload=lambda dicts: {**summary, "estimates": dicts}, head=head,
     )
 
 
 def _cmd_count_bases(cfg: argparse.Namespace) -> Record:
     t_true = carmichael.composite_facts(cfg.target).t_k
-    estimates = counting.run_count(cfg.target, t_true, cfg.p, seed=cfg.seed, reps=cfg.reps)
-    median = counting.median_t_tilde(estimates)
-    return _estimates(estimates, {"t_true": t_true, "t_tilde_median": median}, [
+    estimates, index = counting.run_count(cfg.target, t_true, cfg.p, seed=cfg.seed, reps=cfg.reps)
+    median = counting.median_t_tilde(estimates, index)
+    return _estimates(estimates, index, {"t_true": t_true, "t_tilde_median": median}, [
         f"count-bases k={cfg.target} P={cfg.p} seed={cfg.seed} reps={cfg.reps}",
         f"t_true: {t_true}  t_tilde median: {median}",
     ])
@@ -291,13 +290,13 @@ def _cmd_count_carmichael(cfg: argparse.Namespace) -> Record:
     result = carmichael.count_carmichaels_quantum(cfg.target, cfg.q, seed=cfg.seed, reps=cfg.reps)
     summary = {
         "t_N": result.exact_count,
-        "t_tilde_median": counting.median_t_tilde(result.estimates),
+        "t_tilde_median": counting.median_t_tilde(result.estimates, result.index),
         "success_fraction": result.success_fraction(),
         "error_bound": result.error_bound,
         "peak_probability": result.peak_probability.value,
         "peak_in_ansatz": result.peak_probability.in_ansatz,
     }
-    return _estimates(result.estimates, summary, [
+    return _estimates(result.estimates, result.index, summary, [
         f"count-carmichael N={cfg.target} Q={cfg.q} seed={cfg.seed} reps={cfg.reps}",
         *(f"{key}: {val}" for key, val in summary.items()),
     ])
@@ -347,10 +346,10 @@ def _cmd_enumerate(cfg: argparse.Namespace) -> Record:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process; parse_args leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = one_line_errors(argparse.ArgumentParser(
         prog="carmsim",
         description="Carmichael certification and counting pipelines (exact simulation)",
-    )
+    ))
     # every option's default, for all commands; a subcommand sets its own
     # only where it differs (bounds --P 64, psw --Q 0 for the policy Q)
     parser.set_defaults(
@@ -362,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     def command(
         name: str, help_text: str, metavar: str, handler: Callable[[argparse.Namespace], Record]
     ) -> argparse.ArgumentParser:
-        sp = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        sp = one_line_errors(sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS))
         sp.add_argument("target", metavar=metavar, type=int)
         sp.set_defaults(handler=handler)
         return sp

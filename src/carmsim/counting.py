@@ -141,14 +141,14 @@ class CountEstimate(NamedTuple):
         }
 
 
-def decode_outcomes(outcomes, dimension: int, p: int, t_ref: float) -> list[CountEstimate]:
+def decode_outcomes(outcomes, dimension: int, p: int, t_ref: float) -> tuple[list[CountEstimate], np.ndarray]:
     """Fold the mirror peak and decode each outcome: f~ = min(l, P-l), t~ = D sin^2(pi f~/P).
 
-    The error bound is evaluated at the true count t_ref, once for all
-    outcomes.  in_ansatz records whether the true peak sits in the window
-    1 < f < P/2 - 1 where the four-peak success floor applies;
-    out-of-window results are flagged, not rejected.  Outcomes with the
-    same l share one CountEstimate, decoded and checked once.
+    Returns (estimates, index), outcome i's estimate being estimates[index[i]]:
+    one np.unique pass finds the distinct l, each decoded and checked once.
+    The error bound is evaluated at the true count t_ref.  in_ansatz records
+    whether the true peak sits in the window 1 < f < P/2 - 1 where the
+    four-peak success floor applies; out-of-window results are flagged.
     """
     bound = estimate_error_bound(dimension, p, t_ref)
     f_ref = peak_position(dimension, t_ref, p)
@@ -161,27 +161,26 @@ def decode_outcomes(outcomes, dimension: int, p: int, t_ref: float) -> list[Coun
         theta_tilde = math.pi * f_tilde / p
         return CountEstimate(l, f_tilde, theta_tilde, dimension * math.sin(theta_tilde) ** 2, bound, in_ansatz)
 
-    ls = list(map(int, outcomes))
-    shared = {l: estimate(l) for l in dict.fromkeys(ls)}
-    return [shared[l] for l in ls]
+    ls, index = np.unique(outcomes, return_inverse=True)
+    return list(map(estimate, ls.tolist())), index
 
 
-def median_t_tilde(estimates: list[CountEstimate]) -> float:
-    """Median t_tilde of the estimates, the float that np.median returns.
+def median_t_tilde(estimates: list[CountEstimate], index: np.ndarray) -> float:
+    """Median t_tilde over the reps, rep i's estimate being estimates[index[i]]: the float np.median returns.
 
     Sorts instead: np.median's NaN check imports numpy.ma, about 10 ms of a
     process's first call.  An even count averages the two middle values as
     np.mean does, (a + b) / 2.
     """
-    values = sorted(e.t_tilde for e in estimates)
+    values = np.sort(np.array([e.t_tilde for e in estimates])[index])
     mid = len(values) // 2
     if len(values) % 2:
         return float(values[mid])
-    return (values[mid - 1] + values[mid]) / 2
+    return float((values[mid - 1] + values[mid]) / 2)
 
 
-def run_count(dimension: int, marked: int, p: int, seed: int, reps: int) -> list[CountEstimate]:
-    """reps seeded measurements of the counter with decoded estimates.
+def run_count(dimension: int, marked: int, p: int, seed: int, reps: int) -> tuple[list[CountEstimate], np.ndarray]:
+    """reps seeded measurements of the counter, decoded: the distinct estimates and each rep's index into them.
 
     Sampling uses the exact law of qsim.counter_law over the t = marked
     values, built once, then one uniform per rep from qsim.rep_draws with no
@@ -192,7 +191,7 @@ def run_count(dimension: int, marked: int, p: int, seed: int, reps: int) -> list
     """
     table = qsim.counter_law(dimension, marked, p)
     _, uniforms = qsim.rep_draws(seed, reps, None)
-    return decode_outcomes(qsim.sample_outcomes(table, uniforms)[:, 0], dimension, p, t_ref=marked)
+    return decode_outcomes(qsim.sample_outcomes(table, uniforms), dimension, p, t_ref=marked)
 
 
 class PeakProbability(NamedTuple):

@@ -33,8 +33,8 @@ post-selection live in tests/oracles.py.
 
 Measurement is sampled from an exact marginal table.  `sample_outcomes`
 builds the table's CDF once, in one working copy of the table, and maps a
-whole vector of uniforms in [0, 1) to outcomes with one search, so a
-command with many reps pays for one CDF.
+whole vector of uniforms in [0, 1) to flat outcome indices with one
+search, so a command with many reps pays for one CDF.
 `rep_draws` draws those uniforms, after the flag rounds if there is a flag,
 for all reps in one call.  Rep i draws numpy's PCG64 sequence of
 np.random.default_rng([seed, i]), bit for bit, reproduced in-package as
@@ -160,15 +160,15 @@ def counter_law(dimension: int, marked: float, p: int, registers: int = 1) -> np
 
 
 def sample_outcomes(table: np.ndarray, uniforms: Sequence[float] | np.ndarray) -> np.ndarray:
-    """One outcome per uniform in [0, 1) from a probability table; shape (n, table.ndim).
+    """The flat index of one outcome per uniform in [0, 1) from a probability table; shape (n,).
 
     Entries below SAMPLE_CLIP are zeroed and the rest renormalized first:
     measured outcomes never come from floating-point dust.  The CDF is built
     once and each uniform u maps to the first flat index whose cumulative
-    mass exceeds u.  These are the steps of numpy's Generator.choice with
-    p = clipped table, so n uniforms from rng.random(n) give its n draws.
-    The clip, the renormalization and the CDF all work in one copy of the
-    table, so the caller's table is never written.
+    mass exceeds u.  These are the steps of numpy's Generator.choice(
+    table.size, n, p=clipped table), so n uniforms from rng.random(n) give
+    its n draws.  The clip, the renormalization and the CDF all work in one
+    copy of the table, so the caller's table is never written.
     """
     cdf = np.array(table, dtype=float, order="C").reshape(-1)
     np.copyto(cdf, 0.0, where=cdf < SAMPLE_CLIP)
@@ -178,8 +178,7 @@ def sample_outcomes(table: np.ndarray, uniforms: Sequence[float] | np.ndarray) -
     cdf /= total
     cdf.cumsum(out=cdf)
     cdf /= cdf[-1]
-    draws = cdf.searchsorted(uniforms, side="right")
-    return np.stack(np.unravel_index(draws, np.shape(table)), axis=1).astype(np.int64)
+    return cdf.searchsorted(uniforms, side="right")
 
 
 #: SeedSequence's hash constants (numpy/random/bit_generator.pyx)

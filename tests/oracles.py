@@ -604,6 +604,11 @@ def perturbation_sums(n: int, p: int) -> tuple[float, float, tuple[int, ...]]:
     return correction, float((phi[1:] / k[1:]).mean()), tuple(int(v) for v in violating)
 
 
+def per_rep(records, index) -> list:
+    """The per-rep list of a (distinct records, index) pair: rep i's record is records[index[i]]."""
+    return [records[i] for i in index]
+
+
 def peak_traced_bytes(fn, *args) -> int:
     """Peak bytes allocated during fn(*args); tracemalloc sees numpy buffers too."""
     tracemalloc.start()

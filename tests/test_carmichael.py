@@ -11,6 +11,11 @@ from carmsim.errors import CapacityError, DomainError
 import oracles
 
 
+def certify(*args, **kwargs) -> list[cm.Verdict]:
+    """certify_reps' Verdicts listed per rep."""
+    return oracles.per_rep(*cm.certify_reps(*args, **kwargs))
+
+
 def leakage_alpha(k: int, p: int) -> float:
     facts = numtheory.number_facts(k)
     f = p * math.asin(math.sqrt(facts.t_k / k)) / math.pi
@@ -21,14 +26,14 @@ def leakage_alpha(k: int, p: int) -> float:
 
 def test_flag_probability_examples():
     for k, phi in ((561, 320), (15, 8), (1105, 768)):
-        assert cm.certify_reps(k, 8, 1, mode="exact", seed=0, reps=1)[0].flag_probability == phi / k
+        assert certify(k, 8, 1, mode="exact", seed=0, reps=1)[0].flag_probability == phi / k
 
 
 def test_flag_probability_matches_simulator():
     for k in (15, 105, 561, 1105):
         state = oracles.uniform_state((k,))
         _, prob = oracles.postselect(_flagged(state, k), 1, 1)
-        assert prob == pytest.approx(cm.certify_reps(k, 8, 1, mode="exact", seed=0, reps=1)[0].flag_probability, abs=1e-10)
+        assert prob == pytest.approx(certify(k, 8, 1, mode="exact", seed=0, reps=1)[0].flag_probability, abs=1e-10)
 
 
 def _flagged(state: oracles.StateVector, k: int) -> oracles.StateVector:
@@ -94,7 +99,7 @@ def test_flag_conditioned_diagnostic_differs():
 # ---------------------------------------------------------------- certify
 
 def test_certify_carmichael_exact():
-    verdict = cm.certify_reps(561, 16, 2, mode="exact", seed=3, reps=1)[0]
+    verdict = certify(561, 16, 2, mode="exact", seed=3, reps=1)[0]
     assert verdict.kind is cm.VerdictKind.PROBABLY_CARMICHAEL
     assert verdict.error_bound == 0.0
     assert verdict.observed_ancillas == (0, 0)
@@ -105,7 +110,7 @@ def test_certify_carmichael_exact():
 
 def test_certify_non_carmichael():
     # all-zeros carries ~4.5e-5 mass at P=16, R=2; these reps all refute
-    for verdict in cm.certify_reps(15, 16, 2, mode="exact", seed=0, reps=8):
+    for verdict in certify(15, 16, 2, mode="exact", seed=0, reps=8):
         assert verdict.kind is cm.VerdictKind.NOT_CARMICHAEL
         assert verdict.error_bound == 0.0
         assert verdict.exact_allzero == pytest.approx(
@@ -114,11 +119,11 @@ def test_certify_non_carmichael():
 
 
 def test_certify_sample_mode():
-    verdict = cm.certify_reps(15, 16, 2, mode="sample", seed=5, reps=1)[0]
+    verdict = certify(15, 16, 2, mode="sample", seed=5, reps=1)[0]
     assert verdict.flag_retries >= 1
     assert verdict.grover_applications == 2 * 15 * verdict.flag_retries
     assert verdict.exact_allzero is None
-    probably = cm.certify_reps(561, 8, 1, mode="sample", seed=5, reps=1)[0]
+    probably = certify(561, 8, 1, mode="sample", seed=5, reps=1)[0]
     assert probably.kind is cm.VerdictKind.PROBABLY_CARMICHAEL
     expected = cm.gap_error_bound(561, 320, 8, 1)
     assert probably.error_bound == pytest.approx(expected)
@@ -126,8 +131,8 @@ def test_certify_sample_mode():
 
 
 def test_certify_determinism_and_validation():
-    a = cm.certify_reps(15, 16, 2, mode="sample", seed=9, reps=4)
-    b = cm.certify_reps(15, 16, 2, mode="sample", seed=9, reps=4)
+    a = certify(15, 16, 2, mode="sample", seed=9, reps=4)
+    b = certify(15, 16, 2, mode="sample", seed=9, reps=4)
     assert a == b
     with pytest.raises(DomainError):
         cm.certify_reps(13, 16, 2, mode="exact", seed=0, reps=100)
@@ -152,16 +157,21 @@ def test_certify_reps_share_one_law_and_keep_streams():
     for k in (15, 91, 561):
         law = qsim.counter_law(k, numtheory.number_facts(k).t_k, 8, 2)
         for mode in ("exact", "sample"):
-            batch = cm.certify_reps(k, 8, 2, mode=mode, seed=4, reps=6)
-            assert batch[:3] == cm.certify_reps(k, 8, 2, mode=mode, seed=4, reps=3)
+            batch = certify(k, 8, 2, mode=mode, seed=4, reps=6)
+            assert batch[:3] == certify(k, 8, 2, mode=mode, seed=4, reps=3)
             for i, verdict in enumerate(batch):
                 rng = np.random.default_rng([4, i])
                 if mode == "sample":
                     assert verdict.flag_retries == oracles.draw_flag_rounds(verdict.flag_probability, rng)
-                assert verdict.observed_ancillas == tuple(qsim.sample_outcomes(law, [rng.random()])[0])
+                assert verdict.observed_ancillas == reading(law, rng.random())
     for reps in (0, -3):
         with pytest.raises(DomainError, match="reps must be >= 1"):
             cm.certify_reps(561, 16, 2, mode="exact", seed=0, reps=reps)
+
+
+def reading(law: np.ndarray, uniform: float) -> tuple[int, ...]:
+    """The counter reading that one uniform draws from law."""
+    return tuple(int(a) for a in np.unravel_index(qsim.sample_outcomes(law, [uniform])[0], law.shape))
 
 
 def _per_rep_verdicts(k: int, p: int, r: int, mode: str, seed: int, reps: int) -> list[cm.Verdict]:
@@ -178,12 +188,12 @@ def _per_rep_verdicts(k: int, p: int, r: int, mode: str, seed: int, reps: int) -
     for i in range(reps):
         rng = np.random.default_rng([seed, i])
         rounds = oracles.draw_flag_rounds(accept, rng) if mode == "sample" else 0
-        reading = tuple(qsim.sample_outcomes(law, [rng.random()])[0].tolist())
-        nonzero = any(reading)
+        ancillas = reading(law, rng.random())
+        nonzero = any(ancillas)
         verdicts.append(cm.Verdict(
             kind=cm.VerdictKind.NOT_CARMICHAEL if nonzero else cm.VerdictKind.PROBABLY_CARMICHAEL,
             error_bound=0.0 if nonzero else bound,
-            observed_ancillas=reading,
+            observed_ancillas=ancillas,
             flag_retries=rounds,
             grover_applications=r * (p - 1) * max(rounds, 1),
             flag_probability=accept,
@@ -196,9 +206,9 @@ def _per_rep_estimates(dimension: int, marked: int, p: int, seed: int, reps: int
     """One CountEstimate decoded per rep from its own default_rng([seed, i]) stream."""
     table = qsim.counter_law(dimension, marked, p)
     return [
-        counting.decode_outcomes(
-            qsim.sample_outcomes(table, [np.random.default_rng([seed, i]).random()])[:, 0], dimension, p, marked
-        )[0]
+        oracles.per_rep(*counting.decode_outcomes(
+            qsim.sample_outcomes(table, [np.random.default_rng([seed, i]).random()]), dimension, p, marked
+        ))[0]
         for i in range(reps)
     ]
 
@@ -209,19 +219,20 @@ def test_reps_with_one_outcome_share_one_record(command, seed):
     # the library calls behind each CLI command, at 100 reps
     if command.startswith("certify"):
         mode = command.removeprefix("certify-")
-        records = cm.certify_reps(403, 8, 2, mode=mode, seed=seed, reps=100)
+        distinct, index = cm.certify_reps(403, 8, 2, mode=mode, seed=seed, reps=100)
         rebuilt = _per_rep_verdicts(403, 8, 2, mode, seed, 100)
-        outcomes = {(v.observed_ancillas, v.flag_retries) for v in records}
+        outcomes = {(v.observed_ancillas, v.flag_retries) for v in distinct}
     else:
         if command == "count-bases":
             dimension, marked = 25001, cm.composite_facts(25001).t_k
-            records = counting.run_count(dimension, marked, 64, seed=seed, reps=100)
+            distinct, index = counting.run_count(dimension, marked, 64, seed=seed, reps=100)
         else:
             result = cm.count_carmichaels_quantum(65000, 64, seed=seed, reps=100)
-            dimension, marked, records = 65000, result.exact_count, result.estimates
+            dimension, marked, distinct, index = 65000, result.exact_count, result.estimates, result.index
         rebuilt = _per_rep_estimates(dimension, marked, 64, seed, 100)
-        outcomes = {e.measured_l for e in records}
-    assert len({id(record) for record in records}) == len(outcomes) < len(records)
+        outcomes = {e.measured_l for e in distinct}
+    records = oracles.per_rep(distinct, index)
+    assert len(distinct) == len({id(record) for record in records}) == len(outcomes) < len(records)
     assert records == rebuilt
 
 
@@ -265,6 +276,14 @@ def test_certify_rejects_p_r_and_the_cap_before_seeding_streams(p, r, error):
     assert peak < 1 << 20
 
 
+def test_per_rep_outcomes_cost_a_few_words_per_rep():
+    # a rep keeps its draw, rounds, packed key and index, not a record or a
+    # tuple of its own; np.unique's sort and inverse are bounded with them
+    reps = 10**5
+    assert oracles.peak_traced_bytes(cm.certify_reps, 15, 16, 2, "sample", 0, reps) <= 96 * reps
+    assert oracles.peak_traced_bytes(counting.run_count, 10000, 7, 64, 0, reps) <= 80 * reps
+
+
 def test_verdict_validation():
     with pytest.raises(DomainError):
         cm.Verdict(
@@ -286,7 +305,7 @@ def test_verdict_validation():
 
 
 def test_records_are_immutable_values():
-    # certify_reps shares one Verdict per outcome and the per-rep rebuilds
+    # certify_reps builds one Verdict per outcome and the per-rep rebuilds
     # compare equal to it; neither holds if a record can change or compares by identity
     fields = (cm.VerdictKind.NOT_CARMICHAEL, 0.0, (13, 12), 2, 60, 0.5, None)
     verdict, twin = cm.Verdict(*fields), cm.Verdict(*fields)
@@ -428,20 +447,22 @@ def test_count_carmichaels_600():
 def test_count_carmichaels_none_below_500():
     result = cm.count_carmichaels_quantum(500, 32, seed=1, reps=30)
     assert result.exact_count == 0
-    assert all(e.measured_l == 0 and e.t_tilde == 0.0 for e in result.estimates)
+    assert all(e.measured_l == 0 and e.t_tilde == 0.0 for e in oracles.per_rep(result.estimates, result.index))
 
 
 def test_count_carmichaels_boundary_excludes_n():
     # 561 itself sits on the register but is not "below 561"
     result = cm.count_carmichaels_quantum(561, 32, seed=1, reps=10)
     assert result.exact_count == 0
-    assert all(e.t_tilde == 0.0 for e in result.estimates)
+    assert all(e.t_tilde == 0.0 for e in oracles.per_rep(result.estimates, result.index))
 
 
 def test_count_carmichaels_determinism():
     a = cm.count_carmichaels_quantum(600, 64, seed=9, reps=15)
     b = cm.count_carmichaels_quantum(600, 64, seed=9, reps=15)
-    assert [e.measured_l for e in a.estimates] == [e.measured_l for e in b.estimates]
+    assert [e.measured_l for e in oracles.per_rep(a.estimates, a.index)] == [
+        e.measured_l for e in oracles.per_rep(b.estimates, b.index)
+    ]
 
 
 # ---------------------------------------------------------------- psw report

@@ -428,7 +428,7 @@ def _per_rep_outputs(args: list[str], seed: int, reps: int) -> tuple[list[str], 
     """The rep lines of the text form and the whole CSV form, every rep formatted from its own record."""
     command, target = args[0], int(args[1])
     if command == "certify":
-        verdicts = carmichael.certify_reps(target, 8, 2, mode=args[-1], seed=seed, reps=reps)
+        verdicts = oracles.per_rep(*carmichael.certify_reps(target, 8, 2, mode=args[-1], seed=seed, reps=reps))
         header = ["rep", "kind", "error_bound", "observed_ancillas", "flag_retries", "grover_applications"]
         rows = [
             [i, v.kind.value, v.error_bound, ";".join(str(a) for a in v.observed_ancillas), v.flag_retries, v.grover_applications]
@@ -444,9 +444,10 @@ def _per_rep_outputs(args: list[str], seed: int, reps: int) -> tuple[list[str], 
     else:
         if command == "count-bases":
             t_true = carmichael.composite_facts(target).t_k
-            estimates = counting.run_count(target, t_true, 64, seed=seed, reps=reps)
+            estimates = oracles.per_rep(*counting.run_count(target, t_true, 64, seed=seed, reps=reps))
         else:
-            estimates = carmichael.count_carmichaels_quantum(target, 64, seed=seed, reps=reps).estimates
+            result = carmichael.count_carmichaels_quantum(target, 64, seed=seed, reps=reps)
+            estimates = oracles.per_rep(result.estimates, result.index)
         header = ["rep", "l", "f_tilde", "theta_tilde", "t_tilde", "bound", "in_ansatz"]
         rows = [
             [i, e.measured_l, e.f_tilde, e.theta_tilde, e.t_tilde, e.error_bound, e.in_ansatz]
@@ -491,7 +492,7 @@ def test_csv_quotes_a_field_holding_a_comma():
 
 AMPLITUDE_CAP_LINE = "capacity error: counter registers exceed the cap of 67108864 amplitudes"
 
-#: an argument vector that argparse rejects: exit 2 after its usage
+#: an argument vector that argparse rejects: exit 2 from its SystemExit
 USAGE = ("argparse", 2)
 
 BAD_INPUTS = {
@@ -513,12 +514,15 @@ BAD_INPUTS = {
     "certify-P-4300-digits": (["certify", "15", "--P", "9" * 4300], 3, AMPLITUDE_CAP_LINE),
     "bounds-P-past-float": (["bounds", "100", "--P", str(2**1024)], 3, "capacity error: counter size P exceeds the float range"),
     # the commands that draw nothing take neither --seed nor --reps
-    "facts-seed": (["facts", "561", "--seed", "1"], USAGE, "carmsim: error: unrecognized arguments: --seed 1"),
-    "facts-reps": (["facts", "561", "--reps", "2"], USAGE, "carmsim: error: unrecognized arguments: --reps 2"),
-    "bounds-seed": (["bounds", "100", "--seed", "1"], USAGE, "carmsim: error: unrecognized arguments: --seed 1"),
-    "bounds-reps": (["bounds", "100", "--reps", "2"], USAGE, "carmsim: error: unrecognized arguments: --reps 2"),
-    "enumerate-seed": (["enumerate", "100", "--seed", "-5"], USAGE, "carmsim: error: unrecognized arguments: --seed -5"),
-    "enumerate-reps": (["enumerate", "100", "--reps", "2"], USAGE, "carmsim: error: unrecognized arguments: --reps 2"),
+    "facts-seed": (["facts", "561", "--seed", "1"], USAGE, "error: carmsim: unrecognized arguments: --seed 1"),
+    "facts-reps": (["facts", "561", "--reps", "2"], USAGE, "error: carmsim: unrecognized arguments: --reps 2"),
+    "bounds-seed": (["bounds", "100", "--seed", "1"], USAGE, "error: carmsim: unrecognized arguments: --seed 1"),
+    "bounds-reps": (["bounds", "100", "--reps", "2"], USAGE, "error: carmsim: unrecognized arguments: --reps 2"),
+    "enumerate-seed": (["enumerate", "100", "--seed", "-5"], USAGE, "error: carmsim: unrecognized arguments: --seed -5"),
+    "enumerate-reps": (["enumerate", "100", "--reps", "2"], USAGE, "error: carmsim: unrecognized arguments: --reps 2"),
+    # a subcommand's own rejections name the subcommand
+    "certify-P-not-int": (["certify", "15", "--P", "x"], USAGE, "error: carmsim certify: argument --P: invalid int value: 'x'"),
+    "certify-no-k": (["certify"], USAGE, "error: carmsim certify: the following arguments are required: k"),
 }
 
 
@@ -526,10 +530,9 @@ BAD_INPUTS = {
 def test_bad_seed_and_counter_size_exit_cleanly(args, code, prefix):
     got, out, err = run_in_process(args + (["--reps", "2"] if args[0] in DRAWING else []))
     assert (got, out) == (code, "")
-    *usage, line = err.splitlines()
+    # the package's own errors and argparse's rejections alike are one line
+    (line,) = err.splitlines()
     assert line.startswith(prefix) and "Traceback" not in err and err.endswith("\n")
-    # the package's own errors are one line; argparse prints its usage before its error line
-    assert bool(usage) == (code == USAGE)
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="the runner hashes with hashlib.file_digest")
@@ -807,7 +810,7 @@ def test_error_sweep_factorizes_each_k_once(monkeypatch, capsys):
     assert calls == list(range(4, 61))
 
 
-#: argv after claims.py, exit code, and the start of the one stderr message
+#: argv after claims.py, exit code, and the start of the one stderr line
 SCRIPT_BAD_INPUTS = {
     "psw-reps0": (["psw", "--reps", "0"], 2, "error: "),
     "psw-seed": (["psw", "--seed", "-1"], 2, "error: "),
@@ -816,8 +819,8 @@ SCRIPT_BAD_INPUTS = {
     "counting-N-past-enumeration": (["counting", "--N", "20000000000"], 3, "capacity error: "),
     "sweep-P2": (["leakage", "--P", "2"], 2, "error: "),
     "sweep-R0": (["leakage", "--R", "0"], 2, "error: "),
-    "no-section": ([], 2, "usage: claims.py "),
-    "unknown-section": (["sweep"], 2, "usage: claims.py "),
+    "no-section": ([], 2, "error: claims.py: the following arguments are required: section"),
+    "unknown-section": (["sweep"], 2, "error: claims.py: argument section: invalid choice: 'sweep'"),
 }
 
 
@@ -825,7 +828,7 @@ SCRIPT_BAD_INPUTS = {
 def test_script_bad_inputs_exit_cleanly(argv, code, prefix):
     proc = run_process([CLAIMS, *argv])
     assert (proc.returncode, proc.stdout) == (code, "")
-    assert proc.stderr.startswith(prefix)
+    assert proc.stderr.startswith(prefix) and len(proc.stderr.splitlines()) == 1
     assert "Traceback" not in proc.stderr
 
 

@@ -314,14 +314,14 @@ def test_peak_outcomes_within_bound(dimension, data, p):
     f = counting.peak_position(dimension, marked, p)
     bound = counting.estimate_error_bound(dimension, p, marked)
     peaks = {math.floor(f) % p, math.ceil(f) % p, (p - math.floor(f)) % p, (p - math.ceil(f)) % p}
-    for estimate in counting.decode_outcomes(sorted(peaks), dimension, p, t_ref=marked):
+    for estimate in oracles.per_rep(*counting.decode_outcomes(sorted(peaks), dimension, p, t_ref=marked)):
         assert abs(estimate.t_tilde - marked) <= bound + 1e-9
 
 
 # ---------------------------------------------------------------- decoding
 
 def test_estimate_folding():
-    (est,) = counting.decode_outcomes([120], 10**4, 128, t_ref=7)
+    (est,) = oracles.per_rep(*counting.decode_outcomes([120], 10**4, 128, t_ref=7))
     assert est.f_tilde == 8.0
     assert est.theta_tilde == pytest.approx(math.pi * 8 / 128)
     assert est.t_tilde == pytest.approx(10**4 * math.sin(math.pi * 8 / 128) ** 2)
@@ -329,29 +329,32 @@ def test_estimate_folding():
 
 
 def test_estimate_serialization_keys():
-    (est,) = counting.decode_outcomes([3], 100, 16, t_ref=4)
+    (est,) = oracles.per_rep(*counting.decode_outcomes([3], 100, 16, t_ref=4))
     assert set(est.to_json_dict()) == {"l", "f_tilde", "theta_tilde", "t_tilde", "bound", "in_ansatz"}
 
 
 # ---------------------------------------------------------------- run_count
 
-@given(st.lists(st.floats(0, 1e12), min_size=1, max_size=200))
-def test_median_t_tilde_equals_numpy_median(values):
+@given(st.lists(st.floats(0, 1e12), min_size=1, max_size=200), st.data())
+def test_median_t_tilde_equals_numpy_median(values, data):
+    # the median over the reps, each rep reading its value through the index
+    index = data.draw(st.lists(st.integers(0, len(values) - 1), min_size=1, max_size=200))
     estimates = [SimpleNamespace(t_tilde=v) for v in values]
-    assert counting.median_t_tilde(estimates) == float(np.median(values))
+    per_rep = [values[i] for i in index]
+    assert counting.median_t_tilde(estimates, np.array(index)) == float(np.median(per_rep))
 
 
 def test_run_count_empty_marked():
-    estimates = counting.run_count(50, 0, 16, seed=3, reps=20)
+    estimates = oracles.per_rep(*counting.run_count(50, 0, 16, seed=3, reps=20))
     assert all(e.t_tilde == 0.0 and e.measured_l == 0 for e in estimates)
     assert all(not e.in_ansatz for e in estimates)
 
 
 def test_run_count_seed_determinism():
-    a = counting.run_count(60, 9, 16, seed=11, reps=25)
-    b = counting.run_count(60, 9, 16, seed=11, reps=25)
+    a = oracles.per_rep(*counting.run_count(60, 9, 16, seed=11, reps=25))
+    b = oracles.per_rep(*counting.run_count(60, 9, 16, seed=11, reps=25))
     assert [e.measured_l for e in a] == [e.measured_l for e in b]
-    c = counting.run_count(60, 9, 16, seed=12, reps=25)
+    c = oracles.per_rep(*counting.run_count(60, 9, 16, seed=12, reps=25))
     assert [e.measured_l for e in a] != [e.measured_l for e in c]
 
 
@@ -367,7 +370,7 @@ def test_run_count_capacity():
 
 
 def test_run_count_estimates_concentrate():
-    estimates = counting.run_count(100, 25, 16, seed=2, reps=200)
+    estimates = oracles.per_rep(*counting.run_count(100, 25, 16, seed=2, reps=200))
     bound = counting.estimate_error_bound(100, 16, 25)
     hits = sum(1 for e in estimates if abs(e.t_tilde - 25) <= bound)
     assert hits / len(estimates) >= 8 / math.pi**2
