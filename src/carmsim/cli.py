@@ -307,12 +307,11 @@ def _cmd_psw(cfg: argparse.Namespace) -> Record:
         cfg.target, cfg.epsilon, cfg.delta, q=cfg.q or None, seed=cfg.seed, reps=cfg.reps
     )
     return Record(
-        table=lambda: [csv_line(report.CSV_HEADER), csv_line(report.to_csv_row())],
+        table=lambda: [csv_line(report.CSV_HEADER), csv_line(report)],
         payload=lambda: {"report": report.to_json_dict()},
         lines=lambda: [
             f"psw N={cfg.target} epsilon={cfg.epsilon} delta={cfg.delta}",
             *(f"{key}: {val}" for key, val in report.to_json_dict().items()),
-            "note: desk-scale N; the asymptotic envelopes are informational only",
         ],
     )
 
@@ -390,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--Q", dest="q", type=int)
     common(sp)
 
-    sp = command("psw", "counting accuracy vs conjectured density envelopes", "n", _cmd_psw)
+    sp = command("psw", "counting accuracy vs the conjectured accuracy target", "n", _cmd_psw)
     sp.add_argument("--epsilon", type=float)
     sp.add_argument("--delta", type=float)
     sp.add_argument("--Q", dest="q", type=int, default=0, help="override the policy choice")

@@ -199,7 +199,6 @@ class PeakProbability(NamedTuple):
 
     value: float
     in_ansatz: bool
-    peaks: tuple[int, ...]
 
 
 def peak_success_probability(dimension: int, marked: int, q: int) -> PeakProbability:
@@ -215,4 +214,4 @@ def peak_success_probability(dimension: int, marked: int, q: int) -> PeakProbabi
         {math.floor(f) % q, math.ceil(f) % q, (q - math.floor(f)) % q, (q - math.ceil(f)) % q}
     )
     value = float(sum(dist[i] for i in peaks))
-    return PeakProbability(value=value, in_ansatz=bool(1.0 < f < q / 2.0 - 1.0), peaks=tuple(peaks))
+    return PeakProbability(value=value, in_ansatz=bool(1.0 < f < q / 2.0 - 1.0))

@@ -571,15 +571,3 @@ def psw_scale(n: float) -> float:
     lll = math.log(ll)
     return math.exp(ln_n * lll / ll)
 
-
-def psw_bounds(n: float, epsilon: float) -> tuple[float, float]:
-    """(N / l(N)^(2+eps), N * l(N)^-(1-eps)) with unit implied constants.
-
-    These are conjectured asymptotic envelopes for the count of Carmichael
-    numbers below N; at desk scale they are reported as-is, without any
-    claim that the finite counts respect them.
-    """
-    if epsilon <= 0:
-        raise DomainError(f"epsilon must be > 0, got {epsilon}")
-    scale = psw_scale(n)
-    return n / scale ** (2 + epsilon), n * scale ** (-(1 - epsilon))

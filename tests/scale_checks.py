@@ -27,6 +27,8 @@ ROWS = [
     ("enumerate 10000000 --output json", 0, "ad2a76eb1aca21c99c1afadc617996c9de45a82686f75bae17cea2f7ce316815", None),
     # these bytes list Pinch's C(10^10) = 1547 Carmichael numbers
     ("enumerate 10000000000 --output json", 0, "efd46b325427944d8febea192a13ff34a11fe9d5d886cbb4c7530e9c65bad87e", 48),
+    # the psw row at the enumeration bound: t_N = 1547 at the policy Q = 126568
+    ("psw 10000000000 --reps 3 --output json", 0, "1d43bd8d2ade8cf34dcc58d10a9291166de10fc9953d84b14d8de1a91e7ca5f8", None),
 ]
 
 

@@ -486,17 +486,12 @@ def test_psw_report_fields():
     )
     scale = numtheory.psw_scale(10**4)
     assert report.dt_th == pytest.approx(10**4 * scale ** (-2.55))
-    lower, upper = numtheory.psw_bounds(10**4, 0.5)
-    assert report.psw_lower == pytest.approx(lower)
-    assert report.psw_upper == pytest.approx(upper)
-    assert report.meets_target == (report.dt_exp < report.dt_th)
-    row = report.to_csv_row()
-    assert len(row) == len(report.CSV_HEADER) == 10
+    assert len(report) == len(report.CSV_HEADER) == 8
 
 
 def test_psw_report_epsilon_sensitivity():
-    lower_small = numtheory.psw_bounds(10**4, 0.1)[0]
-    lower_large = numtheory.psw_bounds(10**4, 3.0)[0]
-    assert lower_large < lower_small
+    # dt_th does not depend on Q; a fixed Q keeps the two runs small
+    small, large = (cm.psw_report(10**4, eps, 0.05, seed=0, reps=1, q=64) for eps in (0.1, 3.0))
+    assert large.dt_th < small.dt_th
     with pytest.raises(DomainError):
         cm.psw_report(10**4, 0.5, 0.0, seed=0, reps=1)

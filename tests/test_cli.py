@@ -221,8 +221,19 @@ def test_psw_csv_columns(capsys):
     )
     assert code == 0
     header, row = out.strip().splitlines()
-    assert header == "N,t_N,t_tilde,dt_exp,dt_th,psw_lower,psw_upper,Q,epsilon,delta"
+    assert header == "N,t_N,t_tilde,dt_exp,dt_th,Q,epsilon,delta"
     assert row.split(",")[0] == "10000" and row.split(",")[1] == "7"
+
+
+def test_psw_row_is_one_record(capsys):
+    # the CSV header, the JSON report's keys and the text form's key lines are one list
+    args = ["psw", "10000", "--reps", "5", "--seed", "5", "--output"]
+    forms = {form: run_cli(args + [form], capsys) for form in ("csv", "json", "text")}
+    assert {code for code, _, _ in forms.values()} == {0}
+    csv_keys = forms["csv"][1].splitlines()[0].split(",")
+    json_keys = list(json.loads(forms["json"][1])["report"])
+    text_keys = [line.split(": ")[0] for line in forms["text"][1].splitlines()[1:]]
+    assert csv_keys == json_keys == text_keys == list(carmichael.PswReport.CSV_HEADER)
 
 
 def test_psw_at_the_pomerance_selfridge_wagstaff_scale(capsys):
@@ -271,7 +282,7 @@ PINNED_STDOUT = [
     (["certify", "645", "--mode", "sample"], "94d1a3ce78e5ec160d453bc60799af72f0467363250a666f27e9f8fa8b917df4"),
     (["count-bases", "25001", "--P", "64"], "b7f2a921fb5c3a6cff90127c3a7a0038a005fa2421ad9a99cfa16375082874dd"),
     (["count-carmichael", "65000", "--Q", "64"], "99f9a719e6f9cd574796d49721e95ef015cefda8e199b88235eb501775cebd4c"),
-    (["psw", "10000", "--reps", "5"], "eb4f4f648c5a50ec82ceba3d2cb9a269678e8c3eef2380667224ea2f4929244a"),
+    (["psw", "10000", "--reps", "5"], "ee4849c0d2fbe8ec1b31314b579f1a7617e079dbb16ff93cc87ceac0e28aa184"),
     # bounds draws nothing; its digest pins the sieve and kernel floats
     (["bounds", "31000", "--P", "64"], "52af1a4a5c8bdaae0690ace2d98073dc033f41292ebcd72d0148fd48ac5b00c8"),
     (["bounds", "100000", "--P", "16"], "c139109c5e65fe7c8e90796b726c256fe05cfcc0853b858575328f66461915d8"),
@@ -754,8 +765,8 @@ SECTIONS = [
     (
         "psw",
         ["--N", "1000", "--reps", "5"],
-        "N,t_N,t_tilde,dt_exp,dt_th,psw_lower,psw_upper,Q,epsilon,delta,meets_target,e_exact,e_est,e_err",
-        "d503e1404a1b8a11031718eea3522bd01c51a98cd2f86203a2aef98716a0fc10",
+        "N,t_N,t_tilde,dt_exp,dt_th,Q,epsilon,delta,e_exact,e_est,e_err",
+        "78b21f33a97ae4f4a00ee08466d8a3de1e58c80b71ff15b04e8a613063b4ac49",
     ),
 ]
 
@@ -780,7 +791,7 @@ def test_scripts_smoke(section, args, header, digest):
 DEFAULT_DIGESTS = {
     "leakage": "0f97b61430bc240ea3e8339aa59eac008369e16124ee948717516fcdcd0eeeab",
     "counting": "5cd74a6e4b27c3f0f9e5674c618bd4cca6d7b7e17444b232e2640fdd12a35aee",
-    "psw": "d86c1af53bd55d4b18e6b73ff5b952f9d3ee05cb8949f66a2b96515c8d2d96fc",
+    "psw": "5abec27533d415f1f18616c8a6cdebe419e26fd11fc6c84b52e5465da95e283e",
 }
 
 

@@ -389,14 +389,15 @@ def test_peak_probability_example():
     result = counting.peak_success_probability(10**4, 7, 128)
     assert result.in_ansatz
     assert result.value >= 8 / math.pi**2
-    assert result.peaks == (1, 2, 126, 127)
+    dist = counting.exact_count_joint(10**4, 7, 128, 1)
+    assert result.value == sum(dist[i] for i in (1, 2, 126, 127))
 
 
 def test_peak_probability_out_of_ansatz():
     result = counting.peak_success_probability(100, 0, 16)
     assert not result.in_ansatz
     assert result.value == pytest.approx(1.0, abs=1e-12)
-    assert result.peaks == (0,)
+    assert result.value == counting.exact_count_joint(100, 0, 16, 1)[0]
 
 
 @given(st.integers(2, 250), st.data(), st.sampled_from([8, 16, 32]))

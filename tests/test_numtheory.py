@@ -435,20 +435,3 @@ def test_psw_scale_monotone():
     values = [nt.psw_scale(n) for n in np.geomspace(100, 10**9, 40)]
     assert all(b > a for a, b in zip(values, values[1:]))
 
-
-def test_psw_bounds_ordering_and_monotonicity():
-    for n in (100, 10**4, 10**6):
-        lower, upper = nt.psw_bounds(n, 0.1)
-        assert lower < upper
-    lo_small_eps = nt.psw_bounds(10**4, 0.01)[0]
-    lo_big_eps = nt.psw_bounds(10**4, 1.0)[0]
-    assert lo_small_eps > lo_big_eps
-    with pytest.raises(DomainError):
-        nt.psw_bounds(10**4, 0.0)
-
-
-def test_psw_bounds_example_value():
-    lower, upper = nt.psw_bounds(10**4, 0.1)
-    scale = nt.psw_scale(10**4)
-    assert lower == pytest.approx(10**4 / scale**2.1, rel=1e-12)
-    assert upper == pytest.approx(10**4 * scale ** (-0.9), rel=1e-12)
